@@ -16,16 +16,17 @@ from .cgf import (
     cgf_discrete,
     check_T_properties,
     rate_bound_T,
+    rate_bound_T_rows,
 )
 from .orlicz import (
     OrliczGenerator,
-    OrliczNormValue,
     UnsupportedGeneratorError,
     bernstein_phi_star,
     conversion_factor_M,
     exp_moment_integral,
     make_generator,
     orlicz_norm,
+    orlicz_norm_rows,
     wr_exponential_type,
     wr_quadrature_bound,
 )
@@ -76,7 +77,6 @@ __all__ = [
     "NumericError",
     "OptimizeResult",
     "OrliczGenerator",
-    "OrliczNormValue",
     "TabulatedFunction",
     "TrialPlan",
     "UnsupportedGeneratorError",
@@ -101,7 +101,9 @@ __all__ = [
     "optimal_rank",
     "optimize_deflation",
     "orlicz_norm",
+    "orlicz_norm_rows",
     "rate_bound_T",
+    "rate_bound_T_rows",
     "replay_certificate",
     "run_trials",
     "sweep",

@@ -3,9 +3,10 @@ confidence radius T_r(f) = inf_{lambda >= 0} (r + log E e^{lambda f(X)}) / lambd
 
 All distributions here have finite support, so every CGF is an exact finite
 sum evaluated through log-sum-exp; there is no quadrature error in this
-module. The minimization over lambda uses bracketing by doubling followed by
-golden-section refinement (the objective is quasiconvex when the CGF is
-convex with value 0 at the origin).
+module. T_r of tabulated functions is computed in the Legendre dual form,
+many functions at once (rate_bound_T_rows); analytic oracles are minimized
+by bracketing and golden section (the objective is quasiconvex when the CGF
+is convex with value 0 at the origin).
 """
 
 from __future__ import annotations
@@ -16,13 +17,16 @@ from typing import Callable
 
 import numpy as np
 
-from .numerics import logsumexp, minimize_positive
+from .numerics import cgf_rows, logsumexp, minimize_positive, row_blocks
 
 CENTERING_TOL = 1e-10
 PROB_SUM_TOL = 1e-12
 
-LAMBDA_LO_CAP = 1e-12
-LAMBDA_HI_CAP = 1e8
+NEWTON_STEP_CAP = 4.0  # largest dual-solver step in log(lambda), a factor e^4
+DUAL_LOG_TOL = 1e-12  # relative change in lambda at which the dual root is accepted
+DUAL_G_TOL = 1e-14  # relative residual |g - r| / r at which it is accepted too
+DUAL_MAX_ITER = 200
+LOG_MU_MAX = 690.0  # keeps the dual solver's lambda finite in units of 1/max|h|
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -76,45 +80,25 @@ class TabulatedFunction:
             raise ValueError("function values must be a nonempty finite vector")
         object.__setattr__(self, "values", _readonly(values))
 
-    @property
-    def is_zero(self) -> bool:
-        return bool(np.all(self.values == 0.0))
-
-
-def mean_value(dist: DiscreteDistribution, f: TabulatedFunction) -> float:
-    if f.values.shape[0] != dist.size:
-        raise ValueError("function tabulated on a different support size")
-    return float(np.dot(dist.probabilities, f.values))
-
-
-def require_centered(dist: DiscreteDistribution, f: TabulatedFunction, name: str = "f") -> None:
-    """Reject functions whose mean exceeds the centering tolerance.
-
-    Functions are never re-centered silently; a failing mean is a modeling
-    bug on the caller's side.
-    """
-    m = mean_value(dist, f)
-    if abs(m) > CENTERING_TOL:
-        raise ValueError(f"{name} is not centered: mean {m!r} exceeds tolerance {CENTERING_TOL}")
-
 
 @dataclass(frozen=True)
 class CgfOracle:
     """Exact map lambda -> Lambda(lambda) = log E e^{lambda f(X)}.
 
-    Lambda(0) = 0 exactly (special-cased, never computed). `domain` is the
-    finiteness interval I_f; every supported construction yields the whole
-    real line. `mean` is E f(X) and `is_zero` marks the identically zero
-    function, for which T_r short-circuits to 0.
+    Lambda(0) = 0 exactly (special-cased, never computed). `mean` is E f(X)
+    and `is_zero` marks the identically zero function, for which T_r
+    short-circuits to 0. Tabulated oracles carry `distribution` and `values`
+    for the batched dual solver; analytic ones (Gaussian) have neither.
     """
 
     evaluator: Callable[[float], float]
     mean: float
     is_zero: bool = False
-    domain: tuple = (-math.inf, math.inf)
-    # positively homogeneous magnitude of f (max |f| for tabulated functions);
-    # sets the lambda unit so searches over lambda are scale-invariant
+    # positively homogeneous magnitude of f (analytic oracles); sets the
+    # lambda unit so the scalar search over lambda is scale-invariant
     scale: float = 1.0
+    distribution: DiscreteDistribution | None = None
+    values: np.ndarray | None = None
 
     def __call__(self, lam: float) -> float:
         if lam == 0.0:
@@ -122,15 +106,17 @@ class CgfOracle:
         return self.evaluator(lam)
 
     def scaled(self, alpha: float) -> "CgfOracle":
-        """Oracle of alpha * f; uses Lambda_{alpha f}(lambda) = Lambda_f(alpha lambda)."""
+        """Oracle of alpha * f; uses Lambda_{alpha f}(lambda) = Lambda_f(alpha lambda).
+        A tabulated oracle stays tabulated, so both go through one solver."""
+        if self.values is not None:
+            return cgf_discrete(self.distribution, TabulatedFunction(alpha * self.values))
         if alpha == 0.0:
-            return CgfOracle(lambda lam: 0.0, 0.0, True, self.domain)
+            return CgfOracle(lambda lam: 0.0, 0.0, True)
         inner = self.evaluator
         return CgfOracle(
             lambda lam, _a=alpha: inner(_a * lam),
             alpha * self.mean,
             self.is_zero,
-            self.domain,
             abs(alpha) * self.scale,
         )
 
@@ -146,48 +132,112 @@ def cgf_discrete(dist: DiscreteDistribution, f: TabulatedFunction) -> CgfOracle:
     def evaluator(lam: float) -> float:
         return logsumexp(logp + lam * vals)
 
-    vmax = float(np.max(np.abs(vals))) if vals.size else 0.0
-    return CgfOracle(evaluator, mean_value(dist, f), f.is_zero, scale=vmax if vmax > 0.0 else 1.0)
+    mean = float(np.dot(dist.probabilities, f.values))
+    return CgfOracle(evaluator, mean, not f.values.any(), distribution=dist, values=f.values)
 
 
 def rate_bound_T(oracle: CgfOracle, r: float) -> float:
     """Confidence radius T_r(f) = inf_{lambda >= 0} (r + Lambda(lambda)) / lambda.
 
-    Requires a centered oracle and r >= 0. Returns 0 exactly at r = 0 and for
-    the zero function (in both cases the infimum is a limit, not attained).
-    For bounded f and large r the infimum is approached as lambda -> infinity;
-    the search caps lambda * scale(f) at 1e8 (units of the largest |f| value,
-    so the search domain maps onto itself under f -> alpha f) and reports the
-    boundary evaluation there, extrapolated one Richardson step in 1/lambda so
-    the result stays positively homogeneous in f to full precision.
+    Requires a centered oracle and r >= 0; 0 exactly at r = 0 and for the
+    zero function. Tabulated oracles go through rate_bound_T_rows; analytic
+    ones are minimized over mu = lambda * scale(f), scale-invariantly, and
+    past the search cap the objective at the cap is reported.
     """
     if not (r >= 0.0):
         raise ValueError("r must be nonnegative")
     if abs(oracle.mean) > CENTERING_TOL:
         raise ValueError(f"oracle is not centered: mean {oracle.mean!r}")
+    if oracle.values is not None:
+        return float(rate_bound_T_rows(oracle.distribution, oracle.values[None, :], r)[0][0])
     if r == 0.0 or oracle.is_zero:
         return 0.0
-
-    def objective(lam: float) -> float:
-        return (r + oracle(lam)) / lam
-
     unit = oracle.scale if oracle.scale > 0.0 else 1.0
-    hi_cap = LAMBDA_HI_CAP / unit
-    res = minimize_positive(
-        objective, x_init=1.0 / unit, lo_cap=LAMBDA_LO_CAP / unit, hi_cap=hi_cap, rel_tol=1e-10
-    )
-    value = res.fun
-    if not res.interior and res.x >= hi_cap:
-        # Infimum approached as lambda -> inf, where the objective behaves as
-        # limit + c/lambda. The raw boundary value carries an O(1/cap) error
-        # that is not positively homogeneous in f; one Richardson step in
-        # 1/lambda cancels it. Only accept a downward correction.
-        half = objective(res.x / 2.0)
-        corrected = 2.0 * value - half
-        if corrected <= value:
-            value = corrected
+    res = minimize_positive(lambda mu: (r + oracle(mu / unit)) * unit / mu, rel_tol=1e-10)
     # (r + Lambda)/lambda > 0 for centered oracles; clamp guards rounding only
-    return max(value, 0.0)
+    return max(res.fun, 0.0)
+
+
+def rate_bound_T_rows(dist: DiscreteDistribution, rows: np.ndarray, r: float):
+    """T_r of every row of a (count, support) array of centered tabulated
+    functions, with the lambda each value was evaluated at: (values, lambdas).
+
+    Dual form (Dembo and Zeitouni, Large Deviations Techniques and
+    Applications, section 2.2): g(lambda) = lambda Lambda'(lambda) - Lambda(lambda)
+    increases from 0 to -log P(h = max h), and T_r(h) = Lambda'(lambda*) at
+    g(lambda*) = r. When r >= -log P(h = max h) there is no root and
+    T_r(h) = max h exactly, the closed form at infinity, with lambda = inf.
+    Otherwise the root is found by safeguarded Newton for all rows in
+    lockstep, and the value is (r + Lambda(lambda)) / lambda at the final
+    lambda: an upper bound on the infimum whatever the solver's accuracy.
+    At r = 0 all values and lambdas are 0. Rows are solved in blocks of
+    bounded size, and each row's result depends on that row alone.
+    """
+    if not (r >= 0.0):
+        raise ValueError("r must be nonnegative")
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != dist.size:
+        raise ValueError("rows must be a (count, support size) array")
+    means = np.abs((rows * dist.probabilities).sum(axis=1))
+    if np.any(means > CENTERING_TOL):
+        raise ValueError(f"a row is not centered: mean {float(means.max())!r} exceeds {CENTERING_TOL}")
+    values, lambdas = np.zeros((2, rows.shape[0]))
+    if r == 0.0:
+        return values, lambdas
+    mask = dist.probabilities > 0.0
+    probs = dist.probabilities[mask]
+    h = rows[:, mask]
+    scale = np.abs(h).max(axis=1)
+    x = h / np.where(scale > 0.0, scale, 1.0)[:, None]
+    # tested on the scaled rows the solver sees, so a root exists otherwise
+    at_inf = r >= -np.log((probs * (x == x.max(axis=1)[:, None])).sum(axis=1))
+    values[at_inf] = h[at_inf].max(axis=1)
+    lambdas[at_inf] = math.inf
+    inner = np.nonzero(~at_inf)[0]
+    logp = np.log(probs)
+    for blk in row_blocks(inner.size, probs.size):
+        idx = inner[blk]
+        mu = _dual_root(logp, x[idx], r)
+        cgf = cgf_rows(logp, x[idx], mu[:, None])[:, 0]
+        values[idx] = scale[idx] * ((r + cgf) / mu)
+        lambdas[idx] = mu / scale[idx]
+    return values, lambdas
+
+
+def _dual_root(logp: np.ndarray, x: np.ndarray, r: float) -> np.ndarray:
+    """mu with g(mu) = r per row of x (max|x| = 1, r < -log P(x = max x)): Newton
+    in t = log mu from g ~ Var mu^2 / 2, inside a bracket lo < t < hi that a bad
+    step bisects (or leaves by NEWTON_STEP_CAP while a side is open). g and g'
+    are taken relative to max x, which keeps them accurate as mu grows."""
+    t = 0.5 * np.log(2.0 * r / (np.exp(logp) * x * x).sum(axis=1))
+    lo, hi = np.full(t.size, -math.inf), np.full(t.size, math.inf)
+    z = x - x.max(axis=1)[:, None]
+    active = np.arange(t.size)
+    for _ in range(DUAL_MAX_ITER):
+        ta, za = t[active], z[active]
+        mu = np.exp(ta)
+        b = logp + mu[:, None] * za
+        peak = b.max(axis=1)
+        e = np.exp(b - peak[:, None])
+        total = e.sum(axis=1)
+        m1 = (e * za).sum(axis=1) / total  # Lambda'(mu) - max x
+        var = (e * np.square(za - m1[:, None])).sum(axis=1) / total  # Lambda''(mu)
+        g = mu * m1 - (peak + np.log(total))
+        below = g < r
+        lo[active] = np.where(below, ta, lo[active])
+        hi[active] = np.where(below, hi[active], ta)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            step = np.clip((np.log(r) - np.log(g)) * g / (mu * mu * var), -NEWTON_STEP_CAP, NEWTON_STEP_CAP)
+            mid = 0.5 * (lo[active] + hi[active])  # not finite while a side is open
+        nxt = ta + step
+        inside = (nxt > lo[active]) & (nxt < hi[active])
+        mid = np.where(np.isfinite(mid), mid, ta + np.where(below, NEWTON_STEP_CAP, -NEWTON_STEP_CAP))
+        done = (np.abs(step) <= DUAL_LOG_TOL) | (np.abs(g - r) <= DUAL_G_TOL * r)
+        t[active] = np.minimum(np.where(done, ta, np.where(inside, nxt, mid)), LOG_MU_MAX)
+        active = active[~done]
+        if not active.size:
+            break
+    return np.exp(t)
 
 
 @dataclass(frozen=True)

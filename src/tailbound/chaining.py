@@ -12,6 +12,7 @@ resolutions epsilon_ell, and every reported value carries a certificate
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -24,10 +25,10 @@ from .cgf import (
     DiscreteDistribution,
     TabulatedFunction,
     cgf_discrete,
-    rate_bound_T,
+    rate_bound_T_rows,
 )
-from .numerics import NumericError, logsumexp, maximize_on_interval
-from .orlicz import OrliczGenerator, orlicz_norm
+from .numerics import NumericError, cgf_rows, golden_section_min, row_blocks
+from .orlicz import OrliczGenerator, orlicz_norm_rows
 
 LOG2 = math.log(2.0)
 ZERO_NORM_TOL = 1e-12
@@ -37,58 +38,61 @@ EXACT_EPSILON_LIMIT = 12  # exhaustive subset enumeration threshold for epsilon_
 EXACT_GAMMA_LIMIT = 8  # exhaustive nested-sequence threshold for gamma
 
 
-def _cgf_value(logp: np.ndarray, vals: np.ndarray, lam: float) -> float:
-    # expm1 path keeps precision where the log-sum-exp one would cancel
-    if abs(lam) * float(np.max(np.abs(vals)) if vals.size else 0.0) <= 1e-3:
-        return math.log1p(float(np.dot(np.exp(logp), np.expm1(lam * vals))))
-    return logsumexp(logp + lam * vals)
+NORM_GRID = np.power(2.0, np.arange(-40, 61) / 2.0)  # |lambda| grid in units of 1/max|h|
+NORM_MEMO_BYTES = 1 << 24  # row bytes a family's norm memo may hold
+WR_CACHE_SIZE = 64  # rates whose w_r pass a family keeps
 
 
-def cgf_functional_norm(dist: DiscreteDistribution, values: np.ndarray) -> float:
+def cgf_functional_norm(dist: DiscreteDistribution, values: np.ndarray):
     """sup_{lambda in R} sqrt(2 Lambda_h(lambda)) / |lambda| for tabulated h.
 
-    The lambda -> 0 limit equals sqrt(Var h) and is always a candidate; the
-    remaining supremum is located on a two-sided geometric grid followed by
-    golden-section refinement around the best grid point. Requires h to be
-    (numerically) centered, else the supremum diverges at lambda -> 0.
+    values is one function or a (count, support) array; the result is a float
+    or an array of norms. The lambda -> 0 limit sqrt(Var h) is a candidate;
+    the rest of the supremum is located on a two-sided 202-point geometric
+    grid, one tensor op over all rows, then refined by golden section around
+    each side's best point, rows in lockstep and in blocks of bounded size.
+    Requires centered rows, else the supremum diverges at lambda -> 0.
     """
-    values = np.asarray(values, dtype=float).reshape(-1)
-    if values.shape[0] != dist.size:
+    values = np.asarray(values, dtype=float)
+    rows = np.atleast_2d(values)
+    if rows.ndim != 2 or rows.shape[1] != dist.size:
         raise ValueError("values length does not match support size")
     mask = dist.probabilities > 0.0
     probs = dist.probabilities[mask]
-    vals = values[mask]
-    vmax = float(np.max(np.abs(vals))) if vals.size else 0.0
-    if vmax == 0.0:
-        return 0.0
-    mean = float(np.dot(probs, vals))
-    if abs(mean) > 1e-8 * max(vmax, 1.0):
+    h = rows[:, mask]
+    vmax = np.abs(h).max(axis=1)
+    means = (h * probs).sum(axis=1)
+    if np.any(np.abs(means) > 1e-8 * np.maximum(vmax, 1.0)):
         raise ValueError("CGF functional norm requires a centered function")
-    variance = max(float(np.dot(probs, vals * vals)) - mean * mean, 0.0)
+    norms = np.zeros(h.shape[0])
+    live = np.nonzero(vmax > 0.0)[0]
     logp = np.log(probs)
-
-    def g(lam: float) -> float:
-        # 2 Lambda(lam) / lam^2, whose sup over R is the squared norm
-        return 2.0 * _cgf_value(logp, vals, lam) / (lam * lam)
-
-    best_sq = variance
-    for sign in (1.0, -1.0):
-        grid = sign * np.power(2.0, np.arange(-40, 61) / 2.0) / vmax
-        gv = np.array([g(l) for l in grid])
-        j = int(np.argmax(gv))
-        lo = grid[max(j - 1, 0)]
-        hi = grid[min(j + 1, grid.size - 1)]
-        if lo > hi:
-            lo, hi = hi, lo
-        _, refined = maximize_on_interval(g, lo, hi, rel_tol=1e-10)
-        best_sq = max(best_sq, float(gv[j]), refined)
-
-    norm = math.sqrt(best_sq)
+    for blk in row_blocks(live.size, 2 * NORM_GRID.size * probs.size):
+        idx = live[blk]
+        x = h[idx] / vmax[idx, None]
+        mean = means[idx] / vmax[idx]
+        variance = np.maximum((x * x * probs).sum(axis=1) - mean * mean, 0.0)
+        norms[idx] = vmax[idx] * np.sqrt(np.maximum(variance, _norm_sq_sup(logp, x)))
     # positive-definiteness on discrete support: a function that is nonzero
     # on an atom of positive probability cannot have norm 0
-    if norm <= ZERO_NORM_TOL and vmax > ZERO_NORM_TOL:
+    if np.any((norms <= ZERO_NORM_TOL) & (vmax > ZERO_NORM_TOL)):
         raise NumericError("norm evaluated to 0 on a function that is nonzero with positive probability")
-    return norm
+    return float(norms[0]) if values.ndim == 1 else norms
+
+
+def _norm_sq_sup(logp: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Per row of x (max|x| = 1), the sup of 2 Lambda(mu) / mu^2 over the
+    two-sided grid and its golden-section refinement on each side."""
+    n = x.shape[0]
+    grid = np.concatenate([NORM_GRID, -NORM_GRID])
+    gv = 2.0 * cgf_rows(logp, x, np.broadcast_to(grid, (n, grid.size))) / (grid * grid)
+    # bracket of |mu| around each side's best grid point
+    j = gv.reshape(n, 2, NORM_GRID.size).argmax(axis=2)
+    lo = NORM_GRID[np.maximum(j - 1, 0)]
+    hi = NORM_GRID[np.minimum(j + 1, NORM_GRID.size - 1)]
+    sign = np.array([1.0, -1.0])
+    _, neg = golden_section_min(lambda mu: -2.0 * cgf_rows(logp, x, sign * mu) / (mu * mu), lo, hi, 1e-10)
+    return np.maximum(gv.max(axis=1), -neg.min(axis=1))
 
 
 @dataclass(frozen=True)
@@ -97,8 +101,9 @@ class FunctionFamily:
 
     members: mapping name -> values (one per support point), in a stable
     order. norm_context selects the metric: "cgf" for the CGF functional or
-    an OrliczGenerator instance. Member norms and all pairwise difference
-    norms are computed once at construction.
+    an OrliczGenerator instance. Member and pairwise difference norms are
+    computed at construction through a bounded memo keyed by row bytes, which
+    deflate reuses; the w_r pass of each rate is cached.
     """
 
     distribution: DiscreteDistribution
@@ -109,7 +114,6 @@ class FunctionFamily:
         if not self.members:
             raise ValueError("family must contain at least one member")
         names = tuple(self.members.keys())
-        rows = []
         for name in names:
             f = TabulatedFunction(self.members[name])
             if f.values.shape[0] != self.distribution.size:
@@ -117,44 +121,59 @@ class FunctionFamily:
             m = float(np.dot(self.distribution.probabilities, f.values))
             if abs(m) > CENTERING_TOL:
                 raise ValueError(f"member {name!r} is not centered: mean {m!r}")
-            rows.append(f.values)
-        values = np.array(rows, dtype=float)
-        zero_index = None
-        for i in range(values.shape[0]):
-            if np.all(values[i] == 0.0):
-                zero_index = i
-                break
-        if zero_index is None:
+        values = np.array([self.members[name] for name in names], dtype=float)
+        zeros = np.nonzero(~values.any(axis=1))[0]
+        if zeros.size == 0:
             raise ValueError("family must contain the zero function as a member")
         if not (self.norm_context == "cgf" or isinstance(self.norm_context, OrliczGenerator)):
             raise ValueError("norm_context must be 'cgf' or an OrliczGenerator")
         values.flags.writeable = False
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "zero_index", zero_index)
+        object.__setattr__(self, "zero_index", int(zeros[0]))
         object.__setattr__(self, "members", {n: values[i] for i, n in enumerate(names)})
-
-        norms = np.array([self.norm_of(values[i]) for i in range(len(names))])
-        dist_mat = np.zeros((len(names), len(names)))
-        for i in range(len(names)):
-            for j in range(i + 1, len(names)):
-                dist_mat[i, j] = dist_mat[j, i] = self.norm_of(values[i] - values[j])
+        object.__setattr__(self, "_norm_memo", {})
+        wr_pass = functools.lru_cache(maxsize=WR_CACHE_SIZE)(functools.partial(_extremal_pass, self))
+        object.__setattr__(self, "_wr_pass", wr_pass)
+        norms = self.norms(values)
         norms.flags.writeable = False
-        dist_mat.flags.writeable = False
         object.__setattr__(self, "member_norms", norms)
-        object.__setattr__(self, "distances", dist_mat)
-        # memo for w_r values; recomputation is deterministic, so concurrent
-        # duplicate writes are benign
-        object.__setattr__(self, "_wr_cache", {})
+        object.__setattr__(self, "distances", self.pair_distances(values))
 
     @property
     def size(self) -> int:
         return len(self.names)
 
-    def norm_of(self, values: np.ndarray) -> float:
-        if self.norm_context == "cgf":
-            return cgf_functional_norm(self.distribution, values)
-        return orlicz_norm(self.distribution, TabulatedFunction(values), self.norm_context).value
+    def norms(self, rows: np.ndarray) -> np.ndarray:
+        """Norms of the rows of a (count, support) array: memo hits, and one
+        batched call for the rest, kept while the memo is under NORM_MEMO_BYTES."""
+        rows = np.asarray(rows, dtype=float)
+        keys = [row.tobytes() for row in rows]
+        memo = self._norm_memo
+        fresh = {key: i for i, key in enumerate(keys) if key not in memo}
+        if fresh:
+            todo = rows[list(fresh.values())]
+            if self.norm_context == "cgf":
+                computed = cgf_functional_norm(self.distribution, todo)
+            else:
+                computed = orlicz_norm_rows(self.distribution, todo, self.norm_context)
+            fresh = dict(zip(fresh, computed.tolist()))
+            room = NORM_MEMO_BYTES // (8 * rows.shape[1]) - len(memo)
+            memo.update(itertools.islice(fresh.items(), max(room, 0)))
+        return np.array([fresh[k] if k in fresh else memo[k] for k in keys])
+
+    def pair_distances(self, values: np.ndarray) -> np.ndarray:
+        """(q, q) symmetric matrix of the norms of values[a] - values[b]; the
+        difference rows are built and normed block by block."""
+        q = values.shape[0]
+        iu, ju = np.triu_indices(q, 1)
+        dist = np.zeros((q, q))
+        for blk in row_blocks(iu.size, values.shape[1]):
+            d = self.norms(values[iu[blk]] - values[ju[blk]])
+            dist[iu[blk], ju[blk]] = d
+            dist[ju[blk], iu[blk]] = d
+        dist.flags.writeable = False
+        return dist
 
     def oracle_of(self, values: np.ndarray) -> CgfOracle:
         return cgf_discrete(self.distribution, TabulatedFunction(values))
@@ -163,31 +182,31 @@ class FunctionFamily:
         return float(np.max(self.member_norms))
 
 
+def _extremal_pass(family: FunctionFamily, r: float):
+    """(w_r, extremal pair) from one batched T_r pass over every ordered pair
+    of members with a difference norm above 1e-12, in lexicographic order."""
+    if not (r >= 0.0):
+        raise ValueError("r must be nonnegative")
+    pairs = np.argwhere(family.distances > ZERO_NORM_TOL)
+    t = np.zeros(len(pairs))
+    for blk in row_blocks(len(pairs), family.values.shape[1]):
+        i, j = pairs[blk, 0], pairs[blk, 1]
+        rows = (family.values[i] - family.values[j]) / family.distances[i, j][:, None]
+        t[blk] = rate_bound_T_rows(family.distribution, rows, r)[0]
+    if not len(pairs):
+        return 0.0, None
+    best = int(np.argmax(t))  # the first maximum: ties go to the smallest (i, j)
+    return float(t[best]), (int(pairs[best, 0]), int(pairs[best, 1]), float(t[best]))
+
+
 def class_wr(family: FunctionFamily, r: float) -> float:
     """w_r = sup over normalized member differences h/||h|| of T_r.
 
-    Iterates ordered pairs so both signs of every difference are covered;
-    differences with norm at most 1e-12 are skipped. Returns 0 when every
-    difference is zero.
+    Covers ordered pairs so both signs of every difference are included;
+    differences with norm at most 1e-12 are skipped; 0 when all are. One
+    batched pass per rate, cached and shared with extremal_difference.
     """
-    if not (r >= 0.0):
-        raise ValueError("r must be nonnegative")
-    cached = family._wr_cache.get(r)
-    if cached is not None:
-        return cached
-    best = 0.0
-    values = family.values
-    for i in range(family.size):
-        for j in range(family.size):
-            if i == j:
-                continue
-            d = family.distances[i, j]
-            if d <= ZERO_NORM_TOL:
-                continue
-            oracle = family.oracle_of((values[i] - values[j]) / d)
-            best = max(best, rate_bound_T(oracle, r))
-    family._wr_cache[r] = best
-    return best
+    return family._wr_pass(r)[0]
 
 
 def extremal_difference(family: FunctionFamily, r: float):
@@ -196,20 +215,7 @@ def extremal_difference(family: FunctionFamily, r: float):
     Ties break to the smallest (i, j) in lexicographic order. Returns
     (i, j, w) or None when all differences are zero.
     """
-    best = None
-    best_val = -1.0
-    values = family.values
-    for i in range(family.size):
-        for j in range(family.size):
-            if i == j or family.distances[i, j] <= ZERO_NORM_TOL:
-                continue
-            d = family.distances[i, j]
-            oracle = family.oracle_of((values[i] - values[j]) / d)
-            val = rate_bound_T(oracle, r)
-            if val > best_val:
-                best_val = val
-                best = (i, j, val)
-    return best
+    return family._wr_pass(r)[1]
 
 
 @dataclass(frozen=True)
@@ -261,15 +267,8 @@ def build_deflation(family: FunctionFamily, k: int) -> DeflationPlan:
     """
     if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 1:
         raise ValueError("k must be a positive integer")
-    m_budget = min(math.floor(math.exp(k)), family.size)
     dist = family.distances
-    centers = [family.zero_index]
-    while len(centers) < m_budget:
-        min_d = np.min(dist[:, centers], axis=1)
-        cand = int(np.argmax(min_d))  # argmax returns the smallest tied index
-        if min_d[cand] <= 0.0:
-            break
-        centers.append(cand)
+    centers = _farthest_first(dist, [family.zero_index], min(math.floor(math.exp(k)), family.size))
     norms = family.member_norms
     assignment = []
     for i in range(family.size):
@@ -319,13 +318,8 @@ def deflate(family: FunctionFamily, plan: DeflationPlan) -> DeflatedSet:
         member_map.append(keys[key])
     values = np.array(rows)
     zero_pos = keys[np.zeros(family.values.shape[1]).tobytes()]
-    q = values.shape[0]
-    dist = np.zeros((q, q))
-    for a in range(q):
-        for b in range(a + 1, q):
-            dist[a, b] = dist[b, a] = family.norm_of(values[a] - values[b])
+    dist = family.pair_distances(values)
     values.flags.writeable = False
-    dist.flags.writeable = False
     return DeflatedSet(
         values=values,
         labels=tuple(labels),
@@ -340,7 +334,20 @@ def _coverage_radius(dist: np.ndarray, subset) -> float:
     return float(np.max(np.min(dist[:, list(subset)], axis=1)))
 
 
-def epsilon_ell(deflated: DeflatedSet, ell: int, family: FunctionFamily = None):
+def _farthest_first(dist: np.ndarray, seed: list, budget: int) -> list:
+    """seed grown by farthest-first traversal under dist to `budget` indices,
+    or until every point is at distance 0; ties go to the smallest index."""
+    chosen = list(seed)
+    while len(chosen) < budget:
+        min_d = np.min(dist[:, chosen], axis=1)
+        cand = int(np.argmax(min_d))
+        if min_d[cand] <= 0.0:
+            break
+        chosen.append(cand)
+    return chosen
+
+
+def epsilon_ell(deflated: DeflatedSet, ell: int):
     """Best covering radius of the deflated set by at most 2^{2^ell} elements.
 
     Exact by exhaustive enumeration for sets of at most 12 elements, greedy
@@ -362,13 +369,7 @@ def epsilon_ell(deflated: DeflatedSet, ell: int, family: FunctionFamily = None):
                 best_val = val
                 best_subset = subset
         return best_val, tuple(best_subset)
-    subset = [0]
-    while len(subset) < budget:
-        min_d = np.min(dist[:, subset], axis=1)
-        cand = int(np.argmax(min_d))
-        if min_d[cand] <= 0.0:
-            break
-        subset.append(cand)
+    subset = _farthest_first(dist, [0], budget)
     return _coverage_radius(dist, subset), tuple(subset)
 
 
@@ -418,15 +419,7 @@ def gamma_functional(deflated: DeflatedSet, family: FunctionFamily, n: int):
 
     levels = [[z]]
     for ell in range(1, ell_top):
-        cap = min(2 ** (2**ell), q)
-        lvl = list(levels[-1])
-        while len(lvl) < cap:
-            min_d = np.min(dist[:, lvl], axis=1)
-            cand = int(np.argmax(min_d))
-            if min_d[cand] <= 0.0:
-                break
-            lvl.append(cand)
-        levels.append(lvl)
+        levels.append(_farthest_first(dist, levels[-1], min(2 ** (2**ell), q)))
     greedy_levels = tuple(tuple(lvl) for lvl in levels)
     best_val = _gamma_value(dist, greedy_levels, weights)
     best_levels = greedy_levels

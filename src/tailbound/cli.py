@@ -24,6 +24,7 @@ from .jsonio import (
     load_generator,
     load_json,
     load_model,
+    load_vector,
     parse_inline_or_path,
 )
 from .numerics import NumericError
@@ -70,7 +71,7 @@ def _cmd_orlicz_norm(args):
     dist, functions = load_distribution(load_json(args.dist))
     values = _function_values(functions, args.f)
     gen = load_generator(parse_inline_or_path(args.gen))
-    value = orlicz_norm(dist, TabulatedFunction(values), gen).value
+    value = orlicz_norm(dist, TabulatedFunction(values), gen)
     row = {"op": "orlicz-norm", "function": args.f, "kind": gen.kind, "value": value}
     return row, [row]
 
@@ -85,6 +86,8 @@ def _cmd_wr_quad(args):
 def _cmd_wr_exp(args):
     gen = load_generator(parse_inline_or_path(args.gen))
     M = args.M if args.M is not None else conversion_factor_M(gen)
+    if args.M is None and M <= 0.0:
+        raise ValueError(f"the {gen.kind} generator's conversion factor M is 0, so wr-exp has no bound for it")
     value = wr_exponential_type(gen, M, args.r)
     row = {"op": "wr-exp", "kind": gen.kind, "r": args.r, "M": M, "value": value}
     return row, [row]
@@ -95,7 +98,7 @@ def _cmd_gaussian_bound(args):
     if (args.u is None) == (args.basis is None):
         raise ValueError("exactly one of --u and --basis is required")
     if args.u is not None:
-        u = np.asarray(parse_inline_or_path(args.u), dtype=float)
+        u = load_vector(parse_inline_or_path(args.u))
     else:
         if not (0 <= args.basis < model.dim):
             raise ValueError("--basis index out of range")
@@ -108,37 +111,14 @@ def _cmd_gaussian_bound(args):
     return row, [row]
 
 
+CHAIN_FIELDS = ("n", "r", "k", "deflated_size", "gamma_value", "epsilon_values", "epsilon_sum", "w_r",
+                "w_shift", "total_rhs", "guarantee", "per_member", "certificate")
+
+
 def _chain_payload(report):
-    payload = {
-        "op": "chain-bound",
-        "n": report.n,
-        "r": report.r,
-        "k": report.k,
-        "deflated_size": report.deflated_size,
-        "gamma_value": report.gamma_value,
-        "epsilon_values": report.epsilon_values,
-        "epsilon_sum": report.epsilon_sum,
-        "w_r": report.w_r,
-        "w_shift": report.w_shift,
-        "total_rhs": report.total_rhs,
-        "guarantee": report.guarantee,
-        "per_member": report.per_member,
-        "certificate": report.certificate,
-    }
-    row = {
-        "n": report.n,
-        "r": report.r,
-        "k": report.k,
-        "deflated_size": report.deflated_size,
-        "gamma_value": report.gamma_value,
-        "epsilon_sum": report.epsilon_sum,
-        "w_r": report.w_r,
-        "w_shift": report.w_shift,
-        "total_rhs": report.total_rhs,
-        "guarantee": report.guarantee,
-    }
-    for name, thr in report.per_member.items():
-        row[f"threshold_{name}"] = thr
+    payload = {"op": "chain-bound", **{name: getattr(report, name) for name in CHAIN_FIELDS}}
+    row = {k: v for k, v in payload.items() if k not in ("op", "epsilon_values", "per_member", "certificate")}
+    row.update({f"threshold_{name}": thr for name, thr in report.per_member.items()})
     return payload, [row]
 
 

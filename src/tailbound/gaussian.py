@@ -9,6 +9,7 @@ instance-dependent bound implemented here.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -23,53 +24,11 @@ EIG_CLAMP = -1e-10
 RECONSTRUCTION_TOL = 1e-8
 
 
-def jacobi_eigh(sym: np.ndarray, tol_factor: float = 1e-13, max_sweeps: int = 60):
-    """Cyclic Jacobi eigendecomposition of a symmetric matrix.
-
-    Sweeps rotate away every off-diagonal entry until the off-diagonal
-    Frobenius norm falls below tol_factor times the matrix Frobenius norm.
-
-    Returns:
-        (eigenvalues, eigenvectors) with eigenvectors in columns, unsorted.
-    """
-    a = np.array(sym, dtype=float, copy=True)
-    d = a.shape[0]
-    v = np.eye(d)
-    fro = math.sqrt(float(np.sum(a * a)))
-    if fro == 0.0:
-        return np.zeros(d), v
-    off_mask = ~np.eye(d, dtype=bool)
-    for _ in range(max_sweeps):
-        off = math.sqrt(float(np.sum(a[off_mask] ** 2)))
-        if off <= tol_factor * fro:
-            return np.diag(a).copy(), v
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = 1.0 if theta == 0.0 else math.copysign(1.0, theta) / (
-                    abs(theta) + math.sqrt(theta * theta + 1.0)
-                )
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                col_p, col_q = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p, row_q = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                vp, vq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    raise NumericError("Jacobi eigendecomposition failed to converge")
-
-
 @dataclass(frozen=True)
 class GaussianModel:
     """Covariance matrix with its spectral decomposition, fixed at construction.
 
+    The decomposition is LAPACK's symmetric eigensolver (numpy.linalg.eigh).
     Eigenvalues are stored descending; values in [-1e-10, 0) are clamped to
     zero and anything more negative rejects the matrix. The reconstruction
     V diag(lambda) V' must match Sigma entrywise to 1e-8.
@@ -87,7 +46,7 @@ class GaussianModel:
             raise ValueError("covariance must be finite")
         if float(np.max(np.abs(cov - cov.T))) > SYMMETRY_TOL:
             raise ValueError("covariance must be symmetric within 1e-12")
-        vals, vecs = jacobi_eigh(cov)
+        vals, vecs = np.linalg.eigh(cov)
         order = np.argsort(-vals, kind="stable")
         vals = vals[order]
         vecs = vecs[:, order]
@@ -126,8 +85,8 @@ class GaussianModel:
     def from_spectrum(kind: str, exponent: float, d: int) -> "GaussianModel":
         if kind != "poly":
             raise ValueError(f"unknown spectrum shorthand {kind!r}")
-        if d < 1:
-            raise ValueError("d must be positive")
+        if not 1 <= d <= MAX_DIM:
+            raise ValueError(f"d must lie in 1..{MAX_DIM}")
         lam = np.arange(1, d + 1, dtype=float) ** (-float(exponent))
         return GaussianModel(np.diag(lam))
 
@@ -200,18 +159,7 @@ class GaussianBoundReport:
     loose_projected: bool
 
     def as_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "n": self.n,
-            "r": self.r,
-            "tail_trace": self.tail_trace,
-            "tail_op": self.tail_op,
-            "projected": self.projected,
-            "base": self.base,
-            "total": self.total,
-            "guarantee": self.guarantee,
-            "loose_projected": self.loose_projected,
-        }
+        return dataclasses.asdict(self)
 
 
 def gaussian_instance_bound(

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 
@@ -31,22 +32,42 @@ def parse_inline_or_path(text: str):
     return load_json(text)
 
 
+def _numbers(value, what: str, ndim: int) -> np.ndarray:
+    """value as a float array of ndim dimensions with finite entries; any
+    other shape, a non-numeric entry, NaN or infinity raises ValueError."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # ragged nesting
+        arr = np.asarray(None)
+    if arr.dtype.kind not in "iuf" or arr.ndim != ndim or not np.all(np.isfinite(arr)):
+        raise ValueError(f"{what} must be {'a list' if ndim == 1 else 'a list of lists'} of finite numbers")
+    return arr.astype(float)
+
+
+def _number(value, what: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValueError(f"{what} must be a finite number")
+    return float(value)
+
+
 def load_distribution(obj: dict):
     """(distribution, {name: values}) from a support/probabilities/functions object."""
     if not isinstance(obj, dict) or "support" not in obj or "probabilities" not in obj:
         raise ValueError("distribution object requires 'support' and 'probabilities'")
-    dist = DiscreteDistribution(obj["support"], obj["probabilities"])
-    functions = {
-        str(name): np.asarray(vals, dtype=float)
-        for name, vals in obj.get("functions", {}).items()
-    }
-    return dist, functions
+    dist = DiscreteDistribution(
+        _numbers(obj["support"], "'support'", 2), _numbers(obj["probabilities"], "'probabilities'", 1)
+    )
+    functions = obj.get("functions", {})
+    if not isinstance(functions, dict):
+        raise ValueError("'functions' must map names to lists of values")
+    return dist, {str(name): _numbers(vals, f"function {name!r}", 1) for name, vals in functions.items()}
 
 
 def load_generator(obj: dict) -> OrliczGenerator:
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ValueError("generator object requires a 'kind' field")
-    kwargs = {k: obj[k] for k in ("L", "p", "t", "phi") if k in obj}
+    if not isinstance(obj, dict) or not isinstance(obj.get("kind"), str):
+        raise ValueError("generator object requires a string 'kind' field")
+    kwargs = {k: _number(obj[k], f"generator parameter {k!r}") for k in ("L", "p") if k in obj}
+    kwargs.update({k: _numbers(obj[k], f"generator table {k!r}", 1) for k in ("t", "phi") if k in obj})
     return make_generator(obj["kind"], **kwargs)
 
 
@@ -59,12 +80,19 @@ def load_family(obj: dict, norm_context="cgf") -> FunctionFamily:
 
 def load_model(obj: dict) -> GaussianModel:
     if isinstance(obj, dict) and "covariance" in obj:
-        return GaussianModel(np.asarray(obj["covariance"], dtype=float))
+        return GaussianModel(_numbers(obj["covariance"], "'covariance'", 2))
     if isinstance(obj, dict) and "spectrum" in obj:
-        return GaussianModel.from_spectrum(
-            obj["spectrum"], exponent=obj.get("exponent", 2.0), d=obj["d"]
-        )
+        d = obj.get("d")
+        if isinstance(d, bool) or not isinstance(d, int):
+            raise ValueError("spectrum model requires an integer 'd'")
+        exponent = _number(obj.get("exponent", 2.0), "spectrum model 'exponent'")
+        return GaussianModel.from_spectrum(obj["spectrum"], exponent=exponent, d=d)
     raise ValueError("model object requires 'covariance' or 'spectrum'")
+
+
+def load_vector(obj) -> np.ndarray:
+    """A direction given as a JSON list of finite numbers."""
+    return _numbers(obj, "direction", 1)
 
 
 def jsonable(x):

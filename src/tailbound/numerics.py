@@ -1,5 +1,6 @@
-"""Shared scalar numerics: bracketed golden-section search, adaptive
-Simpson quadrature, bisection, and a stable log-sum-exp.
+"""Shared numerics: bracketed golden-section search, adaptive Simpson
+quadrature, bisection, a stable log-sum-exp, and the batched cumulant
+generating function that the rate-function engine and the norms evaluate.
 
 Everything here is deterministic: identical inputs produce bit-identical
 outputs, which the certificate-replay machinery relies on.
@@ -14,6 +15,9 @@ import numpy as np
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
+
+BLOCK_ELEMENTS = 1 << 18  # elements of one batched tensor; bounds memory for any row count
+SMALL_MU = 1e-3  # below this |mu| the CGF takes its expm1 form
 
 
 class NumericError(RuntimeError):
@@ -40,30 +44,56 @@ def logsumexp(x: np.ndarray) -> float:
     return float(m + np.log(np.sum(np.exp(x - m))))
 
 
-def golden_section_min(f, a: float, b: float, rel_tol: float = 1e-10):
+def row_blocks(rows: int, per_row: int):
+    """Slices cutting `rows` rows into blocks whose tensors, of `per_row`
+    elements per row, hold at most BLOCK_ELEMENTS elements (one row at least)."""
+    step = max(1, BLOCK_ELEMENTS // max(per_row, 1))
+    return [slice(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
+
+
+def cgf_rows(logp: np.ndarray, x: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """Lambda(mu[i, j]) = log sum_k p_k e^{mu[i, j] x[i, k]} for rows x (n, k)
+    with max|x| <= 1 and points mu (n, g); returns (n, g). A shifted
+    log-sum-exp, or where |mu| <= SMALL_MU log1p(sum p expm1(mu x)), which
+    keeps its precision as Lambda -> 0. Each entry depends on its own row
+    and point only, so results do not depend on how rows are batched.
+    """
+    a = logp + mu[:, :, None] * x[:, None, :]
+    peak = a.max(axis=2)
+    out = peak + np.log(np.exp(a - peak[:, :, None]).sum(axis=2))
+    i, j = np.nonzero(np.abs(mu) <= SMALL_MU)
+    out[i, j] = np.log1p((np.exp(logp) * np.expm1(mu[i, j, None] * x[i])).sum(axis=1))
+    return out
+
+
+def golden_section_min(f, a, b, rel_tol: float = 1e-10):
     """Minimize a unimodal f on [a, b] to relative interval width rel_tol.
 
+    a and b may also be arrays of intervals, searched in lockstep; f then
+    maps arrays elementwise, and each interval stops narrowing once it has
+    converged, so its result does not depend on the others.
     Returns (x, f(x)) at the best interior probe.
     """
-    if b < a:
-        a, b = b, a
+    scalar = np.ndim(a) == 0 and np.ndim(b) == 0
+    ev = (lambda x: f(float(x))) if scalar else f  # scalar callers get floats
+    a, b = np.minimum(a, b), np.maximum(a, b)
     h = b - a
-    c = a + INV_PHI_SQ * h
-    d = a + INV_PHI * h
-    yc = f(c)
-    yd = f(d)
-    while h > rel_tol * max(abs(a), abs(b), 1e-300):
-        if yc < yd:
-            b, d, yd = d, c, yc
-            h = b - a
-            c = a + INV_PHI_SQ * h
-            yc = f(c)
-        else:
-            a, c, yc = c, d, yd
-            h = b - a
-            d = a + INV_PHI * h
-            yd = f(d)
-    return (c, yc) if yc < yd else (d, yd)
+    c, d = a + INV_PHI_SQ * h, a + INV_PHI * h
+    yc, yd = ev(c), ev(d)
+    active = h > rel_tol * np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-300)
+    while np.any(active):
+        left = active & (yc < yd)  # the minimizer lies in [a, d]
+        right = active & ~(yc < yd)
+        b, a = np.where(left, d, b), np.where(right, c, a)
+        h = b - a
+        # left: d <- c and a new c; right: c <- d and a new d; others stay
+        c, d = (np.where(left, a + INV_PHI_SQ * h, np.where(right, d, c)),
+                np.where(right, a + INV_PHI * h, np.where(left, c, d)))
+        y = ev(np.where(left, c, d))
+        yc, yd = np.where(left, y, np.where(right, yd, yc)), np.where(right, y, np.where(left, yc, yd))
+        active &= h > rel_tol * np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-300)
+    x, y = np.where(yc < yd, c, d), np.minimum(yc, yd)
+    return (float(x), float(y)) if scalar else (x, y)
 
 
 def minimize_positive(
@@ -87,57 +117,34 @@ def minimize_positive(
         raise ValueError("x_init must lie strictly between the search caps")
     x = x_init
     fx = f(x)
-    if not math.isfinite(fx):
-        # walk into the effective domain toward 0 (domains here are
-        # down-closed intervals containing small positive values)
-        while not math.isfinite(fx):
-            x /= 2.0
-            if x < lo_cap:
-                raise NumericError("bracketing exhaustion: no finite objective value found")
-            fx = f(x)
+    # walk into the effective domain toward 0 (domains here are down-closed
+    # intervals containing small positive values)
+    while not math.isfinite(fx):
+        x /= 2.0
+        if x < lo_cap:
+            raise NumericError("bracketing exhaustion: no finite objective value found")
+        fx = f(x)
 
-    up_x = min(2.0 * x, hi_cap)
-    f_up = f(up_x)
-    if f_up < fx:
-        # walk upward while decreasing
-        prev_x, prev_f = x, fx
-        x, fx = up_x, f_up
-        while x < hi_cap:
-            nxt = min(2.0 * x, hi_cap)
+    flank = {}
+    for step, cap, clamp in ((2.0, hi_cap, min), (0.5, lo_cap, max)):
+        nxt = flank[step] = clamp(x * step, cap)
+        f_nxt = f(nxt)
+        if not f_nxt < fx:
+            continue
+        # walk on while the objective decreases
+        prev_x, x, fx = x, nxt, f_nxt
+        while x != cap:
+            nxt = clamp(x * step, cap)
             f_nxt = f(nxt)
-            if f_nxt < fx:
-                prev_x, prev_f = x, fx
-                x, fx = nxt, f_nxt
-            else:
+            if not f_nxt < fx:
                 xm, fm = golden_section_min(f, prev_x, nxt, rel_tol)
-                if fm < fx:
-                    return ScalarMinResult(xm, fm, True)
-                return ScalarMinResult(x, fx, True)
-        return ScalarMinResult(x, fx, False)
-
-    down_x = max(x / 2.0, lo_cap)
-    f_down = f(down_x)
-    if f_down < fx:
-        prev_x = x
-        x, fx = down_x, f_down
-        while x > lo_cap:
-            nxt = max(x / 2.0, lo_cap)
-            f_nxt = f(nxt)
-            if f_nxt < fx:
-                prev_x = x
-                x, fx = nxt, f_nxt
-            else:
-                xm, fm = golden_section_min(f, nxt, prev_x, rel_tol)
-                if fm < fx:
-                    return ScalarMinResult(xm, fm, True)
-                return ScalarMinResult(x, fx, True)
+                return ScalarMinResult(*((xm, fm) if fm < fx else (x, fx)), True)
+            prev_x, x, fx = x, nxt, f_nxt
         return ScalarMinResult(x, fx, False)
 
     # x_init already sits between two larger values
-    xm, fm = golden_section_min(f, down_x, up_x, rel_tol)
-    if fm < fx:
-        return ScalarMinResult(xm, fm, True)
-    return ScalarMinResult(x, fx, True)
+    xm, fm = golden_section_min(f, flank[0.5], flank[2.0], rel_tol)
+    return ScalarMinResult(*((xm, fm) if fm < fx else (x, fx)), True)
 
 
 def maximize_on_interval(f, a: float, b: float, rel_tol: float = 1e-10):

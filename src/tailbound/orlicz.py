@@ -23,9 +23,11 @@ from .numerics import (
     bisect_increasing,
     golden_section_min,
     minimize_positive,
+    row_blocks,
 )
 
 EXP_TRUNCATION = 40.0  # integrands truncated where they fall to e^-40 of peak
+RATIO_LO_CAP = 1e-8  # smallest lambda the conversion-factor search evaluates
 
 
 class UnsupportedGeneratorError(ValueError):
@@ -40,7 +42,10 @@ class OrliczGenerator:
     map returning +inf outside the conjugate's effective domain; it is None
     only for generators with no useful conjugate (power kind). lambda_sup is
     the supremum of {lambda > 0 : lambda t - phi(t) -> -inf}, i.e. the open
-    decay range used by the quadrature bound.
+    decay range used by the quadrature bound. phi_star_limit is the exact
+    lambda -> 0 limit of phi*(lambda)/lambda^2, which is also the limit of the
+    conversion-factor ratio (e^{phi*} - 1)/lambda^2: 1/4 where phi(t) ~ t^2
+    near 0, and 0 where phi* vanishes near 0.
     """
 
     kind: str
@@ -51,6 +56,7 @@ class OrliczGenerator:
     lambda_sup: float
     L: float | None = None
     p: float | None = None
+    phi_star_limit: float = 0.0  # lim phi*(lambda) / lambda^2 as lambda -> 0+
 
     def psi(self, t):
         """psi(t) = e^{phi(t)} - 1."""
@@ -58,24 +64,6 @@ class OrliczGenerator:
 
     def psi_inverse(self, y):
         return self.phi_inverse(np.log1p(y))
-
-    def config(self) -> dict:
-        out = {"kind": self.kind}
-        if self.L is not None:
-            out["L"] = self.L
-        if self.p is not None:
-            out["p"] = self.p
-        return out
-
-
-@dataclass(frozen=True)
-class OrliczNormValue:
-    value: float
-    generator: OrliczGenerator
-
-    def __post_init__(self):
-        if self.value < 0.0:
-            raise ValueError("Orlicz norm must be nonnegative")
 
 
 def _bernstein_phi(t, L: float):
@@ -181,6 +169,7 @@ def make_generator(
             phi_star=lambda lam: (lam * lam / 4.0) if lam >= 0.0 else 0.0,
             exponential_type=True,
             lambda_sup=math.inf,
+            phi_star_limit=0.25,
         )
     if kind == "sub-exponential":
         return OrliczGenerator(
@@ -203,6 +192,7 @@ def make_generator(
             exponential_type=True,
             lambda_sup=2.0 / L,
             L=L,
+            phi_star_limit=0.25,
         )
     if kind == "bennett":
         if L is None or L <= 0.0:
@@ -215,6 +205,7 @@ def make_generator(
             exponential_type=True,
             lambda_sup=math.inf,
             L=L,
+            phi_star_limit=0.25,
         )
     if kind == "power":
         if p is None or p < 1.0:
@@ -271,45 +262,50 @@ def make_generator(
     raise ValueError(f"unknown generator kind {kind!r}")
 
 
-def orlicz_norm(
-    dist: DiscreteDistribution, f: TabulatedFunction, gen: OrliczGenerator
-) -> OrliczNormValue:
-    """||Y||_psi = inf{u > 0 : E psi(|Y|/u) <= 1} for Y = f(X), by bisection.
+def orlicz_norm_rows(dist: DiscreteDistribution, rows: np.ndarray, gen: OrliczGenerator) -> np.ndarray:
+    """||Y||_psi = inf{u > 0 : E psi(|Y|/u) <= 1} for Y = h(X), for every row h
+    of a (count, support) array, by bisection of all rows in lockstep.
 
-    The bracket [max|v|/psi^{-1}(large), max|v|/psi^{-1}(1/2)] straddles the
-    root by construction; bisection runs to relative width 1e-10 and the
-    returned value satisfies E psi(|Y|/value) <= 1 + 1e-9 while shrinking the
-    value by a relative 1e-8 pushes the expectation strictly above 1.
+    Each bracket [max|h|/psi^{-1}(large), max|h|/psi^{-1}(1/2)] straddles the
+    root; bisection runs to relative width 1e-10, and each value satisfies
+    E psi(|Y|/value) <= 1 + 1e-9 while value (1 - 1e-8) gives more than 1.
     """
-    if f.values.shape[0] != dist.size:
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != dist.size:
         raise ValueError("function length does not match support size")
     mask = dist.probabilities > 0.0
     probs = dist.probabilities[mask]
-    absv = np.abs(f.values[mask])
-    vmax = float(absv.max()) if absv.size else 0.0
-    if vmax == 0.0:
-        return OrliczNormValue(0.0, gen)
+    absv = np.abs(rows[:, mask])
+    vmax = absv.max(axis=1)
+    norms = np.zeros(rows.shape[0])
+    live = np.nonzero(vmax > 0.0)[0]
+    for blk in row_blocks(live.size, probs.size):
+        idx = live[blk]
+        v, top = absv[idx], vmax[idx]
+        def expectation(u):
+            return (probs * gen.psi(v / u[:, None])).sum(axis=1)
+        # mass sitting at (essentially) the largest |value| of each row
+        pm = (probs * (v >= (top * (1.0 - 1e-12))[:, None])).sum(axis=1)
+        big, where = np.unique(np.maximum(2.0 / pm, 2.0), return_inverse=True)
+        lo = top / np.asarray(gen.psi_inverse(big), dtype=float).reshape(-1)[where.reshape(-1)]
+        hi = top / float(gen.psi_inverse(0.5))
+        if not np.all((expectation(lo) > 1.0) & (expectation(hi) <= 1.0)):
+            raise NumericError("orlicz norm bracket failed to straddle the root")
+        active = hi - lo > 1e-10 * hi
+        while active.any():
+            mid = 0.5 * (lo + hi)
+            below = expectation(mid) <= 1.0
+            hi, lo = np.where(active & below, mid, hi), np.where(active & ~below, mid, lo)
+            active = hi - lo > 1e-10 * hi
+        if np.any(expectation(hi) > 1.0 + 1e-9) or np.any(expectation(hi * (1.0 - 1e-8)) <= 1.0):
+            raise NumericError("orlicz norm post-condition violated")
+        norms[idx] = hi
+    return norms
 
-    def expectation(u: float) -> float:
-        return float(np.dot(probs, gen.psi(absv / u)))
 
-    # mass sitting at (essentially) the largest |value|
-    pm = float(probs[absv >= vmax * (1.0 - 1e-12)].sum())
-    big = max(2.0 / pm, 2.0)
-    u_lo = vmax / float(gen.psi_inverse(big))
-    u_hi = vmax / float(gen.psi_inverse(0.5))
-    if not (expectation(u_lo) > 1.0 >= expectation(u_hi)):
-        raise NumericError("orlicz norm bracket failed to straddle the root")
-    lo, hi = u_lo, u_hi
-    while hi - lo > 1e-10 * hi:
-        mid = 0.5 * (lo + hi)
-        if expectation(mid) <= 1.0:
-            hi = mid
-        else:
-            lo = mid
-    if expectation(hi) > 1.0 + 1e-9 or expectation(hi * (1.0 - 1e-8)) <= 1.0:
-        raise NumericError("orlicz norm post-condition violated")
-    return OrliczNormValue(hi, gen)
+def orlicz_norm(dist: DiscreteDistribution, f: TabulatedFunction, gen: OrliczGenerator) -> float:
+    """||Y||_psi for Y = f(X); one row of orlicz_norm_rows."""
+    return float(orlicz_norm_rows(dist, f.values[None, :], gen)[0])
 
 
 def _decay_t_max(gen: OrliczGenerator, lam: float) -> float:
@@ -402,10 +398,12 @@ def conversion_factor_M(gen: OrliczGenerator) -> float:
     """Largest M with inf_{lambda>0} (e^{phi*(lambda)}-1)/lambda^2 >= M * D,
     where D = int_0^inf t e^{-phi(t)/2} dt.
 
-    Both factors are computed numerically: the infimum by the bracketing and
-    golden-section scheme (walking to the lambda -> 0 boundary when the ratio
-    is increasing, as it is for the registered closed-form conjugates) and D
-    by adaptive Simpson quadrature.
+    The infimum is found by the bracketing and golden-section scheme. When
+    that walk ends at its lower cap lambda = 1e-8, the ratio is increasing
+    (as it is for the registered closed-form conjugates) and the infimum is
+    its lambda -> 0 limit, so the exact limit phi_star_limit is used: the
+    ratio at the cap lies above it. D comes from adaptive Simpson
+    quadrature.
     """
     if not gen.exponential_type:
         raise UnsupportedGeneratorError(
@@ -423,8 +421,11 @@ def conversion_factor_M(gen: OrliczGenerator) -> float:
             return math.inf
         return math.expm1(star) / (lam * lam)
 
-    res = minimize_positive(ratio, x_init=1.0, lo_cap=1e-8, hi_cap=1e8, rel_tol=1e-10)
-    return max(res.fun, 0.0) / denom
+    res = minimize_positive(ratio, x_init=1.0, lo_cap=RATIO_LO_CAP, hi_cap=1e8, rel_tol=1e-10)
+    infimum = res.fun
+    if not res.interior and res.x <= RATIO_LO_CAP:
+        infimum = min(infimum, gen.phi_star_limit)
+    return max(infimum, 0.0) / denom
 
 
 def wr_exponential_type(gen: OrliczGenerator, M: float, r: float) -> float:

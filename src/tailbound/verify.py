@@ -5,7 +5,8 @@ trials in which any tracked function's empirical mean strictly exceeds its
 threshold. Trials draw from disjoint counter-based substreams of the root
 seed, so reports are bit-identical across runs and parallelism degrees:
 violation counting is a commutative fold over trial indices. Thread count
-is capped by the TAILBOUND_THREADS environment variable (default 1).
+is set by the TAILBOUND_THREADS environment variable (default 1), capped at
+the machine's CPU count.
 
 Targets and ceilings:
   chernoff      one function f, threshold T_r(f), ceiling e^{-nr}
@@ -111,27 +112,19 @@ class VerificationReport:
             raise ValueError("pass flag inconsistent with rate and guarantee")
 
     def as_dict(self) -> dict:
-        return {
-            "target": self.target,
-            "n": self.n,
-            "r": self.r,
-            "k": self.k,
-            "trials": self.trials,
-            "violations": self.violations,
-            "rate": self.rate,
-            "guarantee": self.guarantee,
-            "stderr": self.stderr,
-            "pass": self.passed,
-        }
+        out = dataclasses.asdict(self)
+        out["pass"] = out.pop("passed")
+        return out
 
 
 def _thread_count() -> int:
+    """TAILBOUND_THREADS, clamped to 1..os.cpu_count()."""
     raw = os.environ.get("TAILBOUND_THREADS", "1")
     try:
         v = int(raw)
     except ValueError:
         raise ValueError("TAILBOUND_THREADS must be an integer") from None
-    return max(v, 1)
+    return min(max(v, 1), os.cpu_count() or 1)
 
 
 def _discrete_setup(plan: TrialPlan, threshold_override):
@@ -275,7 +268,4 @@ def sweep(plan: TrialPlan, n_values=None, r_values=None, k_values=None):
             if not vals:
                 raise ValueError(f"{name} grid must be nonempty")
             axes.append(vals)
-    reports = []
-    for n, r, k in itertools.product(*axes):
-        reports.append(run_trials(dataclasses.replace(plan, n=n, r=r, k=k)))
-    return reports
+    return [run_trials(dataclasses.replace(plan, n=n, r=r, k=k)) for n, r, k in itertools.product(*axes)]

@@ -233,9 +233,14 @@ def test_member_T_below_wr_norm(family12):
 
 
 def test_wr_cache_hit(family12):
+    # one cached pass per rate, shared by class_wr and extremal_difference
+    before = family12._wr_pass.cache_info()
     first = class_wr(family12, 0.31)
-    assert 0.31 in family12._wr_cache
     assert class_wr(family12, 0.31) == first
+    assert extremal_difference(family12, 0.31)[2] == first
+    after = family12._wr_pass.cache_info()
+    assert after.misses == before.misses + 1
+    assert after.hits == before.hits + 2
 
 
 def test_extremal_difference_attains_wr(family12):

@@ -97,7 +97,7 @@ class TestComputeCommands:
         )
         dist, functions = load_distribution(rademacher)
         direct = orlicz_norm(dist, TabulatedFunction(functions["f"]), make_generator("sub-gaussian"))
-        assert payload["value"] == direct.value
+        assert payload["value"] == direct
         assert payload["value"] == pytest.approx(1.0 / math.sqrt(math.log(2.0)), rel=1e-9)
 
     def test_class_wr_cgf_context(self, fixtures_dir, family12):
@@ -366,3 +366,60 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["trf", "--f", "f", "--r", "0.1"])
         assert exc.value.code == 2
+
+    def test_wr_exp_zero_conversion_factor_names_the_generator(self):
+        code, out, err = run_cli(["wr-exp", "--gen", '{"kind": "sub-exponential"}', "--r", 1.0])
+        assert code == 2 and out == ""
+        assert "sub-exponential generator's conversion factor M is 0" in err
+        assert "must be positive" not in err
+
+
+RADEMACHER_FIXTURE = {"support": [[-1.0], [1.0]], "probabilities": [0.5, 0.5], "functions": {"f": [-1.0, 1.0]}}
+
+# (subcommand, the flag that takes the malformed input, the input, a word the message must contain)
+MALFORMED = [
+    ("model", {"spectrum": "poly"}, "'d'"),
+    ("model", {"spectrum": "poly", "d": "x"}, "integer"),
+    ("model", {"spectrum": "poly", "d": 10**9}, "d must lie"),
+    ("model", {"spectrum": "poly", "d": 5, "exponent": None}, "exponent"),
+    ("model", {"covariance": [[1.0, "a"], [0.0, 1.0]]}, "covariance"),
+    ("model", {"covariance": [[1.0, float("nan")], [float("nan"), 1.0]]}, "finite"),
+    ("model", {"covariance": [[1.0], [0.0, 1.0]]}, "covariance"),
+    ("model", [1, 2], "covariance"),
+    ("gen", {"kind": "bernstein", "L": "x"}, "'L'"),
+    ("gen", {"kind": "bennett", "L": float("nan")}, "'L'"),
+    ("gen", {"kind": "bernstein", "L": True}, "'L'"),
+    ("gen", {"kind": 3}, "kind"),
+    ("gen", {"L": 1.0}, "kind"),
+    ("gen", {"kind": "custom", "t": "x", "phi": [1.0]}, "'t'"),
+    ("gen", {"kind": "custom", "t": [1.0, 2.0], "phi": [1.0, None]}, "'phi'"),
+    ("dist", {"support": [[float("nan")], [1.0]], "probabilities": [0.5, 0.5], "functions": {"f": [-1.0, 1.0]}}, "finite"),
+    ("dist", {"support": [[-1.0], [1.0]], "probabilities": [0.5, "0.5"], "functions": {"f": [-1.0, 1.0]}}, "probabilities"),
+    ("dist", {"support": [[-1.0], [1.0]], "functions": {"f": [-1.0, 1.0]}}, "'probabilities'"),
+    ("dist", {"probabilities": [0.5, 0.5], "functions": {"f": [-1.0, 1.0]}}, "'support'"),
+    ("dist", {"support": [[-1.0], [1.0]], "probabilities": [0.5, 0.5], "functions": [[-1.0, 1.0]]}, "functions"),
+    ("dist", {"support": [[-1.0], [1.0]], "probabilities": [0.5, 0.5], "functions": {"f": [-1.0, float("inf")]}}, "finite"),
+    ("dist", {"support": [[-1.0], [1.0]], "probabilities": [0.5, 0.5], "functions": {"f": {"a": 1}}}, "function 'f'"),
+    ("dist", "not an object", "support"),
+    ("u", {"a": 1.0}, "direction"),
+    ("u", [0.5, "x"], "direction"),
+]
+
+
+@pytest.mark.parametrize("flag,obj,word", MALFORMED, ids=[f"{f}-{i}" for i, (f, _o, _w) in enumerate(MALFORMED)])
+def test_malformed_input_exits_2_with_one_line(tmp_path, flag, obj, word):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(obj))
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"spectrum": "poly", "d": 2}))
+    argv = {
+        "model": ["gaussian-bound", "--model", path, "--basis", 0, "--k", 1, "--n", 10, "--r", 0.1],
+        "gen": ["wr-exp", "--gen", path, "--r", 1.0],
+        "dist": ["trf", "--dist", path, "--f", "f", "--r", 0.1],
+        "u": ["gaussian-bound", "--model", model, "--u", path, "--k", 1, "--n", 10, "--r", 0.1],
+    }[flag]
+    code, out, err = run_cli(argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("invalid input: ") and err.count("\n") == 1
+    assert word in err

@@ -1,0 +1,229 @@
+"""The batched rate-function engine: dual-form T_r, the batched CGF norm,
+the family's norm memo and the shared w_r / extremal-pair pass.
+
+References here are dense lambda grids with zoom refinement, computed apart
+from the library's solvers; the random distributions are those of
+acceptance criterion 6.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+import tailbound.chaining as chaining
+import tailbound.numerics as numerics
+from tailbound.cgf import DiscreteDistribution, TabulatedFunction, cgf_discrete, rate_bound_T, rate_bound_T_rows
+from tailbound.chaining import (
+    FunctionFamily,
+    build_deflation,
+    cgf_functional_norm,
+    class_wr,
+    deflate,
+    extremal_difference,
+    trivial_plan,
+)
+from tailbound.orlicz import make_generator
+
+REL = 1e-10
+
+
+def _cgf(logp, h, lams):
+    """Lambda at each lambda of a 1-D grid; expm1 form where |lambda h| <= 1e-3."""
+    a = logp[None, :] + lams[:, None] * h[None, :]
+    peak = a.max(axis=1)
+    out = peak + np.log(np.exp(a - peak[:, None]).sum(axis=1))
+    small = np.abs(lams) * np.abs(h).max() <= 1e-3
+    out[small] = np.log1p(np.expm1(lams[small, None] * h[None, :]) @ np.exp(logp))
+    return out
+
+
+def _zoom(objective, grid):
+    """Minimum of objective over a grid, zoomed 12 times into the best bracket."""
+    vals = objective(grid)
+    for _ in range(12):
+        j = int(np.argmin(vals))
+        lo, hi = grid[max(j - 1, 0)], grid[min(j + 1, grid.size - 1)]
+        grid = np.linspace(lo, hi, 101)
+        vals = objective(grid)
+    return float(vals.min())
+
+
+def reference_T(probs, h, r):
+    top = h.max()
+    if r >= -math.log(probs[h == top].sum()):
+        return float(top)
+    logp = np.log(probs)
+    grid = np.geomspace(1e-6, 1e9, 3001) / np.abs(h).max()
+    return _zoom(lambda lam: (r + _cgf(logp, h, lam)) / lam, grid)
+
+
+def reference_norm(probs, h):
+    logp = np.log(probs)
+    best = float(probs @ h**2 - (probs @ h) ** 2)
+    for sign in (1.0, -1.0):
+        grid = sign * np.geomspace(1e-6, 1e9, 3001) / np.abs(h).max()
+        best = max(best, -_zoom(lambda lam: -2.0 * _cgf(logp, h, lam) / (lam * lam), grid))
+    return math.sqrt(best)
+
+
+def criterion6_draws():
+    """The distributions, functions, rates and scales of acceptance criterion 6."""
+    rng = np.random.default_rng(20250819)
+    for _ in range(1000):
+        m = int(rng.integers(2, 7))
+        support = rng.normal(size=(m, 1))
+        probs = rng.dirichlet(np.ones(m))
+        vals = rng.normal(size=m) * 10.0 ** rng.uniform(-2.0, 2.0)
+        vals -= probs @ vals
+        vals -= probs @ vals
+        r, s = (float(x) for x in 10.0 ** rng.uniform(-2.0, 1.0, size=2))
+        alpha = float(10.0 ** rng.uniform(-2.5, 2.5))
+        yield DiscreteDistribution(support=support, probabilities=probs), vals, r, s, alpha
+
+
+def test_batched_T_matches_dense_grid():
+    worst = 0.0
+    for dist, vals, r, s, alpha in criterion6_draws():
+        rows = np.stack([vals, -vals, alpha * vals])
+        probs = dist.probabilities
+        for rate in (r, s):
+            got, _lam = rate_bound_T_rows(dist, rows, rate)
+            want = np.array([reference_T(probs, h, rate) for h in rows])
+            worst = max(worst, float(np.max(np.abs(got - want) / want)))
+    assert worst <= REL
+
+
+def test_batched_norm_matches_dense_grid():
+    worst = 0.0
+    for dist, vals, _r, _s, alpha in criterion6_draws():
+        rows = np.stack([vals, alpha * vals])
+        got = cgf_functional_norm(dist, rows)
+        want = np.array([reference_norm(dist.probabilities, h) for h in rows])
+        worst = max(worst, float(np.max(np.abs(got - want) / want)))
+    assert worst <= REL
+
+
+def test_T_closed_form_at_infinity_or_replayed_at_its_lambda():
+    at_inf = interior = 0
+    for dist, vals, r, s, _alpha in criterion6_draws():
+        rows = np.stack([vals, -vals])
+        for rate in (r, s):
+            got, lams = rate_bound_T_rows(dist, rows, rate)
+            for h, t, lam in zip(rows, got, lams):
+                top = h.max()
+                if rate >= -math.log(dist.probabilities[h == top].sum()):
+                    at_inf += 1
+                    assert t == top and lam == math.inf
+                else:
+                    interior += 1
+                    oracle = cgf_discrete(dist, TabulatedFunction(h))
+                    assert 0.0 < lam < math.inf
+                    assert t == pytest.approx((rate + oracle(lam)) / lam, rel=1e-12)
+    assert at_inf > 100 and interior > 100  # both branches are exercised
+
+
+def test_T_rows_do_not_depend_on_batching(monkeypatch):
+    rng = np.random.default_rng(5)
+    probs = rng.dirichlet(np.ones(7))
+    dist = DiscreteDistribution(np.arange(7.0)[:, None], probs)
+    rows = rng.normal(size=(40, 7))
+    rows -= (rows @ probs)[:, None]
+    rows -= (rows @ probs)[:, None]
+    together, lam_together = rate_bound_T_rows(dist, rows, 0.4)
+    alone = [rate_bound_T_rows(dist, row[None, :], 0.4) for row in rows]
+    assert np.array_equal(together, [a[0][0] for a in alone])
+    assert np.array_equal(lam_together, [a[1][0] for a in alone])
+    monkeypatch.setattr(numerics, "BLOCK_ELEMENTS", 16)  # blocks of two rows
+    assert np.array_equal(rate_bound_T_rows(dist, rows, 0.4)[0], together)
+    assert np.array_equal(cgf_functional_norm(dist, rows), [cgf_functional_norm(dist, row) for row in rows])
+
+
+def test_T_rows_zero_rate_zero_row_and_centering():
+    dist = DiscreteDistribution([[0.0], [1.0], [2.0]], [0.25, 0.25, 0.5])
+    rows = np.array([[1.0, 1.0, -1.0], [0.0, 0.0, 0.0]])
+    vals, lams = rate_bound_T_rows(dist, rows, 0.0)
+    assert vals.tolist() == [0.0, 0.0] and lams.tolist() == [0.0, 0.0]
+    vals, lams = rate_bound_T_rows(dist, rows, 0.3)
+    assert vals[1] == 0.0 and lams[1] == math.inf
+    assert vals[0] == pytest.approx(rate_bound_T(cgf_discrete(dist, TabulatedFunction(rows[0])), 0.3), abs=0.0)
+    with pytest.raises(ValueError):
+        rate_bound_T_rows(dist, np.array([[1.0, 0.0, 0.0]]), 0.3)
+    with pytest.raises(ValueError):
+        rate_bound_T_rows(dist, rows[:, :2], 0.3)
+
+
+def test_row_blocks_bound_the_tensor():
+    blocks = numerics.row_blocks(10_000, 202 * 12)
+    assert sum(b.stop - b.start for b in blocks) == 10_000
+    assert all((b.stop - b.start) * 202 * 12 <= numerics.BLOCK_ELEMENTS for b in blocks)
+    assert numerics.row_blocks(3, 10 * numerics.BLOCK_ELEMENTS) == [slice(0, 1), slice(1, 2), slice(2, 3)]
+    assert numerics.row_blocks(0, 5) == []
+
+
+# ---------------------------------------------------------------------------
+# family layer
+
+
+def _random_family(seed, size=9, support=6, norm_context="cgf"):
+    """The zero member and two clusters, each a random base with growing
+    multiples and jitter, so deflation has anchors to subtract."""
+    rng = np.random.default_rng(seed)
+    dist = DiscreteDistribution(np.arange(support, dtype=float)[:, None], np.full(support, 1.0 / support))
+    bases = rng.normal(size=(2, support)) * np.array([[0.3], [3.0]])
+    members = {"zero": np.zeros(support)}
+    for i in range(1, size):
+        f = bases[i % 2] * (1.0 + 0.2 * i) + 0.05 * rng.normal(size=support)
+        members[f"m{i}"] = f - f.mean()
+    return FunctionFamily(dist, members, norm_context)
+
+
+@pytest.mark.parametrize("norm_context", ["cgf", make_generator("bernstein", L=1.0)])
+def test_deflate_at_k0_reuses_every_family_norm(monkeypatch, norm_context):
+    fam = _random_family(3, norm_context=norm_context)
+    calls = []
+    for name in ("cgf_functional_norm", "orlicz_norm_rows"):
+        original = getattr(chaining, name)
+        monkeypatch.setattr(chaining, name, lambda *a, _f=original: calls.append(a[1].shape[0]) or _f(*a))
+    deflated = deflate(fam, trivial_plan(fam))
+    assert calls == []  # every deflated distance is a memo hit
+    assert np.array_equal(deflated.dist, fam.distances)
+    deflate(fam, build_deflation(fam, 2))
+    assert calls  # new differences are normed...
+    seen = len(calls)
+    deflate(fam, build_deflation(fam, 2))
+    assert len(calls) == seen  # ...once
+
+
+def test_norm_memo_is_bounded(monkeypatch):
+    monkeypatch.setattr(chaining, "NORM_MEMO_BYTES", 8 * 6 * 10)  # ten rows of six values
+    fam = _random_family(4)
+    assert len(fam._norm_memo) == 10
+    rows = fam.values[1:] * 0.5
+    assert np.array_equal(fam.norms(rows), cgf_functional_norm(fam.distribution, rows))
+    assert len(fam._norm_memo) == 10
+
+
+def test_extremal_pair_matches_class_wr_and_per_pair_loop():
+    fam = _random_family(6)
+    for r in (0.05, 0.5, 5.0):
+        i, j, val = extremal_difference(fam, r)
+        assert val == class_wr(fam, r)
+        best, pair = -1.0, None
+        for a in range(fam.size):
+            for b in range(fam.size):
+                d = fam.distances[a, b]
+                if a == b or d <= 1e-12:
+                    continue
+                t = rate_bound_T(fam.oracle_of((fam.values[a] - fam.values[b]) / d), r)
+                if t > best:
+                    best, pair = t, (a, b)
+        assert (i, j) == pair
+        assert val == best
+
+
+def test_extremal_ties_break_to_the_first_pair(monkeypatch):
+    fam = _random_family(7)
+    monkeypatch.setattr(chaining, "rate_bound_T_rows", lambda dist, rows, r: (np.ones(len(rows)), np.ones(len(rows))))
+    assert extremal_difference(fam, 0.2) == (0, 1, 1.0)
+    assert class_wr(fam, 0.2) == 1.0

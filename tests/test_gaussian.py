@@ -13,7 +13,6 @@ from tailbound.gaussian import (
     gaussian_cgf_oracle,
     gaussian_class_wr,
     gaussian_instance_bound,
-    jacobi_eigh,
     optimal_rank,
 )
 
@@ -27,11 +26,16 @@ def random_spd(rng, d):
 # eigendecomposition
 
 
+# The model's eigenpath (numpy.linalg.eigh behind GaussianModel's checks),
+# at the tolerances the removed pure-Python Jacobi solver was held to.
+
+
 @pytest.mark.parametrize("d", [1, 2, 7, 30])
 def test_jacobi_matches_lapack(d):
     rng = np.random.default_rng(100 + d)
     sym = random_spd(rng, d)
-    vals, vecs = jacobi_eigh(sym)
+    model = GaussianModel(sym)
+    vals, vecs = model.eigenvalues, model.eigenvectors
     ref = np.linalg.eigvalsh(sym)
     assert np.sort(vals) == pytest.approx(ref, abs=1e-10)
     assert vecs.T @ vecs == pytest.approx(np.eye(d), abs=1e-10)
@@ -39,8 +43,9 @@ def test_jacobi_matches_lapack(d):
 
 
 def test_jacobi_diagonal_input():
-    # exactly diagonal input must terminate without a sweep
-    vals, vecs = jacobi_eigh(np.diag([3.0, 1.0, 0.5]))
+    # exactly diagonal input decomposes exactly: its values, unit vectors
+    model = GaussianModel(np.diag([3.0, 1.0, 0.5]))
+    vals, vecs = model.eigenvalues, model.eigenvectors
     assert np.sort(vals) == pytest.approx([0.5, 1.0, 3.0], abs=0.0)
     assert np.abs(np.abs(vecs) - np.eye(3)) == pytest.approx(np.zeros((3, 3)), abs=0.0)
 

@@ -171,7 +171,7 @@ TWO_POINT = DiscreteDistribution(support=[[0.0], [1.0]], probabilities=[0.5, 0.5
 
 def test_norm_constant_unit_subgaussian():
     got = orlicz_norm(TWO_POINT, TabulatedFunction([1.0, 1.0]), make_generator("sub-gaussian"))
-    assert got.value == pytest.approx(1.0 / math.sqrt(math.log(2.0)), rel=1e-9)
+    assert got == pytest.approx(1.0 / math.sqrt(math.log(2.0)), rel=1e-9)
 
 
 def test_norm_rademacher_equals_constant_case():
@@ -179,18 +179,18 @@ def test_norm_rademacher_equals_constant_case():
     gen = make_generator("sub-gaussian")
     sym = orlicz_norm(TWO_POINT, TabulatedFunction([-1.0, 1.0]), gen)
     const = orlicz_norm(TWO_POINT, TabulatedFunction([1.0, 1.0]), gen)
-    assert sym.value == pytest.approx(const.value, rel=1e-12)
+    assert sym == pytest.approx(const, rel=1e-12)
 
 
 def test_norm_zero_function():
     got = orlicz_norm(TWO_POINT, TabulatedFunction([0.0, 0.0]), make_generator("bernstein", L=2.0))
-    assert got.value == 0.0
+    assert got == 0.0
 
 
 def test_norm_ignores_zero_probability_atoms():
     dist = DiscreteDistribution(support=[[0.0], [1.0], [2.0]], probabilities=[0.5, 0.5, 0.0])
     got = orlicz_norm(dist, TabulatedFunction([0.0, 0.0, 1e6]), make_generator("sub-gaussian"))
-    assert got.value == 0.0
+    assert got == 0.0
 
 
 def test_norm_length_mismatch():
@@ -215,7 +215,7 @@ def test_norm_definition_postconditions(gen):
     rng = np.random.default_rng(11)
     for _ in range(20):
         dist, f = _random_case(rng, int(rng.integers(2, 7)))
-        value = orlicz_norm(dist, TabulatedFunction(f), gen).value
+        value = orlicz_norm(dist, TabulatedFunction(f), gen)
         probs = dist.probabilities
         absf = np.abs(f)
         assert float(probs @ gen.psi(absf / value)) <= 1.0 + 1e-9
@@ -228,8 +228,8 @@ def test_norm_homogeneity():
     for _ in range(20):
         dist, f = _random_case(rng, 5)
         c = float(rng.choice([0.03, 0.9, 2.7, 41.0]))
-        base = orlicz_norm(dist, TabulatedFunction(f), gen).value
-        scaled = orlicz_norm(dist, TabulatedFunction(c * f), gen).value
+        base = orlicz_norm(dist, TabulatedFunction(f), gen)
+        scaled = orlicz_norm(dist, TabulatedFunction(c * f), gen)
         assert scaled == pytest.approx(c * base, rel=1e-8)
 
 
@@ -239,9 +239,9 @@ def test_norm_triangle_inequality():
         for _ in range(20):
             dist, f = _random_case(rng, 6)
             g = rng.normal(size=6)
-            nf = orlicz_norm(dist, TabulatedFunction(f), gen).value
-            ng = orlicz_norm(dist, TabulatedFunction(g), gen).value
-            nfg = orlicz_norm(dist, TabulatedFunction(f + g), gen).value
+            nf = orlicz_norm(dist, TabulatedFunction(f), gen)
+            ng = orlicz_norm(dist, TabulatedFunction(g), gen)
+            nfg = orlicz_norm(dist, TabulatedFunction(f + g), gen)
             assert nfg <= nf + ng + 1e-8
 
 
@@ -344,9 +344,26 @@ def test_conversion_factor_bernstein_is_quarter_over_moment(L):
 
 
 def test_conversion_factor_bernstein_unit_pin():
+    # the closed form 1/(4 L^2 + 3 sqrt(2 pi) L + 4) at L = 1 (README,
+    # "Bernstein closed forms"); the ratio's lambda -> 0 limit, not its value
+    # at lambda = 1e-8, which sat 5e-9 above it
     assert conversion_factor_M(make_generator("bernstein", L=1.0)) == pytest.approx(
-        0.06443346817213673, rel=1e-9
+        0.06443346786056628, rel=1e-9
     )
+
+
+def test_conversion_factor_bernstein_large_L_not_above_closed_form():
+    L = 10.0
+    assert conversion_factor_M(make_generator("bernstein", L=L)) <= 1.0 / (
+        4.0 * L * L + 3.0 * math.sqrt(2.0 * math.pi) * L + 4.0
+    )
+
+
+@pytest.mark.parametrize("kind,L", [("sub-gaussian", None), ("bernstein", 0.1), ("bennett", 1.0)])
+def test_conversion_factor_uses_the_exact_small_lambda_limit(kind, L):
+    # the ratio increases in lambda, so the infimum is the limit 1/4 exactly
+    gen = make_generator(kind, L=L)
+    assert conversion_factor_M(gen) == 0.25 / exp_moment_integral(gen)
 
 
 def test_conversion_factor_bennett_positive():

@@ -16,6 +16,7 @@ import pytest
 from tailbound.cgf import DiscreteDistribution, TabulatedFunction, cgf_discrete, rate_bound_T
 from tailbound.chaining import FunctionFamily, extremal_difference
 from tailbound.rng import finalize, normals, substream_seed, uniforms
+from tailbound import verify
 from tailbound.verify import TrialPlan, VerificationReport, run_trials, sweep
 
 _MASK = (1 << 64) - 1
@@ -298,6 +299,17 @@ class TestParallelism:
             monkeypatch.setenv("TAILBOUND_THREADS", threads)
             reports.append(run_trials(plan).as_dict())
         assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("raw,cpus,want", [("1000000", 4, 4), ("3", 4, 3), ("0", 4, 1), ("-5", 2, 1), ("8", None, 1)])
+    def test_thread_count_capped_at_cpu_count(self, monkeypatch, raw, cpus, want):
+        # the cap is checked on the block plan alone; no thread is started
+        monkeypatch.setenv("TAILBOUND_THREADS", raw)
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
+        assert verify._thread_count() == want
+        ranges = verify._block_ranges(1_000_000, verify._thread_count())
+        assert len(ranges) == want
+        assert ranges[0][0] == 0 and ranges[-1][1] == 1_000_000
+        assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
 
     def test_invalid_thread_env(self, monkeypatch):
         monkeypatch.setenv("TAILBOUND_THREADS", "many")
