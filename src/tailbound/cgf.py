@@ -5,8 +5,9 @@ All distributions here have finite support, so every CGF is an exact finite
 sum evaluated through log-sum-exp; there is no quadrature error in this
 module. T_r of tabulated functions is computed in the Legendre dual form,
 many functions at once (rate_bound_T_rows); analytic oracles are minimized
-by bracketing and golden section (the objective is quasiconvex when the CGF
-is convex with value 0 at the origin).
+on a geometric lambda grid refined by golden section, numerics.grid_golden_min
+(the objective is quasiconvex when the CGF is convex with value 0 at the
+origin).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .numerics import cgf_rows, logsumexp, minimize_positive, row_blocks
+from .numerics import LAMBDA_GRID, cgf_rows, grid_golden_min, logsumexp, row_blocks
 
 CENTERING_TOL = 1e-10
 PROB_SUM_TOL = 1e-12
@@ -141,8 +142,9 @@ def rate_bound_T(oracle: CgfOracle, r: float) -> float:
 
     Requires a centered oracle and r >= 0; 0 exactly at r = 0 and for the
     zero function. Tabulated oracles go through rate_bound_T_rows; analytic
-    ones are minimized over mu = lambda * scale(f), scale-invariantly, and
-    past the search cap the objective at the cap is reported.
+    ones are minimized over mu = lambda * scale(f), scale-invariantly, on
+    LAMBDA_GRID and by golden section, and past the grid's end the objective
+    at its last point is reported.
     """
     if not (r >= 0.0):
         raise ValueError("r must be nonnegative")
@@ -153,9 +155,10 @@ def rate_bound_T(oracle: CgfOracle, r: float) -> float:
     if r == 0.0 or oracle.is_zero:
         return 0.0
     unit = oracle.scale if oracle.scale > 0.0 else 1.0
-    res = minimize_positive(lambda mu: (r + oracle(mu / unit)) * unit / mu, rel_tol=1e-10)
+    objective = np.vectorize(lambda mu: (r + oracle(mu / unit)) * unit / mu, otypes=[float])
+    _, value, _ = grid_golden_min(lambda _blk, mu: objective(mu), LAMBDA_GRID)
     # (r + Lambda)/lambda > 0 for centered oracles; clamp guards rounding only
-    return max(res.fun, 0.0)
+    return max(float(value[0]), 0.0)
 
 
 def rate_bound_T_rows(dist: DiscreteDistribution, rows: np.ndarray, r: float):

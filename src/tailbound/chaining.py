@@ -27,7 +27,7 @@ from .cgf import (
     cgf_discrete,
     rate_bound_T_rows,
 )
-from .numerics import NumericError, cgf_rows, golden_section_min, row_blocks
+from .numerics import NumericError, cgf_rows, grid_golden_min, row_blocks
 from .orlicz import OrliczGenerator, orlicz_norm_rows
 
 LOG2 = math.log(2.0)
@@ -48,9 +48,10 @@ def cgf_functional_norm(dist: DiscreteDistribution, values: np.ndarray):
 
     values is one function or a (count, support) array; the result is a float
     or an array of norms. The lambda -> 0 limit sqrt(Var h) is a candidate;
-    the rest of the supremum is located on a two-sided 202-point geometric
-    grid, one tensor op over all rows, then refined by golden section around
-    each side's best point, rows in lockstep and in blocks of bounded size.
+    the rest of the supremum is located by numerics.grid_golden_min on the
+    geometric NORM_GRID for h and for -h: one tensor op over all rows, then
+    golden section around each side's best point, rows in lockstep and in
+    blocks of bounded size.
     Requires centered rows, else the supremum diverges at lambda -> 0.
     """
     values = np.asarray(values, dtype=float)
@@ -67,32 +68,21 @@ def cgf_functional_norm(dist: DiscreteDistribution, values: np.ndarray):
     norms = np.zeros(h.shape[0])
     live = np.nonzero(vmax > 0.0)[0]
     logp = np.log(probs)
-    for blk in row_blocks(live.size, 2 * NORM_GRID.size * probs.size):
-        idx = live[blk]
-        x = h[idx] / vmax[idx, None]
-        mean = means[idx] / vmax[idx]
-        variance = np.maximum((x * x * probs).sum(axis=1) - mean * mean, 0.0)
-        norms[idx] = vmax[idx] * np.sqrt(np.maximum(variance, _norm_sq_sup(logp, x)))
+    x = h[live] / vmax[live, None]
+    mean = means[live] / vmax[live]
+    variance = np.maximum((x * x * probs).sum(axis=1) - mean * mean, 0.0)
+    # the sup over mu < 0 for x is the sup over mu > 0 for -x: one search
+    # over NORM_GRID per row of [x; -x], of -2 Lambda(mu) / mu^2
+    xs = np.concatenate([x, -x])
+    _, neg, _ = grid_golden_min(
+        lambda blk, mu: -2.0 * cgf_rows(logp, xs[blk], mu) / (mu * mu), NORM_GRID, xs.shape[0], probs.size
+    )
+    norms[live] = vmax[live] * np.sqrt(np.maximum(variance, -np.minimum(neg[: live.size], neg[live.size :])))
     # positive-definiteness on discrete support: a function that is nonzero
     # on an atom of positive probability cannot have norm 0
     if np.any((norms <= ZERO_NORM_TOL) & (vmax > ZERO_NORM_TOL)):
         raise NumericError("norm evaluated to 0 on a function that is nonzero with positive probability")
     return float(norms[0]) if values.ndim == 1 else norms
-
-
-def _norm_sq_sup(logp: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Per row of x (max|x| = 1), the sup of 2 Lambda(mu) / mu^2 over the
-    two-sided grid and its golden-section refinement on each side."""
-    n = x.shape[0]
-    grid = np.concatenate([NORM_GRID, -NORM_GRID])
-    gv = 2.0 * cgf_rows(logp, x, np.broadcast_to(grid, (n, grid.size))) / (grid * grid)
-    # bracket of |mu| around each side's best grid point
-    j = gv.reshape(n, 2, NORM_GRID.size).argmax(axis=2)
-    lo = NORM_GRID[np.maximum(j - 1, 0)]
-    hi = NORM_GRID[np.minimum(j + 1, NORM_GRID.size - 1)]
-    sign = np.array([1.0, -1.0])
-    _, neg = golden_section_min(lambda mu: -2.0 * cgf_rows(logp, x, sign * mu) / (mu * mu), lo, hi, 1e-10)
-    return np.maximum(gv.max(axis=1), -neg.min(axis=1))
 
 
 @dataclass(frozen=True)
@@ -252,8 +242,14 @@ def validate_plan(family: FunctionFamily, plan: DeflationPlan) -> None:
             )
     if plan.assignment[family.zero_index] != family.zero_index:
         raise ValueError("plan must map the zero member to itself")
-    if len(set(plan.assignment)) > math.floor(math.exp(plan.k)):
+    if len(set(plan.assignment)) > _center_budget(plan.k, family.size):
         raise ValueError("plan range exceeds the e^k budget")
+
+
+def _center_budget(k: int, size: int) -> int:
+    """min(floor(e^k), size), without evaluating e^k once it covers the family
+    (e^k overflows a float from k = 710 on)."""
+    return size if k >= math.log(size) else math.floor(math.exp(k))
 
 
 def build_deflation(family: FunctionFamily, k: int) -> DeflationPlan:
@@ -268,7 +264,7 @@ def build_deflation(family: FunctionFamily, k: int) -> DeflationPlan:
     if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 1:
         raise ValueError("k must be a positive integer")
     dist = family.distances
-    centers = _farthest_first(dist, [family.zero_index], min(math.floor(math.exp(k)), family.size))
+    centers = _farthest_first(dist, [family.zero_index], _center_budget(k, family.size))
     norms = family.member_norms
     assignment = []
     for i in range(family.size):

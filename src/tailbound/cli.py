@@ -1,14 +1,16 @@
 """Command-line interface: every operation behind one `tailbound` entry point.
 
 Exit codes: 0 on success, 2 on input validation failure (the message names
-the violated precondition), 1 on internal numeric failure such as
-bracketing exhaustion or quadrature non-convergence. All floats are printed
-with their shortest round-trip representation.
+the violated precondition; NaN or infinite --r, --M and --r-grid values
+included), 1 on internal numeric failure such as a search grid with no
+finite objective value. All floats are printed with their shortest
+round-trip representation.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -48,8 +50,20 @@ def _ints(text: str):
     return [int(tok) for tok in text.split(",") if tok.strip() != ""]
 
 
-def _floats(text: str):
-    return [float(tok) for tok in text.split(",") if tok.strip() != ""]
+def _finite(text: str) -> float:
+    """argparse type of --r, --M and the --r-grid entries: NaN and +-inf are
+    input faults, rejected with exit code 2 before any computation."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
+def _finites(text: str):
+    return [_finite(tok) for tok in text.split(",") if tok.strip() != ""]
 
 
 def _cmd_trf(args):
@@ -188,7 +202,7 @@ def _cmd_sweep(args):
     reports = sweep(
         plan,
         n_values=_ints(args.n_grid) if args.n_grid is not None else None,
-        r_values=_floats(args.r_grid) if args.r_grid is not None else None,
+        r_values=args.r_grid,
         k_values=_ints(args.k_grid) if args.k_grid is not None else None,
     )
     return _report_rows(reports), _report_rows(reports)
@@ -211,13 +225,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("trf", help="rate function T_r of a tabulated function")
     p.add_argument("--dist", required=True)
     p.add_argument("--f", required=True)
-    p.add_argument("--r", type=float, required=True)
+    p.add_argument("--r", type=_finite, required=True)
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_trf)
 
     p = subs.add_parser("class-wr", help="class coefficient w_r of a family")
     p.add_argument("--family", required=True)
-    p.add_argument("--r", type=float, required=True)
+    p.add_argument("--r", type=_finite, required=True)
     p.add_argument("--norm", default=None, help="generator JSON for an Orlicz norm context")
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_class_wr)
@@ -231,14 +245,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("wr-quad", help="quadrature coefficient bound for a generator")
     p.add_argument("--gen", required=True)
-    p.add_argument("--r", type=float, required=True)
+    p.add_argument("--r", type=_finite, required=True)
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_wr_quad)
 
     p = subs.add_parser("wr-exp", help="closed-form coefficient bound for exponential-type generators")
     p.add_argument("--gen", required=True)
-    p.add_argument("--r", type=float, required=True)
-    p.add_argument("--M", type=float, default=None, help="conversion factor; computed when omitted")
+    p.add_argument("--r", type=_finite, required=True)
+    p.add_argument("--M", type=_finite, default=None, help="conversion factor; computed when omitted")
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_wr_exp)
 
@@ -248,7 +262,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--basis", type=int, default=None, help="standard basis index (0-based)")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r", type=float, required=True)
+    p.add_argument("--r", type=_finite, required=True)
     p.add_argument("--loose-projected", action="store_true")
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_gaussian_bound)
@@ -257,7 +271,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r", type=float, required=True)
+    p.add_argument("--r", type=_finite, required=True)
     p.add_argument("--norm", default=None)
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_chain_bound)
@@ -265,7 +279,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("optimize", help="pick the best deflation size from candidates")
     p.add_argument("--family", required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r", type=float, required=True)
+    p.add_argument("--r", type=_finite, required=True)
     p.add_argument("--k-candidates", required=True, help="comma-separated candidate k values")
     p.add_argument("--norm", default=None)
     _add_output_flags(p)
@@ -280,14 +294,14 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--model", default=None)
         p.add_argument("--norm", default=None)
         p.add_argument("--n", type=int, required=True)
-        p.add_argument("--r", type=float, required=True)
+        p.add_argument("--r", type=_finite, required=True)
         p.add_argument("--k", type=int, default=0)
         p.add_argument("--mesh", type=int, default=1000)
         p.add_argument("--trials", type=int, required=True)
         p.add_argument("--seed", type=int, required=True)
         if name == "sweep":
             p.add_argument("--n-grid", default=None)
-            p.add_argument("--r-grid", default=None)
+            p.add_argument("--r-grid", type=_finites, default=None)
             p.add_argument("--k-grid", default=None)
         _add_output_flags(p)
         p.set_defaults(handler=handler)

@@ -131,8 +131,9 @@ def gaussian_cgf_oracle(model: GaussianModel, f: LinearFunctional) -> CgfOracle:
 def gaussian_class_wr(r: float) -> float:
     """w_r for the Gaussian linear class: T_r of a unit-norm functional.
 
-    Equals sqrt(2r) analytically; evaluated through the same minimizer as
-    every other oracle so the identity is exercised rather than assumed.
+    Equals sqrt(2r) analytically; evaluated by rate_bound_T's search for
+    analytic oracles (numerics.grid_golden_min), not in closed form, so the
+    identity is exercised rather than assumed.
     """
     unit = CgfOracle(lambda lam: 0.5 * lam * lam, mean=0.0)
     return rate_bound_T(unit, r)

@@ -1,6 +1,7 @@
-"""Shared numerics: bracketed golden-section search, adaptive Simpson
-quadrature, bisection, a stable log-sum-exp, and the batched cumulant
-generating function that the rate-function engine and the norms evaluate.
+"""Shared numerics: golden-section search, the grid-then-golden minimizer,
+a composite Gauss-Legendre quadrature rule, bisection, a stable
+log-sum-exp, and the batched cumulant generating function that the
+rate-function engine and the norms evaluate.
 
 Everything here is deterministic: identical inputs produce bit-identical
 outputs, which the certificate-replay machinery relies on.
@@ -9,7 +10,6 @@ outputs, which the certificate-replay machinery relies on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,17 +19,18 @@ INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
 BLOCK_ELEMENTS = 1 << 18  # elements of one batched tensor; bounds memory for any row count
 SMALL_MU = 1e-3  # below this |mu| the CGF takes its expm1 form
 
+LAMBDA_GRID = np.power(2.0, np.arange(-40, 28))  # searches over lambda > 0: 2^-40 < 1e-12 to 2^27 > 1e8
+
+QUAD_NODES = 16  # Gauss-Legendre nodes per panel
+QUAD_PANELS = 32  # panels on [0, t_max], graded geometrically toward 0
+QUAD_FIRST_EDGE = 1e-12  # first panel [0, QUAD_FIRST_EDGE t_max]
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(QUAD_NODES)
+_QUAD_EDGES = np.concatenate(([0.0], np.geomspace(QUAD_FIRST_EDGE, 1.0, QUAD_PANELS)))  # units of t_max
+
 
 class NumericError(RuntimeError):
-    """Internal numeric failure: bracketing exhaustion, quadrature
-    non-convergence, or a failed runtime consistency check."""
-
-
-@dataclass(frozen=True)
-class ScalarMinResult:
-    x: float
-    fun: float
-    interior: bool  # False when the infimum was approached at a search cap
+    """Internal numeric failure: no finite objective value on a search grid,
+    a bracket that cannot be found, or a failed runtime consistency check."""
 
 
 def logsumexp(x: np.ndarray) -> float:
@@ -82,8 +83,10 @@ def golden_section_min(f, a, b, rel_tol: float = 1e-10):
     yc, yd = ev(c), ev(d)
     active = h > rel_tol * np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-300)
     while np.any(active):
-        left = active & (yc < yd)  # the minimizer lies in [a, d]
-        right = active & ~(yc < yd)
+        # the minimizer lies in [a, d]; it does too when both probes are +inf,
+        # for objectives finite on a down-closed interval, as searched here
+        left = active & ((yc < yd) | (yd == math.inf))
+        right = active & ~left
         b, a = np.where(left, d, b), np.where(right, c, a)
         h = b - a
         # left: d <- c and a new c; right: c <- d and a new d; others stay
@@ -96,125 +99,81 @@ def golden_section_min(f, a, b, rel_tol: float = 1e-10):
     return (float(x), float(y)) if scalar else (x, y)
 
 
-def minimize_positive(
-    f,
-    x_init: float = 1.0,
-    lo_cap: float = 1e-12,
-    hi_cap: float = 1e8,
-    rel_tol: float = 1e-10,
-) -> ScalarMinResult:
-    """Minimize f over (0, inf) for f that is quasiconvex there.
-
-    Brackets the minimizer by doubling (or halving) from x_init until the
-    objective rises on both flanks, then refines by golden section. If f is
-    still decreasing when a cap is reached, the boundary value at the cap is
-    reported with interior=False; the true infimum is then a limit beyond the
-    cap and the returned value is a valid upper evaluation of it.
-
-    f may return +inf outside its effective domain; x_init must be interior.
-    """
-    if not (lo_cap < x_init < hi_cap):
-        raise ValueError("x_init must lie strictly between the search caps")
-    x = x_init
-    fx = f(x)
-    # walk into the effective domain toward 0 (domains here are down-closed
-    # intervals containing small positive values)
-    while not math.isfinite(fx):
-        x /= 2.0
-        if x < lo_cap:
-            raise NumericError("bracketing exhaustion: no finite objective value found")
-        fx = f(x)
-
-    flank = {}
-    for step, cap, clamp in ((2.0, hi_cap, min), (0.5, lo_cap, max)):
-        nxt = flank[step] = clamp(x * step, cap)
-        f_nxt = f(nxt)
-        if not f_nxt < fx:
-            continue
-        # walk on while the objective decreases
-        prev_x, x, fx = x, nxt, f_nxt
-        while x != cap:
-            nxt = clamp(x * step, cap)
-            f_nxt = f(nxt)
-            if not f_nxt < fx:
-                xm, fm = golden_section_min(f, prev_x, nxt, rel_tol)
-                return ScalarMinResult(*((xm, fm) if fm < fx else (x, fx)), True)
-            prev_x, x, fx = x, nxt, f_nxt
-        return ScalarMinResult(x, fx, False)
-
-    # x_init already sits between two larger values
-    xm, fm = golden_section_min(f, flank[0.5], flank[2.0], rel_tol)
-    return ScalarMinResult(*((xm, fm) if fm < fx else (x, fx)), True)
-
-
 def maximize_on_interval(f, a: float, b: float, rel_tol: float = 1e-10):
     """Maximize a unimodal f on [a, b]; returns (x, f(x))."""
     x, neg = golden_section_min(lambda t: -f(t), a, b, rel_tol)
     return x, -neg
 
 
-def _simpson(fa, fm, fb, h):
-    return h / 6.0 * (fa + 4.0 * fm + fb)
+def grid_golden_min(f, grid, rows: int = 1, width: int = 1):
+    """Minimize f over the span of an increasing grid, for each of `rows` rows.
 
-
-def adaptive_simpson(f, a: float, b: float, rel_tol: float = 1e-9, max_depth: int = 60) -> float:
-    """Integrate f on [a, b] by adaptive Simpson quadrature.
-
-    f is first sampled on a dense 257-point grid. The tolerance is relative
-    to the trapezoid estimate of int |f| on that grid, and the recursion
-    starts from its 128 Simpson panels, each with an equal share of the
-    tolerance. Starting from the single whole interval would miss
-    concentrated integrands: when all the mass lies between the first few
-    samples, the first error estimate is tiny and is accepted at once.
-    Recursion beyond max_depth or past the node budget raises NumericError
-    (quadrature non-convergence).
+    f(blk, x) gives f at the points x, an array (rows of slice blk, k), and
+    may be +inf. Each block of rows (at most BLOCK_ELEMENTS elements where f
+    holds `width` elements per row and point) is evaluated on the whole grid
+    as one array op; golden section then refines, rows in lockstep, the
+    bracket between the grid neighbours of each row's best grid point, which
+    holds the minimizer of a quasiconvex f inside the grid's span.
+    Returns arrays (x, fx, j) per row: the best point found, its value (no
+    worse than the best grid value), and the index j of the best grid point;
+    j = 0 or j = grid.size - 1 says the infimum may lie beyond the grid.
+    Raises NumericError when a row has no finite grid value.
     """
-    if b <= a:
-        return 0.0
-    grid = np.linspace(a, b, 257)
-    vals = [f(x) for x in grid]
-    coarse = float(np.trapezoid(np.abs(vals), grid))
-    panels = (len(grid) - 1) // 2
-    eps = rel_tol * max(coarse, 1e-300) / panels
-    budget = [500_000]
-
-    def recurse(a, fa, b, fb, m, fm, whole, eps, depth):
-        budget[0] -= 2
-        if budget[0] < 0:
-            raise NumericError("quadrature non-convergence: node budget exhausted")
-        lm = 0.5 * (a + m)
-        rm = 0.5 * (m + b)
-        flm = f(lm)
-        frm = f(rm)
-        left = _simpson(fa, flm, fm, m - a)
-        right = _simpson(fm, frm, fb, b - m)
-        delta = left + right - whole
-        if abs(delta) <= 15.0 * eps:
-            return left + right + delta / 15.0
-        if depth >= max_depth:
-            raise NumericError("quadrature non-convergence: adaptive Simpson depth exhausted")
-        return recurse(a, fa, m, fm, lm, flm, left, eps / 2.0, depth + 1) + recurse(
-            m, fm, b, fb, rm, frm, right, eps / 2.0, depth + 1
-        )
-
-    total = 0.0
-    for i in range(0, len(grid) - 1, 2):
-        pa, pm, pb = float(grid[i]), float(grid[i + 1]), float(grid[i + 2])
-        fa, fm, fb = vals[i], vals[i + 1], vals[i + 2]
-        total += recurse(pa, fa, pb, fb, pm, fm, _simpson(fa, fm, fb, pb - pa), eps, 0)
-    return total
+    grid = np.asarray(grid, dtype=float)
+    x, fx = np.empty((2, rows))
+    j = np.empty(rows, dtype=int)
+    for blk in row_blocks(rows, grid.size * width):
+        n = blk.stop - blk.start
+        values = f(blk, np.broadcast_to(grid, (n, grid.size)))
+        jb = values.argmin(axis=1)
+        best = values[np.arange(n), jb]
+        if not np.all(np.isfinite(best)):
+            raise NumericError("no finite objective value on the search grid")
+        lo, hi = grid[np.maximum(jb - 1, 0)], grid[np.minimum(jb + 1, grid.size - 1)]
+        xg, yg = golden_section_min(lambda t: f(blk, t[:, None])[:, 0], lo, hi)
+        better = yg < best
+        x[blk], fx[blk], j[blk] = np.where(better, xg, grid[jb]), np.where(better, yg, best), jb
+    return x, fx, j
 
 
-def bisect_increasing(g, lo: float, hi: float, target: float, rel_tol: float = 1e-12) -> float:
-    """Solve g(x) = target for increasing g on [lo, hi] by bisection."""
-    glo = g(lo) - target
-    ghi = g(hi) - target
-    if glo > 0.0 or ghi < 0.0:
+def gauss_legendre(t_max, knots=()):
+    """Nodes and weights of the composite Gauss-Legendre rule on [0, t] for
+    each t of the array t_max: two arrays (len(t_max), nodes), so that
+    sum(weights * f(nodes), axis=1) integrates f on each interval.
+
+    The QUAD_PANELS panels are graded geometrically toward 0, so an
+    integrand whose mass sits near t = 1 is resolved on [0, 1e3] as well as
+    on [0, 16]. Each knot below t, a point where the integrand has a kink,
+    is a panel edge too; knots above t give empty panels.
+    """
+    t_max = np.asarray(t_max, dtype=float).reshape(-1, 1)
+    edges = t_max * _QUAD_EDGES
+    if knots:
+        edges = np.sort(np.concatenate([edges, np.minimum(knots, t_max)], axis=1), axis=1)
+    half = 0.5 * np.diff(edges, axis=1)[:, :, None]
+    mid = 0.5 * (edges[:, 1:] + edges[:, :-1])[:, :, None]
+    shape = (t_max.shape[0], half.shape[1] * QUAD_NODES)
+    return (mid + half * _GL_X).reshape(shape), (half * _GL_W).reshape(shape)
+
+
+def bisect_increasing(g, lo, hi, target, rel_tol: float = 1e-12):
+    """Solve g(x) = target for increasing g on [lo, hi] by bisection.
+
+    lo, hi and target may also be arrays, bisected in lockstep as in
+    golden_section_min: g then maps arrays elementwise, and each bracket
+    stops halving once it is narrow enough, so its root does not depend on
+    the others.
+    """
+    scalar = np.ndim(lo) == 0 and np.ndim(hi) == 0 and np.ndim(target) == 0
+    ev = (lambda x: g(float(x))) if scalar else g  # scalar callers get floats
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    if np.any(ev(lo) - target > 0.0) or np.any(ev(hi) - target < 0.0):
         raise ValueError("bisection bracket does not straddle the target")
-    while hi - lo > rel_tol * max(abs(lo), abs(hi), 1e-300):
+    active = hi - lo > rel_tol * np.maximum(np.maximum(np.abs(lo), np.abs(hi)), 1e-300)
+    while np.any(active):
         mid = 0.5 * (lo + hi)
-        if g(mid) - target <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        below = ev(mid) - target <= 0.0
+        lo, hi = np.where(active & below, mid, lo), np.where(active & ~below, mid, hi)
+        active &= hi - lo > rel_tol * np.maximum(np.maximum(np.abs(lo), np.abs(hi)), 1e-300)
+    root = 0.5 * (lo + hi)
+    return float(root) if scalar else root

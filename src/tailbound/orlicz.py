@@ -5,7 +5,14 @@ Registered generator kinds: sub-gaussian (phi = t^2), sub-exponential
 (phi = t), bernstein(L), bennett(L), power(p) (psi = t^p, accepted by the
 norm but not of exponential type), and custom (tabulated phi, piecewise
 linear on log-spaced abscissae). Conjugates phi* are closed-form where
-calculus gives them and numeric only for custom tables.
+calculus gives them, and the maximum over the table points for custom
+tables.
+
+The quadrature bound on w_r, the conversion factor M and the moment
+integral D share one minimizer and one integration rule: a search over
+numerics.LAMBDA_GRID refined by golden section (numerics.grid_golden_min),
+and the composite Gauss-Legendre rule numerics.gauss_legendre, whose panels
+also end at the kinks of a custom table.
 """
 
 from __future__ import annotations
@@ -18,16 +25,22 @@ import numpy as np
 
 from .cgf import DiscreteDistribution, TabulatedFunction
 from .numerics import (
+    LAMBDA_GRID,
+    QUAD_NODES,
+    QUAD_PANELS,
     NumericError,
-    adaptive_simpson,
     bisect_increasing,
-    golden_section_min,
-    minimize_positive,
+    gauss_legendre,
+    grid_golden_min,
     row_blocks,
 )
 
 EXP_TRUNCATION = 40.0  # integrands truncated where they fall to e^-40 of peak
-RATIO_LO_CAP = 1e-8  # smallest lambda the conversion-factor search evaluates
+DECAY_T_CAP = 1e15  # an integrand not below e^-40 by this t decays too slowly
+# share by which D is rounded up, far above its error (below 4e-14 for
+# Bernstein and Bennett at L from 1e-3 to 1e3 against 30-digit references),
+# so that the conversion factor M = inf/D is never overstated
+MOMENT_ROUND_UP = 1e-12
 
 
 class UnsupportedGeneratorError(ValueError):
@@ -45,7 +58,9 @@ class OrliczGenerator:
     decay range used by the quadrature bound. phi_star_limit is the exact
     lambda -> 0 limit of phi*(lambda)/lambda^2, which is also the limit of the
     conversion-factor ratio (e^{phi*} - 1)/lambda^2: 1/4 where phi(t) ~ t^2
-    near 0, and 0 where phi* vanishes near 0.
+    near 0, and 0 where phi* vanishes near 0. knots, derived from the kind,
+    are the points where phi has a kink (a custom table's abscissae; empty
+    for the closed-form kinds); quadrature panels end there.
     """
 
     kind: str
@@ -57,6 +72,7 @@ class OrliczGenerator:
     L: float | None = None
     p: float | None = None
     phi_star_limit: float = 0.0  # lim phi*(lambda) / lambda^2 as lambda -> 0+
+    knots: tuple = ()
 
     def psi(self, t):
         """psi(t) = e^{phi(t)} - 1."""
@@ -85,21 +101,16 @@ def _bennett_phi(t, L: float):
 
 
 def _bennett_phi_inverse(y, L: float):
-    y_arr = np.asarray(y, dtype=float)
-
-    def solve_one(yy: float) -> float:
-        if yy <= 0.0:
-            return 0.0
-        hi = 1.0
-        while _bennett_phi(hi, L) < yy:
-            hi *= 2.0
-            if hi > 1e300:
-                raise NumericError("bennett inverse bracketing exhaustion")
-        return bisect_increasing(lambda t: float(_bennett_phi(t, L)), 0.0, hi, yy)
-
-    if y_arr.ndim == 0:
-        return solve_one(float(y_arr))
-    return np.array([solve_one(float(v)) for v in y_arr.ravel()]).reshape(y_arr.shape)
+    y = np.asarray(y, dtype=float)
+    out = np.zeros(y.shape)
+    pos = y > 0.0
+    hi = np.ones(np.count_nonzero(pos))
+    while np.any(low := _bennett_phi(hi, L) < y[pos]):
+        hi = np.where(low, 2.0 * hi, hi)
+        if hi.max() > 1e300:
+            raise NumericError("bennett inverse bracketing exhaustion")
+    out[pos] = bisect_increasing(lambda t: _bennett_phi(t, L), np.zeros(hi.size), hi, y[pos])
+    return out if out.ndim else float(out)
 
 
 def _bennett_phi_star(lam: float, L: float) -> float:
@@ -131,26 +142,15 @@ def bernstein_phi_star(lam: float, L: float) -> float:
     return lam * lam / (4.0 * (1.0 - L * lam / 2.0))
 
 
-def _conjugate_numeric(phi: Callable, lam: float, lambda_sup: float) -> float:
-    """sup_{t >= 0} lam*t - phi(t) for convex phi; golden section on the
-    bracketed unimodal objective. Used only for custom tabulated generators."""
+def _table_phi_star(lam: float, tk: np.ndarray, pk: np.ndarray, lambda_sup: float) -> float:
+    """sup_{t >= 0} lam*t - phi(t) for phi piecewise linear through (tk, pk),
+    tk[0] = pk[0] = 0, and of slope lambda_sup past the table: exact, as the
+    concave objective peaks at a table point when lam < lambda_sup."""
     if lam < 0.0:
         return 0.0
     if lam >= lambda_sup:
         return math.inf
-    obj = lambda t: lam * t - float(phi(t))
-    t_hi = 1.0
-    prev = obj(t_hi)
-    while True:
-        nxt = obj(2.0 * t_hi)
-        if nxt <= prev:
-            break
-        t_hi *= 2.0
-        prev = nxt
-        if t_hi > 1e15:
-            return math.inf
-    x, neg = golden_section_min(lambda t: -obj(t), 0.0, 2.0 * t_hi, 1e-12)
-    return max(0.0, -neg)
+    return max(0.0, float(np.max(lam * tk - pk)))
 
 
 def make_generator(
@@ -255,9 +255,10 @@ def make_generator(
             kind,
             phi=phi_pl,
             phi_inverse=phi_pl_inv,
-            phi_star=lambda lam, _phi=phi_pl, _s=s_last: _conjugate_numeric(_phi, lam, _s),
+            phi_star=lambda lam, _t=tk, _p=pk, _s=s_last: _table_phi_star(lam, _t, _p, _s),
             exponential_type=True,
             lambda_sup=s_last,
+            knots=tuple(tk[1:].tolist()),
         )
     raise ValueError(f"unknown generator kind {kind!r}")
 
@@ -308,50 +309,64 @@ def orlicz_norm(dist: DiscreteDistribution, f: TabulatedFunction, gen: OrliczGen
     return float(orlicz_norm_rows(dist, f.values[None, :], gen)[0])
 
 
-def _decay_t_max(gen: OrliczGenerator, lam: float) -> float:
-    """Upper crossing of phi(t) - lam*t = 40, past which the quadrature
-    integrand is below e^-40 of its peak."""
-    g = lambda t: float(gen.phi(t)) - lam * t
-    t_hi = 1.0
-    while g(t_hi) < EXP_TRUNCATION:
-        t_hi *= 2.0
-        if t_hi > 1e15:
-            raise NumericError("quadrature truncation point not found (integrand decays too slowly)")
-    t_lo = t_hi / 2.0
-    if g(t_lo) >= EXP_TRUNCATION:
-        # g is convex with g(0) = 0 < 40, so bisection from 0 stays on the
-        # upper crossing
-        t_lo = 0.0
-    return bisect_increasing(g, t_lo, t_hi, EXP_TRUNCATION, rel_tol=1e-9)
+def _decay_t_max(gen: OrliczGenerator, lam: np.ndarray) -> np.ndarray:
+    """Upper crossing of phi(t) - lam*t = 40 for each lam, past which the
+    quadrature integrand is below e^-40 of its peak; +inf where the crossing
+    lies beyond DECAY_T_CAP (the integrand decays too slowly)."""
+    t_hi = np.ones(lam.shape)
+    while np.any(grow := (gen.phi(t_hi) - lam * t_hi < EXP_TRUNCATION) & (t_hi < DECAY_T_CAP)):
+        t_hi = np.where(grow, 2.0 * t_hi, t_hi)
+    found = gen.phi(t_hi) - lam * t_hi >= EXP_TRUNCATION
+    t_hi, lam = t_hi[found], lam[found]
+    g = lambda t: gen.phi(t) - lam * t
+    # g is convex with g(0) = 0 < 40, so bisection from 0 stays on the upper
+    # crossing when g already reaches 40 at t_hi / 2 (only where t_hi = 1)
+    t_lo = np.where(g(t_hi / 2.0) >= EXP_TRUNCATION, 0.0, t_hi / 2.0)
+    out = np.full(found.shape, math.inf)
+    out[found] = bisect_increasing(g, t_lo, t_hi, EXP_TRUNCATION, rel_tol=1e-9)
+    return out
 
 
-def _log_quadrature_integral(gen: OrliczGenerator, lam: float) -> float:
-    """log of I(lam) = int_0^inf 2 lam (e^{lam t} - 1)/(psi(t)+1) dt.
+def _log_quadrature_integral(gen: OrliczGenerator, lam: np.ndarray) -> np.ndarray:
+    """log of I(lam) = int_0^inf 2 lam (e^{lam t} - 1)/(psi(t)+1) dt for each
+    lam of an array; +inf where lam >= lambda_sup or the integrand decays
+    too slowly.
 
-    Computed on [0, t_max] after factoring out the integrand's peak so the
-    adaptive Simpson rule only ever sees well-scaled values.
+    Computed on [0, t_max] by the Gauss-Legendre rule, one (lam, node)
+    tensor per block, after factoring out each integrand's peak over the
+    nodes so that exp never overflows.
     """
-    t_max = _decay_t_max(gen, lam)
-    ts = np.linspace(0.0, t_max, 513)
-    shift = max(0.0, float(np.max(lam * ts - gen.phi(ts))))
-
-    def integrand(t: float) -> float:
-        ph = float(gen.phi(t))
-        return 2.0 * lam * (math.exp(lam * t - ph - shift) - math.exp(-ph - shift))
-
-    val = adaptive_simpson(integrand, 0.0, t_max, rel_tol=1e-9)
-    if val <= 0.0:
-        return -math.inf
-    return shift + math.log(val)
+    out = np.full(lam.shape, math.inf)
+    decays = np.nonzero(lam < gen.lambda_sup)[0]
+    for blk in row_blocks(decays.size, QUAD_NODES * (QUAD_PANELS + len(gen.knots))):
+        idx = decays[blk]
+        t_max = _decay_t_max(gen, lam[idx])
+        idx = idx[np.isfinite(t_max)]
+        t, w = gauss_legendre(t_max[np.isfinite(t_max)], gen.knots)
+        # w (e^{lam t - phi - shift} - e^{-phi - shift}) built in place, as
+        # these (lam, node) tensors are the bound's largest allocations
+        low = gen.phi(t)
+        high = np.multiply(lam[idx, None], t, out=t)
+        high -= low
+        shift = np.maximum(0.0, high.max(axis=1))[:, None]
+        np.exp(np.subtract(high, shift, out=high), out=high)
+        np.exp(np.subtract(-shift, low, out=low), out=low)
+        high -= low
+        high *= w
+        val = 2.0 * lam[idx] * high.sum(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out[idx] = np.where(val > 0.0, shift[:, 0] + np.log(val), -math.inf)
+    return out
 
 
 def wr_quadrature_bound(gen: OrliczGenerator, r: float) -> float:
     """Integral bound on w_r: inf_{lambda} (r + log(1 + I(lambda)))/lambda
     with I(lambda) = int_0^inf 2 lambda (e^{lambda t}-1)/(psi(t)+1) dt.
 
-    The outer minimization is restricted to lambda with a decaying integrand
-    (lambda < lambda_sup); non-exponential-type generators are rejected. At
-    r = 0 the infimum is 0, approached as lambda -> 0.
+    The minimization over lambda runs on LAMBDA_GRID and golden section,
+    restricted to lambda with a decaying integrand (lambda < lambda_sup);
+    non-exponential-type generators are rejected. At r = 0 the infimum is
+    0, approached as lambda -> 0.
     """
     if not gen.exponential_type:
         raise UnsupportedGeneratorError(
@@ -362,22 +377,17 @@ def wr_quadrature_bound(gen: OrliczGenerator, r: float) -> float:
     if r == 0.0:
         return 0.0
 
-    def objective(lam: float) -> float:
-        if lam >= gen.lambda_sup:
-            return math.inf
-        try:
-            log_i = _log_quadrature_integral(gen, lam)
-        except NumericError:
-            return math.inf
-        return (r + float(np.logaddexp(0.0, log_i))) / lam
+    def objective(_blk, lam):
+        return (r + np.logaddexp(0.0, _log_quadrature_integral(gen, lam[0]))) / lam
 
-    res = minimize_positive(objective, x_init=1.0, lo_cap=1e-12, hi_cap=1e8, rel_tol=1e-10)
-    return max(res.fun, 0.0)
+    _, value, _ = grid_golden_min(objective, LAMBDA_GRID)
+    return max(float(value[0]), 0.0)
 
 
 def exp_moment_integral(gen: OrliczGenerator) -> float:
     """int_0^inf t e^{-phi(t)/2} dt, the integral on the right side of the
-    conversion-factor inequality."""
+    conversion-factor inequality, by the Gauss-Legendre rule and rounded up
+    by MOMENT_ROUND_UP."""
     if not gen.exponential_type:
         raise UnsupportedGeneratorError(
             f"generator kind {gen.kind!r}: the moment integral diverges"
@@ -387,23 +397,19 @@ def exp_moment_integral(gen: OrliczGenerator) -> float:
         t_hi *= 2.0
         if t_hi > 1e12:
             raise UnsupportedGeneratorError("moment integral truncation point not found")
-
-    def integrand(t: float) -> float:
-        return t * math.exp(-float(gen.phi(t)) / 2.0)
-
-    return adaptive_simpson(integrand, 0.0, t_hi, rel_tol=1e-9)
+    t, w = gauss_legendre([t_hi], gen.knots)
+    return float((w * t * np.exp(-gen.phi(t) / 2.0)).sum()) * (1.0 + MOMENT_ROUND_UP)
 
 
 def conversion_factor_M(gen: OrliczGenerator) -> float:
     """Largest M with inf_{lambda>0} (e^{phi*(lambda)}-1)/lambda^2 >= M * D,
     where D = int_0^inf t e^{-phi(t)/2} dt.
 
-    The infimum is found by the bracketing and golden-section scheme. When
-    that walk ends at its lower cap lambda = 1e-8, the ratio is increasing
-    (as it is for the registered closed-form conjugates) and the infimum is
-    its lambda -> 0 limit, so the exact limit phi_star_limit is used: the
-    ratio at the cap lies above it. D comes from adaptive Simpson
-    quadrature.
+    The infimum is found on LAMBDA_GRID and refined by golden section. When
+    the best grid point is the lowest, the ratio is increasing there (as it
+    is for the registered closed-form conjugates) and the infimum is its
+    lambda -> 0 limit, so the exact limit phi_star_limit is used: the ratio
+    at any lambda > 0 lies above it. D comes from the Gauss-Legendre rule.
     """
     if not gen.exponential_type:
         raise UnsupportedGeneratorError(
@@ -421,16 +427,14 @@ def conversion_factor_M(gen: OrliczGenerator) -> float:
             return math.inf
         return math.expm1(star) / (lam * lam)
 
-    res = minimize_positive(ratio, x_init=1.0, lo_cap=RATIO_LO_CAP, hi_cap=1e8, rel_tol=1e-10)
-    infimum = res.fun
-    if not res.interior and res.x <= RATIO_LO_CAP:
-        infimum = min(infimum, gen.phi_star_limit)
-    return max(infimum, 0.0) / denom
+    _, value, j = grid_golden_min(lambda _blk, lam: np.vectorize(ratio, otypes=[float])(lam), LAMBDA_GRID)
+    infimum = min(value[0], gen.phi_star_limit) if j[0] == 0 else value[0]
+    return max(float(infimum), 0.0) / denom
 
 
 def wr_exponential_type(gen: OrliczGenerator, M: float, r: float) -> float:
     """Closed-form exponential-type bound max{3, 3/sqrt(2M)} * phi^{-1}(2r/3)."""
-    if M <= 0.0:
+    if not (M > 0.0):
         raise ValueError("M must be positive")
     if not (r >= 0.0):
         raise ValueError("r must be nonnegative")

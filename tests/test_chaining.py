@@ -333,6 +333,13 @@ def test_build_deflation_identity_when_budget_covers(family12):
     assert deflated.zero_pos == 0
 
 
+def test_build_deflation_budget_past_float_range(family12):
+    # e^1000 overflows a float; a budget that covers the family is the family
+    plan = build_deflation(family12, 1000)
+    assert plan.assignment == build_deflation(family12, 3).assignment
+    validate_plan(family12, plan)
+
+
 def test_greedy_centers_within_factor_two_of_exhaustive():
     rng = np.random.default_rng(33)
     fam = random_family(rng, 8)

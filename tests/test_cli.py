@@ -355,12 +355,49 @@ class TestExitCodes:
         assert code == 2
 
     def test_numeric_failure_exits_1(self):
-        # lambda_sup = 1e-13 sits below the smallest probe the optimizer
-        # may use, so every quadrature evaluation is infinite
+        # every point of the lambda grid lies at or above lambda_sup = 1e-13,
+        # so every quadrature evaluation is infinite
         gen = '{"kind": "custom", "t": [1.0, 2.0], "phi": [1e-13, 2e-13]}'
         code, out, err = run_cli(["wr-quad", "--gen", gen, "--r", 1.0])
         assert code == 1
         assert "numeric failure" in err
+
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["wr-exp", "--gen", SUB_GAUSSIAN, "--r", 1.0, "--M", "nan"], "--M"),
+            (["wr-exp", "--gen", SUB_GAUSSIAN, "--r", 1.0, "--M", "inf"], "--M"),
+            (["wr-exp", "--gen", SUB_GAUSSIAN, "--r", "inf"], "--r"),
+            (["wr-quad", "--gen", SUB_GAUSSIAN, "--r", "inf"], "--r"),
+            (["trf", "--dist", "d.json", "--f", "f", "--r=-inf"], "--r"),
+            (["sweep", "--target", "chernoff", "--dist", "d.json", "--f", "f", "--n", 50, "--r", 0.05,
+              "--trials", 10, "--seed", 1, "--r-grid", "0.05,nan"], "--r-grid"),
+        ],
+        ids=["M-nan", "M-inf", "wr-exp-r-inf", "wr-quad-r-inf", "trf-r-minus-inf", "r-grid-nan"],
+    )
+    def test_non_finite_number_exits_2(self, argv, flag):
+        # NaN passed `M <= 0` and inf printed the non-JSON `Infinity`
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exc:
+            main([str(a) for a in argv])
+        assert exc.value.code == 2
+        assert out.getvalue() == ""
+        assert f"argument {flag}: " in err.getvalue() and "not a finite number" in err.getvalue()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["chain-bound", "--k", 1000, "--n", 10, "--r", 0.1],
+            ["optimize", "--k-candidates", "0,1000", "--n", 10, "--r", 0.1],
+            ["verify", "--target", "theorem-main", "--k", 1000, "--n", 10, "--r", 0.1, "--trials", 100, "--seed", 1],
+        ],
+        ids=["chain-bound", "optimize", "verify"],
+    )
+    def test_deflation_budget_past_float_range_exits_0(self, fixtures_dir, argv):
+        # floor(e^k) overflowed from k = 710 on; the budget is then the family
+        code, out, err = run_cli(argv + ["--family", fixtures_dir / "family12.json"])
+        assert code == 0, err
+        json.loads(out)
 
     def test_argparse_usage_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -15,6 +15,7 @@ from tailbound.numerics import NumericError, maximize_on_interval
 from tailbound.orlicz import (
     OrliczGenerator,
     UnsupportedGeneratorError,
+    _log_quadrature_integral,
     bernstein_phi_star,
     conversion_factor_M,
     exp_moment_integral,
@@ -88,6 +89,58 @@ def trapezoid_wr_oracle(gen: OrliczGenerator, r: float) -> float:
     return _trapezoid_objective(gen, r, lams[int(np.argmin(vals))], 1_000_001)
 
 
+CUSTOM_T = [0.5, 1.0, 2.0, 4.0, 8.0]
+CUSTOM_PHI = [0.25, 1.0, 4.0, 16.0, 64.0]
+
+
+def subgaussian_inner_integral(lam: float) -> float:
+    """I(lam) = lam sqrt(pi) (e^{lam^2/4} (1 + erf(lam/2)) - 1) for phi = t^2."""
+    return lam * math.sqrt(math.pi) * (math.expm1(lam * lam / 4.0) + math.exp(lam * lam / 4.0) * math.erf(lam / 2.0))
+
+
+def subexponential_inner_integral(lam: float) -> float:
+    """I(lam) = 2 lam^2 / (1 - lam) for phi = t, lam < 1."""
+    return 2.0 * lam * lam / (1.0 - lam)
+
+
+def custom_pieces():
+    """(t0, t1, c, s) per linear piece phi = c + s t of the CUSTOM table on
+    [t0, t1], the last piece extending to infinity."""
+    tk = [0.0] + CUSTOM_T
+    pk = [0.0] + CUSTOM_PHI
+    slopes = [(pk[i + 1] - pk[i]) / (tk[i + 1] - tk[i]) for i in range(len(CUSTOM_T))]
+    return [(tk[i], (tk + [math.inf])[i + 1], pk[i] - s * tk[i], s) for i, s in enumerate(slopes + slopes[-1:])]
+
+
+def custom_inner_integral(lam: float) -> float:
+    """I(lam) for the CUSTOM table, summed piece by piece in closed form:
+    int e^{k t - c - s t} dt = e^{(k - s) t - c} / (k - s), for k = lam and 0."""
+    def prim(t, k, c, s):
+        return 0.0 if t == math.inf else math.exp((k - s) * t - c) / (k - s)
+
+    total = sum(prim(b, lam, c, s) - prim(a, lam, c, s) - prim(b, 0.0, c, s) + prim(a, 0.0, c, s)
+                for a, b, c, s in custom_pieces())
+    return 2.0 * lam * total
+
+
+def grid_wr_reference(inner, r: float, lam_hi: float) -> float:
+    """Minimum of (r + log(1 + I(lam)))/lam on a dense grid zoomed in four
+    stages, from I in closed form."""
+    objective = np.vectorize(lambda lam: (r + math.log1p(inner(lam))) / lam)
+    lams = np.geomspace(1e-5, lam_hi, 2001)
+    for _ in range(4):
+        i = int(np.argmin(objective(lams)))
+        lams = np.linspace(lams[max(i - 1, 0)], lams[min(i + 1, lams.size - 1)], 2001)
+    return float(objective(lams).min())
+
+
+CLOSED_FORMS = [
+    (make_generator("sub-gaussian"), subgaussian_inner_integral, 20.0),
+    (make_generator("sub-exponential"), subexponential_inner_integral, 1.0 - 1e-9),
+    (make_generator("custom", t=CUSTOM_T, phi=CUSTOM_PHI), custom_inner_integral, 12.0 - 1e-9),
+]
+
+
 def bernstein_m_floor(L: float) -> float:
     """Closed-form Bernstein conversion factor (1/4)/I(L), where
     I(L) = L^2 + (3/2) sqrt(pi/2) L + 1 is the moment integral."""
@@ -131,6 +184,16 @@ def test_generator_inverse_roundtrip(gen):
     ts = np.logspace(-3, 1.5, 41)
     back = np.asarray(gen.phi_inverse(np.asarray(gen.phi(ts))), dtype=float)
     assert back == pytest.approx(ts, rel=1e-8)
+
+
+def test_bennett_inverse_batch_matches_scalar():
+    # the batched bisection gives each value the root it gets alone
+    gen = make_generator("bennett", L=1.3)
+    ys = np.array([0.0, 1e-9, 0.3, 7.0, 450.0, -1.0])
+    got = gen.phi_inverse(ys)
+    assert list(got) == [gen.phi_inverse(float(y)) for y in ys]
+    assert got[0] == got[-1] == 0.0
+    assert np.asarray(gen.phi(got[1:-1])) == pytest.approx(ys[1:-1], rel=1e-10)
 
 
 def test_make_generator_rejects_bad_parameters():
@@ -306,6 +369,19 @@ def test_wr_quadrature_bernstein_against_trapezoid_oracle():
     assert got <= wr_exponential_type(gen, bernstein_m_floor(1.0), 1.0) + 1e-6
 
 
+@pytest.mark.parametrize("gen,inner,lam_hi", CLOSED_FORMS, ids=[g.kind for g, _, _ in CLOSED_FORMS])
+def test_inner_integral_matches_closed_form(gen, inner, lam_hi):
+    lams = np.geomspace(1e-3, 0.99 * lam_hi if lam_hi < 2.0 else 8.0, 40)
+    want = np.log([inner(lam) for lam in lams])
+    assert _log_quadrature_integral(gen, lams) == pytest.approx(want, rel=1e-10)
+
+
+@pytest.mark.parametrize("gen,inner,lam_hi", CLOSED_FORMS, ids=[g.kind for g, _, _ in CLOSED_FORMS])
+@pytest.mark.parametrize("r", [1e-6, 0.05, 1.0, 10.0])
+def test_wr_quadrature_matches_closed_form_minimum(gen, inner, lam_hi, r):
+    assert wr_quadrature_bound(gen, r) == pytest.approx(grid_wr_reference(inner, r, lam_hi), rel=1e-10)
+
+
 # ---------------------------------------------------------------------------
 # moment integral and conversion factor
 
@@ -313,6 +389,25 @@ def test_wr_quadrature_bernstein_against_trapezoid_oracle():
 def test_moment_integral_subgaussian_exact():
     # int_0^inf t e^{-t^2/2} dt = 1
     assert exp_moment_integral(make_generator("sub-gaussian")) == pytest.approx(1.0, rel=1e-7)
+
+
+@pytest.mark.parametrize("L", [0.1, 1.0, 10.0])
+def test_moment_integral_bernstein_closed_form(L):
+    # I(L) = L^2 + (3/2) sqrt(pi/2) L + 1 (README, "Bernstein closed forms"),
+    # rounded up by the rule's 1e-12 margin and never below it
+    want = L * L + 1.5 * math.sqrt(math.pi / 2.0) * L + 1.0
+    got = exp_moment_integral(make_generator("bernstein", L=L))
+    assert want <= got == pytest.approx(want, rel=1e-11)
+
+
+def test_moment_integral_custom_table_kinks():
+    # int t e^{-(c + s t)/2} dt = -e^{-c/2} (2t/s + 4/s^2) e^{-s t/2}, piece by piece
+    def prim(t, c, s):
+        return 0.0 if t == math.inf else -math.exp(-c / 2.0) * (2.0 * t / s + 4.0 / (s * s)) * math.exp(-s * t / 2.0)
+
+    want = sum(prim(b, c, s) - prim(a, c, s) for a, b, c, s in custom_pieces())
+    got = exp_moment_integral(make_generator("custom", t=CUSTOM_T, phi=CUSTOM_PHI))
+    assert want <= got == pytest.approx(want, rel=1e-11)
 
 
 @pytest.mark.parametrize("L", [0.25, 1.0, 10.0])
@@ -403,6 +498,8 @@ def test_wr_exponential_rejects_nonpositive_M():
         wr_exponential_type(gen, 0.0, 1.0)
     with pytest.raises(ValueError):
         wr_exponential_type(gen, -0.1, 1.0)
+    with pytest.raises(ValueError):
+        wr_exponential_type(gen, math.nan, 1.0)
 
 
 @pytest.mark.parametrize(
