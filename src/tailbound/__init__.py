@@ -10,11 +10,8 @@ Carlo harness empirically verifies every probabilistic guarantee.
 from .numerics import NumericError
 from .cgf import (
     CENTERING_TOL,
-    CgfOracle,
     DiscreteDistribution,
     TabulatedFunction,
-    cgf_discrete,
-    check_T_properties,
     rate_bound_T,
     rate_bound_T_rows,
 )
@@ -35,8 +32,6 @@ from .gaussian import (
     GaussianModel,
     LinearFunctional,
     cgf_norm,
-    gaussian_cgf_oracle,
-    gaussian_class_wr,
     gaussian_instance_bound,
     optimal_rank,
 )
@@ -65,7 +60,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CENTERING_TOL",
-    "CgfOracle",
     "ChainBoundReport",
     "DeflatedSet",
     "DeflationPlan",
@@ -83,10 +77,8 @@ __all__ = [
     "VerificationReport",
     "bernstein_phi_star",
     "build_deflation",
-    "cgf_discrete",
     "cgf_functional_norm",
     "cgf_norm",
-    "check_T_properties",
     "class_wr",
     "conversion_factor_M",
     "deflate",
@@ -94,8 +86,6 @@ __all__ = [
     "exp_moment_integral",
     "extremal_difference",
     "gamma_functional",
-    "gaussian_cgf_oracle",
-    "gaussian_class_wr",
     "gaussian_instance_bound",
     "make_generator",
     "optimal_rank",

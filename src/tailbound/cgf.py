@@ -3,22 +3,18 @@ confidence radius T_r(f) = inf_{lambda >= 0} (r + log E e^{lambda f(X)}) / lambd
 
 All distributions here have finite support, so every CGF is an exact finite
 sum evaluated through log-sum-exp; there is no quadrature error in this
-module. T_r of tabulated functions is computed in the Legendre dual form,
-many functions at once (rate_bound_T_rows); analytic oracles are minimized
-on a geometric lambda grid refined by golden section, numerics.grid_golden_min
-(the objective is quasiconvex when the CGF is convex with value 0 at the
-origin).
+module. T_r is computed in the Legendre dual form, many functions at once
+(rate_bound_T_rows); rate_bound_T is its one-function entry.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .numerics import LAMBDA_GRID, cgf_rows, grid_golden_min, logsumexp, row_blocks
+from .numerics import cgf_rows, row_blocks
 
 CENTERING_TOL = 1e-10
 PROB_SUM_TOL = 1e-12
@@ -82,83 +78,10 @@ class TabulatedFunction:
         object.__setattr__(self, "values", _readonly(values))
 
 
-@dataclass(frozen=True)
-class CgfOracle:
-    """Exact map lambda -> Lambda(lambda) = log E e^{lambda f(X)}.
-
-    Lambda(0) = 0 exactly (special-cased, never computed). `mean` is E f(X)
-    and `is_zero` marks the identically zero function, for which T_r
-    short-circuits to 0. Tabulated oracles carry `distribution` and `values`
-    for the batched dual solver; analytic ones (Gaussian) have neither.
-    """
-
-    evaluator: Callable[[float], float]
-    mean: float
-    is_zero: bool = False
-    # positively homogeneous magnitude of f (analytic oracles); sets the
-    # lambda unit so the scalar search over lambda is scale-invariant
-    scale: float = 1.0
-    distribution: DiscreteDistribution | None = None
-    values: np.ndarray | None = None
-
-    def __call__(self, lam: float) -> float:
-        if lam == 0.0:
-            return 0.0
-        return self.evaluator(lam)
-
-    def scaled(self, alpha: float) -> "CgfOracle":
-        """Oracle of alpha * f; uses Lambda_{alpha f}(lambda) = Lambda_f(alpha lambda).
-        A tabulated oracle stays tabulated, so both go through one solver."""
-        if self.values is not None:
-            return cgf_discrete(self.distribution, TabulatedFunction(alpha * self.values))
-        if alpha == 0.0:
-            return CgfOracle(lambda lam: 0.0, 0.0, True)
-        inner = self.evaluator
-        return CgfOracle(
-            lambda lam, _a=alpha: inner(_a * lam),
-            alpha * self.mean,
-            self.is_zero,
-            abs(alpha) * self.scale,
-        )
-
-
-def cgf_discrete(dist: DiscreteDistribution, f: TabulatedFunction) -> CgfOracle:
-    """Exact CGF of f(X) for discrete X, via overflow-safe log-sum-exp."""
-    if f.values.shape[0] != dist.size:
-        raise ValueError("function length does not match support size")
-    mask = dist.probabilities > 0.0
-    logp = np.log(dist.probabilities[mask])
-    vals = f.values[mask]
-
-    def evaluator(lam: float) -> float:
-        return logsumexp(logp + lam * vals)
-
-    mean = float(np.dot(dist.probabilities, f.values))
-    return CgfOracle(evaluator, mean, not f.values.any(), distribution=dist, values=f.values)
-
-
-def rate_bound_T(oracle: CgfOracle, r: float) -> float:
-    """Confidence radius T_r(f) = inf_{lambda >= 0} (r + Lambda(lambda)) / lambda.
-
-    Requires a centered oracle and r >= 0; 0 exactly at r = 0 and for the
-    zero function. Tabulated oracles go through rate_bound_T_rows; analytic
-    ones are minimized over mu = lambda * scale(f), scale-invariantly, on
-    LAMBDA_GRID and by golden section, and past the grid's end the objective
-    at its last point is reported.
-    """
-    if not (r >= 0.0):
-        raise ValueError("r must be nonnegative")
-    if abs(oracle.mean) > CENTERING_TOL:
-        raise ValueError(f"oracle is not centered: mean {oracle.mean!r}")
-    if oracle.values is not None:
-        return float(rate_bound_T_rows(oracle.distribution, oracle.values[None, :], r)[0][0])
-    if r == 0.0 or oracle.is_zero:
-        return 0.0
-    unit = oracle.scale if oracle.scale > 0.0 else 1.0
-    objective = np.vectorize(lambda mu: (r + oracle(mu / unit)) * unit / mu, otypes=[float])
-    _, value, _ = grid_golden_min(lambda _blk, mu: objective(mu), LAMBDA_GRID)
-    # (r + Lambda)/lambda > 0 for centered oracles; clamp guards rounding only
-    return max(float(value[0]), 0.0)
+def rate_bound_T(dist: DiscreteDistribution, values, r: float) -> float:
+    """T_r(f) = inf_{lambda >= 0} (r + Lambda(lambda)) / lambda of one centered
+    function tabulated on dist's support: rate_bound_T_rows of a single row."""
+    return float(rate_bound_T_rows(dist, np.asarray(values, dtype=float)[None, :], r)[0][0])
 
 
 def rate_bound_T_rows(dist: DiscreteDistribution, rows: np.ndarray, r: float):
@@ -180,10 +103,10 @@ def rate_bound_T_rows(dist: DiscreteDistribution, rows: np.ndarray, r: float):
         raise ValueError("r must be nonnegative")
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2 or rows.shape[1] != dist.size:
-        raise ValueError("rows must be a (count, support size) array")
+        raise ValueError("function length does not match support size")
     means = np.abs((rows * dist.probabilities).sum(axis=1))
-    if np.any(means > CENTERING_TOL):
-        raise ValueError(f"a row is not centered: mean {float(means.max())!r} exceeds {CENTERING_TOL}")
+    if not np.all(means <= CENTERING_TOL):  # NaN fails too
+        raise ValueError(f"function is not centered: mean {float(means.max())!r} exceeds {CENTERING_TOL}")
     values, lambdas = np.zeros((2, rows.shape[0]))
     if r == 0.0:
         return values, lambdas
@@ -241,42 +164,3 @@ def _dual_root(logp: np.ndarray, x: np.ndarray, r: float) -> np.ndarray:
         if not active.size:
             break
     return np.exp(t)
-
-
-@dataclass(frozen=True)
-class TPropertyReport:
-    """Booleans for the homogeneity, root-at-zero, and subadditivity checks."""
-
-    homogeneity: bool
-    zero_at_zero: bool
-    subadditive: bool
-    t_r: float
-    t_s: float
-    t_r_plus_s: float
-    t_r_scaled: float
-
-
-def check_T_properties(oracle: CgfOracle, r: float, s: float, alpha: float) -> TPropertyReport:
-    """Check positive homogeneity, T_0 = 0, and subadditivity in r.
-
-    Args:
-        oracle: centered CGF oracle of f.
-        r, s: nonnegative rates.
-        alpha: positive scale for the homogeneity check.
-
-    Returns:
-        TPropertyReport with pass booleans (homogeneity at relative 1e-8,
-        subadditivity with additive slack 1e-8) and the evaluated radii.
-    """
-    if r < 0.0 or s < 0.0:
-        raise ValueError("r and s must be nonnegative")
-    if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
-    t_r = rate_bound_T(oracle, r)
-    t_s = rate_bound_T(oracle, s)
-    t_rs = rate_bound_T(oracle, r + s)
-    t_scaled = rate_bound_T(oracle.scaled(alpha), r)
-    homog = abs(t_scaled - alpha * t_r) <= 1e-8 * max(1.0, abs(alpha * t_r))
-    zero = rate_bound_T(oracle, 0.0) == 0.0
-    subadd = t_rs <= t_r + t_s + 1e-8
-    return TPropertyReport(homog, zero, subadd, t_r, t_s, t_rs, t_scaled)

@@ -19,14 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cgf import (
-    CENTERING_TOL,
-    CgfOracle,
-    DiscreteDistribution,
-    TabulatedFunction,
-    cgf_discrete,
-    rate_bound_T_rows,
-)
+from .cgf import CENTERING_TOL, DiscreteDistribution, TabulatedFunction, rate_bound_T_rows
 from .numerics import NumericError, cgf_rows, grid_golden_min, row_blocks
 from .orlicz import OrliczGenerator, orlicz_norm_rows
 
@@ -164,9 +157,6 @@ class FunctionFamily:
             dist[ju[blk], iu[blk]] = d
         dist.flags.writeable = False
         return dist
-
-    def oracle_of(self, values: np.ndarray) -> CgfOracle:
-        return cgf_discrete(self.distribution, TabulatedFunction(values))
 
     def max_member_norm(self) -> float:
         return float(np.max(self.member_norms))

@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .cgf import TabulatedFunction, cgf_discrete, rate_bound_T
+from .cgf import TabulatedFunction, rate_bound_T
 from .chaining import build_deflation, class_wr, optimize_deflation, theorem_main_bound, trivial_plan
 from .gaussian import LinearFunctional, gaussian_instance_bound
 from .jsonio import (
@@ -69,7 +69,7 @@ def _finites(text: str):
 def _cmd_trf(args):
     dist, functions = load_distribution(load_json(args.dist))
     values = _function_values(functions, args.f)
-    value = rate_bound_T(cgf_discrete(dist, TabulatedFunction(values)), args.r)
+    value = rate_bound_T(dist, values, args.r)
     row = {"op": "trf", "function": args.f, "r": args.r, "value": value}
     return row, [row]
 

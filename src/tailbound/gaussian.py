@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cgf import CgfOracle, rate_bound_T
 from .numerics import NumericError
 
 MAX_DIM = 2000
@@ -115,28 +114,6 @@ def cgf_norm(model: GaussianModel, f: LinearFunctional) -> float:
         raise ValueError("direction dimension does not match the model")
     quad = float(u @ model.covariance @ u)
     return math.sqrt(max(quad, 0.0))
-
-
-def gaussian_cgf_oracle(model: GaussianModel, f: LinearFunctional) -> CgfOracle:
-    """Analytic CGF oracle of <u, X>: Lambda(lambda) = lambda^2 u'Sigma u / 2."""
-    sigma = cgf_norm(model, f)
-    return CgfOracle(
-        lambda lam, _s=sigma * sigma: 0.5 * _s * lam * lam,
-        mean=0.0,
-        is_zero=(sigma == 0.0),
-        scale=sigma if sigma > 0.0 else 1.0,
-    )
-
-
-def gaussian_class_wr(r: float) -> float:
-    """w_r for the Gaussian linear class: T_r of a unit-norm functional.
-
-    Equals sqrt(2r) analytically; evaluated by rate_bound_T's search for
-    analytic oracles (numerics.grid_golden_min), not in closed form, so the
-    identity is exercised rather than assumed.
-    """
-    unit = CgfOracle(lambda lam: 0.5 * lam * lam, mean=0.0)
-    return rate_bound_T(unit, r)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """Shared numerics: golden-section search, the grid-then-golden minimizer,
-a composite Gauss-Legendre quadrature rule, bisection, a stable
-log-sum-exp, and the batched cumulant generating function that the
-rate-function engine and the norms evaluate.
+a composite Gauss-Legendre quadrature rule, bisection, and the batched
+cumulant generating function that the rate-function engine and the norms
+evaluate.
 
 Everything here is deterministic: identical inputs produce bit-identical
 outputs, which the certificate-replay machinery relies on.
@@ -15,6 +15,7 @@ import numpy as np
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
+GOLDEN_REL_TOL = 1e-10  # golden section stops at this width relative to its bracket's scale
 
 BLOCK_ELEMENTS = 1 << 18  # elements of one batched tensor; bounds memory for any row count
 SMALL_MU = 1e-3  # below this |mu| the CGF takes its expm1 form
@@ -31,18 +32,6 @@ _QUAD_EDGES = np.concatenate(([0.0], np.geomspace(QUAD_FIRST_EDGE, 1.0, QUAD_PAN
 class NumericError(RuntimeError):
     """Internal numeric failure: no finite objective value on a search grid,
     a bracket that cannot be found, or a failed runtime consistency check."""
-
-
-def logsumexp(x: np.ndarray) -> float:
-    """log(sum(exp(x))) computed without overflow.
-
-    Accepts -inf entries (zero weight); returns -inf for an all--inf input.
-    """
-    x = np.asarray(x, dtype=float)
-    m = np.max(x)
-    if not np.isfinite(m):
-        return float(m)  # all -inf (or a stray +inf propagates)
-    return float(m + np.log(np.sum(np.exp(x - m))))
 
 
 def row_blocks(rows: int, per_row: int):
@@ -67,8 +56,10 @@ def cgf_rows(logp: np.ndarray, x: np.ndarray, mu: np.ndarray) -> np.ndarray:
     return out
 
 
-def golden_section_min(f, a, b, rel_tol: float = 1e-10):
-    """Minimize a unimodal f on [a, b] to relative interval width rel_tol.
+def golden_section_min(f, a, b):
+    """Minimize a unimodal f on [a, b] until the interval is GOLDEN_REL_TOL
+    wide relative to max(|a|, |b|, a quarter of the initial width); the
+    floor stops a minimizer at 0 from narrowing toward underflow.
 
     a and b may also be arrays of intervals, searched in lockstep; f then
     maps arrays elementwise, and each interval stops narrowing once it has
@@ -79,9 +70,10 @@ def golden_section_min(f, a, b, rel_tol: float = 1e-10):
     ev = (lambda x: f(float(x))) if scalar else f  # scalar callers get floats
     a, b = np.minimum(a, b), np.maximum(a, b)
     h = b - a
+    floor = 0.25 * h
     c, d = a + INV_PHI_SQ * h, a + INV_PHI * h
     yc, yd = ev(c), ev(d)
-    active = h > rel_tol * np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-300)
+    active = h > GOLDEN_REL_TOL * np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
     while np.any(active):
         # the minimizer lies in [a, d]; it does too when both probes are +inf,
         # for objectives finite on a down-closed interval, as searched here
@@ -94,15 +86,9 @@ def golden_section_min(f, a, b, rel_tol: float = 1e-10):
                 np.where(right, a + INV_PHI * h, np.where(left, c, d)))
         y = ev(np.where(left, c, d))
         yc, yd = np.where(left, y, np.where(right, yd, yc)), np.where(right, y, np.where(left, yc, yd))
-        active &= h > rel_tol * np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-300)
+        active &= h > GOLDEN_REL_TOL * np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
     x, y = np.where(yc < yd, c, d), np.minimum(yc, yd)
     return (float(x), float(y)) if scalar else (x, y)
-
-
-def maximize_on_interval(f, a: float, b: float, rel_tol: float = 1e-10):
-    """Maximize a unimodal f on [a, b]; returns (x, f(x))."""
-    x, neg = golden_section_min(lambda t: -f(t), a, b, rel_tol)
-    return x, -neg
 
 
 def grid_golden_min(f, grid, rows: int = 1, width: int = 1):

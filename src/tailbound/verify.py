@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cgf import DiscreteDistribution, TabulatedFunction, cgf_discrete, rate_bound_T
+from .cgf import DiscreteDistribution, TabulatedFunction, rate_bound_T
 from .chaining import (
     FunctionFamily,
     build_deflation,
@@ -132,9 +132,7 @@ def _discrete_setup(plan: TrialPlan, threshold_override):
     if plan.target == "chernoff":
         dist = plan.distribution
         tracked = plan.function_values[None, :]
-        thresholds = np.array(
-            [rate_bound_T(cgf_discrete(dist, TabulatedFunction(plan.function_values)), plan.r)]
-        )
+        thresholds = np.array([rate_bound_T(dist, plan.function_values, plan.r)])
         ceiling = math.exp(-plan.n * plan.r)
     elif plan.target == "corollary":
         fam = plan.family

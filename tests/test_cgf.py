@@ -3,21 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from tailbound import (
-    CgfOracle,
-    DiscreteDistribution,
-    TabulatedFunction,
-    cgf_discrete,
-    check_T_properties,
-    rate_bound_T,
-)
+from oracles import cgf_reference, check_T_properties
+from tailbound import DiscreteDistribution, TabulatedFunction, rate_bound_T
+from tailbound.numerics import cgf_rows
 
 RADEMACHER = DiscreteDistribution([[-1.0], [1.0]], [0.5, 0.5])
-RADEMACHER_F = TabulatedFunction([-1.0, 1.0])
-
-
-def rademacher_oracle():
-    return cgf_discrete(RADEMACHER, RADEMACHER_F)
+RADEMACHER_F = np.array([-1.0, 1.0])
 
 
 def grid_T(cgf_values, lams, r):
@@ -32,47 +23,40 @@ def random_centered(rng, size):
     vals -= probs @ vals
     support = np.arange(size, dtype=float)[:, None]
     dist = DiscreteDistribution(support, probs)
-    return dist, TabulatedFunction(vals)
+    return dist, vals
 
 
-# oracle checks
+# CGF checks
 
 
 def test_cgf_matches_log_cosh():
-    oracle = rademacher_oracle()
-    for lam in (0.25, 1.0, -3.0, 17.5):
-        assert oracle(lam) == pytest.approx(math.log(math.cosh(lam)), rel=1e-13)
-    assert oracle(0.0) == 0.0
+    # the test-side reference and the library's batched CGF
+    logp = np.log(RADEMACHER.probabilities)
+    lams = np.array([0.25, 1.0, -3.0, 17.5])
+    batched = cgf_rows(logp, RADEMACHER_F[None, :], lams[None, :])[0]
+    for lam, got in zip(lams, batched):
+        want = math.log(math.cosh(lam))
+        assert cgf_reference(RADEMACHER, RADEMACHER_F, lam) == pytest.approx(want, rel=1e-13)
+        assert got == pytest.approx(want, rel=1e-13)
+    assert cgf_reference(RADEMACHER, RADEMACHER_F, 0.0) == 0.0
 
 
 def test_rate_bound_matches_dense_grid_rademacher():
-    oracle = rademacher_oracle()
     lams = np.linspace(50.0 / 1e6, 50.0, 10**6)
     cgf_vals = np.log(np.cosh(lams))
     want = grid_T(cgf_vals, lams, 0.1)
-    got = rate_bound_T(oracle, 0.1)
+    got = rate_bound_T(RADEMACHER, RADEMACHER_F, 0.1)
     assert got == pytest.approx(want, abs=1e-6)
     assert got <= want + 1e-12  # the grid can only overestimate the infimum
 
 
-def test_rate_bound_gaussian_closed_form():
-    # CGF sigma^2 lambda^2 / 2 has T_r = sigma sqrt(2 r)
-    sigma = 2.0
-    oracle = CgfOracle(lambda lam: 0.5 * sigma * sigma * lam * lam, mean=0.0)
-    assert rate_bound_T(oracle, 0.5) == pytest.approx(2.0, abs=1e-9)
-
-
 def test_rate_bound_zero_cases():
-    oracle = rademacher_oracle()
-    assert rate_bound_T(oracle, 0.0) == 0.0
-    zero = cgf_discrete(RADEMACHER, TabulatedFunction([0.0, 0.0]))
-    assert zero.is_zero
-    assert rate_bound_T(zero, 3.0) == 0.0
+    assert rate_bound_T(RADEMACHER, RADEMACHER_F, 0.0) == 0.0
+    assert rate_bound_T(RADEMACHER, [0.0, 0.0], 3.0) == 0.0
 
 
 def test_rate_bound_monotone_in_r():
-    oracle = rademacher_oracle()
-    values = [rate_bound_T(oracle, r) for r in (0.0, 0.01, 0.1, 1.0, 10.0)]
+    values = [rate_bound_T(RADEMACHER, RADEMACHER_F, r) for r in (0.0, 0.01, 0.1, 1.0, 10.0)]
     assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
 
 
@@ -80,22 +64,21 @@ def test_rate_bound_monotone_in_r():
 
 
 def test_homogeneity_example():
-    report = check_T_properties(rademacher_oracle(), r=0.2, s=0.1, alpha=3.0)
+    report = check_T_properties(RADEMACHER, RADEMACHER_F, r=0.2, s=0.1, alpha=3.0)
     assert report.homogeneity
     assert report.zero_at_zero
     assert report.t_r_scaled == pytest.approx(3.0 * report.t_r, rel=1e-8)
 
 
 def test_subadditivity_at_zero_rates():
-    report = check_T_properties(rademacher_oracle(), r=0.0, s=0.0, alpha=1.0)
+    report = check_T_properties(RADEMACHER, RADEMACHER_F, r=0.0, s=0.0, alpha=1.0)
     assert report.subadditive
     assert report.t_r_plus_s == 0.0
 
 
 def test_three_point_example_all_pass():
     dist = DiscreteDistribution([[-2.0], [1.0], [2.0]], [1.0 / 3.0] * 3)
-    f = TabulatedFunction([-2.0, 1.0, 1.0])
-    report = check_T_properties(cgf_discrete(dist, f), r=0.3, s=0.7, alpha=2.0)
+    report = check_T_properties(dist, [-2.0, 1.0, 1.0], r=0.3, s=0.7, alpha=2.0)
     assert report.homogeneity and report.zero_at_zero and report.subadditive
 
 
@@ -103,22 +86,13 @@ def test_randomized_property_suite_small():
     rng = np.random.default_rng(7)
     for _ in range(60):
         dist, f = random_centered(rng, int(rng.integers(2, 8)))
-        oracle = cgf_discrete(dist, f)
         r, s = rng.uniform(0.01, 2.0, size=2)
         alpha = rng.uniform(0.1, 10.0)
-        report = check_T_properties(oracle, r, s, alpha)
+        report = check_T_properties(dist, f, r, s, alpha)
         assert report.homogeneity and report.zero_at_zero and report.subadditive
         # concavity in r, midpoint test
-        mid = rate_bound_T(oracle, 0.5 * (r + s))
+        mid = rate_bound_T(dist, f, 0.5 * (r + s))
         assert 2.0 * mid >= report.t_r + report.t_s - 1e-8
-
-
-def test_scaled_oracle_is_cgf_of_scaled_function():
-    oracle = rademacher_oracle()
-    scaled = oracle.scaled(2.5)
-    direct = cgf_discrete(RADEMACHER, TabulatedFunction([-2.5, 2.5]))
-    for lam in (0.3, -1.2, 4.0):
-        assert scaled(lam) == pytest.approx(direct(lam), rel=1e-13)
 
 
 # validation
@@ -134,22 +108,30 @@ def test_distribution_validation():
 
 
 def test_rate_bound_rejects_bad_inputs():
-    oracle = rademacher_oracle()
-    with pytest.raises(ValueError):
-        rate_bound_T(oracle, -0.1)
-    uncentered = cgf_discrete(RADEMACHER, TabulatedFunction([0.0, 1.0]))
-    with pytest.raises(ValueError):
-        rate_bound_T(uncentered, 0.1)
+    with pytest.raises(ValueError, match="r must be nonnegative"):
+        rate_bound_T(RADEMACHER, RADEMACHER_F, -0.1)
+    with pytest.raises(ValueError, match="function is not centered"):
+        rate_bound_T(RADEMACHER, [0.0, 1.0], 0.1)
+    with pytest.raises(ValueError, match="function is not centered"):
+        rate_bound_T(RADEMACHER, [math.nan, 0.0], 0.1)
 
 
 def test_function_length_mismatch():
+    with pytest.raises(ValueError, match="function length does not match support size"):
+        rate_bound_T(RADEMACHER, [1.0, -0.5, -0.5], 0.1)
+    with pytest.raises(ValueError, match="function length does not match support size"):
+        rate_bound_T(RADEMACHER, [[-1.0, 1.0]], 0.1)
+
+
+def test_tabulated_function_validation():
     with pytest.raises(ValueError):
-        cgf_discrete(RADEMACHER, TabulatedFunction([1.0, -0.5, -0.5]))
+        TabulatedFunction([])
+    with pytest.raises(ValueError):
+        TabulatedFunction([0.0, math.inf])
 
 
 def test_check_properties_rejects_bad_parameters():
-    oracle = rademacher_oracle()
     with pytest.raises(ValueError):
-        check_T_properties(oracle, -1.0, 0.1, 1.0)
+        check_T_properties(RADEMACHER, RADEMACHER_F, -1.0, 0.1, 1.0)
     with pytest.raises(ValueError):
-        check_T_properties(oracle, 0.1, 0.1, 0.0)
+        check_T_properties(RADEMACHER, RADEMACHER_F, 0.1, 0.1, 0.0)

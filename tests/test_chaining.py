@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from tailbound.cgf import DiscreteDistribution, TabulatedFunction, cgf_discrete, rate_bound_T
+from tailbound.cgf import DiscreteDistribution, rate_bound_T
 from tailbound.chaining import (
     ChainBoundReport,
     DeflationPlan,
@@ -228,7 +228,7 @@ def test_member_T_below_wr_norm(family12):
     for i in range(family12.size):
         if family12.member_norms[i] <= 1e-12:
             continue
-        t = rate_bound_T(family12.oracle_of(family12.values[i]), 0.05)
+        t = rate_bound_T(family12.distribution, family12.values[i], 0.05)
         assert t <= w * family12.member_norms[i] + 1e-10
 
 
@@ -248,7 +248,7 @@ def test_extremal_difference_attains_wr(family12):
     assert val == pytest.approx(class_wr(family12, 0.05), abs=0.0)
     d = family12.distances[i, j]
     h = (family12.values[i] - family12.values[j]) / d
-    assert rate_bound_T(family12.oracle_of(h), 0.05) == pytest.approx(val, abs=1e-14)
+    assert rate_bound_T(family12.distribution, h, 0.05) == pytest.approx(val, abs=1e-14)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ import sys
 import numpy as np
 import pytest
 
-from tailbound.cgf import TabulatedFunction, cgf_discrete, rate_bound_T
+from tailbound.cgf import TabulatedFunction, rate_bound_T
 from tailbound.chaining import build_deflation, class_wr, optimize_deflation, theorem_main_bound
 from tailbound.cli import main
 from tailbound.gaussian import LinearFunctional, gaussian_instance_bound
@@ -48,7 +48,7 @@ class TestComputeCommands:
             ["trf", "--dist", fixtures_dir / "rademacher.json", "--f", "f", "--r", 0.05]
         )
         dist, functions = load_distribution(rademacher)
-        direct = rate_bound_T(cgf_discrete(dist, TabulatedFunction(functions["f"])), 0.05)
+        direct = rate_bound_T(dist, functions["f"], 0.05)
         assert payload["op"] == "trf"
         assert payload["function"] == "f"
         assert payload["value"] == direct
@@ -460,3 +460,26 @@ def test_malformed_input_exits_2_with_one_line(tmp_path, flag, obj, word):
     assert out == ""
     assert err.startswith("invalid input: ") and err.count("\n") == 1
     assert word in err
+
+
+# a function the rate-function solver rejects: (values, the whole message)
+BAD_FUNCTIONS = {
+    "long": ([1.0, -0.5, -0.5], "function length does not match support size"),
+    "uncentered": ([0.0, 1.0], "function is not centered: mean 0.5 exceeds 1e-10"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(BAD_FUNCTIONS))
+@pytest.mark.parametrize("command", ["trf", "verify-chernoff"])
+def test_bad_function_exits_2_with_one_line(tmp_path, command, fault):
+    values, message = BAD_FUNCTIONS[fault]
+    path = tmp_path / "dist.json"
+    path.write_text(json.dumps({**RADEMACHER_FIXTURE, "functions": {"f": values}}))
+    argv = {
+        "trf": ["trf", "--dist", path, "--f", "f", "--r", 0.1],
+        "verify-chernoff": ["verify", "--target", "chernoff", "--dist", path, "--f", "f", "--n", 10, "--r", 0.1,
+                            "--trials", 10, "--seed", 1],
+    }[command]
+    code, out, err = run_cli(argv)
+    assert code == 2 and out == ""
+    assert err == f"invalid input: {message}\n"

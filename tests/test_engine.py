@@ -13,7 +13,8 @@ import pytest
 
 import tailbound.chaining as chaining
 import tailbound.numerics as numerics
-from tailbound.cgf import DiscreteDistribution, TabulatedFunction, cgf_discrete, rate_bound_T, rate_bound_T_rows
+from oracles import cgf_reference
+from tailbound.cgf import DiscreteDistribution, rate_bound_T, rate_bound_T_rows
 from tailbound.chaining import (
     FunctionFamily,
     build_deflation,
@@ -117,9 +118,8 @@ def test_T_closed_form_at_infinity_or_replayed_at_its_lambda():
                     assert t == top and lam == math.inf
                 else:
                     interior += 1
-                    oracle = cgf_discrete(dist, TabulatedFunction(h))
                     assert 0.0 < lam < math.inf
-                    assert t == pytest.approx((rate + oracle(lam)) / lam, rel=1e-12)
+                    assert t == pytest.approx((rate + cgf_reference(dist, h, lam)) / lam, rel=1e-12)
     assert at_inf > 100 and interior > 100  # both branches are exercised
 
 
@@ -146,7 +146,7 @@ def test_T_rows_zero_rate_zero_row_and_centering():
     assert vals.tolist() == [0.0, 0.0] and lams.tolist() == [0.0, 0.0]
     vals, lams = rate_bound_T_rows(dist, rows, 0.3)
     assert vals[1] == 0.0 and lams[1] == math.inf
-    assert vals[0] == pytest.approx(rate_bound_T(cgf_discrete(dist, TabulatedFunction(rows[0])), 0.3), abs=0.0)
+    assert vals[0] == pytest.approx(rate_bound_T(dist, rows[0], 0.3), abs=0.0)
     with pytest.raises(ValueError):
         rate_bound_T_rows(dist, np.array([[1.0, 0.0, 0.0]]), 0.3)
     with pytest.raises(ValueError):
@@ -215,7 +215,7 @@ def test_extremal_pair_matches_class_wr_and_per_pair_loop():
                 d = fam.distances[a, b]
                 if a == b or d <= 1e-12:
                     continue
-                t = rate_bound_T(fam.oracle_of((fam.values[a] - fam.values[b]) / d), r)
+                t = rate_bound_T(fam.distribution, (fam.values[a] - fam.values[b]) / d, r)
                 if t > best:
                     best, pair = t, (a, b)
         assert (i, j) == pair

@@ -5,13 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from tailbound.cgf import rate_bound_T
 from tailbound.gaussian import (
     GaussianModel,
     LinearFunctional,
     cgf_norm,
-    gaussian_cgf_oracle,
-    gaussian_class_wr,
     gaussian_instance_bound,
     optimal_rank,
 )
@@ -110,14 +107,27 @@ def test_cgf_norm_closed_cases():
     assert cgf_norm(diag, LinearFunctional([0.0, 0.0])) == 0.0
 
 
+def dense_T(cgf, r: float) -> float:
+    """inf over lambda > 0 of (r + cgf(lambda)) / lambda on a geometric grid,
+    zoomed four times around its best point."""
+    lams = np.geomspace(1e-6, 1e6, 100_001)
+    for _ in range(4):
+        vals = (r + cgf(lams)) / lams
+        j = int(np.argmin(vals))
+        best = float(vals[j])
+        lams = np.linspace(lams[max(j - 1, 0)], lams[min(j + 1, lams.size - 1)], 1001)
+    return best
+
+
 @pytest.mark.parametrize("r", [0.01, 0.5, 3.0])
 def test_rate_bound_matches_sqrt_two_r(r):
+    # the base term is sqrt(2r) ||f||, the closed form of T_r for the CGF
+    # sigma^2 lambda^2 / 2 of <u, X>, which a dense lambda search confirms
     model = GaussianModel(np.diag([2.25, 1.0, 0.16]))
-    u = np.array([0.5, 0.5, 0.5])
-    oracle = gaussian_cgf_oracle(model, LinearFunctional(u))
-    want = math.sqrt(2.0 * r) * cgf_norm(model, LinearFunctional(u))
-    assert rate_bound_T(oracle, r) == pytest.approx(want, rel=1e-9)
-    assert gaussian_class_wr(r) == pytest.approx(math.sqrt(2.0 * r), rel=1e-9)
+    f = LinearFunctional(np.array([0.5, 0.5, 0.5]))
+    sigma = cgf_norm(model, f)
+    assert gaussian_instance_bound(model, f, 1, 100, r).base == math.sqrt(2.0 * r) * sigma
+    assert dense_T(lambda lam: 0.5 * sigma * sigma * lam * lam, r) == pytest.approx(sigma * math.sqrt(2.0 * r), rel=1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import maximize_on_interval
 from tailbound.numerics import (
     LAMBDA_GRID,
     NumericError,
@@ -10,23 +11,7 @@ from tailbound.numerics import (
     gauss_legendre,
     golden_section_min,
     grid_golden_min,
-    logsumexp,
-    maximize_on_interval,
 )
-
-
-def test_logsumexp_matches_naive_on_well_scaled_inputs():
-    rng = np.random.default_rng(11)
-    for _ in range(50):
-        x = rng.normal(size=rng.integers(1, 20))
-        naive = math.log(np.sum(np.exp(x)))
-        assert logsumexp(x) == pytest.approx(naive, rel=1e-12)
-
-
-def test_logsumexp_extreme_scales():
-    assert logsumexp(np.array([1000.0, 1000.0])) == pytest.approx(1000.0 + math.log(2.0))
-    assert logsumexp(np.array([-np.inf, 0.0])) == 0.0
-    assert logsumexp(np.array([-np.inf, -np.inf])) == -np.inf
 
 
 def test_golden_section_quadratic():
@@ -43,6 +28,20 @@ def test_golden_section_moves_left_of_two_infinite_probes():
     x, fx = golden_section_min(lambda t: math.inf if t >= 0.3 else (t - 0.25) ** 2, 0.2, 1.0)
     assert x == pytest.approx(0.25, abs=1e-6)
     assert fx < 1e-12
+
+
+def test_golden_section_minimizer_at_zero_stops_early():
+    # the bracket's own width sets the stop scale, so narrowing toward a
+    # minimizer at 0 ends after ~50 evaluations instead of ~1500
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        return t
+
+    x, fx = golden_section_min(f, 0.0, 2.0)
+    assert len(calls) <= 100
+    assert 0.0 <= x <= 1e-9 and fx == x
 
 
 def test_maximize_on_interval():

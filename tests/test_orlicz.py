@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from tailbound.cgf import DiscreteDistribution, TabulatedFunction
-from tailbound.numerics import NumericError, maximize_on_interval
+from oracles import maximize_on_interval
+from tailbound.numerics import NumericError
 from tailbound.orlicz import (
     OrliczGenerator,
     UnsupportedGeneratorError,

@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from tailbound.cgf import DiscreteDistribution, TabulatedFunction, cgf_discrete, rate_bound_T
+from tailbound.cgf import DiscreteDistribution, rate_bound_T
 from tailbound.chaining import FunctionFamily, extremal_difference
 from tailbound.rng import finalize, normals, substream_seed, uniforms
 from tailbound import verify
@@ -359,8 +359,7 @@ def test_chernoff_threshold_is_rate_bound(rademacher):
         support=np.asarray(rademacher["support"], dtype=float),
         probabilities=np.asarray(rademacher["probabilities"], dtype=float),
     )
-    f = TabulatedFunction(np.asarray(rademacher["functions"]["f"], dtype=float))
-    t_direct = rate_bound_T(cgf_discrete(dist, f), 0.05)
+    t_direct = rate_bound_T(dist, rademacher["functions"]["f"], 0.05)
     plan = _rademacher_plan(trials=4_000)
     boosted = run_trials(plan, threshold_override=t_direct)
     assert boosted.as_dict() == run_trials(plan).as_dict()
