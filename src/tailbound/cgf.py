@@ -16,7 +16,7 @@ import numpy as np
 
 from .numerics import cgf_rows, row_blocks
 
-CENTERING_TOL = 1e-10
+CENTERING_TOL = 1e-10  # |mean| allowed per unit of max(1, max|f|)
 PROB_SUM_TOL = 1e-12
 
 NEWTON_STEP_CAP = 4.0  # largest dual-solver step in log(lambda), a factor e^4
@@ -105,8 +105,10 @@ def rate_bound_T_rows(dist: DiscreteDistribution, rows: np.ndarray, r: float):
     if rows.ndim != 2 or rows.shape[1] != dist.size:
         raise ValueError("function length does not match support size")
     means = np.abs((rows * dist.probabilities).sum(axis=1))
-    if not np.all(means <= CENTERING_TOL):  # NaN fails too
-        raise ValueError(f"function is not centered: mean {float(means.max())!r} exceeds {CENTERING_TOL}")
+    tols = CENTERING_TOL * np.maximum(1.0, np.abs(rows).max(axis=1))
+    if not np.all(means <= tols):  # NaN fails too
+        bad = int(np.argmin(means <= tols))
+        raise ValueError(f"function is not centered: mean {float(means[bad])!r} exceeds {float(tols[bad])!r}")
     values, lambdas = np.zeros((2, rows.shape[0]))
     if r == 0.0:
         return values, lambdas

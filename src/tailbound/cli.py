@@ -31,7 +31,7 @@ from .jsonio import (
 )
 from .numerics import NumericError
 from .orlicz import conversion_factor_M, orlicz_norm, wr_exponential_type, wr_quadrature_bound
-from .verify import TrialPlan, run_trials, sweep
+from .verify import TARGETS, TrialPlan, run_trials, sweep
 
 
 def _function_values(functions: dict, name: str) -> np.ndarray:
@@ -287,7 +287,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     for name, handler in (("verify", _cmd_verify), ("sweep", _cmd_sweep)):
         p = subs.add_parser(name, help=f"Monte Carlo {name} of a probabilistic guarantee")
-        p.add_argument("--target", required=True, choices=("chernoff", "corollary", "gaussian", "theorem-main"))
+        p.add_argument("--target", required=True, choices=TARGETS)
         p.add_argument("--dist", default=None)
         p.add_argument("--f", default=None)
         p.add_argument("--family", default=None)

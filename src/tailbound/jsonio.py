@@ -7,7 +7,6 @@ serialized certificates and reports replay bit-for-bit.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 
@@ -96,7 +95,8 @@ def load_vector(obj) -> np.ndarray:
 
 
 def jsonable(x):
-    """Recursively convert numpy and dataclass values to JSON-native ones."""
+    """Recursively convert numpy values, tuples and dict keys to JSON-native
+    ones; reports arrive here as dicts, through their as_dict()."""
     if isinstance(x, (bool, np.bool_)):
         return bool(x)
     if isinstance(x, (int, np.integer)):
@@ -105,10 +105,6 @@ def jsonable(x):
         return float(x)
     if isinstance(x, np.ndarray):
         return [jsonable(v) for v in x.tolist()]
-    if dataclasses.is_dataclass(x) and not isinstance(x, type):
-        if hasattr(x, "as_dict"):
-            return jsonable(x.as_dict())
-        return {f.name: jsonable(getattr(x, f.name)) for f in dataclasses.fields(x)}
     if isinstance(x, dict):
         return {str(k): jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):

@@ -57,22 +57,20 @@ def cgf_rows(logp: np.ndarray, x: np.ndarray, mu: np.ndarray) -> np.ndarray:
 
 
 def golden_section_min(f, a, b):
-    """Minimize a unimodal f on [a, b] until the interval is GOLDEN_REL_TOL
-    wide relative to max(|a|, |b|, a quarter of the initial width); the
-    floor stops a minimizer at 0 from narrowing toward underflow.
+    """Minimize a unimodal f on each interval [a, b] of the arrays a and b,
+    all intervals in lockstep, until each is GOLDEN_REL_TOL wide relative
+    to max(|a|, |b|, a quarter of its initial width); the floor stops a
+    minimizer at 0 from narrowing toward underflow.
 
-    a and b may also be arrays of intervals, searched in lockstep; f then
-    maps arrays elementwise, and each interval stops narrowing once it has
-    converged, so its result does not depend on the others.
-    Returns (x, f(x)) at the best interior probe.
+    f maps an array of points elementwise. Each interval stops narrowing
+    once it has converged, so its result does not depend on the others.
+    Returns arrays (x, f(x)) at each interval's best interior probe.
     """
-    scalar = np.ndim(a) == 0 and np.ndim(b) == 0
-    ev = (lambda x: f(float(x))) if scalar else f  # scalar callers get floats
     a, b = np.minimum(a, b), np.maximum(a, b)
     h = b - a
     floor = 0.25 * h
     c, d = a + INV_PHI_SQ * h, a + INV_PHI * h
-    yc, yd = ev(c), ev(d)
+    yc, yd = f(c), f(d)
     active = h > GOLDEN_REL_TOL * np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
     while np.any(active):
         # the minimizer lies in [a, d]; it does too when both probes are +inf,
@@ -84,11 +82,10 @@ def golden_section_min(f, a, b):
         # left: d <- c and a new c; right: c <- d and a new d; others stay
         c, d = (np.where(left, a + INV_PHI_SQ * h, np.where(right, d, c)),
                 np.where(right, a + INV_PHI * h, np.where(left, c, d)))
-        y = ev(np.where(left, c, d))
+        y = f(np.where(left, c, d))
         yc, yd = np.where(left, y, np.where(right, yd, yc)), np.where(right, y, np.where(left, yc, yd))
         active &= h > GOLDEN_REL_TOL * np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
-    x, y = np.where(yc < yd, c, d), np.minimum(yc, yd)
-    return (float(x), float(y)) if scalar else (x, y)
+    return np.where(yc < yd, c, d), np.minimum(yc, yd)
 
 
 def grid_golden_min(f, grid, rows: int = 1, width: int = 1):
@@ -143,23 +140,20 @@ def gauss_legendre(t_max, knots=()):
 
 
 def bisect_increasing(g, lo, hi, target, rel_tol: float = 1e-12):
-    """Solve g(x) = target for increasing g on [lo, hi] by bisection.
-
-    lo, hi and target may also be arrays, bisected in lockstep as in
-    golden_section_min: g then maps arrays elementwise, and each bracket
-    stops halving once it is narrow enough, so its root does not depend on
-    the others.
+    """Solve g(x) = target for increasing g on each bracket [lo, hi] of the
+    arrays lo, hi and target, in lockstep; g maps arrays elementwise. A
+    bracket stops halving at rel_tol times max(|lo|, |hi|), so its root does
+    not depend on the others and keeps its relative accuracy near 0. A root
+    exactly at lo = 0 halves toward underflow (1040 evaluations), so callers
+    keep roots off it: the Bennett inverse maps y = 0 to 0 before bisecting.
     """
-    scalar = np.ndim(lo) == 0 and np.ndim(hi) == 0 and np.ndim(target) == 0
-    ev = (lambda x: g(float(x))) if scalar else g  # scalar callers get floats
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    if np.any(ev(lo) - target > 0.0) or np.any(ev(hi) - target < 0.0):
+    if np.any(g(lo) - target > 0.0) or np.any(g(hi) - target < 0.0):
         raise ValueError("bisection bracket does not straddle the target")
     active = hi - lo > rel_tol * np.maximum(np.maximum(np.abs(lo), np.abs(hi)), 1e-300)
     while np.any(active):
         mid = 0.5 * (lo + hi)
-        below = ev(mid) - target <= 0.0
+        below = g(mid) - target <= 0.0
         lo, hi = np.where(active & below, mid, lo), np.where(active & ~below, mid, hi)
         active &= hi - lo > rel_tol * np.maximum(np.maximum(np.abs(lo), np.abs(hi)), 1e-300)
-    root = 0.5 * (lo + hi)
-    return float(root) if scalar else root
+    return 0.5 * (lo + hi)

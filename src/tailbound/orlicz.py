@@ -49,13 +49,15 @@ class UnsupportedGeneratorError(ValueError):
 
 @dataclass(frozen=True)
 class OrliczGenerator:
-    """Exponential-type Orlicz generator: phi, its inverse, and its conjugate.
+    """Orlicz generator psi = e^phi - 1: phi, its inverse, and its conjugate.
 
-    phi and phi_inverse accept floats or numpy arrays. phi_star is a scalar
-    map returning +inf outside the conjugate's effective domain; it is None
-    only for generators with no useful conjugate (power kind). lambda_sup is
-    the supremum of {lambda > 0 : lambda t - phi(t) -> -inf}, i.e. the open
-    decay range used by the quadrature bound. phi_star_limit is the exact
+    phi and phi_inverse accept floats or numpy arrays; the kind's parameters
+    (L, p, a custom table) are bound into them. phi_star is a scalar map
+    returning +inf outside the conjugate's effective domain, or None for a
+    generator that is not of exponential type (power kind), which is how
+    exponential_type is read. lambda_sup is the supremum of
+    {lambda > 0 : lambda t - phi(t) -> -inf}, i.e. the open decay range used
+    by the quadrature bound. phi_star_limit is the exact
     lambda -> 0 limit of phi*(lambda)/lambda^2, which is also the limit of the
     conversion-factor ratio (e^{phi*} - 1)/lambda^2: 1/4 where phi(t) ~ t^2
     near 0, and 0 where phi* vanishes near 0. knots, derived from the kind,
@@ -67,12 +69,13 @@ class OrliczGenerator:
     phi: Callable
     phi_inverse: Callable
     phi_star: Callable | None
-    exponential_type: bool
     lambda_sup: float
-    L: float | None = None
-    p: float | None = None
     phi_star_limit: float = 0.0  # lim phi*(lambda) / lambda^2 as lambda -> 0+
     knots: tuple = ()
+
+    @property
+    def exponential_type(self) -> bool:
+        return self.phi_star is not None
 
     def psi(self, t):
         """psi(t) = e^{phi(t)} - 1."""
@@ -167,7 +170,6 @@ def make_generator(
             phi=lambda x: np.square(np.asarray(x, dtype=float)),
             phi_inverse=lambda y: np.sqrt(np.asarray(y, dtype=float)),
             phi_star=lambda lam: (lam * lam / 4.0) if lam >= 0.0 else 0.0,
-            exponential_type=True,
             lambda_sup=math.inf,
             phi_star_limit=0.25,
         )
@@ -177,7 +179,6 @@ def make_generator(
             phi=lambda x: np.asarray(x, dtype=float) + 0.0,
             phi_inverse=lambda y: np.asarray(y, dtype=float) + 0.0,
             phi_star=lambda lam: 0.0 if lam <= 1.0 else math.inf,
-            exponential_type=True,
             lambda_sup=1.0,
         )
     if kind == "bernstein":
@@ -189,9 +190,7 @@ def make_generator(
             phi_inverse=lambda y, _L=L: np.sqrt(np.asarray(y, dtype=float))
             + _L * np.asarray(y, dtype=float) / 2.0,
             phi_star=lambda lam, _L=L: bernstein_phi_star(lam, _L),
-            exponential_type=True,
             lambda_sup=2.0 / L,
-            L=L,
             phi_star_limit=0.25,
         )
     if kind == "bennett":
@@ -202,9 +201,7 @@ def make_generator(
             phi=lambda x, _L=L: _bennett_phi(x, _L),
             phi_inverse=lambda y, _L=L: _bennett_phi_inverse(y, _L),
             phi_star=lambda lam, _L=L: _bennett_phi_star(lam, _L),
-            exponential_type=True,
             lambda_sup=math.inf,
-            L=L,
             phi_star_limit=0.25,
         )
     if kind == "power":
@@ -217,9 +214,7 @@ def make_generator(
             phi=lambda x, _p=p: np.log1p(np.power(np.asarray(x, dtype=float), _p)),
             phi_inverse=lambda y, _p=p: np.power(np.expm1(np.asarray(y, dtype=float)), 1.0 / _p),
             phi_star=None,
-            exponential_type=False,
             lambda_sup=0.0,
-            p=p,
         )
     if kind == "custom":
         if t is None or phi is None:
@@ -256,7 +251,6 @@ def make_generator(
             phi=phi_pl,
             phi_inverse=phi_pl_inv,
             phi_star=lambda lam, _t=tk, _p=pk, _s=s_last: _table_phi_star(lam, _t, _p, _s),
-            exponential_type=True,
             lambda_sup=s_last,
             knots=tuple(tk[1:].tolist()),
         )
@@ -415,8 +409,6 @@ def conversion_factor_M(gen: OrliczGenerator) -> float:
         raise UnsupportedGeneratorError(
             f"generator kind {gen.kind!r} is not of exponential type"
         )
-    if gen.phi_star is None:
-        raise UnsupportedGeneratorError("generator has no usable convex conjugate")
     denom = exp_moment_integral(gen)
 
     def ratio(lam: float) -> float:

@@ -127,7 +127,7 @@ def _thread_count() -> int:
     return min(max(v, 1), os.cpu_count() or 1)
 
 
-def _discrete_setup(plan: TrialPlan, threshold_override):
+def _discrete_setup(plan: TrialPlan):
     """Tracked value rows, thresholds, cdf, and ceiling for discrete targets."""
     if plan.target == "chernoff":
         dist = plan.distribution
@@ -154,8 +154,6 @@ def _discrete_setup(plan: TrialPlan, threshold_override):
         tracked = fam.values
         thresholds = report.thresholds()
         ceiling = 1.0 - report.guarantee
-    if threshold_override is not None:
-        thresholds = np.full(thresholds.shape, float(threshold_override))
     cdf = np.cumsum(dist.probabilities)
     cdf[-1] = 1.0
     return tracked, thresholds, cdf, ceiling
@@ -174,7 +172,7 @@ def _count_discrete(plan, tracked, thresholds, cdf, lo, hi) -> int:
     return count
 
 
-def _gaussian_setup(plan: TrialPlan, threshold_override):
+def _gaussian_setup(plan: TrialPlan):
     model = plan.model
     d = model.dim
     dirs = normals(substream_seed(plan.root_seed, 0), plan.mesh * d).reshape(plan.mesh, d)
@@ -188,8 +186,6 @@ def _gaussian_setup(plan: TrialPlan, threshold_override):
             for u in dirs
         ]
     )
-    if threshold_override is not None:
-        totals = np.full(totals.shape, float(threshold_override))
     projector = model.sqrt_matrix() @ dirs.T  # (d, mesh)
     ceiling = 2.0 * math.exp(-plan.n * plan.r)
     return projector, totals, ceiling
@@ -213,19 +209,16 @@ def _block_ranges(trials: int, workers: int):
     return [(lo, min(lo + step, trials)) for lo in range(0, trials, step)]
 
 
-def run_trials(plan: TrialPlan, threshold_override: float = None) -> VerificationReport:
-    """Execute the plan and report the observed violation frequency.
-
-    threshold_override replaces every precomputed threshold by a constant;
-    it exists for harness sanity checks (e.g. impossible thresholds must
-    yield violation rate 1) and is never set in normal operation.
-    """
+def run_trials(plan: TrialPlan) -> VerificationReport:
+    """Execute the plan and report the observed violation frequency: the
+    share of trials in which some tracked function's empirical mean exceeds
+    the threshold the plan's target derives for it."""
     workers = _thread_count()
     if plan.target == "gaussian":
-        projector, totals, ceiling = _gaussian_setup(plan, threshold_override)
+        projector, totals, ceiling = _gaussian_setup(plan)
         counter = lambda lo, hi: _count_gaussian(plan, projector, totals, lo, hi)
     else:
-        tracked, thresholds, cdf, ceiling = _discrete_setup(plan, threshold_override)
+        tracked, thresholds, cdf, ceiling = _discrete_setup(plan)
         counter = lambda lo, hi: _count_discrete(plan, tracked, thresholds, cdf, lo, hi)
 
     ranges = _block_ranges(plan.trials, workers)

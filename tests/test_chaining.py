@@ -100,6 +100,21 @@ def random_family(rng, size, support_points=6, scale=1.0):
     return FunctionFamily(dist, members)
 
 
+@pytest.mark.parametrize("scale", [1e6, 1e8])
+def test_centering_rule_scales_with_the_family(family12, scale):
+    # an absolute 1e-10 rejected family12 times 1e6: member b1's mean
+    # rounds to 2e-10 there
+    scaled = FunctionFamily(family12.distribution, {n: scale * v for n, v in family12.members.items()})
+    for r in (0.05, 0.5, 5.0):
+        assert class_wr(scaled, r) == pytest.approx(class_wr(family12, r), rel=1e-12)
+        for i in range(family12.size):
+            want = scale * rate_bound_T(family12.distribution, family12.values[i], r)
+            assert rate_bound_T(scaled.distribution, scaled.values[i], r) == pytest.approx(want, rel=1e-12)
+    got, want = (optimize_deflation(f, 200, 0.05, (0, 1, 2, 3)) for f in (scaled, family12))
+    assert got.plan.k == want.plan.k
+    assert got.objective / scale == pytest.approx(want.objective, rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # functional norm
 
@@ -322,7 +337,8 @@ def test_build_deflation_two_cluster(family12):
     )
     assert deflated.member_map == (0, 1, 2, 3, 4, 5, 0, 0, 0, 0, 0, 0)
     assert deflated.zero_pos == 0
-    assert deflated.norms == pytest.approx(deflated.dist[:, 0], abs=0.0)
+    # the deflated norms, the column at zero_pos, are those of l1..l5
+    assert deflated.dist[:, deflated.zero_pos] == pytest.approx(family12.member_norms[:6], abs=0.0)
 
 
 def test_build_deflation_identity_when_budget_covers(family12):
@@ -431,7 +447,7 @@ def test_gamma_two_point_closed_form():
     )
     deflated = deflate(fam, trivial_plan(fam))
     val, cert = gamma_functional(deflated, fam, 50)
-    want = 2.0 * class_wr(fam, 10.0 * LOG2 / 50.0) * float(deflated.norms[1])
+    want = 2.0 * class_wr(fam, 10.0 * LOG2 / 50.0) * float(deflated.dist[1, deflated.zero_pos])
     assert val == pytest.approx(want, rel=1e-12)
     assert cert["rates"] == pytest.approx((10.0 * LOG2 / 50.0,), rel=1e-15)
 
@@ -554,7 +570,7 @@ def test_optimize_two_cluster_family(family12):
     assert out.objective < trivial_obj
     assert out.objective == pytest.approx(0.22139705225613043, rel=1e-9)
     # the objective is the reported quantity for the winning plan
-    want = out.report.total_rhs + (out.report.w_shift - out.report.w_r) * family12.max_member_norm()
+    want = out.report.total_rhs + (out.report.w_shift - out.report.w_r) * np.max(family12.member_norms)
     assert out.objective == pytest.approx(want, abs=1e-14)
 
 

@@ -483,3 +483,30 @@ def test_bad_function_exits_2_with_one_line(tmp_path, command, fault):
     code, out, err = run_cli(argv)
     assert code == 2 and out == ""
     assert err == f"invalid input: {message}\n"
+
+
+# members that each meet the centering rule while their normalized
+# differences, in floating point, do not: a cross pair whose difference has
+# mean 1.6e-10, and a pair of near duplicates
+UNIFORM4_FIXTURE = {"support": [[0.0], [1.0], [2.0], [3.0]], "probabilities": [0.25] * 4}
+NEARLY_CENTERED_DIFFERENCES = {
+    "cross": {"zero": [0.0] * 4, "a": [1.0, -1.0, 0.5, -0.5 + 3.6e-10], "b": [-0.5, 0.5 - 3.6e-10, 1.0, -1.0]},
+    "near-duplicates": {"zero": [0.0] * 4, "a": [1.0, -1.0, 0.5, -0.5], "a2": [1.00000001, -1.0, 0.5, -0.50000001]},
+}
+
+
+@pytest.mark.parametrize("family", sorted(NEARLY_CENTERED_DIFFERENCES))
+@pytest.mark.parametrize("command", ["class-wr", "optimize", "chain-bound", "verify"])
+def test_member_differences_meet_the_centering_rule(tmp_path, command, family):
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps({**UNIFORM4_FIXTURE, "functions": NEARLY_CENTERED_DIFFERENCES[family]}))
+    argv = {
+        "class-wr": ["class-wr", "--family", path, "--r", 0.5],
+        "optimize": ["optimize", "--family", path, "--n", 50, "--r", 0.1, "--k-candidates", "0,1"],
+        "chain-bound": ["chain-bound", "--family", path, "--k", 0, "--n", 50, "--r", 0.1],
+        "verify": ["verify", "--target", "corollary", "--family", path, "--n", 50, "--r", 0.1,
+                   "--trials", 100, "--seed", 1],
+    }[command]
+    code, out, err = run_cli(argv)
+    assert (code, err) == (0, "")
+    json.loads(out)

@@ -215,7 +215,9 @@ def test_extremal_pair_matches_class_wr_and_per_pair_loop():
                 d = fam.distances[a, b]
                 if a == b or d <= 1e-12:
                     continue
-                t = rate_bound_T(fam.distribution, (fam.values[a] - fam.values[b]) / d, r)
+                h = ((fam.values[a] - fam.values[b]) / d)[None, :]
+                h = h - (h * fam.distribution.probabilities).sum(axis=1)[:, None]
+                t = rate_bound_T(fam.distribution, h[0], r)
                 if t > best:
                     best, pair = t, (a, b)
         assert (i, j) == pair

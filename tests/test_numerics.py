@@ -12,6 +12,7 @@ from tailbound.numerics import (
     golden_section_min,
     grid_golden_min,
 )
+from tailbound.orlicz import make_generator
 
 
 def test_golden_section_quadratic():
@@ -140,6 +141,14 @@ def test_bisect_increasing():
     assert root == pytest.approx(2.0, rel=1e-10)
     with pytest.raises(ValueError):
         bisect_increasing(lambda x: x, 0.0, 1.0, target=5.0)
+
+
+@pytest.mark.parametrize("y", [1e-300, 1e-30, 1e-12, 1.0])
+def test_bisect_increasing_keeps_relative_accuracy_near_zero(y):
+    # the stop width has no absolute floor: the Bennett inverse, a bisection
+    # on [0, hi], keeps phi(t) within 1e-11 y of y down to y = 1e-300
+    gen = make_generator("bennett", L=1.0)
+    assert abs(float(gen.phi(gen.phi_inverse(y))) - y) <= 1e-11 * y
 
 
 def test_bisect_increasing_arrays_in_lockstep():

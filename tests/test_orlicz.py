@@ -506,13 +506,12 @@ def test_wr_exponential_rejects_nonpositive_M():
 @pytest.mark.parametrize(
     "gen",
     [
-        make_generator("sub-gaussian"),
-        make_generator("bernstein", L=0.5),
-        make_generator("bernstein", L=2.0),
-        make_generator("bernstein", L=10.0),
-        make_generator("bennett", L=1.0),
+        pytest.param(make_generator("sub-gaussian"), id="sub-gaussian-None"),
+        pytest.param(make_generator("bernstein", L=0.5), id="bernstein-0.5"),
+        pytest.param(make_generator("bernstein", L=2.0), id="bernstein-2.0"),
+        pytest.param(make_generator("bernstein", L=10.0), id="bernstein-10.0"),
+        pytest.param(make_generator("bennett", L=1.0), id="bennett-1.0"),
     ],
-    ids=lambda g: f"{g.kind}-{g.L}",
 )
 @pytest.mark.parametrize("r", [0.1, 1.0, 10.0])
 def test_quadrature_never_exceeds_exponential_type(gen, r):

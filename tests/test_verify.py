@@ -56,6 +56,18 @@ def _rademacher_plan(**overrides):
     return TrialPlan(**kwargs)
 
 
+def _override_thresholds(monkeypatch, value):
+    """Make run_trials compare every discrete target's tracked rows with the
+    constant `value` in place of the thresholds it derives."""
+    setup = verify._discrete_setup
+
+    def constant(plan):
+        tracked, thresholds, cdf, ceiling = setup(plan)
+        return tracked, np.full(thresholds.shape, float(value)), cdf, ceiling
+
+    monkeypatch.setattr(verify, "_discrete_setup", constant)
+
+
 class TestRng:
     def test_finalize_matches_pure_python(self):
         for z in (0, 1, 2**63, 0xDEADBEEF, _MASK, 0x123456789ABCDEF0):
@@ -201,17 +213,19 @@ class TestRunTrials:
         rep = run_trials(plan)
         assert rep.guarantee / 50 < rep.rate <= rep.guarantee
 
-    def test_threshold_override_impossible(self):
+    def test_threshold_override_impossible(self, monkeypatch):
         plan = _rademacher_plan(trials=500)
-        rep = run_trials(plan, threshold_override=-1.0)
+        _override_thresholds(monkeypatch, -1.0)
+        rep = run_trials(plan)
         assert rep.violations == 500
         assert rep.rate == 1.0
         assert rep.stderr == 0.0
         assert not rep.passed
 
-    def test_threshold_override_unreachable(self):
+    def test_threshold_override_unreachable(self, monkeypatch):
         plan = _rademacher_plan(trials=500)
-        rep = run_trials(plan, threshold_override=2.0)
+        _override_thresholds(monkeypatch, 2.0)
+        rep = run_trials(plan)
         # |empirical mean| <= 1 for a sign function
         assert rep.violations == 0
         assert rep.passed
@@ -353,7 +367,7 @@ class TestSweep:
             sweep(plan, n_values=[10, 0])
 
 
-def test_chernoff_threshold_is_rate_bound(rademacher):
+def test_chernoff_threshold_is_rate_bound(rademacher, monkeypatch):
     # the harness thresholds chernoff runs at T_r of the tracked function
     dist = DiscreteDistribution(
         support=np.asarray(rademacher["support"], dtype=float),
@@ -361,5 +375,7 @@ def test_chernoff_threshold_is_rate_bound(rademacher):
     )
     t_direct = rate_bound_T(dist, rademacher["functions"]["f"], 0.05)
     plan = _rademacher_plan(trials=4_000)
-    boosted = run_trials(plan, threshold_override=t_direct)
-    assert boosted.as_dict() == run_trials(plan).as_dict()
+    plain = run_trials(plan)
+    _override_thresholds(monkeypatch, t_direct)
+    boosted = run_trials(plan)
+    assert boosted.as_dict() == plain.as_dict()

@@ -1,0 +1,99 @@
+"""Compare the CLI outputs of two source trees on the benchmark's jobs.
+
+    python3 tools/compare_outputs.py dump --src DIR --out FILE
+    python3 tools/compare_outputs.py diff A B
+
+`dump` runs the jobs of both benchmark workloads, seeds 1-3, as this
+checkout's bench/workloads.py (only imported) defines them, through the
+`tailbound.cli.main` of DIR/src, DIR being a checkout's root, and saves each
+job's exit code, output and stderr in FILE. `diff` lists the jobs whose
+records differ, with the largest relative change among their JSON floats;
+it exits 1 if any do.
+"""
+
+import os
+
+# One thread everywhere, as in bench/run.py, before numpy is imported.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "TAILBOUND_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse
+import contextlib
+import io
+import itertools
+import json
+import sys
+import tempfile
+
+
+def dump(src: str, out: str) -> int:
+    bench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+    sys.path[:0] = [os.path.join(src, "src"), bench]
+    import tailbound.cli
+    import workloads
+    records = {}
+    for workload, seed in itertools.product(workloads.NAMES, (1, 2, 3)):
+        with tempfile.TemporaryDirectory() as workdir:
+            inputs = workloads.generate(workload, seed)
+            workloads.write_inputs(inputs, workdir)
+            parsed = {}  # earlier outputs of the round, which later jobs' argv may read
+            for i, job in enumerate(workloads.jobs(workload, seed, inputs, workdir)):
+                job.output = os.path.join(workdir, f"out-{i}.json")
+                argv = (job.argv(parsed) if callable(job.argv) else job.argv) + ["--output", job.output]
+                with contextlib.redirect_stderr(io.StringIO()) as err:
+                    rc = tailbound.cli.main(argv)
+                text = ""
+                if rc == 0:
+                    with open(job.output, encoding="utf-8") as fh:
+                        text = fh.read()
+                    parsed[job.name] = json.loads(text)
+                records[f"{workload} seed {seed}: {job.name}"] = {"rc": rc, "output": text, "stderr": err.getvalue()}
+    with open(out, "w", encoding="utf-8") as fh:
+        json.dump(records, fh, indent=1)
+    return 0
+
+
+def _floats(text: str):
+    """(the parsed JSON text with each float replaced by 0.0, the floats in order)."""
+    found = []
+    return json.loads(text or "null", parse_float=lambda s: found.append(float(s)) or 0.0), found
+
+
+def diff(path_a: str, path_b: str) -> int:
+    with open(path_a, encoding="utf-8") as fa, open(path_b, encoding="utf-8") as fb:
+        a, b = json.load(fa), json.load(fb)
+    jobs = sorted(set(a) | set(b))
+    differing = [job for job in jobs if a.get(job) != b.get(job)]
+    missing = {"rc": None, "output": "", "stderr": ""}  # a job only one dump ran
+    for job in differing:
+        ra, rb = a.get(job, missing), b.get(job, missing)
+        notes = [f"exit code {ra['rc']} -> {rb['rc']}"] if ra["rc"] != rb["rc"] else []
+        if ra["stderr"] != rb["stderr"]:
+            notes.append("stderr differs")
+        (shape_a, floats_a), (shape_b, floats_b) = _floats(ra["output"]), _floats(rb["output"])
+        if shape_a != shape_b or len(floats_a) != len(floats_b):
+            notes.append("non-float output differs")
+        else:
+            rel = [abs(x - y) / max(abs(x), abs(y)) for x, y in zip(floats_a, floats_b) if x != y]
+            if rel:
+                notes.append(f"{len(rel)} floats differ, largest relative change {max(rel):.3g}")
+        print(f"{job}: {'; '.join(notes)}")
+    print(f"{len(differing)} of {len(jobs)} jobs differ")
+    return 1 if differing else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    p = sub.add_parser("dump", help="run the benchmark jobs of one checkout and record their outputs")
+    p.add_argument("--src", required=True, help="root of the checkout whose src/ to run")
+    p.add_argument("--out", required=True, help="JSON file to write")
+    p = sub.add_parser("diff", help="list the jobs whose records differ between two dumps")
+    p.add_argument("a")
+    p.add_argument("b")
+    args = parser.parse_args(argv)
+    return dump(args.src, args.out) if args.command == "dump" else diff(args.a, args.b)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
