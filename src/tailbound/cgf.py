@@ -78,6 +78,25 @@ class TabulatedFunction:
         object.__setattr__(self, "values", _readonly(values))
 
 
+def check_rows(dist: DiscreteDistribution, rows, centered: bool = True) -> np.ndarray:
+    """rows as a float (count, support) array, checked to have one column per
+    support point, only finite values and, when `centered`, each row's
+    p-weighted mean within CENTERING_TOL * max(1, max|row|) of 0. A failed
+    check raises ValueError; a NaN row fails the centering check."""
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != dist.size:
+        raise ValueError("function length does not match support size")
+    if centered:
+        means = np.abs((rows * dist.probabilities).sum(axis=1))
+        tols = CENTERING_TOL * np.maximum(1.0, np.abs(rows).max(axis=1))
+        if not np.all(means <= tols):  # NaN fails too
+            bad = int(np.argmin(means <= tols))
+            raise ValueError(f"function is not centered: mean {float(means[bad])!r} exceeds {float(tols[bad])!r}")
+    if not np.all(np.isfinite(rows)):  # an infinite value can pass the rule above
+        raise ValueError("function values must be finite")
+    return rows
+
+
 def rate_bound_T(dist: DiscreteDistribution, values, r: float) -> float:
     """T_r(f) = inf_{lambda >= 0} (r + Lambda(lambda)) / lambda of one centered
     function tabulated on dist's support: rate_bound_T_rows of a single row."""
@@ -101,14 +120,7 @@ def rate_bound_T_rows(dist: DiscreteDistribution, rows: np.ndarray, r: float):
     """
     if not (r >= 0.0):
         raise ValueError("r must be nonnegative")
-    rows = np.asarray(rows, dtype=float)
-    if rows.ndim != 2 or rows.shape[1] != dist.size:
-        raise ValueError("function length does not match support size")
-    means = np.abs((rows * dist.probabilities).sum(axis=1))
-    tols = CENTERING_TOL * np.maximum(1.0, np.abs(rows).max(axis=1))
-    if not np.all(means <= tols):  # NaN fails too
-        bad = int(np.argmin(means <= tols))
-        raise ValueError(f"function is not centered: mean {float(means[bad])!r} exceeds {float(tols[bad])!r}")
+    rows = check_rows(dist, rows)
     values, lambdas = np.zeros((2, rows.shape[0]))
     if r == 0.0:
         return values, lambdas

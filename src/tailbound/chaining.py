@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cgf import CENTERING_TOL, DiscreteDistribution, TabulatedFunction, rate_bound_T_rows
+from .cgf import CENTERING_TOL, DiscreteDistribution, TabulatedFunction, check_rows, rate_bound_T_rows
 from .numerics import NumericError, cgf_rows, grid_golden_min, row_blocks
 from .orlicz import OrliczGenerator, orlicz_norm_rows
 
@@ -32,8 +32,7 @@ EXACT_GAMMA_LIMIT = 8  # exhaustive nested-sequence threshold for gamma
 
 
 NORM_GRID = np.power(2.0, np.arange(-40, 61) / 2.0)  # |lambda| grid in units of 1/max|h|
-NORM_MEMO_BYTES = 1 << 24  # row bytes a family's norm memo may hold
-WR_CACHE_SIZE = 64  # rates whose w_r pass a family keeps
+CACHE_SIZE = 64  # rates whose w_r pass, and plans whose deflated set, a family keeps
 
 
 def cgf_functional_norm(dist: DiscreteDistribution, values: np.ndarray):
@@ -45,19 +44,16 @@ def cgf_functional_norm(dist: DiscreteDistribution, values: np.ndarray):
     geometric NORM_GRID for h and for -h: one tensor op over all rows, then
     golden section around each side's best point, rows in lockstep and in
     blocks of bounded size.
-    Requires centered rows, else the supremum diverges at lambda -> 0.
+    Requires finite rows centered by the rule of cgf.check_rows, else the
+    supremum diverges at lambda -> 0.
     """
     values = np.asarray(values, dtype=float)
-    rows = np.atleast_2d(values)
-    if rows.ndim != 2 or rows.shape[1] != dist.size:
-        raise ValueError("values length does not match support size")
+    rows = check_rows(dist, np.atleast_2d(values))
     mask = dist.probabilities > 0.0
     probs = dist.probabilities[mask]
     h = rows[:, mask]
     vmax = np.abs(h).max(axis=1)
     means = (h * probs).sum(axis=1)
-    if np.any(np.abs(means) > 1e-8 * np.maximum(vmax, 1.0)):
-        raise ValueError("CGF functional norm requires a centered function")
     norms = np.zeros(h.shape[0])
     live = np.nonzero(vmax > 0.0)[0]
     logp = np.log(probs)
@@ -84,9 +80,11 @@ class FunctionFamily:
 
     members: mapping name -> values (one per support point), in a stable
     order. norm_context selects the metric: "cgf" for the CGF functional or
-    an OrliczGenerator instance. Member and pairwise difference norms are
-    computed at construction through a bounded memo keyed by row bytes, which
-    deflate reuses; the w_r pass of each rate is cached.
+    an OrliczGenerator instance. Construction norms every member difference
+    once, re-centered (distances); member_norms is the zero member's row of
+    distances, since a member's norm is its distance to 0. The family caches
+    the w_r pass of each rate and the deflated set of each plan, CACHE_SIZE
+    of each.
     """
 
     distribution: DiscreteDistribution
@@ -115,48 +113,49 @@ class FunctionFamily:
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "zero_index", int(zeros[0]))
         object.__setattr__(self, "members", {n: values[i] for i, n in enumerate(names)})
-        object.__setattr__(self, "_norm_memo", {})
-        wr_pass = functools.lru_cache(maxsize=WR_CACHE_SIZE)(functools.partial(_extremal_pass, self))
-        object.__setattr__(self, "_wr_pass", wr_pass)
-        norms = self.norms(values)
-        norms.flags.writeable = False
-        object.__setattr__(self, "member_norms", norms)
-        object.__setattr__(self, "distances", self.pair_distances(values))
+        for name, fn in (("_wr_pass", _extremal_pass), ("_deflate", _deflate)):
+            object.__setattr__(self, name, functools.lru_cache(maxsize=CACHE_SIZE)(functools.partial(fn, self)))
+        object.__setattr__(self, "distances", _distances(self, values))
+        object.__setattr__(self, "member_norms", self.distances[self.zero_index])
 
     @property
     def size(self) -> int:
         return len(self.names)
 
-    def norms(self, rows: np.ndarray) -> np.ndarray:
-        """Norms of the rows of a (count, support) array: memo hits, and one
-        batched call for the rest, kept while the memo is under NORM_MEMO_BYTES."""
-        rows = np.asarray(rows, dtype=float)
-        keys = [row.tobytes() for row in rows]
-        memo = self._norm_memo
-        fresh = {key: i for i, key in enumerate(keys) if key not in memo}
-        if fresh:
-            todo = rows[list(fresh.values())]
-            if self.norm_context == "cgf":
-                computed = cgf_functional_norm(self.distribution, todo)
-            else:
-                computed = orlicz_norm_rows(self.distribution, todo, self.norm_context)
-            fresh = dict(zip(fresh, computed.tolist()))
-            room = NORM_MEMO_BYTES // (8 * rows.shape[1]) - len(memo)
-            memo.update(itertools.islice(fresh.items(), max(room, 0)))
-        return np.array([fresh[k] if k in fresh else memo[k] for k in keys])
 
-    def pair_distances(self, values: np.ndarray) -> np.ndarray:
-        """(q, q) symmetric matrix of the norms of values[a] - values[b]; the
-        difference rows are built and normed block by block."""
-        q = values.shape[0]
-        iu, ju = np.triu_indices(q, 1)
-        dist = np.zeros((q, q))
-        for blk in row_blocks(iu.size, values.shape[1]):
-            d = self.norms(values[iu[blk]] - values[ju[blk]])
-            dist[iu[blk], ju[blk]] = d
-            dist[ju[blk], iu[blk]] = d
-        dist.flags.writeable = False
-        return dist
+def _differences(dist: DiscreteDistribution, values: np.ndarray, i, j, fn, scale=None) -> np.ndarray:
+    """fn, one float per row, of the rows values[i] - values[j] (index arrays),
+    divided by scale when given and re-centered to p-weighted mean 0, formed
+    block by block. Re-centering keeps the rounding mean of a difference of
+    nearby members, which the centering rule allows, out of norms and T_r."""
+    out = np.zeros(len(i))
+    for blk in row_blocks(len(i), values.shape[1]):
+        rows = values[i[blk]] - values[j[blk]]
+        if scale is not None:
+            rows /= scale[blk, None]
+        rows -= (rows * dist.probabilities).sum(axis=1)[:, None]
+        out[blk] = fn(rows)
+    return out
+
+
+def _distances(family: FunctionFamily, values: np.ndarray, known=None) -> np.ndarray:
+    """Read-only symmetric matrix of the family-metric distances between the
+    rows of values. Entries above the diagonal, in np.triu_indices order, are
+    taken from `known` where it is not NaN; the rest are normed."""
+    dist, ctx = family.distribution, family.norm_context
+
+    def norm(rows):
+        return cgf_functional_norm(dist, rows) if ctx == "cgf" else orlicz_norm_rows(dist, rows, ctx)
+
+    q = len(values)
+    iu, ju = np.triu_indices(q, 1)
+    upper = np.full(iu.size, np.nan) if known is None else known
+    todo = np.isnan(upper)
+    upper[todo] = _differences(dist, values, iu[todo], ju[todo], norm)
+    out = np.zeros((q, q))
+    out[iu, ju] = out[ju, iu] = upper
+    out.flags.writeable = False
+    return out
 
 
 def _extremal_pass(family: FunctionFamily, r: float):
@@ -165,13 +164,9 @@ def _extremal_pass(family: FunctionFamily, r: float):
     if not (r >= 0.0):
         raise ValueError("r must be nonnegative")
     pairs = np.argwhere(family.distances > ZERO_NORM_TOL)
-    t = np.zeros(len(pairs))
-    for blk in row_blocks(len(pairs), family.values.shape[1]):
-        i, j = pairs[blk, 0], pairs[blk, 1]
-        rows = (family.values[i] - family.values[j]) / family.distances[i, j][:, None]
-        # re-centered: members within the centering rule can differ by more
-        rows -= (rows * family.distribution.probabilities).sum(axis=1)[:, None]
-        t[blk] = rate_bound_T_rows(family.distribution, rows, r)[0]
+    dist, (i, j) = family.distribution, pairs.T
+    scale = family.distances[i, j]
+    t = _differences(dist, family.values, i, j, lambda rows: rate_bound_T_rows(dist, rows, r)[0], scale)
     if not len(pairs):
         return 0.0, None
     best = int(np.argmax(t))  # the first maximum: ties go to the smallest (i, j)
@@ -252,20 +247,11 @@ def build_deflation(family: FunctionFamily, k: int) -> DeflationPlan:
     """
     if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 1:
         raise ValueError("k must be a positive integer")
-    dist = family.distances
-    centers = _farthest_first(dist, [family.zero_index], _center_budget(k, family.size))
-    norms = family.member_norms
-    assignment = []
-    for i in range(family.size):
-        best_c = family.zero_index
-        best_d = dist[i, family.zero_index]
-        for c in sorted(centers):
-            if norms[c] > norms[i] + PLAN_NORM_SLACK:
-                continue
-            if dist[i, c] < best_d:
-                best_d = dist[i, c]
-                best_c = c
-        assignment.append(best_c)
+    z, norms = family.zero_index, family.member_norms
+    centers = _farthest_first(family.distances, [z], _center_budget(k, family.size))
+    order = np.array([z] + sorted(set(centers) - {z}))  # the zero member first: it wins ties
+    admissible = norms[order][None, :] <= norms[:, None] + PLAN_NORM_SLACK
+    assignment = order[np.argmin(np.where(admissible, family.distances[:, order], np.inf), axis=1)]
     plan = DeflationPlan(tuple(assignment), int(k))
     validate_plan(family, plan)
     return plan
@@ -287,30 +273,33 @@ class DeflatedSet:
 
 
 def deflate(family: FunctionFamily, plan: DeflationPlan) -> DeflatedSet:
+    """The deflated set {f - A[f]} of a plan, which is validated on every call;
+    the family builds it once per assignment and caches it."""
     validate_plan(family, plan)
-    rows = []
-    labels = []
-    keys = {}
-    member_map = []
-    for i in range(family.size):
-        h = family.values[i] - family.values[plan.assignment[i]]
-        key = h.tobytes()
+    return family._deflate(plan.assignment)
+
+
+def _deflate(family: FunctionFamily, assignment: tuple) -> DeflatedSet:
+    """Deflated rows f_m - f_c, deduplicated by their bytes, each kept with the
+    (member m, anchor c) that first gives it. Distances come from the family
+    by identity where one holds, and only the other pairs are normed."""
+    rows, keys, member_map, origin = family.values - family.values[list(assignment)], {}, [], []
+    for i, c in enumerate(assignment):
+        key = rows[i].tobytes()
         if key not in keys:
-            keys[key] = len(rows)
-            rows.append(h)
-            labels.append(f"{family.names[i]}-{family.names[plan.assignment[i]]}")
+            keys[key] = len(origin)
+            origin.append((i, c))
         member_map.append(keys[key])
-    values = np.array(rows)
-    zero_pos = keys[np.zeros(family.values.shape[1]).tobytes()]
-    dist = family.pair_distances(values)
+    m, c = np.array(origin).T
+    values = rows[m]
     values.flags.writeable = False
-    return DeflatedSet(
-        values=values,
-        labels=tuple(labels),
-        zero_pos=zero_pos,
-        member_map=tuple(member_map),
-        dist=dist,
-    )
+    zero_pos = keys[np.zeros(family.values.shape[1]).tobytes()]
+    a, b, fd = *np.triu_indices(len(origin), 1), family.distances
+    known = np.where(c[a] == c[b], fd[m[a], m[b]], np.nan)  # (f - c) - (g - c) = f - g
+    known = np.where(b == zero_pos, fd[m[a], c[a]], known)  # a row's distance to 0 is its member's to its anchor
+    known = np.where(a == zero_pos, fd[m[b], c[b]], known)
+    labels = tuple(f"{family.names[i]}-{family.names[j]}" for i, j in origin)
+    return DeflatedSet(values, labels, zero_pos, tuple(member_map), _distances(family, values, known))
 
 
 def _coverage_radius(dist: np.ndarray, subset) -> float:

@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cgf import DiscreteDistribution, TabulatedFunction
+from .cgf import DiscreteDistribution, TabulatedFunction, check_rows
 from .numerics import (
     LAMBDA_GRID,
     QUAD_NODES,
@@ -265,9 +265,7 @@ def orlicz_norm_rows(dist: DiscreteDistribution, rows: np.ndarray, gen: OrliczGe
     root; bisection runs to relative width 1e-10, and each value satisfies
     E psi(|Y|/value) <= 1 + 1e-9 while value (1 - 1e-8) gives more than 1.
     """
-    rows = np.asarray(rows, dtype=float)
-    if rows.ndim != 2 or rows.shape[1] != dist.size:
-        raise ValueError("function length does not match support size")
+    rows = check_rows(dist, rows, centered=False)
     mask = dist.probabilities > 0.0
     probs = dist.probabilities[mask]
     absv = np.abs(rows[:, mask])

@@ -31,6 +31,7 @@ from tailbound.chaining import (
     trivial_plan,
     validate_plan,
 )
+from tailbound.jsonio import load_family, load_json
 from tailbound.orlicz import make_generator
 
 LOG2 = math.log(2.0)
@@ -545,6 +546,24 @@ def test_certificate_replays_to_report(family12, k):
     assert replay["epsilon_sum"] == pytest.approx(rep.epsilon_sum, abs=1e-12)
     assert replay["total_rhs"] == pytest.approx(rep.total_rhs, abs=1e-12)
     assert replay["epsilon_values"] == pytest.approx(rep.epsilon_values, abs=1e-12)
+
+
+@pytest.mark.parametrize("norm", ["cgf", "bernstein"])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_certificate_replays_bit_for_bit_on_a_fresh_family(fixtures_dir, norm, k):
+    """The replay rebuilds the family from its JSON, so no cache is shared
+    with the run that made the report."""
+    def load():
+        context = "cgf" if norm == "cgf" else make_generator("bernstein", L=1.0)
+        return load_family(load_json(fixtures_dir / "family12.json"), context)
+
+    fam = load()
+    plan = trivial_plan(fam) if k == 0 else build_deflation(fam, k)
+    rep = theorem_main_bound(fam, plan, 200, 0.05)
+    replay = replay_certificate(load(), rep)
+    assert replay["gamma_value"] == rep.gamma_value
+    assert replay["epsilon_values"] == rep.epsilon_values
+    assert replay["total_rhs"] == rep.total_rhs
 
 
 def test_certificate_tamper_detected(family12):

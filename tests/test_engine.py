@@ -1,5 +1,7 @@
 """The batched rate-function engine: dual-form T_r, the batched CGF norm,
-the family's norm memo and the shared w_r / extremal-pair pass.
+the family's distances by index (one re-centering difference helper,
+identity reuse in deflate, a per-plan cache) and the shared w_r /
+extremal-pair pass.
 
 References here are dense lambda grids with zoom refinement, computed apart
 from the library's solvers; the random distributions are those of
@@ -24,7 +26,7 @@ from tailbound.chaining import (
     extremal_difference,
     trivial_plan,
 )
-from tailbound.orlicz import make_generator
+from tailbound.orlicz import make_generator, orlicz_norm_rows
 
 REL = 1e-10
 
@@ -153,6 +155,27 @@ def test_T_rows_zero_rate_zero_row_and_centering():
         rate_bound_T_rows(dist, rows[:, :2], 0.3)
 
 
+UNIFORM4 = DiscreteDistribution(np.arange(4.0)[:, None], np.full(4, 0.25))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_norms_reject_non_finite_rows(bad):
+    row = np.array([1.0, -1.0, bad, 0.0])
+    with pytest.raises(ValueError):
+        cgf_functional_norm(UNIFORM4, row)
+    with pytest.raises(ValueError):
+        orlicz_norm_rows(UNIFORM4, row[None, :], make_generator("sub-gaussian"))
+
+
+def test_cgf_norm_centering_rule_is_the_T_r_rule():
+    row = [1.0 + 4e-9, -1.0, 0.5, -0.5]  # mean 1e-9: inside 1e-8, outside 1e-10
+    with pytest.raises(ValueError, match="function is not centered") as norm_err:
+        cgf_functional_norm(UNIFORM4, row)
+    with pytest.raises(ValueError, match="function is not centered") as rate_err:
+        rate_bound_T(UNIFORM4, row, 0.3)
+    assert str(norm_err.value) == str(rate_err.value)
+
+
 def test_row_blocks_bound_the_tensor():
     blocks = numerics.row_blocks(10_000, 202 * 12)
     assert sum(b.stop - b.start for b in blocks) == 10_000
@@ -178,30 +201,55 @@ def _random_family(seed, size=9, support=6, norm_context="cgf"):
     return FunctionFamily(dist, members, norm_context)
 
 
+def _recentered(h, p):
+    """The row h minus its p-weighted mean, as the family's difference helper
+    forms it: a (1, support) array."""
+    h = h[None, :]
+    return h - (h * p).sum(axis=1)[:, None]
+
+
 @pytest.mark.parametrize("norm_context", ["cgf", make_generator("bernstein", L=1.0)])
 def test_deflate_at_k0_reuses_every_family_norm(monkeypatch, norm_context):
-    fam = _random_family(3, norm_context=norm_context)
-    calls = []
-    for name in ("cgf_functional_norm", "orlicz_norm_rows"):
-        original = getattr(chaining, name)
-        monkeypatch.setattr(chaining, name, lambda *a, _f=original: calls.append(a[1].shape[0]) or _f(*a))
+    fam = _random_family(3, size=14, norm_context=norm_context)  # k = 2 gives anchors besides 0
+    p = fam.distribution.probabilities
+    name = "cgf_functional_norm" if norm_context == "cgf" else "orlicz_norm_rows"
+    original = getattr(chaining, name)
+    normed = []
+    monkeypatch.setattr(chaining, name, lambda *a: normed.extend(row.tobytes() for row in a[1]) or original(*a))
     deflated = deflate(fam, trivial_plan(fam))
-    assert calls == []  # every deflated distance is a memo hit
+    assert normed == []  # every deflated distance is a family distance
     assert np.array_equal(deflated.dist, fam.distances)
-    deflate(fam, build_deflation(fam, 2))
-    assert calls  # new differences are normed...
-    seen = len(calls)
-    deflate(fam, build_deflation(fam, 2))
-    assert len(calls) == seen  # ...once
+
+    def fresh(h):
+        args = () if norm_context == "cgf" else (norm_context,)
+        return float(original(fam.distribution, _recentered(h, p), *args)[0])
+
+    for k in (1, 2):
+        plan = build_deflation(fam, k)
+        before = len(normed)
+        deflated = deflate(fam, plan)
+        anchor = [plan.assignment[deflated.member_map.index(a)] for a in range(deflated.size)]
+        want = []
+        for a in range(deflated.size):
+            for b in range(a + 1, deflated.size):
+                h = deflated.values[a] - deflated.values[b]
+                if anchor[a] != anchor[b] and deflated.zero_pos not in (a, b):
+                    want.append(_recentered(h, p).tobytes())
+                assert deflated.dist[a, b] == pytest.approx(fresh(h), rel=1e-12, abs=0.0)
+        # only pairs with different anchors and no zero row reach the norm
+        assert normed[before:] == want
+        seen = len(normed)
+        assert deflate(fam, build_deflation(fam, k)) is deflated  # a repeated plan is a cache hit...
+        assert len(normed) == seen  # ...with no norm call
+    assert len(normed) > 0
 
 
-def test_norm_memo_is_bounded(monkeypatch):
-    monkeypatch.setattr(chaining, "NORM_MEMO_BYTES", 8 * 6 * 10)  # ten rows of six values
-    fam = _random_family(4)
-    assert len(fam._norm_memo) == 10
-    rows = fam.values[1:] * 0.5
-    assert np.array_equal(fam.norms(rows), cgf_functional_norm(fam.distribution, rows))
-    assert len(fam._norm_memo) == 10
+def test_member_distance_is_the_norm_of_the_recentered_difference():
+    a = np.array([1.0, -1.0, 0.5, -0.5])
+    b = a + 1e-8 * np.array([1.0, 0.0, 0.0, -1.0])
+    fam = FunctionFamily(UNIFORM4, {"zero": np.zeros(4), "a": a, "b": b})
+    assert fam.distances[1, 2] == float(cgf_functional_norm(UNIFORM4, _recentered(a - b, UNIFORM4.probabilities))[0])
+    assert fam.distances[1, 2] == pytest.approx(math.sqrt(5e-17), rel=1e-9)  # the variance limit
 
 
 def test_extremal_pair_matches_class_wr_and_per_pair_loop():

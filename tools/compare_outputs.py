@@ -4,7 +4,8 @@
     python3 tools/compare_outputs.py diff A B
 
 `dump` runs the jobs of both benchmark workloads, seeds 1-3, as this
-checkout's bench/workloads.py (only imported) defines them, through the
+checkout's bench/workloads.py (only imported) defines them, and the
+FIXTURE_COMMANDS on this checkout's fixtures/family12.json, through the
 `tailbound.cli.main` of DIR/src, DIR being a checkout's root, and saves each
 job's exit code, output and stderr in FILE. `diff` lists the jobs whose
 records differ, with the largest relative change among their JSON floats;
@@ -25,10 +26,37 @@ import json
 import sys
 import tempfile
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# Deflation at k >= 1 with many anchors, under the CGF norm and an Orlicz
+# norm: the benchmark's families (m <= 14) barely reach it.
+FIXTURE_COMMANDS = [
+    [*cmd, *norm]
+    for norm in ([], ["--norm", '{"kind": "bernstein", "L": 1}'])
+    for cmd in [
+        *(["chain-bound", "--family", "{family}", "--k", str(k), "--n", "200", "--r", "0.05"] for k in range(4)),
+        ["optimize", "--family", "{family}", "--n", "200", "--r", "0.05", "--k-candidates", "0,1,2,3"],
+        ["sweep", "--target", "theorem-main", "--family", "{family}", "--n", "200", "--r", "0.05",
+         "--trials", "400", "--seed", "1", "--k-grid", "0,1,2,3", "--r-grid", "0.05,0.2"],
+    ]
+]
+
+
+def _run(main, argv) -> dict:
+    """Exit code, output file text (when the call succeeds) and stderr of one CLI call."""
+    with tempfile.TemporaryDirectory() as workdir:
+        output = os.path.join(workdir, "out.json")
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            rc = main(argv + ["--output", output])
+        text = ""
+        if rc == 0:
+            with open(output, encoding="utf-8") as fh:
+                text = fh.read()
+    return {"rc": rc, "output": text, "stderr": err.getvalue()}
+
 
 def dump(src: str, out: str) -> int:
-    bench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
-    sys.path[:0] = [os.path.join(src, "src"), bench]
+    sys.path[:0] = [os.path.join(src, "src"), os.path.join(ROOT, "bench")]
     import tailbound.cli
     import workloads
     records = {}
@@ -37,17 +65,14 @@ def dump(src: str, out: str) -> int:
             inputs = workloads.generate(workload, seed)
             workloads.write_inputs(inputs, workdir)
             parsed = {}  # earlier outputs of the round, which later jobs' argv may read
-            for i, job in enumerate(workloads.jobs(workload, seed, inputs, workdir)):
-                job.output = os.path.join(workdir, f"out-{i}.json")
-                argv = (job.argv(parsed) if callable(job.argv) else job.argv) + ["--output", job.output]
-                with contextlib.redirect_stderr(io.StringIO()) as err:
-                    rc = tailbound.cli.main(argv)
-                text = ""
-                if rc == 0:
-                    with open(job.output, encoding="utf-8") as fh:
-                        text = fh.read()
-                    parsed[job.name] = json.loads(text)
-                records[f"{workload} seed {seed}: {job.name}"] = {"rc": rc, "output": text, "stderr": err.getvalue()}
+            for job in workloads.jobs(workload, seed, inputs, workdir):
+                record = _run(tailbound.cli.main, job.argv(parsed) if callable(job.argv) else job.argv)
+                if record["rc"] == 0:
+                    parsed[job.name] = json.loads(record["output"])
+                records[f"{workload} seed {seed}: {job.name}"] = record
+    family = os.path.join(ROOT, "fixtures", "family12.json")
+    for cmd in FIXTURE_COMMANDS:
+        records["fixture: " + " ".join(cmd)] = _run(tailbound.cli.main, [a.replace("{family}", family) for a in cmd])
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(records, fh, indent=1)
     return 0
