@@ -243,10 +243,11 @@ def build_deflation(family: FunctionFamily, k: int) -> DeflationPlan:
     at the zero member. Each member is then assigned to its nearest center
     with norm not exceeding the member's own (ties to the smallest member
     index), keeping the zero member whenever no admissible center strictly
-    improves on it.
+    improves on it. At k = 0 the zero member is the one center: the trivial
+    plan.
     """
-    if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 1:
-        raise ValueError("k must be a positive integer")
+    if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 0:
+        raise ValueError("k must be a nonnegative integer")
     z, norms = family.zero_index, family.member_norms
     centers = _farthest_first(family.distances, [z], _center_budget(k, family.size))
     order = np.array([z] + sorted(set(centers) - {z}))  # the zero member first: it wins ties
@@ -558,7 +559,7 @@ def optimize_deflation(
     for k in kc:
         if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 0:
             raise ValueError("k candidates must be nonnegative integers")
-        plan = trivial_plan(family) if k == 0 else build_deflation(family, int(k))
+        plan = build_deflation(family, int(k))
         report = theorem_main_bound(family, plan, n, r)
         objective = report.total_rhs + (report.w_shift - report.w_r) * max_norm
         evaluations.append((int(k), objective))

@@ -3,8 +3,8 @@
 Exit codes: 0 on success, 2 on input validation failure (the message names
 the violated precondition; NaN or infinite --r, --M and --r-grid values
 included), 1 on internal numeric failure such as a search grid with no
-finite objective value. All floats are printed with their shortest
-round-trip representation.
+finite objective value, or on memory exhaustion. All floats are printed
+with their shortest round-trip representation.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from .cgf import TabulatedFunction, rate_bound_T
-from .chaining import build_deflation, class_wr, optimize_deflation, theorem_main_bound, trivial_plan
+from .chaining import build_deflation, class_wr, optimize_deflation, theorem_main_bound
 from .gaussian import LinearFunctional, gaussian_instance_bound
 from .jsonio import (
     dump_csv,
@@ -138,7 +138,7 @@ def _chain_payload(report):
 
 def _cmd_chain_bound(args):
     family = load_family(load_json(args.family), _norm_context(args))
-    plan = trivial_plan(family) if args.k == 0 else build_deflation(family, args.k)
+    plan = build_deflation(family, args.k)
     report = theorem_main_bound(family, plan, args.n, args.r)
     return _chain_payload(report)
 
@@ -316,6 +316,9 @@ def main(argv=None) -> int:
         text = dump_json(payload) if args.format == "json" else dump_csv(rows)
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)

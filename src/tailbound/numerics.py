@@ -1,5 +1,6 @@
 """Shared numerics: golden-section search, the grid-then-golden minimizer,
-a composite Gauss-Legendre quadrature rule, bisection, and the batched
+a composite Gauss-Legendre quadrature rule, the one bisection of the library
+(which returns the end of each bracket where g >= target), and the batched
 cumulant generating function that the rate-function engine and the norms
 evaluate.
 
@@ -143,9 +144,12 @@ def bisect_increasing(g, lo, hi, target, rel_tol: float = 1e-12):
     """Solve g(x) = target for increasing g on each bracket [lo, hi] of the
     arrays lo, hi and target, in lockstep; g maps arrays elementwise. A
     bracket stops halving at rel_tol times max(|lo|, |hi|), so its root does
-    not depend on the others and keeps its relative accuracy near 0. A root
-    exactly at lo = 0 halves toward underflow (1040 evaluations), so callers
-    keep roots off it: the Bennett inverse maps y = 0 to 0 before bisecting.
+    not depend on the others and keeps its relative accuracy near 0. Returns
+    the upper end of each final bracket, where g >= target: the certified
+    side for a caller that needs g(x) >= target (an Orlicz norm, an
+    over-estimated inverse). A root exactly at lo = 0 halves toward
+    underflow (1040 evaluations), so callers keep roots off it: the Bennett
+    inverse maps y = 0 to 0 before bisecting.
     """
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     if np.any(g(lo) - target > 0.0) or np.any(g(hi) - target < 0.0):
@@ -156,4 +160,4 @@ def bisect_increasing(g, lo, hi, target, rel_tol: float = 1e-12):
         below = g(mid) - target <= 0.0
         lo, hi = np.where(active & below, mid, lo), np.where(active & ~below, mid, hi)
         active &= hi - lo > rel_tol * np.maximum(np.maximum(np.abs(lo), np.abs(hi)), 1e-300)
-    return 0.5 * (lo + hi)
+    return hi

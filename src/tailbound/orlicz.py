@@ -12,7 +12,10 @@ The quadrature bound on w_r, the conversion factor M and the moment
 integral D share one minimizer and one integration rule: a search over
 numerics.LAMBDA_GRID refined by golden section (numerics.grid_golden_min),
 and the composite Gauss-Legendre rule numerics.gauss_legendre, whose panels
-also end at the kinks of a custom table.
+also end at the kinks of a custom table. Both integrals are truncated at the
+first power of two where the integrand has decayed (_first_power_of_two, which
+also brackets the Bennett inverse); the Orlicz norm and the Bennett inverse
+bisect with numerics.bisect_increasing, keeping its certified upper end.
 """
 
 from __future__ import annotations
@@ -36,7 +39,9 @@ from .numerics import (
 )
 
 EXP_TRUNCATION = 40.0  # integrands truncated where they fall to e^-40 of peak
-DECAY_T_CAP = 1e15  # an integrand not below e^-40 by this t decays too slowly
+DECAY_T_CAP = 2.0**50  # last t_max tried: an integrand not below e^-40 by it decays too slowly
+MOMENT_T_CAP = 2.0**39  # last truncation point tried for the moment integral D
+BENNETT_T_CAP = 2.0**996  # last upper bracket end tried for the Bennett inverse
 # share by which D is rounded up, far above its error (below 4e-14 for
 # Bernstein and Bennett at L from 1e-3 to 1e3 against 30-digit references),
 # so that the conversion factor M = inf/D is never overstated
@@ -85,6 +90,15 @@ class OrliczGenerator:
         return self.phi_inverse(np.log1p(y))
 
 
+def _first_power_of_two(g, level: np.ndarray, cap: float) -> np.ndarray:
+    """Per element of level, the first t in 1, 2, 4, ... up to cap with
+    g(t) >= level, for g mapping arrays elementwise; +inf where none is."""
+    t = np.ones(level.shape)
+    while np.any(grow := (low := g(t) < level) & (t < cap)):
+        t = np.where(grow, 2.0 * t, t)
+    return np.where(low, math.inf, t)
+
+
 def _bernstein_phi(t, L: float):
     # (sqrt(1+2Lt)-1)^2/L^2 written without cancellation for small t
     t = np.asarray(t, dtype=float)
@@ -107,11 +121,9 @@ def _bennett_phi_inverse(y, L: float):
     y = np.asarray(y, dtype=float)
     out = np.zeros(y.shape)
     pos = y > 0.0
-    hi = np.ones(np.count_nonzero(pos))
-    while np.any(low := _bennett_phi(hi, L) < y[pos]):
-        hi = np.where(low, 2.0 * hi, hi)
-        if hi.max() > 1e300:
-            raise NumericError("bennett inverse bracketing exhaustion")
+    hi = _first_power_of_two(lambda t: _bennett_phi(t, L), y[pos], BENNETT_T_CAP)
+    if not np.all(np.isfinite(hi)):
+        raise NumericError("bennett inverse bracketing exhaustion")
     out[pos] = bisect_increasing(lambda t: _bennett_phi(t, L), np.zeros(hi.size), hi, y[pos])
     return out if out.ndim else float(out)
 
@@ -259,11 +271,11 @@ def make_generator(
 
 def orlicz_norm_rows(dist: DiscreteDistribution, rows: np.ndarray, gen: OrliczGenerator) -> np.ndarray:
     """||Y||_psi = inf{u > 0 : E psi(|Y|/u) <= 1} for Y = h(X), for every row h
-    of a (count, support) array, by bisection of all rows in lockstep.
+    of a (count, support) array, by bisect_increasing on all rows in lockstep.
 
     Each bracket [max|h|/psi^{-1}(large), max|h|/psi^{-1}(1/2)] straddles the
     root; bisection runs to relative width 1e-10, and each value satisfies
-    E psi(|Y|/value) <= 1 + 1e-9 while value (1 - 1e-8) gives more than 1.
+    E psi(|Y|/value) <= 1 + 1e-9, and value (1 - 1e-8) gives more than 1.
     """
     rows = check_rows(dist, rows, centered=False)
     mask = dist.probabilities > 0.0
@@ -284,12 +296,7 @@ def orlicz_norm_rows(dist: DiscreteDistribution, rows: np.ndarray, gen: OrliczGe
         hi = top / float(gen.psi_inverse(0.5))
         if not np.all((expectation(lo) > 1.0) & (expectation(hi) <= 1.0)):
             raise NumericError("orlicz norm bracket failed to straddle the root")
-        active = hi - lo > 1e-10 * hi
-        while active.any():
-            mid = 0.5 * (lo + hi)
-            below = expectation(mid) <= 1.0
-            hi, lo = np.where(active & below, mid, hi), np.where(active & ~below, mid, lo)
-            active = hi - lo > 1e-10 * hi
+        hi = bisect_increasing(lambda u: -expectation(u), lo, hi, -1.0, rel_tol=1e-10)
         if np.any(expectation(hi) > 1.0 + 1e-9) or np.any(expectation(hi * (1.0 - 1e-8)) <= 1.0):
             raise NumericError("orlicz norm post-condition violated")
         norms[idx] = hi
@@ -301,24 +308,6 @@ def orlicz_norm(dist: DiscreteDistribution, f: TabulatedFunction, gen: OrliczGen
     return float(orlicz_norm_rows(dist, f.values[None, :], gen)[0])
 
 
-def _decay_t_max(gen: OrliczGenerator, lam: np.ndarray) -> np.ndarray:
-    """Upper crossing of phi(t) - lam*t = 40 for each lam, past which the
-    quadrature integrand is below e^-40 of its peak; +inf where the crossing
-    lies beyond DECAY_T_CAP (the integrand decays too slowly)."""
-    t_hi = np.ones(lam.shape)
-    while np.any(grow := (gen.phi(t_hi) - lam * t_hi < EXP_TRUNCATION) & (t_hi < DECAY_T_CAP)):
-        t_hi = np.where(grow, 2.0 * t_hi, t_hi)
-    found = gen.phi(t_hi) - lam * t_hi >= EXP_TRUNCATION
-    t_hi, lam = t_hi[found], lam[found]
-    g = lambda t: gen.phi(t) - lam * t
-    # g is convex with g(0) = 0 < 40, so bisection from 0 stays on the upper
-    # crossing when g already reaches 40 at t_hi / 2 (only where t_hi = 1)
-    t_lo = np.where(g(t_hi / 2.0) >= EXP_TRUNCATION, 0.0, t_hi / 2.0)
-    out = np.full(found.shape, math.inf)
-    out[found] = bisect_increasing(g, t_lo, t_hi, EXP_TRUNCATION, rel_tol=1e-9)
-    return out
-
-
 def _log_quadrature_integral(gen: OrliczGenerator, lam: np.ndarray) -> np.ndarray:
     """log of I(lam) = int_0^inf 2 lam (e^{lam t} - 1)/(psi(t)+1) dt for each
     lam of an array; +inf where lam >= lambda_sup or the integrand decays
@@ -326,13 +315,15 @@ def _log_quadrature_integral(gen: OrliczGenerator, lam: np.ndarray) -> np.ndarra
 
     Computed on [0, t_max] by the Gauss-Legendre rule, one (lam, node)
     tensor per block, after factoring out each integrand's peak over the
-    nodes so that exp never overflows.
+    nodes so that exp never overflows; t_max is the first power of two with
+    phi(t) - lam t >= EXP_TRUNCATION, +inf past DECAY_T_CAP.
     """
     out = np.full(lam.shape, math.inf)
     decays = np.nonzero(lam < gen.lambda_sup)[0]
     for blk in row_blocks(decays.size, QUAD_NODES * (QUAD_PANELS + len(gen.knots))):
-        idx = decays[blk]
-        t_max = _decay_t_max(gen, lam[idx])
+        idx, lam_b = decays[blk], lam[decays[blk]]
+        level = np.full(lam_b.shape, EXP_TRUNCATION)
+        t_max = _first_power_of_two(lambda t: gen.phi(t) - lam_b * t, level, DECAY_T_CAP)
         idx = idx[np.isfinite(t_max)]
         t, w = gauss_legendre(t_max[np.isfinite(t_max)], gen.knots)
         # w (e^{lam t - phi - shift} - e^{-phi - shift}) built in place, as
@@ -384,12 +375,11 @@ def exp_moment_integral(gen: OrliczGenerator) -> float:
         raise UnsupportedGeneratorError(
             f"generator kind {gen.kind!r}: the moment integral diverges"
         )
-    t_hi = 1.0
-    while float(gen.phi(t_hi)) / 2.0 - math.log(t_hi) < EXP_TRUNCATION + 5.0:
-        t_hi *= 2.0
-        if t_hi > 1e12:
-            raise UnsupportedGeneratorError("moment integral truncation point not found")
-    t, w = gauss_legendre([t_hi], gen.knots)
+    level = np.array([EXP_TRUNCATION + 5.0])
+    t_hi = _first_power_of_two(lambda t: gen.phi(t) / 2.0 - np.log(t), level, MOMENT_T_CAP)
+    if not np.isfinite(t_hi[0]):
+        raise UnsupportedGeneratorError("moment integral truncation point not found")
+    t, w = gauss_legendre(t_hi, gen.knots)
     return float((w * t * np.exp(-gen.phi(t) / 2.0)).sum()) * (1.0 + MOMENT_ROUND_UP)
 
 

@@ -37,7 +37,6 @@ from .chaining import (
     class_wr,
     extremal_difference,
     theorem_main_bound,
-    trivial_plan,
 )
 from .gaussian import GaussianModel, LinearFunctional, gaussian_instance_bound
 from .rng import normals, substream_seed, uniforms
@@ -149,7 +148,7 @@ def _discrete_setup(plan: TrialPlan):
     else:  # theorem-main
         fam = plan.family
         dist = fam.distribution
-        defl = trivial_plan(fam) if plan.k == 0 else build_deflation(fam, plan.k)
+        defl = build_deflation(fam, plan.k)
         report = theorem_main_bound(fam, defl, plan.n, plan.r)
         tracked = fam.values
         thresholds = report.thresholds()

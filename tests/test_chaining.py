@@ -305,9 +305,17 @@ def test_validate_plan_rejections(family12):
 
 
 def test_build_deflation_input_checks(family12):
-    for bad in (0, -1, True, 1.5):
+    for bad in (-1, True, 1.5):
         with pytest.raises(ValueError):
             build_deflation(family12, bad)
+    assert build_deflation(family12, 0) == trivial_plan(family12)
+
+
+def test_build_deflation_at_k0_is_the_trivial_plan_under_an_orlicz_norm(fixtures_dir):
+    # budget floor(e^0) = 1 keeps only the zero member, and every member
+    # is sent to it
+    fam = load_family(load_json(fixtures_dir / "family12.json"), make_generator("bernstein", L=1.0))
+    assert build_deflation(fam, 0) == trivial_plan(fam)
 
 
 def test_build_deflation_small_budget(family12):

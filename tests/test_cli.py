@@ -510,3 +510,29 @@ def test_member_differences_meet_the_centering_rule(tmp_path, command, family):
     code, out, err = run_cli(argv)
     assert (code, err) == (0, "")
     json.loads(out)
+
+
+# Each size asks, at its first large allocation, for far more than the 4 GB
+# address-space limit (74.5 GiB of uint64 counters), so the test touches no
+# memory near the limit.
+OUT_OF_MEMORY = {
+    "chernoff": ["--target", "chernoff", "--dist", "rademacher.json", "--f", "f", "--n", 10**10],
+    "gaussian": ["--target", "gaussian", "--model", "gaussian-poly2.json", "--n", 100, "--mesh", 10**8],
+}
+
+
+@pytest.mark.parametrize("target", sorted(OUT_OF_MEMORY))
+def test_memory_exhaustion_exits_1_with_one_line(fixtures_dir, target):
+    resource = pytest.importorskip("resource")
+    _soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    limit = 4 * 1024**3 if hard == resource.RLIM_INFINITY else min(4 * 1024**3, hard)
+    argv = [str(fixtures_dir / a) if str(a).endswith(".json") else str(a) for a in OUT_OF_MEMORY[target]]
+    path = [str(fixtures_dir.parent / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "tailbound.cli", "verify", *argv, "--r", "0.05", "--trials", "10", "--seed", "1"],
+        capture_output=True, text=True, env=env, timeout=300,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("out of memory: "), proc.stderr

@@ -160,3 +160,11 @@ def test_bisect_increasing_arrays_in_lockstep():
     assert roots == pytest.approx(np.cbrt(target), rel=1e-10)
     with pytest.raises(ValueError):
         bisect_increasing(lambda x: x, np.zeros(2), np.ones(2), np.array([0.5, 5.0]))
+
+
+def test_bisect_increasing_returns_the_certified_end():
+    # the upper end of each final bracket, where g >= target
+    g = lambda x: np.expm1(x) + x**3
+    target = np.geomspace(1e-6, 1e6, 401)
+    roots = bisect_increasing(g, np.zeros(target.size), np.full(target.size, 20.0), target)
+    assert np.all(g(roots) >= target)

@@ -197,6 +197,15 @@ def test_bennett_inverse_batch_matches_scalar():
     assert np.asarray(gen.phi(got[1:-1])) == pytest.approx(ys[1:-1], rel=1e-10)
 
 
+@pytest.mark.parametrize("L", [0.1, 1.0, 10.0])
+def test_bennett_inverse_is_not_below_the_true_inverse(L):
+    # the bisection keeps the upper end of its bracket, so phi(phi^-1(y)) >= y
+    # and the closed-form bound wr-exp stays an upper bound for Bennett
+    gen = make_generator("bennett", L=L)
+    ys = np.geomspace(1e-6, 1e6, 2001)
+    assert np.all(np.asarray(gen.phi(gen.phi_inverse(ys))) >= ys)
+
+
 def test_make_generator_rejects_bad_parameters():
     with pytest.raises(ValueError):
         make_generator("bernstein")

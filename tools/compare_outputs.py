@@ -5,11 +5,11 @@
 
 `dump` runs the jobs of both benchmark workloads, seeds 1-3, as this
 checkout's bench/workloads.py (only imported) defines them, and the
-FIXTURE_COMMANDS on this checkout's fixtures/family12.json, through the
-`tailbound.cli.main` of DIR/src, DIR being a checkout's root, and saves each
-job's exit code, output and stderr in FILE. `diff` lists the jobs whose
-records differ, with the largest relative change among their JSON floats;
-it exits 1 if any do.
+FIXTURE_COMMANDS on this checkout's fixtures/family12.json and
+fixtures/rademacher.json, through the `tailbound.cli.main` of DIR/src, DIR
+being a checkout's root, and saves each job's exit code, output and stderr
+in FILE. `diff` lists the jobs whose records differ, with the largest
+relative change among their JSON floats; it exits 1 if any do.
 """
 
 import os
@@ -28,17 +28,30 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-# Deflation at k >= 1 with many anchors, under the CGF norm and an Orlicz
-# norm: the benchmark's families (m <= 14) barely reach it.
+FIXTURES = {"{family}": "family12.json", "{rademacher}": "rademacher.json"}  # placeholder -> fixtures/ file
+BENNETT = ['{"kind": "bennett", "L": %s}' % L for L in (0.1, 1, 10)]
+# The benchmark's six generators, Bennett at other L and a custom table.
+GENERATORS = [
+    '{"kind": "sub-gaussian"}', '{"kind": "sub-exponential"}',
+    *('{"kind": "bernstein", "L": %s}' % L for L in (0.1, 1, 10)), *BENNETT,
+    '{"kind": "custom", "t": [0.5, 1, 2, 4], "phi": [0.25, 0.75, 2.0, 5.0]}',
+]
 FIXTURE_COMMANDS = [
-    [*cmd, *norm]
-    for norm in ([], ["--norm", '{"kind": "bernstein", "L": 1}'])
-    for cmd in [
-        *(["chain-bound", "--family", "{family}", "--k", str(k), "--n", "200", "--r", "0.05"] for k in range(4)),
-        ["optimize", "--family", "{family}", "--n", "200", "--r", "0.05", "--k-candidates", "0,1,2,3"],
-        ["sweep", "--target", "theorem-main", "--family", "{family}", "--n", "200", "--r", "0.05",
-         "--trials", "400", "--seed", "1", "--k-grid", "0,1,2,3", "--r-grid", "0.05,0.2"],
-    ]
+    # Deflation at k >= 1 with many anchors, under the CGF norm and an Orlicz
+    # norm: the benchmark's families (m <= 14) barely reach it.
+    *([*cmd, *norm]
+      for norm in ([], ["--norm", '{"kind": "bernstein", "L": 1}'])
+      for cmd in [
+          *(["chain-bound", "--family", "{family}", "--k", str(k), "--n", "200", "--r", "0.05"] for k in range(4)),
+          ["optimize", "--family", "{family}", "--n", "200", "--r", "0.05", "--k-candidates", "0,1,2,3"],
+          ["sweep", "--target", "theorem-main", "--family", "{family}", "--n", "200", "--r", "0.05",
+           "--trials", "400", "--seed", "1", "--k-grid", "0,1,2,3", "--r-grid", "0.05,0.2"],
+      ]),
+    # The Orlicz coefficient bounds away from the benchmark's r = 1, and the
+    # Bennett inverse and Orlicz norms at several L.
+    *([op, "--gen", gen, "--r", r] for op in ("wr-quad", "wr-exp") for gen in GENERATORS for r in ("0.05", "10")),
+    *(["orlicz-norm", "--dist", "{rademacher}", "--f", "f", "--gen", gen] for gen in BENNETT),
+    *(["class-wr", "--family", "{family}", "--r", "0.05", "--norm", gen] for gen in BENNETT),
 ]
 
 
@@ -70,9 +83,12 @@ def dump(src: str, out: str) -> int:
                 if record["rc"] == 0:
                     parsed[job.name] = json.loads(record["output"])
                 records[f"{workload} seed {seed}: {job.name}"] = record
-    family = os.path.join(ROOT, "fixtures", "family12.json")
+    def fill(arg: str) -> str:
+        for key, name in FIXTURES.items():
+            arg = arg.replace(key, os.path.join(ROOT, "fixtures", name))
+        return arg
     for cmd in FIXTURE_COMMANDS:
-        records["fixture: " + " ".join(cmd)] = _run(tailbound.cli.main, [a.replace("{family}", family) for a in cmd])
+        records["fixture: " + " ".join(cmd)] = _run(tailbound.cli.main, [fill(a) for a in cmd])
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(records, fh, indent=1)
     return 0
