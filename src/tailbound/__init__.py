@@ -33,6 +33,7 @@ from .gaussian import (
     LinearFunctional,
     cgf_norm,
     gaussian_instance_bound,
+    gaussian_instance_bound_rows,
     optimal_rank,
 )
 from .chaining import (
@@ -87,6 +88,7 @@ __all__ = [
     "extremal_difference",
     "gamma_functional",
     "gaussian_instance_bound",
+    "gaussian_instance_bound_rows",
     "make_generator",
     "optimal_rank",
     "optimize_deflation",

@@ -107,13 +107,17 @@ class LinearFunctional:
         object.__setattr__(self, "direction", u)
 
 
+def _cgf_norms(model: GaussianModel, u: np.ndarray) -> np.ndarray:
+    """CGF norms (u' Sigma u)^{1/2} of the rows of a (count, d) array u."""
+    if u.ndim != 2 or u.shape[1] != model.dim:
+        raise ValueError("direction dimension does not match the model")
+    quad = ((u @ model.covariance)[:, None, :] @ u[:, :, None])[:, 0, 0]  # one dot product per row
+    return np.sqrt(np.maximum(quad, 0.0))
+
+
 def cgf_norm(model: GaussianModel, f: LinearFunctional) -> float:
     """CGF norm of the linear functional: (u' Sigma u)^{1/2}."""
-    u = f.direction
-    if u.shape[0] != model.dim:
-        raise ValueError("direction dimension does not match the model")
-    quad = float(u @ model.covariance @ u)
-    return math.sqrt(max(quad, 0.0))
+    return float(_cgf_norms(model, f.direction[None, :])[0])
 
 
 @dataclass(frozen=True)
@@ -156,28 +160,8 @@ def gaussian_instance_bound(
     mid-derivation quantity; loose_projected=True substitutes the full norm
     (u' Sigma u)^{1/2}, the looser displayed variant.
     """
-    if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
-        raise ValueError("k must be an integer")
-    if k < 0 or k > model.dim:
-        raise ValueError("k must lie in 0..d")
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n <= 0:
-        raise ValueError("n must be a positive integer")
-    if not (r > 0.0):
-        raise ValueError("r must be positive")
-    u = f.direction
-    if u.shape[0] != model.dim:
-        raise ValueError("direction dimension does not match the model")
-
-    coords = model.eigenvectors.T @ u  # coordinates of u in the eigenbasis
-    full_quad = cgf_norm(model, f) ** 2
-    trunc_quad = float(np.sum(model.eigenvalues[:k] * coords[:k] ** 2)) if k else 0.0
-
-    tail_trace = math.sqrt(model.residual_trace(k) / n)
-    tail_op = math.sqrt(2.0 * r * model.residual_op(k))
-    proj_quad = full_quad if loose_projected else max(trunc_quad, 0.0)
-    projected = math.sqrt(k / n) * math.sqrt(proj_quad)
-    base = math.sqrt(2.0 * r) * math.sqrt(full_quad)
-    total = tail_trace + tail_op + projected + base
+    tail_trace, tail_op, projected, base = _bound_terms(model, f.direction[None, :], k, n, r, loose_projected)
+    projected, base = float(projected[0]), float(base[0])
     return GaussianBoundReport(
         k=int(k),
         n=int(n),
@@ -186,10 +170,49 @@ def gaussian_instance_bound(
         tail_op=tail_op,
         projected=projected,
         base=base,
-        total=total,
+        total=tail_trace + tail_op + projected + base,
         guarantee=1.0 - 2.0 * math.exp(-n * r),
         loose_projected=loose_projected,
     )
+
+
+def gaussian_instance_bound_rows(
+    model: GaussianModel,
+    directions: np.ndarray,
+    k: int,
+    n: int,
+    r: float,
+    loose_projected: bool = False,
+) -> np.ndarray:
+    """Totals of gaussian_instance_bound for every row of a (count, d) array
+    of directions with Euclidean norm at most 1, one entry per row."""
+    tail_trace, tail_op, projected, base = _bound_terms(model, directions, k, n, r, loose_projected)
+    return tail_trace + tail_op + projected + base
+
+
+def _bound_terms(model, directions, k, n, r, loose_projected):
+    """The bound's terms for each row u of directions: tail_trace and tail_op,
+    which do not depend on u, and the arrays of projected and base terms."""
+    if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
+        raise ValueError("k must be an integer")
+    if k < 0 or k > model.dim:
+        raise ValueError("k must lie in 0..d")
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n <= 0:
+        raise ValueError("n must be a positive integer")
+    if not (r > 0.0):
+        raise ValueError("r must be positive")
+    u = np.asarray(directions, dtype=float)
+    norms = _cgf_norms(model, u)
+    if not np.all(np.linalg.norm(u, axis=1) <= 1.0 + 1e-12):
+        raise ValueError("direction must have Euclidean norm at most 1")
+
+    coords = u @ model.eigenvectors  # coordinates of each u in the eigenbasis
+    trunc_quad = np.sum(model.eigenvalues[:k] * coords[:, :k] ** 2, axis=1)
+    tail_trace = math.sqrt(model.residual_trace(k) / n)
+    tail_op = math.sqrt(2.0 * r * model.residual_op(k))
+    projected = math.sqrt(k / n) * (norms if loose_projected else np.sqrt(np.maximum(trunc_quad, 0.0)))
+    base = math.sqrt(2.0 * r) * norms
+    return tail_trace, tail_op, projected, base
 
 
 def optimal_rank(model: GaussianModel, n: int, r: float) -> int:

@@ -2,11 +2,27 @@
 
 Each target precomputes its deterministic thresholds once, then counts
 trials in which any tracked function's empirical mean strictly exceeds its
-threshold. Trials draw from disjoint counter-based substreams of the root
-seed, so reports are bit-identical across runs and parallelism degrees:
-violation counting is a commutative fold over trial indices. Thread count
-is set by the TAILBOUND_THREADS environment variable (default 1), capped at
-the machine's CPU count.
+threshold. A violation is decided exactly in real arithmetic on the drawn
+values and the float thresholds and tracked values:
+  discrete targets  a trial is the atom-count vector c of its n inverse-CDF
+                    draws (one row of an integer trials x s matrix); tracked
+                    row v exceeds threshold t when c . v > n t
+  gaussian          a trial is one standard normal vector g; mesh direction
+                    j exceeds its total when g . P_j > sqrt(n) total_j, with
+                    P = Sigma^{1/2} U' the projected mesh
+Float products decide every comparison whose margin clears an a-priori
+bound on their rounding error; fractions.Fraction settles the rest, so no
+decision depends on summation order, BLAS or thread count.
+
+Trials draw from disjoint counter-based substreams of the root seed, so
+reports are bit-identical across runs and parallelism degrees: violation
+counting is a commutative fold over trial indices. Trials are drawn in
+chunks whose arrays hold at most numerics.BLOCK_ELEMENTS elements (one
+trial at least). run_trials and sweep share one runner: plans that draw the
+same values (the discrete targets at one n, the gaussian target at every
+grid point) draw and count each trial once. Thread count is set by the
+TAILBOUND_THREADS environment variable (default 1), capped at the machine's
+CPU count.
 
 Targets and ceilings:
   chernoff      one function f, threshold T_r(f), ceiling e^{-nr}
@@ -27,6 +43,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -34,15 +51,16 @@ from .cgf import DiscreteDistribution, TabulatedFunction, rate_bound_T
 from .chaining import (
     FunctionFamily,
     build_deflation,
-    class_wr,
     extremal_difference,
     theorem_main_bound,
 )
-from .gaussian import GaussianModel, LinearFunctional, gaussian_instance_bound
+from .gaussian import GaussianModel, gaussian_instance_bound_rows
+from .numerics import row_blocks
 from .rng import normals, substream_seed, uniforms
 
 TARGETS = ("chernoff", "corollary", "gaussian", "theorem-main")
-CHUNK_TRIALS = 4096
+_UNIT_ROUNDOFF = 2.0**-53
+_TINY = float(np.finfo(float).tiny)  # covers rounding below the normal range
 
 
 @dataclass(frozen=True)
@@ -158,20 +176,29 @@ def _discrete_setup(plan: TrialPlan):
     return tracked, thresholds, cdf, ceiling
 
 
-def _count_discrete(plan, tracked, thresholds, cdf, lo, hi) -> int:
-    count = 0
-    for t0 in range(lo, hi, CHUNK_TRIALS):
-        t1 = min(t0 + CHUNK_TRIALS, hi)
-        seeds = substream_seed(plan.root_seed, np.arange(t0, t1) + 1)
-        idx = np.searchsorted(cdf, uniforms(seeds, plan.n))
-        viol = np.zeros(t1 - t0, dtype=bool)
-        for row, thr in zip(tracked, thresholds):
-            viol |= row[idx].mean(axis=1) > thr
-        count += int(viol.sum())
-    return count
+def _atom_counts(u: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    """Integer (rows, s) matrix counting, per row of uniforms u, the draws of
+    each inverse-CDF atom searchsorted(cdf, u, side="left"), for a
+    nondecreasing cdf of s levels whose last level is at least max u.
+
+    Each level j < s - 1 is one pass counting the draws u <= cdf[j], i.e. of
+    atoms 0..j; differencing gives each atom's count. The cost is s passes
+    over u, against log s comparisons per draw for searchsorted: faster on
+    every support the benchmark draws from (2 to 12 atoms), slower beyond
+    about 64 atoms.
+    """
+    rows, s = u.shape[0], cdf.shape[0]
+    at_most = np.empty((rows, s + 1), dtype=np.int64)  # column j + 1: draws of atoms <= j
+    at_most[:, 0] = 0
+    for j in range(s - 1):
+        at_most[:, j + 1] = np.count_nonzero(u <= cdf[j], axis=1)
+    at_most[:, s] = u.shape[1]
+    return np.diff(at_most, axis=1)
 
 
-def _gaussian_setup(plan: TrialPlan):
+def _gaussian_mesh(plan: TrialPlan):
+    """Unit mesh directions (mesh, d) from stream 0, and the projector
+    Sigma^{1/2} dirs' (d, mesh) that maps a standard normal to the mesh."""
     model = plan.model
     d = model.dim
     dirs = normals(substream_seed(plan.root_seed, 0), plan.mesh * d).reshape(plan.mesh, d)
@@ -179,28 +206,125 @@ def _gaussian_setup(plan: TrialPlan):
     if np.any(norms == 0.0):
         raise ValueError("degenerate mesh direction")
     dirs /= norms[:, None]
-    totals = np.array(
-        [
-            gaussian_instance_bound(model, LinearFunctional(u), plan.k, plan.n, plan.r).total
-            for u in dirs
-        ]
-    )
-    projector = model.sqrt_matrix() @ dirs.T  # (d, mesh)
-    ceiling = 2.0 * math.exp(-plan.n * plan.r)
-    return projector, totals, ceiling
+    return dirs, model.sqrt_matrix() @ dirs.T
 
 
-def _count_gaussian(plan, projector, totals, lo, hi) -> int:
+def _gaussian_setup(plan: TrialPlan, dirs: np.ndarray):
+    """Rank-k totals of the mesh directions, and the ceiling."""
+    totals = gaussian_instance_bound_rows(plan.model, dirs, plan.k, plan.n, plan.r)
+    return totals, 2.0 * math.exp(-plan.n * plan.r)
+
+
+def _gamma(k: int) -> float:
+    """gamma_k = k u / (1 - k u), u the unit roundoff of float64."""
+    return k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF)
+
+
+def _exact_dot(x: np.ndarray, w: np.ndarray) -> Fraction:
+    """x . w in exact rational arithmetic on the floats given."""
+    return sum((Fraction(a) * Fraction(b) for a, b in zip(x.tolist(), w.tolist())), Fraction(0))
+
+
+def _above(dot: Fraction, square: int, t: float) -> bool:
+    """dot > sqrt(square) * t, exactly."""
+    t = Fraction(t)
+    if t >= 0:
+        return dot > 0 and dot * dot > square * t * t
+    return dot >= 0 or dot * dot < square * t * t
+
+
+@dataclass(frozen=True)
+class _Check:
+    """One plan's test of a trial x: a violation when x . w_j > sqrt(square) t_j
+    for some column j of its slice `cols` of the group's weights."""
+
+    cols: slice
+    t: np.ndarray
+    square: int
+    level: np.ndarray  # sqrt(square) t in floats
+    slack: np.ndarray  # bound on the rounding of level; 0 where floats decide exactly
+
+
+class _Group:
+    """Plans whose trials draw the same values: the discrete targets at one n
+    (a trial is the atom counts of its n draws) or the gaussian target (a
+    trial is one standard normal vector). Each chunk of trials is drawn once
+    and multiplied once by the distinct weight columns of all plans; every
+    plan then decides its own columns.
+
+    A cell is decided in floats when |y - level| clears the a-priori bound
+    2 (gamma_w max_t ||x_t||_p ||w_j||_q + gamma_2 |level_j|) on the rounding
+    of y = x . w_j (any summation order; Hoelder pair (p, q)) and of level
+    (Higham, Accuracy and Stability of Numerical Algorithms, 3.1 and 4.2),
+    and exactly with fractions.Fraction otherwise; the factor 2 also covers
+    the rounding of the bound and of the comparison. A column of zero
+    weights at level 0 gets band 0: its products and its level are exact
+    zeros, so y > level decides it.
+    """
+
+    def __init__(self, draw, per_trial: int, norms, parts):
+        """draw maps trial seeds to the trials' values (trials, w) in floats;
+        per_trial is the number of uniforms one trial draws; norms is the
+        Hoelder pair (p, q); parts holds one (weights (w, c), t, square) per plan."""
+        self.draw, self.p = draw, norms[0]
+        index, blocks, self.checks = {}, [], []
+        for weights, t, square in parts:
+            key = (weights.shape, weights.tobytes())
+            if key not in index:
+                start = sum(b.shape[1] for b in blocks)
+                index[key] = slice(start, start + weights.shape[1])
+                blocks.append(weights)
+            level = math.sqrt(square) * t
+            exact = (level == 0.0) & ~np.any(weights, axis=0)
+            slack = np.where(exact, 0.0, 2.0 * _gamma(2) * np.abs(level) + _TINY)
+            self.checks.append(_Check(index[key], t, square, level, slack))
+        self.weights = np.hstack(blocks)
+        self.wnorm = np.linalg.norm(self.weights, ord=norms[1], axis=0)
+        self.width = max(per_trial, *self.weights.shape)
+        self.gamma_w = 2.0 * _gamma(self.weights.shape[0])
+
+    def count(self, root_seed: int, lo: int, hi: int) -> np.ndarray:
+        """Violating trials among trials lo..hi - 1, per plan."""
+        out = np.zeros(len(self.checks), dtype=np.int64)
+        for block in row_blocks(hi - lo, self.width):
+            x = self.draw(substream_seed(root_seed, np.arange(lo + block.start, lo + block.stop) + 1))
+            y = x @ self.weights
+            xnorm = float(np.linalg.norm(x, ord=self.p, axis=1).max())
+            for i, check in enumerate(self.checks):
+                out[i] += np.count_nonzero(self._violated(x, y[:, check.cols], check, xnorm))
+        return out
+
+    def _violated(self, x, y, check: _Check, xnorm: float) -> np.ndarray:
+        """Per trial: does some column exceed its level in real arithmetic."""
+        band = self.gamma_w * xnorm * self.wnorm[check.cols] + check.slack
+        over = y > check.level + band  # surely above
+        maybe = y > check.level - band  # not surely at or below
+        viol = over.any(axis=1)
+        for t in np.nonzero(~viol & maybe.any(axis=1))[0]:
+            viol[t] = any(
+                _above(_exact_dot(x[t], self.weights[:, check.cols.start + j]), check.square, check.t[j])
+                for j in np.nonzero(maybe[t])[0]
+            )
+        return viol
+
+
+def _discrete_group(plans):
+    setups = [_discrete_setup(plan) for plan in plans]
+    n, cdf = plans[0].n, setups[0][2]
+    parts = [(tracked.T, thresholds, n * n) for tracked, thresholds, _, _ in setups]
+    draw = lambda seeds: _atom_counts(uniforms(seeds, n), cdf).astype(float)
+    return _Group(draw, n, (1, math.inf), parts), [setup[3] for setup in setups]
+
+
+def _gaussian_group(plans):
+    dirs, projector = _gaussian_mesh(plans[0])
     d = projector.shape[0]
-    scale = 1.0 / math.sqrt(plan.n)
-    count = 0
-    for t0 in range(lo, hi, CHUNK_TRIALS):
-        t1 = min(t0 + CHUNK_TRIALS, hi)
-        seeds = substream_seed(plan.root_seed, np.arange(t0, t1) + 1)
-        g = normals(seeds, d)
-        empirical = (g @ projector) * scale
-        count += int(np.any(empirical > totals, axis=1).sum())
-    return count
+    parts, ceilings = [], []
+    for plan in plans:
+        totals, ceiling = _gaussian_setup(plan, dirs)
+        parts.append((projector, totals, plan.n))
+        ceilings.append(ceiling)
+    return _Group(lambda seeds: normals(seeds, d), 2 * d, (2, 2), parts), ceilings
 
 
 def _block_ranges(trials: int, workers: int):
@@ -208,25 +332,41 @@ def _block_ranges(trials: int, workers: int):
     return [(lo, min(lo + step, trials)) for lo in range(0, trials, step)]
 
 
-def run_trials(plan: TrialPlan) -> VerificationReport:
-    """Execute the plan and report the observed violation frequency: the
-    share of trials in which some tracked function's empirical mean exceeds
-    the threshold the plan's target derives for it."""
+def _run(plans) -> list:
+    """Reports of plans that differ only in n, r and k. Plans of one draw
+    width share a group, so each trial range is drawn and counted once per
+    group; trial ranges are spread over TAILBOUND_THREADS threads."""
     workers = _thread_count()
-    if plan.target == "gaussian":
-        projector, totals, ceiling = _gaussian_setup(plan)
-        counter = lambda lo, hi: _count_gaussian(plan, projector, totals, lo, hi)
-    else:
-        tracked, thresholds, cdf, ceiling = _discrete_setup(plan)
-        counter = lambda lo, hi: _count_discrete(plan, tracked, thresholds, cdf, lo, hi)
+    gaussian = plans[0].target == "gaussian"
+    members = {}  # draw width (the model's d for gaussian, else n) -> plan indices
+    for i, plan in enumerate(plans):
+        members.setdefault(plan.model.dim if gaussian else plan.n, []).append(i)
+    build = _gaussian_group if gaussian else _discrete_group
+    groups, ceilings = [], [0.0] * len(plans)
+    for idx in members.values():
+        group, group_ceilings = build([plans[i] for i in idx])
+        groups.append((idx, group))
+        for i, ceiling in zip(idx, group_ceilings):
+            ceilings[i] = ceiling
 
-    ranges = _block_ranges(plan.trials, workers)
+    root_seed, trials = plans[0].root_seed, plans[0].trials
+
+    def count(lo, hi):
+        out = np.zeros(len(plans), dtype=np.int64)
+        for idx, group in groups:
+            out[idx] += group.count(root_seed, lo, hi)
+        return out
+
+    ranges = _block_ranges(trials, workers)
     if len(ranges) == 1:
-        violations = counter(*ranges[0])
+        violations = count(*ranges[0])
     else:
         with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
-            violations = sum(pool.map(lambda rg: counter(*rg), ranges))
+            violations = sum(pool.map(lambda rg: count(*rg), ranges))
+    return [_report(plan, int(v), ceiling) for plan, v, ceiling in zip(plans, violations, ceilings)]
 
+
+def _report(plan: TrialPlan, violations: int, ceiling: float) -> VerificationReport:
     rate = violations / plan.trials
     stderr = math.sqrt(rate * (1.0 - rate) / plan.trials)
     return VerificationReport(
@@ -235,7 +375,7 @@ def run_trials(plan: TrialPlan) -> VerificationReport:
         r=float(plan.r),
         k=int(plan.k),
         trials=int(plan.trials),
-        violations=int(violations),
+        violations=violations,
         rate=rate,
         guarantee=ceiling,
         stderr=stderr,
@@ -243,11 +383,20 @@ def run_trials(plan: TrialPlan) -> VerificationReport:
     )
 
 
+def run_trials(plan: TrialPlan) -> VerificationReport:
+    """Execute the plan and report the observed violation frequency: the
+    share of trials in which some tracked function's empirical mean exceeds
+    the threshold the plan's target derives for it."""
+    return _run([plan])[0]
+
+
 def sweep(plan: TrialPlan, n_values=None, r_values=None, k_values=None):
     """One report per (n, r, k) grid point, all from the plan's root seed.
 
     Each omitted axis defaults to the plan's own value, so a single-point
     sweep reproduces run_trials exactly. Explicitly empty axes are rejected.
+    Grid points that draw the same values (every point of a gaussian sweep,
+    the discrete points at one n) share one draw of each trial.
     """
     axes = []
     for name, values in (("n", n_values), ("r", r_values), ("k", k_values)):
@@ -258,4 +407,4 @@ def sweep(plan: TrialPlan, n_values=None, r_values=None, k_values=None):
             if not vals:
                 raise ValueError(f"{name} grid must be nonempty")
             axes.append(vals)
-    return [run_trials(dataclasses.replace(plan, n=n, r=r, k=k)) for n, r, k in itertools.product(*axes)]
+    return _run([dataclasses.replace(plan, n=n, r=r, k=k) for n, r, k in itertools.product(*axes)])

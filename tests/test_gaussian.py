@@ -10,6 +10,7 @@ from tailbound.gaussian import (
     LinearFunctional,
     cgf_norm,
     gaussian_instance_bound,
+    gaussian_instance_bound_rows,
     optimal_rank,
 )
 
@@ -214,6 +215,55 @@ def test_bound_input_validation():
         gaussian_instance_bound(model, f, k=1, n=10, r=0.0)
     with pytest.raises(ValueError):
         gaussian_instance_bound(model, LinearFunctional([1.0, 0.0, 0.0]), k=1, n=10, r=0.1)
+
+
+def _unit_rows(rng, count, d):
+    u = rng.normal(size=(count, d))
+    return u / np.linalg.norm(u, axis=1)[:, None]
+
+
+@pytest.mark.parametrize("loose", [False, True])
+def test_bound_rows_match_single_direction(loose):
+    rng = np.random.default_rng(11)
+    d = 30
+    model = GaussianModel(random_spd(rng, d))
+    dirs = _unit_rows(rng, 40, d)
+    for k in (0, 1, 7, d):
+        totals = gaussian_instance_bound_rows(model, dirs, k, 50, 0.2, loose_projected=loose)
+        assert totals.shape == (40,)
+        for i, u in enumerate(dirs):
+            one = gaussian_instance_bound(model, LinearFunctional(u), k, 50, 0.2, loose_projected=loose)
+            assert totals[i] == pytest.approx(one.total, rel=1e-15, abs=0)
+
+
+def test_single_direction_bound_follows_its_formula():
+    rng = np.random.default_rng(12)
+    d = 20
+    model = GaussianModel(random_spd(rng, d))
+    for u in _unit_rows(rng, 25, d):
+        f = LinearFunctional(u)
+        full = math.sqrt(float(u @ model.covariance @ u))
+        assert cgf_norm(model, f) == pytest.approx(full, rel=1e-15, abs=0)
+        for k in (0, 3, d):
+            rep = gaussian_instance_bound(model, f, k, 40, 0.3)
+            coords = model.eigenvectors.T @ u
+            trunc = math.sqrt(max(float(np.sum(model.eigenvalues[:k] * coords[:k] ** 2)), 0.0))
+            assert rep.projected == pytest.approx(math.sqrt(k / 40) * trunc, rel=1e-15, abs=1e-15 * full)
+            assert rep.base == pytest.approx(math.sqrt(0.6) * full, rel=1e-15, abs=0)
+            assert rep.total == rep.tail_trace + rep.tail_op + rep.projected + rep.base
+            assert all(isinstance(x, float) for x in (rep.projected, rep.base, rep.total))
+
+
+def test_bound_rows_input_validation():
+    model = GaussianModel(np.eye(2))
+    with pytest.raises(ValueError):
+        gaussian_instance_bound_rows(model, np.ones((3, 3)) / 2, k=1, n=10, r=0.1)
+    with pytest.raises(ValueError):
+        gaussian_instance_bound_rows(model, np.array([1.0, 0.0]), k=1, n=10, r=0.1)
+    with pytest.raises(ValueError):
+        gaussian_instance_bound_rows(model, np.array([[1.0, 0.0], [1.0, 1.0]]), k=1, n=10, r=0.1)
+    with pytest.raises(ValueError):
+        gaussian_instance_bound_rows(model, np.array([[np.nan, 0.0]]), k=1, n=10, r=0.1)
 
 
 # ---------------------------------------------------------------------------

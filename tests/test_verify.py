@@ -7,16 +7,20 @@ every draw is a pure function of (root seed, stream, counter), so the counts
 are reproducible constants, not statistical quantities.
 """
 
+import collections
 import dataclasses
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from tailbound.cgf import DiscreteDistribution, rate_bound_T
 from tailbound.chaining import FunctionFamily, extremal_difference
+from tailbound.gaussian import GaussianModel
 from tailbound.rng import finalize, normals, substream_seed, uniforms
-from tailbound import verify
+from tailbound import numerics, rng, verify
 from tailbound.verify import TrialPlan, VerificationReport, run_trials, sweep
 
 _MASK = (1 << 64) - 1
@@ -66,6 +70,50 @@ def _override_thresholds(monkeypatch, value):
         return tracked, np.full(thresholds.shape, float(value)), cdf, ceiling
 
     monkeypatch.setattr(verify, "_discrete_setup", constant)
+
+
+def _scale_thresholds(monkeypatch, factor):
+    """Scale every threshold and gaussian total run_trials derives by
+    `factor`, so that the violation counts the tests compare are not 0."""
+    discrete, gaussian = verify._discrete_setup, verify._gaussian_setup
+
+    def scaled_discrete(plan):
+        tracked, thresholds, cdf, ceiling = discrete(plan)
+        return tracked, factor * thresholds, cdf, ceiling
+
+    def scaled_gaussian(plan, dirs):
+        totals, ceiling = gaussian(plan, dirs)
+        return factor * totals, ceiling
+
+    monkeypatch.setattr(verify, "_discrete_setup", scaled_discrete)
+    monkeypatch.setattr(verify, "_gaussian_setup", scaled_gaussian)
+
+
+def _target_plan(target, family12, poly2_model, **overrides):
+    if target == "chernoff":
+        kwargs = dict(target=target, n=50, r=0.05, trials=2_000, root_seed=20250819,
+                      distribution=_rademacher_plan().distribution, function_values=np.array([-1.0, 1.0]))
+    elif target == "theorem-main":
+        kwargs = dict(target=target, n=60, r=0.05, trials=600, root_seed=11, k=2, family=family12)
+    else:
+        kwargs = dict(target=target, n=60, r=0.05, trials=600, root_seed=5, k=3, model=poly2_model, mesh=64)
+    kwargs.update(overrides)
+    return TrialPlan(**kwargs)
+
+
+def _record_uniforms(monkeypatch):
+    """Record (seed array ndim, seed count, count) of every uniforms call,
+    from verify and from rng.normals."""
+    calls = []
+    real = rng.uniforms
+
+    def recording(seeds, count):
+        calls.append((np.ndim(seeds), np.size(seeds), count))
+        return real(seeds, count)
+
+    monkeypatch.setattr(rng, "uniforms", recording)
+    monkeypatch.setattr(verify, "uniforms", recording)
+    return calls
 
 
 class TestRng:
@@ -275,17 +323,6 @@ class TestRunTrials:
         assert rep.violations == 0
         assert rep.passed
 
-    def test_sampler_mean_matches_distribution(self, family12):
-        # replicate the harness sampling convention on one centered member
-        dist = family12.distribution
-        vals = family12.values[1]
-        cdf = np.cumsum(dist.probabilities)
-        cdf[-1] = 1.0
-        u = uniforms(substream_seed(99, np.arange(1, 1001)), 1000)
-        draws = vals[np.searchsorted(cdf, u)]
-        sigma = math.sqrt(float(np.sum(dist.probabilities * vals**2)))
-        assert abs(draws.mean()) < 4.0 * sigma / 1000.0
-
 
 class TestParallelism:
     def test_thread_count_determinism(self, monkeypatch, family12):
@@ -366,6 +403,186 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(plan, n_values=[10, 0])
 
+
+class TestAtomCounts:
+    @staticmethod
+    def _reference(u, cdf):
+        return np.stack([np.bincount(np.searchsorted(cdf, row, side="left"), minlength=cdf.size) for row in u])
+
+    @pytest.mark.parametrize("s", [1, 2, 6, 64, 65, 128])
+    def test_matches_searchsorted_bincount(self, s):
+        gen = np.random.default_rng(s)
+        probs = gen.dirichlet(np.ones(s))
+        if s > 2:
+            probs[1::3] = 0.0  # zero-probability atoms repeat a cdf level
+            probs /= probs.sum()
+        cdf = np.cumsum(probs)
+        cdf[-1] = 1.0
+        u = uniforms(substream_seed(s, np.arange(1, 201)), 150)
+        levels = cdf[:-1][: u.shape[1]]
+        u[:, : levels.size] = levels  # uniforms exactly at cdf levels
+        counts = verify._atom_counts(u, cdf)
+        assert counts.dtype.kind == "i"
+        assert np.array_equal(counts, self._reference(u, cdf))
+        assert np.all(counts.sum(axis=1) == u.shape[1])
+
+    def test_level_hits_and_zero_probability_atoms(self):
+        cdf = np.cumsum([0.25, 0.0, 0.0, 0.5, 0.0, 0.25])
+        u = np.array([[0.25, 0.25, 0.75, 0.1, 0.9, 0.5]])
+        assert verify._atom_counts(u, cdf).tolist() == [[3, 0, 0, 2, 0, 1]]
+        assert np.array_equal(verify._atom_counts(u, cdf), self._reference(u, cdf))
+
+
+class TestExactDecisions:
+    def test_discrete_near_tie_decided_in_real_arithmetic(self, monkeypatch):
+        # Counts (3, 3) of the values (a, b) sum to 3a + 3b = -3 * 2^-51 in real
+        # arithmetic, while every float evaluation of that dot product (either
+        # order, with or without a fused multiply-add) gives -2 * 2^-51 or
+        # -2.5 * 2^-51, so n thr = -2.76 * 2^-51 separates them.
+        a, b = 1.0 + 2.0**-52, -(1.0 + 3 * 2.0**-52)
+        n, thr = 6, -0.46 * 2.0**-51
+        real = 3 * Fraction(a) + 3 * Fraction(b)
+        assert real < n * Fraction(thr) < Fraction(float(np.array([3.0, 3.0]) @ np.array([a, b])))
+
+        cdf = np.array([0.5, 1.0])
+        monkeypatch.setattr(
+            verify, "_discrete_setup", lambda plan: (np.array([[a, b]]), np.array([thr]), cdf, 1.0)
+        )
+        calls = []
+        exact_dot = verify._exact_dot
+        monkeypatch.setattr(verify, "_exact_dot", lambda x, w: calls.append(1) or exact_dot(x, w))
+        plan = _rademacher_plan(n=n, trials=400)
+        rep = run_trials(plan)
+
+        atoms = np.searchsorted(cdf, uniforms(substream_seed(plan.root_seed, np.arange(1, 401)), n))
+        counts = np.stack([n - atoms.sum(axis=1), atoms.sum(axis=1)], axis=1)
+        exact = sum(int(c0) * Fraction(a) + int(c1) * Fraction(b) > n * Fraction(thr) for c0, c1 in counts)
+        ties = int(np.count_nonzero(counts[:, 0] == 3))
+        floated = int(np.count_nonzero(counts.astype(float) @ np.array([a, b]) > n * thr))
+        assert ties > 0 and floated == exact + ties
+        assert rep.violations == exact
+        assert len(calls) >= ties
+
+    def test_gaussian_near_tie_decided_in_real_arithmetic(self, monkeypatch):
+        # d = 1 and n = 2: a trial g violates total t when g p > sqrt(2) t.
+        # Search the draws for a trial and a total that the float comparisons
+        # g p > sqrt(2) t and (g p) / sqrt(2) > t both decide wrongly.
+        n, p, trials, seed = 2, 0.1, 2_000, 8
+        g = normals(substream_seed(seed, np.arange(1, trials + 1)), 1)[:, 0]
+        real = [Fraction(v) * Fraction(p) for v in g.tolist()]
+        floated = (g * p).tolist()
+
+        def above(x, total):
+            return x > 0 and x * x > n * Fraction(total) ** 2
+
+        def float_rules(xf, total):
+            return {xf > math.sqrt(n) * total, xf * (1.0 / math.sqrt(n)) > total}
+
+        def separating_total():
+            for x, xf in zip(real, floated):
+                cand = float(x) / math.sqrt(n)
+                for step in range(-4, 5):
+                    total = cand + step * math.ulp(cand)
+                    if x > 0 and float_rules(xf, total) == {not above(x, total)}:
+                        return total
+            return None
+
+        total = separating_total()
+        assert total is not None
+        monkeypatch.setattr(verify, "_gaussian_mesh", lambda plan: (np.ones((1, 1)), np.array([[p]])))
+        monkeypatch.setattr(verify, "_gaussian_setup", lambda plan, dirs: (np.array([total]), 2.0 * math.exp(-0.1)))
+        plan = TrialPlan(target="gaussian", n=n, r=0.05, trials=trials, root_seed=seed,
+                         model=GaussianModel(np.eye(1)), mesh=1)
+        rep = run_trials(plan)
+        assert rep.violations == sum(above(x, total) for x in real)
+        assert rep.violations != sum(xf > math.sqrt(n) * total for xf in floated)
+
+    def test_zero_row_at_zero_threshold_never_enters_exact_path(self, monkeypatch):
+        calls = []
+        exact_dot = verify._exact_dot
+        monkeypatch.setattr(verify, "_exact_dot", lambda x, w: calls.append(1) or exact_dot(x, w))
+        dist = DiscreteDistribution(support=np.array([[-1.0], [1.0]]), probabilities=np.array([0.5, 0.5]))
+        fam = FunctionFamily(dist, {"zero": np.zeros(2)})
+        for target in ("corollary", "theorem-main"):
+            plan = TrialPlan(target=target, n=20, r=0.1, trials=2_000, root_seed=3, family=fam)
+            tracked, thresholds, _, _ = verify._discrete_setup(plan)
+            assert not tracked.any() and np.all(thresholds == 0.0)
+            assert run_trials(plan).violations == 0
+        assert calls == []
+
+    @pytest.mark.parametrize("target", ["chernoff", "theorem-main", "gaussian"])
+    def test_reports_bit_identical_for_one_and_two_threads(self, monkeypatch, family12, poly2_model, target):
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+        _scale_thresholds(monkeypatch, 0.3)
+        plan = _target_plan(target, family12, poly2_model)
+        reports = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("TAILBOUND_THREADS", threads)
+            reports.append([rep.as_dict() for rep in sweep(plan, n_values=[30, 60])])
+        assert reports[0] == reports[1]
+        assert all(rep["violations"] > 0 for rep in reports[0])
+
+
+class TestChunks:
+    @pytest.mark.parametrize("target", ["chernoff", "theorem-main", "gaussian"])
+    def test_reports_identical_with_tiny_blocks(self, monkeypatch, family12, poly2_model, target):
+        _scale_thresholds(monkeypatch, 0.3)
+        plan = _target_plan(target, family12, poly2_model, trials=300)
+        before = run_trials(plan).as_dict()
+        monkeypatch.setattr(numerics, "BLOCK_ELEMENTS", 64)
+        assert run_trials(plan).as_dict() == before
+        assert before["violations"] > 0
+
+    def test_no_draw_exceeds_block_elements(self, monkeypatch, family12, poly2_model):
+        calls = _record_uniforms(monkeypatch)
+        plans = [
+            _target_plan("chernoff", family12, poly2_model, trials=20_000),
+            _target_plan("theorem-main", family12, poly2_model, trials=6_000),
+            _target_plan("gaussian", family12, poly2_model, trials=6_000),
+        ]
+        for plan in plans:
+            run_trials(plan)
+        assert max(size * count for _, size, count in calls) <= numerics.BLOCK_ELEMENTS
+        trial_draws = sum(size * count for ndim, size, count in calls if ndim == 1)
+        assert trial_draws == 20_000 * 50 + 6_000 * 60 + 6_000 * 2 * poly2_model.dim
+        assert trial_draws > 3 * numerics.BLOCK_ELEMENTS
+
+
+class TestSweepSharing:
+    GRID = dict(n_values=[30, 60], r_values=[0.05, 0.2], k_values=[0, 2])
+
+    @pytest.mark.parametrize("target", ["chernoff", "theorem-main", "gaussian"])
+    def test_every_point_equals_its_run_trials(self, monkeypatch, family12, poly2_model, target):
+        _scale_thresholds(monkeypatch, 0.3)
+        plan = _target_plan(target, family12, poly2_model, trials=500)
+        reports = sweep(plan, **self.GRID)
+        points = list(itertools.product(*self.GRID.values()))
+        assert [(rep.n, rep.r, rep.k) for rep in reports] == points
+        for rep, (n, r, k) in zip(reports, points):
+            assert rep.as_dict() == run_trials(dataclasses.replace(plan, n=n, r=r, k=k)).as_dict()
+        assert len({rep.violations for rep in reports}) > 1
+
+    @pytest.mark.parametrize("target", ["chernoff", "theorem-main"])
+    def test_one_draw_pass_per_n(self, monkeypatch, family12, poly2_model, target):
+        calls = _record_uniforms(monkeypatch)
+        plan = _target_plan(target, family12, poly2_model, trials=500)
+        sweep(plan, **self.GRID)
+        drawn = collections.Counter()
+        for _, size, count in calls:
+            drawn[count] += size
+        assert drawn == {30: 500, 60: 500}
+
+    def test_one_draw_pass_for_a_gaussian_sweep(self, monkeypatch, family12, poly2_model):
+        calls = _record_uniforms(monkeypatch)
+        plan = _target_plan("gaussian", family12, poly2_model, trials=500)
+        sweep(plan, **self.GRID)
+        d = poly2_model.dim
+        assert [c for c in calls if c[0] == 0] == [(0, 1, 2 * plan.mesh * d)]  # the mesh, once
+        drawn = collections.Counter()
+        for ndim, size, count in calls:
+            if ndim == 1:
+                drawn[count] += size
+        assert drawn == {2 * d: 500}
 
 def test_chernoff_threshold_is_rate_bound(rademacher, monkeypatch):
     # the harness thresholds chernoff runs at T_r of the tracked function

@@ -5,10 +5,10 @@
 
 `dump` runs the jobs of both benchmark workloads, seeds 1-3, as this
 checkout's bench/workloads.py (only imported) defines them, and the
-FIXTURE_COMMANDS on this checkout's fixtures/family12.json and
-fixtures/rademacher.json, through the `tailbound.cli.main` of DIR/src, DIR
-being a checkout's root, and saves each job's exit code, output and stderr
-in FILE. `diff` lists the jobs whose records differ, with the largest
+FIXTURE_COMMANDS on this checkout's fixtures/family12.json,
+fixtures/rademacher.json and fixtures/gaussian-poly2.json, through the
+`tailbound.cli.main` of DIR/src, DIR being a checkout's root, and saves
+each job's exit code, output and stderr in FILE. `diff` lists the jobs whose records differ, with the largest
 relative change among their JSON floats; it exits 1 if any do.
 """
 
@@ -28,7 +28,9 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-FIXTURES = {"{family}": "family12.json", "{rademacher}": "rademacher.json"}  # placeholder -> fixtures/ file
+FIXTURES = {  # placeholder -> fixtures/ file
+    "{family}": "family12.json", "{rademacher}": "rademacher.json", "{gaussian}": "gaussian-poly2.json",
+}
 BENNETT = ['{"kind": "bennett", "L": %s}' % L for L in (0.1, 1, 10)]
 # The benchmark's six generators, Bennett at other L and a custom table.
 GENERATORS = [
@@ -52,6 +54,12 @@ FIXTURE_COMMANDS = [
     *([op, "--gen", gen, "--r", r] for op in ("wr-quad", "wr-exp") for gen in GENERATORS for r in ("0.05", "10")),
     *(["orlicz-norm", "--dist", "{rademacher}", "--f", "f", "--gen", gen] for gen in BENNETT),
     *(["class-wr", "--family", "{family}", "--r", "0.05", "--norm", gen] for gen in BENNETT),
+    # The sweep's grouped draws: discrete points grouped by n, and a gaussian
+    # sweep whose points all share one draw.
+    ["sweep", "--target", "chernoff", "--dist", "{rademacher}", "--f", "f", "--n", "50", "--r", "0.05",
+     "--trials", "20000", "--seed", "3", "--n-grid", "10,50,200", "--r-grid", "0.02,0.05"],
+    ["sweep", "--target", "gaussian", "--model", "{gaussian}", "--n", "5", "--r", "0.0001", "--mesh", "256",
+     "--trials", "2000", "--seed", "4", "--n-grid", "5,50", "--k-grid", "0,2,5,10"],
 ]
 
 
