@@ -52,7 +52,6 @@ from .chaining import (
     optimize_deflation,
     replay_certificate,
     theorem_main_bound,
-    trivial_plan,
     validate_plan,
 )
 from .verify import TrialPlan, VerificationReport, run_trials, sweep
@@ -100,7 +99,6 @@ __all__ = [
     "run_trials",
     "sweep",
     "theorem_main_bound",
-    "trivial_plan",
     "validate_plan",
     "wr_exponential_type",
     "wr_quadrature_bound",

@@ -86,13 +86,15 @@ def check_rows(dist: DiscreteDistribution, rows, centered: bool = True) -> np.nd
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2 or rows.shape[1] != dist.size:
         raise ValueError("function length does not match support size")
+    if np.isinf(rows).any():  # before the rule below, whose mean it would make NaN or infinite
+        raise ValueError("function values must be finite")
     if centered:
         means = np.abs((rows * dist.probabilities).sum(axis=1))
         tols = CENTERING_TOL * np.maximum(1.0, np.abs(rows).max(axis=1))
         if not np.all(means <= tols):  # NaN fails too
             bad = int(np.argmin(means <= tols))
             raise ValueError(f"function is not centered: mean {float(means[bad])!r} exceeds {float(tols[bad])!r}")
-    if not np.all(np.isfinite(rows)):  # an infinite value can pass the rule above
+    if np.isnan(rows).any():  # reached only unchecked for centering
         raise ValueError("function values must be finite")
     return rows
 

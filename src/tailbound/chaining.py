@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cgf import CENTERING_TOL, DiscreteDistribution, TabulatedFunction, check_rows, rate_bound_T_rows
-from .numerics import NumericError, cgf_rows, grid_golden_min, row_blocks
+from .cgf import DiscreteDistribution, check_rows, rate_bound_T_rows
+from .numerics import NumericError, cgf_rows, check_int, grid_golden_min, row_blocks
 from .orlicz import OrliczGenerator, orlicz_norm_rows
 
 LOG2 = math.log(2.0)
@@ -79,12 +79,14 @@ class FunctionFamily:
     """Finite family of centered tabulated functions with a designated zero.
 
     members: mapping name -> values (one per support point), in a stable
-    order. norm_context selects the metric: "cgf" for the CGF functional or
-    an OrliczGenerator instance. Construction norms every member difference
-    once, re-centered (distances); member_norms is the zero member's row of
-    distances, since a member's norm is its distance to 0. The family caches
-    the w_r pass of each rate and the deflated set of each plan, CACHE_SIZE
-    of each.
+    order, each a row that cgf.check_rows accepts. Twice the spread
+    max f - min f at each point must be finite; then so is every
+    (f - g) - (f' - g') the chain forms. norm_context selects the metric:
+    "cgf" for the CGF functional or an OrliczGenerator instance.
+    Construction norms every member difference once, re-centered
+    (distances); member_norms is the zero member's row of distances, since a
+    member's norm is its distance to 0. The family caches the w_r pass of
+    each rate and the deflated set of each plan, CACHE_SIZE of each.
     """
 
     distribution: DiscreteDistribution
@@ -96,13 +98,14 @@ class FunctionFamily:
             raise ValueError("family must contain at least one member")
         names = tuple(self.members.keys())
         for name in names:
-            f = TabulatedFunction(self.members[name])
-            if f.values.shape[0] != self.distribution.size:
-                raise ValueError(f"member {name!r} length does not match support size")
-            m = float(np.dot(self.distribution.probabilities, f.values))
-            if abs(m) > CENTERING_TOL * max(1.0, float(np.abs(f.values).max())):
-                raise ValueError(f"member {name!r} is not centered: mean {m!r}")
+            try:
+                check_rows(self.distribution, [self.members[name]])
+            except ValueError as exc:
+                raise ValueError(f"member {name!r}: {exc}") from None
         values = np.array([self.members[name] for name in names], dtype=float)
+        with np.errstate(over="ignore"):
+            if not np.all(np.isfinite(2.0 * (values.max(axis=0) - values.min(axis=0)))):
+                raise ValueError("member values at a support point are too far apart: their differences overflow")
         zeros = np.nonzero(~values.any(axis=1))[0]
         if zeros.size == 0:
             raise ValueError("family must contain the zero function as a member")
@@ -209,11 +212,6 @@ class DeflationPlan:
         object.__setattr__(self, "assignment", tuple(int(a) for a in self.assignment))
 
 
-def trivial_plan(family: FunctionFamily) -> DeflationPlan:
-    """A[f] = 0 for every member: recovers standard (non-deflated) chaining."""
-    return DeflationPlan(tuple([family.zero_index] * family.size), 0)
-
-
 def validate_plan(family: FunctionFamily, plan: DeflationPlan) -> None:
     if len(plan.assignment) != family.size:
         raise ValueError("plan assignment length does not match the family")
@@ -244,18 +242,15 @@ def build_deflation(family: FunctionFamily, k: int) -> DeflationPlan:
     with norm not exceeding the member's own (ties to the smallest member
     index), keeping the zero member whenever no admissible center strictly
     improves on it. At k = 0 the zero member is the one center: the trivial
-    plan.
+    plan. deflate validates the plan.
     """
-    if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 0:
-        raise ValueError("k must be a nonnegative integer")
+    k = check_int("k", k, 0)
     z, norms = family.zero_index, family.member_norms
     centers = _farthest_first(family.distances, [z], _center_budget(k, family.size))
     order = np.array([z] + sorted(set(centers) - {z}))  # the zero member first: it wins ties
     admissible = norms[order][None, :] <= norms[:, None] + PLAN_NORM_SLACK
     assignment = order[np.argmin(np.where(admissible, family.distances[:, order], np.inf), axis=1)]
-    plan = DeflationPlan(tuple(assignment), int(k))
-    validate_plan(family, plan)
-    return plan
+    return DeflationPlan(tuple(assignment), k)
 
 
 @dataclass(frozen=True)
@@ -303,10 +298,6 @@ def _deflate(family: FunctionFamily, assignment: tuple) -> DeflatedSet:
     return DeflatedSet(values, labels, zero_pos, tuple(member_map), _distances(family, values, known))
 
 
-def _coverage_radius(dist: np.ndarray, subset) -> float:
-    return float(np.max(np.min(dist[:, list(subset)], axis=1)))
-
-
 def _farthest_first(dist: np.ndarray, seed: list, budget: int) -> list:
     """seed grown by farthest-first traversal under dist to `budget` indices,
     or until every point is at distance 0; ties go to the smallest index."""
@@ -323,8 +314,10 @@ def _farthest_first(dist: np.ndarray, seed: list, budget: int) -> list:
 def epsilon_ell(deflated: DeflatedSet, ell: int):
     """Best covering radius of the deflated set by at most 2^{2^ell} elements.
 
-    Exact by exhaustive enumeration for sets of at most 12 elements, greedy
-    farthest-first otherwise; the returned subset certifies the value.
+    The candidates are every subset of that size, in itertools.combinations
+    order, for sets of at most 12 elements, else the one farthest-first
+    subset; all are scored in one reduction and the first minimum wins. The
+    returned subset certifies the value.
     """
     if ell < 0:
         raise ValueError("ell must be nonnegative")
@@ -332,18 +325,13 @@ def epsilon_ell(deflated: DeflatedSet, ell: int):
     budget = 2 ** (2**ell)
     if budget >= q:
         return 0.0, tuple(range(q))
-    dist = deflated.dist
     if q <= EXACT_EPSILON_LIMIT:
-        best_val = math.inf
-        best_subset = None
-        for subset in itertools.combinations(range(q), budget):
-            val = _coverage_radius(dist, subset)
-            if val < best_val:
-                best_val = val
-                best_subset = subset
-        return best_val, tuple(best_subset)
-    subset = _farthest_first(dist, [0], budget)
-    return _coverage_radius(dist, subset), tuple(subset)
+        subsets = np.array(list(itertools.combinations(range(q), budget)))
+    else:
+        subsets = np.array([_farthest_first(deflated.dist, [0], budget)])
+    radii = deflated.dist[:, subsets].min(axis=2).max(axis=0)
+    best = int(np.argmin(radii))
+    return float(radii[best]), tuple(subsets[best].tolist())
 
 
 def _gamma_rates(n: int, ell_top: int):
@@ -360,12 +348,14 @@ def _ell_top(q: int) -> int:
     return ell
 
 
-def _gamma_value(dist: np.ndarray, levels, weights) -> float:
-    q = dist.shape[0]
-    total = np.zeros(q)
+def _gamma_values(dist: np.ndarray, levels, weights) -> np.ndarray:
+    """max over points x of sum_ell 2 w_ell dist(x, level ell), for each
+    candidate: a level is a (candidates, size) index array, or one index
+    sequence that every candidate shares."""
+    total = np.zeros((dist.shape[0], 1))
     for lvl, w in zip(levels, weights):
-        total += 2.0 * w * np.min(dist[:, list(lvl)], axis=1)
-    return float(np.max(total))
+        total = total + 2.0 * w * dist[:, np.atleast_2d(lvl)].min(axis=2)
+    return total.max(axis=0)
 
 
 def gamma_functional(deflated: DeflatedSet, family: FunctionFamily, n: int):
@@ -374,13 +364,13 @@ def gamma_functional(deflated: DeflatedSet, family: FunctionFamily, n: int):
     gamma = inf over admissible nested sequences (A_0 = {0}, |A_ell| <=
     2^{2^ell}) of the worst-case weighted distance sum, with rates
     (2^{ell+3} + ell + 2) log(2) / n. Sequences are grown greedily by
-    farthest-first additions; for sets of at most 8 elements an exhaustive
-    search over admissible sequences runs as well and the better value wins.
+    farthest-first additions; for sets of at most 8 elements every admissible
+    sequence is scored as well, in one reduction, and the first minimum
+    replaces the greedy sequence when it is strictly smaller.
     Returns (value, certificate) where the certificate lists the realizing
     levels, their rates, and their weights.
     """
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n <= 0:
-        raise ValueError("n must be a positive integer")
+    check_int("n", n, 1)
     q = deflated.size
     z = deflated.zero_pos
     if q == 1:
@@ -393,35 +383,20 @@ def gamma_functional(deflated: DeflatedSet, family: FunctionFamily, n: int):
     levels = [[z]]
     for ell in range(1, ell_top):
         levels.append(_farthest_first(dist, levels[-1], min(2 ** (2**ell), q)))
-    greedy_levels = tuple(tuple(lvl) for lvl in levels)
-    best_val = _gamma_value(dist, greedy_levels, weights)
-    best_levels = greedy_levels
+    best_levels = tuple(tuple(lvl) for lvl in levels)
+    best_val = float(_gamma_values(dist, best_levels, weights)[0])
 
     if q <= EXACT_GAMMA_LIMIT and ell_top == 2:
-        # only the ell = 1 level is free: it contains 0, has at most 4
-        # elements, and larger never hurts, so enumerate exactly
+        # only the ell = 1 level is free: it contains 0, has 4 elements
+        # (q > 4 here), and larger never hurts, so enumerate exactly
         others = [i for i in range(q) if i != z]
-        pick = min(3, len(others))
-        for combo in itertools.combinations(others, pick):
-            cand_levels = ((z,), tuple(sorted((z,) + combo)))
-            val = _gamma_value(dist, cand_levels, weights)
-            if val < best_val:
-                best_val = val
-                best_levels = cand_levels
+        cands = np.sort([(z, *combo) for combo in itertools.combinations(others, 3)], axis=1)
+        vals = _gamma_values(dist, ((z,), cands), weights)
+        best = int(np.argmin(vals))
+        if vals[best] < best_val:
+            best_val, best_levels = float(vals[best]), ((z,), tuple(cands[best].tolist()))
 
     return best_val, {"levels": best_levels, "rates": rates, "weights": weights}
-
-
-def _epsilon_schedule(deflated: DeflatedSet):
-    """All ell with a nonvanishing covering term, with values and subsets."""
-    q = deflated.size
-    out = []
-    ell = 0
-    while 2 ** (2**ell) < q:
-        val, subset = epsilon_ell(deflated, ell)
-        out.append((ell, val, subset))
-        ell += 1
-    return out
 
 
 @dataclass(frozen=True)
@@ -459,22 +434,14 @@ def theorem_main_bound(
     With probability at least 1 - 2 e^{-nr}, every member satisfies
     E_n f <= w_{r+k/n} ||f|| + gamma(A) + 2 w_r sum_ell epsilon_ell(A).
     """
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n <= 0:
-        raise ValueError("n must be a positive integer")
+    n = check_int("n", n, 1)
     if not (r > 0.0):
         raise ValueError("r must be positive")
     deflated = deflate(family, plan)
-    gamma_value, gamma_cert = gamma_functional(deflated, family, n)
-    schedule = _epsilon_schedule(deflated)
-    epsilon_values = tuple(val for _, val, _s in schedule)
-    epsilon_sum = float(sum(epsilon_values))
-    w_r = class_wr(family, r)
-    w_shift = class_wr(family, r + plan.k / n)
-    total_rhs = gamma_value + 2.0 * w_r * epsilon_sum
-    per_member = {
-        name: w_shift * float(family.member_norms[i]) + total_rhs
-        for i, name in enumerate(family.names)
-    }
+    q = deflated.size
+    _, gamma_cert = gamma_functional(deflated, family, n)
+    # a covering subset for every ell with a nonvanishing term
+    subsets = tuple((ell, epsilon_ell(deflated, ell)[1]) for ell in range(_ell_top(q)) if 2 ** (2**ell) < q)
     certificate = {
         "deflated_labels": deflated.labels,
         "deflated_values": [list(map(float, row)) for row in deflated.values],
@@ -482,55 +449,68 @@ def theorem_main_bound(
         "gamma_levels": gamma_cert["levels"],
         "gamma_rates": gamma_cert["rates"],
         "gamma_weights": gamma_cert["weights"],
-        "epsilon_subsets": tuple((ell, subset) for ell, _v, subset in schedule),
+        "epsilon_subsets": subsets,
         "assignment": plan.assignment,
         "k": plan.k,
     }
+    w_r, terms = _chain_terms(family, deflated, certificate, r)
+    w_shift = class_wr(family, r + plan.k / n)
+    per_member = {
+        name: w_shift * float(family.member_norms[i]) + terms["total_rhs"] for i, name in enumerate(family.names)
+    }
     return ChainBoundReport(
-        n=int(n),
+        n=n,
         r=float(r),
         k=int(plan.k),
-        gamma_value=gamma_value,
-        epsilon_sum=epsilon_sum,
-        epsilon_values=epsilon_values,
+        gamma_value=terms["gamma_value"],
+        epsilon_sum=terms["epsilon_sum"],
+        epsilon_values=terms["epsilon_values"],
         w_r=w_r,
         w_shift=w_shift,
         per_member=per_member,
-        total_rhs=total_rhs,
+        total_rhs=terms["total_rhs"],
         guarantee=1.0 - 2.0 * math.exp(-n * r),
-        deflated_size=deflated.size,
+        deflated_size=q,
         certificate=certificate,
     )
+
+
+def _chain_terms(family: FunctionFamily, deflated: DeflatedSet, certificate: dict, r: float):
+    """(w_r, terms) of a chain bound, evaluated over the certificate's gamma
+    levels and rates and its epsilon subsets: the one arithmetic of the
+    report and of its replay. terms holds gamma_value, epsilon_sum,
+    epsilon_values, total_rhs = gamma_value + 2 w_r epsilon_sum and the
+    gamma weights."""
+    weights = tuple(class_wr(family, rr) for rr in certificate["gamma_rates"])
+    gamma_value = float(_gamma_values(deflated.dist, certificate["gamma_levels"], weights)[0])
+    epsilon_values = tuple(
+        float(deflated.dist[:, list(subset)].min(axis=1).max()) for _ell, subset in certificate["epsilon_subsets"]
+    )
+    epsilon_sum = float(sum(epsilon_values))
+    w_r = class_wr(family, r)
+    return w_r, {
+        "gamma_value": gamma_value,
+        "epsilon_sum": epsilon_sum,
+        "epsilon_values": epsilon_values,
+        "total_rhs": gamma_value + 2.0 * w_r * epsilon_sum,
+        "weights": weights,
+    }
 
 
 def replay_certificate(family: FunctionFamily, report: ChainBoundReport) -> dict:
     """Recompute every reported value from the certificate alone.
 
     Rebuilds the deflated set from the stored assignment, re-evaluates all
-    distances, weights, and covering radii over the certified index sets, and
-    returns the recomputed quantities for comparison with the report.
+    distances, weights, and covering radii over the certified index sets
+    with the report's own arithmetic, and returns the recomputed quantities
+    for comparison with the report.
     """
     plan = DeflationPlan(tuple(report.certificate["assignment"]), int(report.certificate["k"]))
     deflated = deflate(family, plan)
     stored = np.array(report.certificate["deflated_values"], dtype=float)
     if stored.shape != deflated.values.shape or not np.array_equal(stored, deflated.values):
         raise ValueError("certificate deflated values do not match the family and plan")
-    weights = tuple(class_wr(family, rr) for rr in report.certificate["gamma_rates"])
-    gamma_value = _gamma_value(deflated.dist, report.certificate["gamma_levels"], weights)
-    eps_values = [
-        _coverage_radius(deflated.dist, subset)
-        for _ell, subset in report.certificate["epsilon_subsets"]
-    ]
-    epsilon_sum = float(sum(eps_values))
-    w_r = class_wr(family, report.r)
-    total_rhs = gamma_value + 2.0 * w_r * epsilon_sum
-    return {
-        "gamma_value": gamma_value,
-        "epsilon_sum": epsilon_sum,
-        "epsilon_values": tuple(eps_values),
-        "total_rhs": total_rhs,
-        "weights": weights,
-    }
+    return _chain_terms(family, deflated, report.certificate, report.r)[1]
 
 
 @dataclass(frozen=True)
@@ -557,18 +537,13 @@ def optimize_deflation(
     best = None
     evaluations = []
     for k in kc:
-        if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 0:
-            raise ValueError("k candidates must be nonnegative integers")
-        plan = build_deflation(family, int(k))
+        k = check_int("k candidate", k, 0)
+        plan = build_deflation(family, k)
         report = theorem_main_bound(family, plan, n, r)
         objective = report.total_rhs + (report.w_shift - report.w_r) * max_norm
-        evaluations.append((int(k), objective))
-        if (
-            best is None
-            or objective < best[0]
-            or (objective == best[0] and int(k) < best[1])
-        ):
-            best = (objective, int(k), plan, report)
+        evaluations.append((k, objective))
+        if best is None or (objective, k) < best[:2]:
+            best = (objective, k, plan, report)
     return OptimizeResult(
         plan=best[2], report=best[3], objective=best[0], evaluations=tuple(evaluations)
     )

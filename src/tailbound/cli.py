@@ -10,6 +10,7 @@ with their shortest round-trip representation.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -213,6 +214,7 @@ def _add_output_flags(sub):
     sub.add_argument("--output", default=None, help="write result to this path instead of stdout")
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tailbound",

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import NumericError
+from .numerics import NumericError, check_int
 
 MAX_DIM = 2000
 SYMMETRY_TOL = 1e-12
@@ -193,12 +193,9 @@ def gaussian_instance_bound_rows(
 def _bound_terms(model, directions, k, n, r, loose_projected):
     """The bound's terms for each row u of directions: tail_trace and tail_op,
     which do not depend on u, and the arrays of projected and base terms."""
-    if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
-        raise ValueError("k must be an integer")
-    if k < 0 or k > model.dim:
+    if check_int("k", k, 0) > model.dim:
         raise ValueError("k must lie in 0..d")
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n <= 0:
-        raise ValueError("n must be a positive integer")
+    check_int("n", n, 1)
     if not (r > 0.0):
         raise ValueError("r must be positive")
     u = np.asarray(directions, dtype=float)
@@ -222,8 +219,7 @@ def optimal_rank(model: GaussianModel, n: int, r: float) -> int:
     + sqrt(k/n) lambda_1^{1/2} over k in 0..d by exhaustive scan, the worst
     case over ||u||_2 <= 1 of the k-dependent terms. Ties break to smaller k.
     """
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n <= 0:
-        raise ValueError("n must be a positive integer")
+    check_int("n", n, 1)
     if not (r > 0.0):
         raise ValueError("r must be positive")
     top = math.sqrt(float(model.eigenvalues[0]))

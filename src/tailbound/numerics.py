@@ -35,6 +35,14 @@ class NumericError(RuntimeError):
     a bracket that cannot be found, or a failed runtime consistency check."""
 
 
+def check_int(name: str, value, low: int) -> int:
+    """value as an int when it is an integer, not a bool, of at least low (0 or
+    1); otherwise ValueError "<name> must be a nonnegative (positive) integer"."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < low:
+        raise ValueError(f"{name} must be a {('nonnegative', 'positive')[low]} integer")
+    return int(value)
+
+
 def row_blocks(rows: int, per_row: int):
     """Slices cutting `rows` rows into blocks whose tensors, of `per_row`
     elements per row, hold at most BLOCK_ELEMENTS elements (one row at least)."""

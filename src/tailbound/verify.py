@@ -47,7 +47,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cgf import DiscreteDistribution, TabulatedFunction, rate_bound_T
+from .cgf import DiscreteDistribution, check_rows, rate_bound_T
 from .chaining import (
     FunctionFamily,
     build_deflation,
@@ -55,7 +55,7 @@ from .chaining import (
     theorem_main_bound,
 )
 from .gaussian import GaussianModel, gaussian_instance_bound_rows
-from .numerics import row_blocks
+from .numerics import check_int, row_blocks
 from .rng import normals, substream_seed, uniforms
 
 TARGETS = ("chernoff", "corollary", "gaussian", "theorem-main")
@@ -82,29 +82,23 @@ class TrialPlan:
     def __post_init__(self):
         if self.target not in TARGETS:
             raise ValueError(f"unknown target {self.target!r}")
-        for name in ("n", "trials"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or isinstance(v, bool) or v < 1:
-                raise ValueError(f"{name} must be a positive integer")
+        check_int("n", self.n, 1)
+        check_int("trials", self.trials, 1)
         if not (self.r > 0.0):
             raise ValueError("r must be positive")
-        if not isinstance(self.k, (int, np.integer)) or isinstance(self.k, bool) or self.k < 0:
-            raise ValueError("k must be a nonnegative integer")
+        check_int("k", self.k, 0)
         if self.target == "chernoff":
             if self.distribution is None or self.function_values is None:
                 raise ValueError("chernoff target requires a distribution and a function")
-            f = TabulatedFunction(self.function_values)
-            if f.values.shape[0] != self.distribution.size:
-                raise ValueError("function length does not match support size")
-            object.__setattr__(self, "function_values", f.values)
+            values = check_rows(self.distribution, [self.function_values], centered=False)[0]
+            object.__setattr__(self, "function_values", values)
         elif self.target in ("corollary", "theorem-main"):
             if self.family is None:
                 raise ValueError(f"{self.target} target requires a function family")
         else:
             if self.model is None:
                 raise ValueError("gaussian target requires a Gaussian model")
-            if not isinstance(self.mesh, (int, np.integer)) or isinstance(self.mesh, bool) or self.mesh < 1:
-                raise ValueError("gaussian target requires mesh >= 1")
+            check_int("mesh", self.mesh, 1)
             if self.k > self.model.dim:
                 raise ValueError("k must not exceed the model dimension")
 

@@ -27,7 +27,6 @@ from tailbound.chaining import (
     optimize_deflation,
     replay_certificate,
     theorem_main_bound,
-    trivial_plan,
 )
 from tailbound.cli import main
 from tailbound.gaussian import LinearFunctional, gaussian_instance_bound, optimal_rank
@@ -263,19 +262,19 @@ def test_criterion_10_oracle_equivalence(family12):
         rng = np.random.default_rng(101)
         for size in (3, 4, 5, 6, 7, 8):
             fam = _random_family(rng, size)
-            deflated = deflate(fam, trivial_plan(fam))
+            deflated = deflate(fam, build_deflation(fam, 0))
             got, _cert = gamma_functional(deflated, fam, 120)
             exact = _exhaustive_gamma(deflated, fam, 120)
             assert got >= exact - 1e-12
             assert got == pytest.approx(exact, abs=1e-12)
-            rep = theorem_main_bound(fam, trivial_plan(fam), 120, 0.05)
+            rep = theorem_main_bound(fam, build_deflation(fam, 0), 120, 0.05)
             replay = replay_certificate(fam, rep)
             assert replay["total_rhs"] == pytest.approx(rep.total_rhs, abs=1e-12)
 
         # covering radii: exact enumeration on sets of at most 12 elements
         for size in (5, 9, 12):
             fam = _random_family(rng, size, support_points=8)
-            deflated = deflate(fam, trivial_plan(fam))
+            deflated = deflate(fam, build_deflation(fam, 0))
             q = deflated.size
             for ell in (0, 1, 2):
                 budget = 2 ** (2**ell)
@@ -293,7 +292,7 @@ def test_criterion_10_oracle_equivalence(family12):
 
         # certificate replay across deflation sizes on the two-cluster fixture
         for k in (0, 2, 3):
-            plan = trivial_plan(family12) if k == 0 else build_deflation(family12, k)
+            plan = build_deflation(family12, k)
             rep = theorem_main_bound(family12, plan, 200, 0.05)
             replay = replay_certificate(family12, rep)
             assert replay["gamma_value"] == pytest.approx(rep.gamma_value, abs=1e-12)

@@ -9,6 +9,7 @@ enumeration wherever the set is small enough to enumerate.
 import dataclasses
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -28,7 +29,6 @@ from tailbound.chaining import (
     optimize_deflation,
     replay_certificate,
     theorem_main_bound,
-    trivial_plan,
     validate_plan,
 )
 from tailbound.jsonio import load_family, load_json
@@ -177,6 +177,22 @@ def test_family_requires_centering():
         FunctionFamily(UNIFORM4, {"zero": [0.0] * 4, "bad": [1.0, 0.0, 0.0, 0.0]})
 
 
+@pytest.mark.parametrize(
+    "member,message",
+    [
+        ([1.0, -1.0, 1.0, -1.0 + 1e-6], "member 'bad': function is not centered"),
+        ([math.inf, -math.inf, 0.0, 0.0], "member 'bad': function values must be finite"),
+        ([math.nan, 0.0, 0.0, 0.0], "member 'bad': function is not centered"),
+        ([1e308, -1e308, 1e308, -1e308], "their differences overflow"),
+    ],
+)
+def test_family_rejects_a_bad_member_with_one_message_and_no_warning(member, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            FunctionFamily(UNIFORM4, {"zero": [0.0] * 4, "good": [1.0, -1.0, 0.0, 0.0], "bad": member})
+
+
 def test_family_rejects_empty_and_mismatched():
     with pytest.raises(ValueError):
         FunctionFamily(UNIFORM4, {})
@@ -272,7 +288,7 @@ def test_extremal_difference_attains_wr(family12):
 
 
 def test_trivial_plan_roundtrip(family12):
-    plan = trivial_plan(family12)
+    plan = build_deflation(family12, 0)
     assert plan.k == 0
     assert set(plan.assignment) == {0}
     deflated = deflate(family12, plan)
@@ -308,14 +324,14 @@ def test_build_deflation_input_checks(family12):
     for bad in (-1, True, 1.5):
         with pytest.raises(ValueError):
             build_deflation(family12, bad)
-    assert build_deflation(family12, 0) == trivial_plan(family12)
+    assert build_deflation(family12, 0) == DeflationPlan((family12.zero_index,) * family12.size, 0)
 
 
 def test_build_deflation_at_k0_is_the_trivial_plan_under_an_orlicz_norm(fixtures_dir):
     # budget floor(e^0) = 1 keeps only the zero member, and every member
     # is sent to it
     fam = load_family(load_json(fixtures_dir / "family12.json"), make_generator("bernstein", L=1.0))
-    assert build_deflation(fam, 0) == trivial_plan(fam)
+    assert build_deflation(fam, 0) == DeflationPlan((fam.zero_index,) * fam.size, 0)
 
 
 def test_build_deflation_small_budget(family12):
@@ -414,7 +430,7 @@ def test_epsilon_exact_enumeration_small(family12):
 def test_epsilon_greedy_large_set():
     rng = np.random.default_rng(34)
     fam = random_family(rng, 14, support_points=8)
-    deflated = deflate(fam, trivial_plan(fam))
+    deflated = deflate(fam, build_deflation(fam, 0))
     got, subset = epsilon_ell(deflated, 0)
     assert len(subset) == 2
     exact = min(
@@ -427,14 +443,14 @@ def test_epsilon_greedy_large_set():
 def test_epsilon_nonincreasing_in_ell():
     rng = np.random.default_rng(35)
     fam = random_family(rng, 12, support_points=7)
-    deflated = deflate(fam, trivial_plan(fam))
+    deflated = deflate(fam, build_deflation(fam, 0))
     vals = [epsilon_ell(deflated, ell)[0] for ell in range(3)]
     assert vals[0] >= vals[1] >= vals[2]
     assert vals[2] == 0.0
 
 
 def test_epsilon_rejects_negative_ell(family12):
-    deflated = deflate(family12, trivial_plan(family12))
+    deflated = deflate(family12, build_deflation(family12, 0))
     with pytest.raises(ValueError):
         epsilon_ell(deflated, -1)
 
@@ -454,7 +470,7 @@ def test_gamma_two_point_closed_form():
     fam = FunctionFamily(
         UNIFORM4, {"zero": [0.0] * 4, "g1": [1.0, -1.0, 1.0, -1.0]}
     )
-    deflated = deflate(fam, trivial_plan(fam))
+    deflated = deflate(fam, build_deflation(fam, 0))
     val, cert = gamma_functional(deflated, fam, 50)
     want = 2.0 * class_wr(fam, 10.0 * LOG2 / 50.0) * float(deflated.dist[1, deflated.zero_pos])
     assert val == pytest.approx(want, rel=1e-12)
@@ -464,7 +480,7 @@ def test_gamma_two_point_closed_form():
 def test_gamma_matches_exhaustive_sequences():
     rng = np.random.default_rng(36)
     fam = random_family(rng, 5)
-    deflated = deflate(fam, trivial_plan(fam))
+    deflated = deflate(fam, build_deflation(fam, 0))
     got, cert = gamma_functional(deflated, fam, 120)
     q = deflated.size
     z = deflated.zero_pos
@@ -495,8 +511,62 @@ def test_gamma_matches_exhaustive_sequences():
         assert set(levels[max(ell - 1, 0)]) <= set(lvl)
 
 
+# zero and five members on four equally likely points: two level-1 sets tie
+# for the smallest gamma, below the greedy sequence's value
+TIED = FunctionFamily(
+    UNIFORM4,
+    {
+        "zero": [0.0] * 4,
+        "m1": [-1.0, 0.0, 0.5, 0.5],
+        "m2": [-1.0, 1.0, 0.5, -0.5],
+        "m3": [-0.5, 0.5, -0.5, 0.5],
+        "m4": [1.0, 0.5, -1.0, -0.5],
+        "m5": [0.0, 1.0, -1.0, 0.0],
+    },
+)
+
+
+def _first_minima(candidates, value):
+    """The candidates, in their order, at which value is smallest."""
+    values = [value(c) for c in candidates]
+    return [c for c, v in zip(candidates, values) if v == min(values)], min(values)
+
+
+@pytest.mark.parametrize("fam,k,ell", [("family12", 0, 1), ("family12", 2, 0), ("tied", 0, 0)])
+def test_epsilon_returns_the_first_tied_minimum_in_combinations_order(family12, fam, k, ell):
+    fam = family12 if fam == "family12" else TIED
+    deflated = deflate(fam, build_deflation(fam, k))
+    q = deflated.size
+    ties, best = _first_minima(
+        list(itertools.combinations(range(q), 2 ** (2**ell))),
+        lambda s: max(min(float(deflated.dist[i, j]) for j in s) for i in range(q)),
+    )
+    assert len(ties) > 1
+    assert epsilon_ell(deflated, ell) == (best, ties[0])
+
+
+def test_gamma_returns_the_first_tied_minimum_in_combinations_order():
+    deflated = deflate(TIED, build_deflation(TIED, 0))
+    q, z = deflated.size, deflated.zero_pos
+    got, cert = gamma_functional(deflated, TIED, 100)
+    weights = cert["weights"]
+
+    def value(levels):
+        return max(
+            sum(2.0 * w * min(float(deflated.dist[a, b]) for b in lvl) for lvl, w in zip(levels, weights))
+            for a in range(q)
+        )
+
+    others = [i for i in range(q) if i != z]
+    ties, best = _first_minima(
+        [((z,), tuple(sorted((z, *c)))) for c in itertools.combinations(others, 3)], value
+    )
+    assert len(ties) > 1
+    assert (got, cert["levels"]) == (best, ties[0])
+
+
 def test_gamma_input_validation(family12):
-    deflated = deflate(family12, trivial_plan(family12))
+    deflated = deflate(family12, build_deflation(family12, 0))
     with pytest.raises(ValueError):
         gamma_functional(deflated, family12, 0)
     with pytest.raises(ValueError):
@@ -522,7 +592,7 @@ def test_theorem_bound_identity_and_consistency(family12):
 
 
 def test_theorem_bound_trivial_plan_is_standard_chaining(family12):
-    rep = theorem_main_bound(family12, trivial_plan(family12), 200, 0.05)
+    rep = theorem_main_bound(family12, build_deflation(family12, 0), 200, 0.05)
     assert rep.k == 0
     assert rep.w_shift == rep.w_r
     assert rep.deflated_size == family12.size
@@ -530,13 +600,13 @@ def test_theorem_bound_trivial_plan_is_standard_chaining(family12):
 
 def test_theorem_bound_singleton_family():
     fam = FunctionFamily(UNIFORM4, {"zero": [0.0] * 4})
-    rep = theorem_main_bound(fam, trivial_plan(fam), 10, 0.5)
+    rep = theorem_main_bound(fam, build_deflation(fam, 0), 10, 0.5)
     assert rep.total_rhs == 0.0
     assert rep.per_member == {"zero": 0.0}
 
 
 def test_theorem_bound_validation(family12):
-    plan = trivial_plan(family12)
+    plan = build_deflation(family12, 0)
     with pytest.raises(ValueError):
         theorem_main_bound(family12, plan, 0, 0.05)
     with pytest.raises(ValueError):
@@ -547,7 +617,7 @@ def test_theorem_bound_validation(family12):
 
 @pytest.mark.parametrize("k", [0, 2, 3])
 def test_certificate_replays_to_report(family12, k):
-    plan = trivial_plan(family12) if k == 0 else build_deflation(family12, k)
+    plan = build_deflation(family12, k)
     rep = theorem_main_bound(family12, plan, 200, 0.05)
     replay = replay_certificate(family12, rep)
     assert replay["gamma_value"] == pytest.approx(rep.gamma_value, abs=1e-12)
@@ -566,12 +636,17 @@ def test_certificate_replays_bit_for_bit_on_a_fresh_family(fixtures_dir, norm, k
         return load_family(load_json(fixtures_dir / "family12.json"), context)
 
     fam = load()
-    plan = trivial_plan(fam) if k == 0 else build_deflation(fam, k)
+    plan = build_deflation(fam, k)
     rep = theorem_main_bound(fam, plan, 200, 0.05)
     replay = replay_certificate(load(), rep)
-    assert replay["gamma_value"] == rep.gamma_value
-    assert replay["epsilon_values"] == rep.epsilon_values
-    assert replay["total_rhs"] == rep.total_rhs
+    # every returned value, bit for bit (== on floats)
+    assert replay == {
+        "gamma_value": rep.gamma_value,
+        "epsilon_sum": rep.epsilon_sum,
+        "epsilon_values": rep.epsilon_values,
+        "total_rhs": rep.total_rhs,
+        "weights": rep.certificate["gamma_weights"],
+    }
 
 
 def test_certificate_tamper_detected(family12):

@@ -14,6 +14,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -510,6 +511,27 @@ def test_member_differences_meet_the_centering_rule(tmp_path, command, family):
     code, out, err = run_cli(argv)
     assert (code, err) == (0, "")
     json.loads(out)
+
+
+# members 2e308 apart at each support point: their differences overflow
+WIDE_FAMILY = {**RADEMACHER_FIXTURE, "functions": {"zero": [0.0, 0.0], "a": [1e308, -1e308], "b": [-1e308, 1e308]}}
+
+
+@pytest.mark.parametrize("command", ["class-wr", "chain-bound", "optimize"])
+def test_family_whose_differences_overflow_exits_2_with_one_line(tmp_path, command):
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(WIDE_FAMILY))
+    argv = {
+        "class-wr": ["class-wr", "--family", path, "--r", 0.5],
+        "chain-bound": ["chain-bound", "--family", path, "--k", 0, "--n", 50, "--r", 0.1],
+        "optimize": ["optimize", "--family", path, "--n", 50, "--r", 0.1, "--k-candidates", "0,1"],
+    }[command]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("invalid input: ") and err.count("\n") == 1 and "overflow" in err, err
+    assert not caught, [str(w.message) for w in caught]
 
 
 # Each size asks, at its first large allocation, for far more than the 4 GB

@@ -24,7 +24,6 @@ from tailbound.chaining import (
     class_wr,
     deflate,
     extremal_difference,
-    trivial_plan,
 )
 from tailbound.orlicz import make_generator, orlicz_norm_rows
 
@@ -216,7 +215,7 @@ def test_deflate_at_k0_reuses_every_family_norm(monkeypatch, norm_context):
     original = getattr(chaining, name)
     normed = []
     monkeypatch.setattr(chaining, name, lambda *a: normed.extend(row.tobytes() for row in a[1]) or original(*a))
-    deflated = deflate(fam, trivial_plan(fam))
+    deflated = deflate(fam, build_deflation(fam, 0))
     assert normed == []  # every deflated distance is a family distance
     assert np.array_equal(deflated.dist, fam.distances)
 
