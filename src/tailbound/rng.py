@@ -10,10 +10,14 @@ reserved for setup (e.g. mesh directions); trial i uses stream i + 1.
 
 Uniforms map the top 53 bits to ((x >> 11) + 0.5) * 2^-53, which lies
 strictly inside (0, 1). Normals use one Box-Muller cosine per pair of
-uniforms.
+uniforms. Draws are made in tiles of at most TILE uniforms of the flattened
+(substream, counter) space, in place in two tile buffers owned by the call:
+memory is the output plus a few tiles, and the tiling changes no bit.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -21,15 +25,20 @@ GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _U53 = 2.0**-53
+TILE = 1 << 14  # uniforms per tile: two 128 KiB uint64 buffers
 
 
-def finalize(z):
-    """SplitMix64 avalanche of uint64 scalar or array (wrapping arithmetic)."""
-    z = np.asarray(z, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        z = (z ^ (z >> np.uint64(30))) * _MIX1
-        z = (z ^ (z >> np.uint64(27))) * _MIX2
-        return z ^ (z >> np.uint64(31))
+def finalize(z, tmp=None):
+    """SplitMix64 avalanche (wrapping arithmetic) of a uint64 scalar or array,
+    or, given scratch tmp of its shape, of the uint64 array z in place."""
+    if tmp is None:
+        z = np.array(z, dtype=np.uint64)
+        tmp = np.empty_like(z)
+    for shift, mix in ((30, _MIX1), (27, _MIX2), (31, None)):
+        np.bitwise_xor(z, np.right_shift(z, np.uint64(shift), out=tmp), out=z)
+        if mix is not None:
+            np.multiply(z, mix, out=z)
+    return z[()]
 
 
 def substream_seed(root_seed: int, index):
@@ -40,25 +49,43 @@ def substream_seed(root_seed: int, index):
         return finalize(root + (idx + np.uint64(1)) * GOLDEN)
 
 
-def uniforms(seeds, count: int) -> np.ndarray:
-    """Uniform(0, 1) draws, shape seeds.shape + (count,), stateless.
-
-    seeds are substream bases from substream_seed; column j holds that
-    substream's j-th value.
-    """
-    seeds = np.asarray(seeds, dtype=np.uint64)
+def _draw(seeds, count: int, pairs: bool) -> np.ndarray:
+    """Uniforms 0..count-1 of each substream or, with pairs, the normals of
+    uniforms (2j, 2j+1). A tile is whole substreams while count <= TILE,
+    else TILE counters of one, so no pair straddles two tiles."""
+    per = 2 if pairs else 1
+    shape = np.shape(seeds) + (count // per,)
+    seeds = np.asarray(seeds, dtype=np.uint64).reshape(-1, 1)
+    out = np.empty((seeds.shape[0], count // per))
+    width = max(1, min(count, TILE))
+    step = TILE // width
+    counters = (np.arange(width, dtype=np.uint64) + np.uint64(1)) * GOLDEN
+    bits, tmp = np.empty(step * width, np.uint64), np.empty(step * width, np.uint64)
     with np.errstate(over="ignore"):
-        counters = (np.arange(count, dtype=np.uint64) + np.uint64(1)) * GOLDEN
-        bits = finalize(seeds[..., None] + counters)
-    return ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * _U53
+        for r0, c0 in itertools.product(range(0, seeds.shape[0], step), range(0, count, width)):
+            seg = out[r0 : r0 + step, c0 // per : (c0 + width) // per]
+            z = bits[: seg.size * per].reshape(seg.shape[0], -1)
+            np.add(seeds[r0 : r0 + step] + np.uint64(c0) * GOLDEN, counters[: z.shape[1]], out=z)
+            finalize(z, tmp[: z.size].reshape(z.shape))
+            np.right_shift(z, np.uint64(11), out=z)
+            u = tmp[: z.size].view(np.float64).reshape(z.shape) if pairs else seg
+            np.add(z, 0.5, out=u)
+            np.multiply(u, _U53, out=u)
+            if pairs:  # sqrt(-2 log u_2j) cos(2 pi u_2j+1), the operations of the untiled formula
+                angle = bits[: seg.size].view(np.float64).reshape(seg.shape)
+                np.cos(np.multiply(u[:, 1::2], 2.0 * np.pi, out=angle), out=angle)
+                np.sqrt(np.multiply(np.log(u[:, 0::2], out=seg), -2.0, out=seg), out=seg)
+                np.multiply(seg, angle, out=seg)
+    return out.reshape(shape)
+
+
+def uniforms(seeds, count: int) -> np.ndarray:
+    """Uniform(0, 1) draws, shape seeds.shape + (count,), stateless: column j
+    holds the j-th value of each substream base in seeds (from substream_seed)."""
+    return _draw(seeds, count, False)
 
 
 def normals(seeds, count: int) -> np.ndarray:
-    """Standard normal draws, shape seeds.shape + (count,), stateless.
-
-    Normal j consumes uniforms (2j, 2j+1) of the substream, so extending
-    count preserves earlier values.
-    """
-    u = uniforms(seeds, 2 * count)
-    radius = np.sqrt(-2.0 * np.log(u[..., 0::2]))
-    return radius * np.cos(2.0 * np.pi * u[..., 1::2])
+    """Standard normal draws, shape seeds.shape + (count,), stateless. Normal j
+    consumes uniforms (2j, 2j+1), so extending count preserves earlier values."""
+    return _draw(seeds, 2 * count, True)

@@ -61,6 +61,7 @@ from .rng import normals, substream_seed, uniforms
 TARGETS = ("chernoff", "corollary", "gaussian", "theorem-main")
 _UNIT_ROUNDOFF = 2.0**-53
 _TINY = float(np.finfo(float).tiny)  # covers rounding below the normal range
+LEVEL_PASSES_MAX = 48  # largest support whose atoms _atom_counts counts by level passes
 
 
 @dataclass(frozen=True)
@@ -175,13 +176,15 @@ def _atom_counts(u: np.ndarray, cdf: np.ndarray) -> np.ndarray:
     each inverse-CDF atom searchsorted(cdf, u, side="left"), for a
     nondecreasing cdf of s levels whose last level is at least max u.
 
-    Each level j < s - 1 is one pass counting the draws u <= cdf[j], i.e. of
-    atoms 0..j; differencing gives each atom's count. The cost is s passes
-    over u, against log s comparisons per draw for searchsorted: faster on
-    every support the benchmark draws from (2 to 12 atoms), slower beyond
-    about 64 atoms.
+    Up to LEVEL_PASSES_MAX atoms, pass j < s - 1 counts the draws u <= cdf[j]
+    (atoms 0..j) and differences give each atom's count. Above it, where s
+    passes cost more than log s comparisons per draw (even at 36-70 atoms for
+    n = 50-1000), searchsorted and one bincount of atom + s * row count them.
     """
     rows, s = u.shape[0], cdf.shape[0]
+    if s > LEVEL_PASSES_MAX:
+        atoms = np.searchsorted(cdf, u, side="left") + s * np.arange(rows)[:, None]
+        return np.bincount(atoms.ravel(), minlength=rows * s).reshape(rows, s)
     at_most = np.empty((rows, s + 1), dtype=np.int64)  # column j + 1: draws of atoms <= j
     at_most[:, 0] = 0
     for j in range(s - 1):

@@ -11,6 +11,7 @@ import collections
 import dataclasses
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -102,17 +103,16 @@ def _target_plan(target, family12, poly2_model, **overrides):
 
 
 def _record_uniforms(monkeypatch):
-    """Record (seed array ndim, seed count, count) of every uniforms call,
-    from verify and from rng.normals."""
+    """Record (seed array ndim, seed count, uniforms per seed) of every draw,
+    by rng.uniforms and by rng.normals (two uniforms per normal)."""
     calls = []
-    real = rng.uniforms
+    real = rng._draw
 
-    def recording(seeds, count):
+    def recording(seeds, count, pairs):
         calls.append((np.ndim(seeds), np.size(seeds), count))
-        return real(seeds, count)
+        return real(seeds, count, pairs)
 
-    monkeypatch.setattr(rng, "uniforms", recording)
-    monkeypatch.setattr(verify, "uniforms", recording)
+    monkeypatch.setattr(rng, "_draw", recording)
     return calls
 
 
@@ -148,6 +148,40 @@ class TestRng:
         # extending count must not disturb earlier draws
         base = substream_seed(5, 0)
         assert np.array_equal(normals(base, 8)[:4], normals(base, 4))
+
+    @pytest.mark.parametrize("shape", [(), (5,), (3, 2)])
+    def test_uniforms_match_pure_python_across_tile_edges(self, monkeypatch, shape):
+        tile = 8
+        monkeypatch.setattr(rng, "TILE", tile)
+        seeds = substream_seed(31, np.arange(1, 1 + math.prod(shape)).reshape(shape))
+        for count in (0, 1, tile - 1, tile, tile + 1, 3 * tile + 5):
+            u = uniforms(seeds, count)
+            assert u.shape == shape + (count,)
+            expected = [[_uniform_py(int(base), j) for j in range(count)] for base in np.ravel(seeds)]
+            assert np.array_equal(u.reshape(np.size(seeds), count), np.array(expected).reshape(np.size(seeds), count))
+
+    @pytest.mark.parametrize("shape", [(), (3, 2)])
+    def test_normals_are_box_muller_across_tile_edges(self, monkeypatch, shape):
+        seeds = substream_seed(5, np.arange(1, 1 + math.prod(shape)).reshape(shape))
+        u = uniforms(seeds, 14)
+        box_muller = np.sqrt(-2.0 * np.log(u[..., 0::2])) * np.cos(2.0 * np.pi * u[..., 1::2])
+        monkeypatch.setattr(rng, "TILE", 8)  # four normals per tile
+        for count in (3, 4, 5, 7):  # prefixes ending inside, at and past a tile edge
+            assert np.array_equal(normals(seeds, count), box_muller[..., :count])
+
+    @pytest.mark.parametrize("draw", ["uniforms", "mesh normals"])
+    def test_memory_is_output_plus_a_few_tiles(self, draw):
+        if draw == "uniforms":
+            seeds, count, f = substream_seed(3, np.arange(1, 1025)), 256, uniforms  # 2^18 draws
+        else:
+            seeds, count, f = substream_seed(3, 0), 100_000, normals
+        tracemalloc.start()
+        try:
+            out = f(seeds, count)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.nbytes + 4 * rng.TILE * 8
 
     def test_uniform_mean(self):
         seeds = substream_seed(17, np.arange(1000))
@@ -409,7 +443,8 @@ class TestAtomCounts:
     def _reference(u, cdf):
         return np.stack([np.bincount(np.searchsorted(cdf, row, side="left"), minlength=cdf.size) for row in u])
 
-    @pytest.mark.parametrize("s", [1, 2, 6, 64, 65, 128])
+    # both sides of the cut-off between level passes and searchsorted
+    @pytest.mark.parametrize("s", [1, 2, 6, verify.LEVEL_PASSES_MAX, verify.LEVEL_PASSES_MAX + 1, 64, 65, 128, 2048])
     def test_matches_searchsorted_bincount(self, s):
         gen = np.random.default_rng(s)
         probs = gen.dirichlet(np.ones(s))
@@ -431,6 +466,13 @@ class TestAtomCounts:
         u = np.array([[0.25, 0.25, 0.75, 0.1, 0.9, 0.5]])
         assert verify._atom_counts(u, cdf).tolist() == [[3, 0, 0, 2, 0, 1]]
         assert np.array_equal(verify._atom_counts(u, cdf), self._reference(u, cdf))
+
+    def test_searchsorted_path_on_level_hits(self, monkeypatch):
+        # the same small support counted by searchsorted + bincount, two rows
+        monkeypatch.setattr(verify, "LEVEL_PASSES_MAX", 2)
+        cdf = np.cumsum([0.25, 0.0, 0.0, 0.5, 0.0, 0.25])
+        u = np.array([[0.25, 0.25, 0.75, 0.1, 0.9, 0.5], [0.9, 0.9, 0.25, 1.0, 0.0, 0.75]])
+        assert verify._atom_counts(u, cdf).tolist() == [[3, 0, 0, 2, 0, 1], [2, 0, 0, 1, 0, 3]]
 
 
 class TestExactDecisions:

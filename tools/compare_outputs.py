@@ -6,10 +6,11 @@
 `dump` runs the jobs of both benchmark workloads, seeds 1-3, as this
 checkout's bench/workloads.py (only imported) defines them, and the
 FIXTURE_COMMANDS on this checkout's fixtures/family12.json,
-fixtures/rademacher.json and fixtures/gaussian-poly2.json, through the
-`tailbound.cli.main` of DIR/src, DIR being a checkout's root, and saves
-each job's exit code, output and stderr in FILE. `diff` lists the jobs whose records differ, with the largest
-relative change among their JSON floats; it exits 1 if any do.
+fixtures/rademacher.json and fixtures/gaussian-poly2.json and on the seeded
+GENERATED inputs, through the `tailbound.cli.main` of DIR/src, DIR being a
+checkout's root, and saves each job's exit code, output and stderr in FILE.
+`diff` lists the jobs whose records differ, with the largest relative change
+among their JSON floats; it exits 1 if any do.
 """
 
 import os
@@ -26,11 +27,23 @@ import json
 import sys
 import tempfile
 
+import numpy as np
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 FIXTURES = {  # placeholder -> fixtures/ file
     "{family}": "family12.json", "{rademacher}": "rademacher.json", "{gaussian}": "gaussian-poly2.json",
 }
+
+
+def _atoms512() -> dict:
+    """512 atoms and a centered function f: more atoms than verify counts by level passes."""
+    gen = np.random.default_rng(512)
+    support, probs, f = gen.normal(size=(512, 1)), gen.dirichlet(np.ones(512)), gen.normal(size=512)
+    return {"support": support.tolist(), "probabilities": probs.tolist(), "functions": {"f": (f - probs @ f).tolist()}}
+
+
+GENERATED = {"{atoms512}": _atoms512}  # placeholder -> inputs written for the run
 BENNETT = ['{"kind": "bennett", "L": %s}' % L for L in (0.1, 1, 10)]
 # The benchmark's six generators, Bennett at other L and a custom table.
 GENERATORS = [
@@ -60,6 +73,14 @@ FIXTURE_COMMANDS = [
      "--trials", "20000", "--seed", "3", "--n-grid", "10,50,200", "--r-grid", "0.02,0.05"],
     ["sweep", "--target", "gaussian", "--model", "{gaussian}", "--n", "5", "--r", "0.0001", "--mesh", "256",
      "--trials", "2000", "--seed", "4", "--n-grid", "5,50", "--k-grid", "0,2,5,10"],
+    # Draws cut into several tiles: a support counted by searchsorted, one
+    # trial wider than a tile, and a mesh of 2 * 4000 * 50 uniforms.
+    ["verify", "--target", "chernoff", "--dist", "{atoms512}", "--f", "f", "--n", "50", "--r", "0.02",
+     "--trials", "20000", "--seed", "6"],
+    ["verify", "--target", "chernoff", "--dist", "{rademacher}", "--f", "f", "--n", "40000", "--r", "0.00001",
+     "--trials", "1000", "--seed", "7"],
+    ["verify", "--target", "gaussian", "--model", "{gaussian}", "--n", "5", "--r", "0.0001", "--mesh", "4000",
+     "--trials", "2000", "--seed", "8"],
 ]
 
 
@@ -91,12 +112,18 @@ def dump(src: str, out: str) -> int:
                 if record["rc"] == 0:
                     parsed[job.name] = json.loads(record["output"])
                 records[f"{workload} seed {seed}: {job.name}"] = record
-    def fill(arg: str) -> str:
-        for key, name in FIXTURES.items():
-            arg = arg.replace(key, os.path.join(ROOT, "fixtures", name))
-        return arg
-    for cmd in FIXTURE_COMMANDS:
-        records["fixture: " + " ".join(cmd)] = _run(tailbound.cli.main, [fill(a) for a in cmd])
+    with tempfile.TemporaryDirectory() as workdir:
+        paths = {key: os.path.join(ROOT, "fixtures", name) for key, name in FIXTURES.items()}
+        for key, make in GENERATED.items():
+            paths[key] = os.path.join(workdir, key.strip("{}") + ".json")
+            with open(paths[key], "w", encoding="utf-8") as fh:
+                json.dump(make(), fh)
+        def fill(arg: str) -> str:
+            for key, path in paths.items():
+                arg = arg.replace(key, path)
+            return arg
+        for cmd in FIXTURE_COMMANDS:
+            records["fixture: " + " ".join(cmd)] = _run(tailbound.cli.main, [fill(a) for a in cmd])
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(records, fh, indent=1)
     return 0
