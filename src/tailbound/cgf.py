@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import cgf_rows, row_blocks
+from .numerics import cgf_rows, readonly, row_blocks
 
 CENTERING_TOL = 1e-10  # |mean| allowed per unit of max(1, max|f|)
 PROB_SUM_TOL = 1e-12
@@ -24,12 +24,6 @@ DUAL_LOG_TOL = 1e-12  # relative change in lambda at which the dual root is acce
 DUAL_G_TOL = 1e-14  # relative residual |g - r| / r at which it is accepted too
 DUAL_MAX_ITER = 200
 LOG_MU_MAX = 690.0  # keeps the dual solver's lambda finite in units of 1/max|h|
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float, copy=True)
-    a.flags.writeable = False
-    return a
 
 
 @dataclass(frozen=True)
@@ -57,8 +51,8 @@ class DiscreteDistribution:
         seen = {tuple(row) for row in support}
         if len(seen) != support.shape[0]:
             raise ValueError("support points must be pairwise distinct")
-        object.__setattr__(self, "support", _readonly(support))
-        object.__setattr__(self, "probabilities", _readonly(probs))
+        object.__setattr__(self, "support", readonly(support))
+        object.__setattr__(self, "probabilities", readonly(probs))
 
     @property
     def size(self) -> int:
@@ -75,7 +69,7 @@ class TabulatedFunction:
         values = np.asarray(self.values, dtype=float).reshape(-1)
         if values.size < 1 or not np.all(np.isfinite(values)):
             raise ValueError("function values must be a nonempty finite vector")
-        object.__setattr__(self, "values", _readonly(values))
+        object.__setattr__(self, "values", readonly(values))
 
 
 def check_rows(dist: DiscreteDistribution, rows, centered: bool = True) -> np.ndarray:
@@ -146,6 +140,19 @@ def rate_bound_T_rows(dist: DiscreteDistribution, rows: np.ndarray, r: float):
     return values, lambdas
 
 
+def _moments(logp: np.ndarray, z: np.ndarray, mu: np.ndarray):
+    """(Lambda(mu) - mu max x, Lambda'(mu) - max x, Lambda''(mu)) per row of
+    z = x - max x at that row's mu > 0, from one shifted exponential; relative
+    to max x they stay accurate as mu grows. The kernel of the dual root and
+    of the CGF norm's Newton steps."""
+    b = logp + mu[:, None] * z
+    peak = b.max(axis=1)
+    e = np.exp(b - peak[:, None])
+    total = e.sum(axis=1)
+    m1 = (e * z).sum(axis=1) / total
+    return peak + np.log(total), m1, (e * np.square(z - m1[:, None])).sum(axis=1) / total
+
+
 def _dual_root(logp: np.ndarray, x: np.ndarray, r: float) -> np.ndarray:
     """mu with g(mu) = r per row of x (max|x| = 1, r < -log P(x = max x)): Newton
     in t = log mu from g ~ Var mu^2 / 2, inside a bracket lo < t < hi that a bad
@@ -156,15 +163,10 @@ def _dual_root(logp: np.ndarray, x: np.ndarray, r: float) -> np.ndarray:
     z = x - x.max(axis=1)[:, None]
     active = np.arange(t.size)
     for _ in range(DUAL_MAX_ITER):
-        ta, za = t[active], z[active]
+        ta = t[active]
         mu = np.exp(ta)
-        b = logp + mu[:, None] * za
-        peak = b.max(axis=1)
-        e = np.exp(b - peak[:, None])
-        total = e.sum(axis=1)
-        m1 = (e * za).sum(axis=1) / total  # Lambda'(mu) - max x
-        var = (e * np.square(za - m1[:, None])).sum(axis=1) / total  # Lambda''(mu)
-        g = mu * m1 - (peak + np.log(total))
+        lam, m1, var = _moments(logp, z[active], mu)
+        g = mu * m1 - lam
         below = g < r
         lo[active] = np.where(below, ta, lo[active])
         hi[active] = np.where(below, hi[active], ta)

@@ -3,7 +3,8 @@
 A FunctionFamily holds centered functions tabulated on a finite discrete
 support, together with a norm on differences: either the CGF functional
 sup_{lambda in R} sqrt(2 log E e^{lambda h}) / |lambda| (the default) or an
-Orlicz norm. A deflation map A with |A[F]| <= e^k and ||A[f]|| <= ||f||
+Orlicz norm; the CGF norm is found by a capped grid and Newton steps, with
+no golden section. A deflation map A with |A[F]| <= e^k and ||A[f]|| <= ||f||
 shrinks the family to {f - A[f]}; the chain bound combines the gamma
 functional over admissible sequences anchored at {0} with covering
 resolutions epsilon_ell, and every reported value carries a certificate
@@ -19,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cgf import DiscreteDistribution, check_rows, rate_bound_T_rows
-from .numerics import NumericError, cgf_rows, check_int, grid_golden_min, row_blocks
+from .cgf import DiscreteDistribution, _moments, check_rows, rate_bound_T_rows
+from .numerics import NumericError, cgf_rows, check_int, readonly, row_blocks
 from .orlicz import OrliczGenerator, orlicz_norm_rows
 
 LOG2 = math.log(2.0)
@@ -32,6 +33,9 @@ EXACT_GAMMA_LIMIT = 8  # exhaustive nested-sequence threshold for gamma
 
 
 NORM_GRID = np.power(2.0, np.arange(-40, 61) / 2.0)  # |lambda| grid in units of 1/max|h|
+NORM_GAIN_TOL = 1e-13  # a Newton step that promises less relative gain in the norm's F ends its search
+NORM_BRACKET_TOL = 1e-6  # as does a bracket this narrow in log mu
+NORM_MAX_ITER = 60  # bisection alone takes a grid bracket (0.69 wide) to NORM_BRACKET_TOL in 20
 CACHE_SIZE = 64  # rates whose w_r pass, and plans whose deflated set, a family keeps
 
 
@@ -40,38 +44,81 @@ def cgf_functional_norm(dist: DiscreteDistribution, values: np.ndarray):
 
     values is one function or a (count, support) array; the result is a float
     or an array of norms. The lambda -> 0 limit sqrt(Var h) is a candidate;
-    the rest of the supremum is located by numerics.grid_golden_min on the
-    geometric NORM_GRID for h and for -h: one tensor op over all rows, then
-    golden section around each side's best point, rows in lockstep and in
-    blocks of bounded size.
+    the rest of the supremum is located for h and for -h by _sup_over_mu.
     Requires finite rows centered by the rule of cgf.check_rows, else the
     supremum diverges at lambda -> 0.
     """
     values = np.asarray(values, dtype=float)
     rows = check_rows(dist, np.atleast_2d(values))
     mask = dist.probabilities > 0.0
-    probs = dist.probabilities[mask]
     h = rows[:, mask]
     vmax = np.abs(h).max(axis=1)
-    means = (h * probs).sum(axis=1)
     norms = np.zeros(h.shape[0])
     live = np.nonzero(vmax > 0.0)[0]
-    logp = np.log(probs)
     x = h[live] / vmax[live, None]
-    mean = means[live] / vmax[live]
-    variance = np.maximum((x * x * probs).sum(axis=1) - mean * mean, 0.0)
-    # the sup over mu < 0 for x is the sup over mu > 0 for -x: one search
-    # over NORM_GRID per row of [x; -x], of -2 Lambda(mu) / mu^2
-    xs = np.concatenate([x, -x])
-    _, neg, _ = grid_golden_min(
-        lambda blk, mu: -2.0 * cgf_rows(logp, xs[blk], mu) / (mu * mu), NORM_GRID, xs.shape[0], probs.size
-    )
-    norms[live] = vmax[live] * np.sqrt(np.maximum(variance, -np.minimum(neg[: live.size], neg[live.size :])))
+    # the sup over mu < 0 for x is the sup over mu > 0 for -x: one search per
+    # row of [x; -x], each with its atoms sorted, so that rows equal up to a
+    # sign or a permutation of equally likely atoms get equal norms
+    sides = np.concatenate([x, -x])
+    probs = np.broadcast_to(dist.probabilities[mask], sides.shape)
+    order = np.lexsort((probs, sides))
+    sides, probs = np.take_along_axis(sides, order, 1), np.take_along_axis(probs, order, 1)
+    mean = (sides * probs).sum(axis=1)
+    variance = np.maximum((sides * sides * probs).sum(axis=1) - mean * mean, 0.0)
+    best = np.maximum(variance, _sup_over_mu(np.log(probs), sides, variance))
+    norms[live] = vmax[live] * np.sqrt(np.maximum(best[: live.size], best[live.size :]))
     # positive-definiteness on discrete support: a function that is nonzero
     # on an atom of positive probability cannot have norm 0
     if np.any((norms <= ZERO_NORM_TOL) & (vmax > ZERO_NORM_TOL)):
         raise NumericError("norm evaluated to 0 on a function that is nonzero with positive probability")
     return float(norms[0]) if values.ndim == 1 else norms
+
+
+def _sup_over_mu(logp: np.ndarray, x: np.ndarray, variance: np.ndarray) -> np.ndarray:
+    """Per row of x (max|x| = 1, centered, of variance `variance`; logp holds
+    its atoms' log-probabilities), a value of F(mu) = 2 Lambda(mu) / mu^2 at
+    least F's best NORM_GRID value and F's local maximum next to it: the grid
+    up to mu = 2 max x / variance, past which F < variance, then safeguarded
+    Newton steps in log mu on mu Lambda'(mu) = 2 Lambda(mu) from the moment
+    kernel cgf._moments (README, "CGF norm"). Each row's result depends on
+    that row alone.
+    """
+    def f(logp, x, mu):
+        return 2.0 * cgf_rows(logp, x, mu[:, None])[:, 0] / (mu * mu)
+
+    log_grid, top = np.log(NORM_GRID), x.max(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        count = np.clip(np.searchsorted(NORM_GRID, 2.0 * top / variance, side="right"), 1, NORM_GRID.size)
+    best, j = np.empty(x.shape[0]), np.empty(x.shape[0], dtype=int)
+    for blk in row_blocks(x.shape[0], NORM_GRID.size * x.shape[1]):
+        cb, n = count[blk], blk.stop - blk.start
+        rows = np.repeat(np.arange(n), cb)
+        cols = np.arange(rows.size) - np.repeat(np.cumsum(cb) - cb, cb)
+        grid = np.full((n, cb.max()), -math.inf)
+        grid[rows, cols] = f(logp[blk][rows], x[blk][rows], NORM_GRID[cols])
+        j[blk] = grid.argmax(axis=1)
+        best[blk] = grid[np.arange(n), j[blk]]
+    t, lo, hi = log_grid[j], log_grid[np.maximum(j - 1, 0)], log_grid[np.minimum(j + 1, NORM_GRID.size - 1)]
+    for blk in row_blocks(x.shape[0], x.shape[1]):
+        tb, lb, hb, pb, mb = t[blk], lo[blk], hi[blk], logp[blk], top[blk]  # views: updates reach t, lo, hi
+        z, active = x[blk] - mb[:, None], np.arange(blk.stop - blk.start)
+        for _ in range(NORM_MAX_ITER):
+            ta, mu = tb[active], np.exp(tb[active])
+            lam, m1, var = _moments(pb[active], z[active], mu)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                lam += mu * mb[active]  # Lambda(mu)
+                ratio = mu * (m1 + mb[active]) / lam  # mu Lambda' / Lambda: 2 where F is stationary
+                slope = ratio + mu * mu * var / lam - ratio * ratio  # d ratio / dt
+                step = (2.0 - ratio) / slope
+            rising = ratio > 2.0
+            lb[active], hb[active] = np.where(rising, ta, lb[active]), np.where(rising, hb[active], ta)
+            newton = (slope < 0.0) & (ta + step > lb[active]) & (ta + step < hb[active])
+            tb[active] = np.where(newton, ta + step, 0.5 * (lb[active] + hb[active]))
+            small = newton & (np.abs(step * (ratio - 2.0)) <= NORM_GAIN_TOL)
+            active = active[~small & (hb[active] - lb[active] > NORM_BRACKET_TOL)]
+            if not active.size:
+                break
+    return np.maximum(best, f(logp, x, np.exp(t)))
 
 
 @dataclass(frozen=True)
@@ -102,7 +149,7 @@ class FunctionFamily:
                 check_rows(self.distribution, [self.members[name]])
             except ValueError as exc:
                 raise ValueError(f"member {name!r}: {exc}") from None
-        values = np.array([self.members[name] for name in names], dtype=float)
+        values = readonly([self.members[name] for name in names])
         with np.errstate(over="ignore"):
             if not np.all(np.isfinite(2.0 * (values.max(axis=0) - values.min(axis=0)))):
                 raise ValueError("member values at a support point are too far apart: their differences overflow")
@@ -111,7 +158,6 @@ class FunctionFamily:
             raise ValueError("family must contain the zero function as a member")
         if not (self.norm_context == "cgf" or isinstance(self.norm_context, OrliczGenerator)):
             raise ValueError("norm_context must be 'cgf' or an OrliczGenerator")
-        values.flags.writeable = False
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "zero_index", int(zeros[0]))
@@ -287,8 +333,7 @@ def _deflate(family: FunctionFamily, assignment: tuple) -> DeflatedSet:
             origin.append((i, c))
         member_map.append(keys[key])
     m, c = np.array(origin).T
-    values = rows[m]
-    values.flags.writeable = False
+    values = readonly(rows[m])
     zero_pos = keys[np.zeros(family.values.shape[1]).tobytes()]
     a, b, fd = *np.triu_indices(len(origin), 1), family.distances
     known = np.where(c[a] == c[b], fd[m[a], m[b]], np.nan)  # (f - c) - (g - c) = f - g
@@ -334,10 +379,6 @@ def epsilon_ell(deflated: DeflatedSet, ell: int):
     return float(radii[best]), tuple(subsets[best].tolist())
 
 
-def _gamma_rates(n: int, ell_top: int):
-    return tuple((2.0 ** (ell + 3) + ell + 2) * LOG2 / n for ell in range(ell_top))
-
-
 def _ell_top(q: int) -> int:
     """Smallest ell >= 1 with 2^{2^ell} >= q; levels from there on may equal
     the whole set, so their chain terms vanish. (Level 0 is pinned to {0} and
@@ -376,7 +417,7 @@ def gamma_functional(deflated: DeflatedSet, family: FunctionFamily, n: int):
     if q == 1:
         return 0.0, {"levels": ((z,),), "rates": (), "weights": ()}
     ell_top = _ell_top(q)
-    rates = _gamma_rates(n, ell_top)
+    rates = tuple((2.0 ** (ell + 3) + ell + 2) * LOG2 / n for ell in range(ell_top))
     weights = tuple(class_wr(family, rr) for rr in rates)
     dist = deflated.dist
 

@@ -35,10 +35,12 @@ from .orlicz import conversion_factor_M, orlicz_norm, wr_exponential_type, wr_qu
 from .verify import TARGETS, TrialPlan, run_trials, sweep
 
 
-def _function_values(functions: dict, name: str) -> np.ndarray:
-    if name not in functions:
-        raise ValueError(f"function {name!r} not found in fixture")
-    return functions[name]
+def _dist_function(args):
+    """The distribution of --dist and its function named by --f."""
+    dist, functions = load_distribution(load_json(args.dist))
+    if args.f not in functions:
+        raise ValueError(f"function {args.f!r} not found in fixture")
+    return dist, functions[args.f]
 
 
 def _norm_context(args):
@@ -68,8 +70,7 @@ def _finites(text: str):
 
 
 def _cmd_trf(args):
-    dist, functions = load_distribution(load_json(args.dist))
-    values = _function_values(functions, args.f)
+    dist, values = _dist_function(args)
     value = rate_bound_T(dist, values, args.r)
     row = {"op": "trf", "function": args.f, "r": args.r, "value": value}
     return row, [row]
@@ -83,8 +84,7 @@ def _cmd_class_wr(args):
 
 
 def _cmd_orlicz_norm(args):
-    dist, functions = load_distribution(load_json(args.dist))
-    values = _function_values(functions, args.f)
+    dist, values = _dist_function(args)
     gen = load_generator(parse_inline_or_path(args.gen))
     value = orlicz_norm(dist, TabulatedFunction(values), gen)
     row = {"op": "orlicz-norm", "function": args.f, "kind": gen.kind, "value": value}
@@ -175,9 +175,7 @@ def _plan_from_args(args) -> TrialPlan:
     if args.target == "chernoff":
         if args.dist is None or args.f is None:
             raise ValueError("chernoff target requires --dist and --f")
-        dist, functions = load_distribution(load_json(args.dist))
-        kwargs["distribution"] = dist
-        kwargs["function_values"] = _function_values(functions, args.f)
+        kwargs["distribution"], kwargs["function_values"] = _dist_function(args)
     elif args.target in ("corollary", "theorem-main"):
         if args.family is None:
             raise ValueError(f"{args.target} target requires --family")
@@ -189,13 +187,9 @@ def _plan_from_args(args) -> TrialPlan:
     return TrialPlan(**kwargs)
 
 
-def _report_rows(reports):
-    return [rep.as_dict() for rep in reports]
-
-
 def _cmd_verify(args):
     report = run_trials(_plan_from_args(args))
-    return report.as_dict(), _report_rows([report])
+    return report.as_dict(), [report.as_dict()]
 
 
 def _cmd_sweep(args):
@@ -206,7 +200,8 @@ def _cmd_sweep(args):
         r_values=args.r_grid,
         k_values=_ints(args.k_grid) if args.k_grid is not None else None,
     )
-    return _report_rows(reports), _report_rows(reports)
+    rows = [rep.as_dict() for rep in reports]
+    return rows, rows
 
 
 def _add_output_flags(sub):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import NumericError, check_int
+from .numerics import NumericError, check_int, readonly
 
 MAX_DIM = 2000
 SYMMETRY_TOL = 1e-12
@@ -55,13 +55,9 @@ class GaussianModel:
         recon_err = float(np.max(np.abs((vecs * vals) @ vecs.T - cov)))
         if recon_err > RECONSTRUCTION_TOL:
             raise NumericError(f"eigendecomposition reconstruction error {recon_err:.3e}")
-        cov = np.array(cov, copy=True)
-        cov.flags.writeable = False
-        vals.flags.writeable = False
-        vecs.flags.writeable = False
-        object.__setattr__(self, "covariance", cov)
-        object.__setattr__(self, "eigenvalues", vals)
-        object.__setattr__(self, "eigenvectors", vecs)
+        object.__setattr__(self, "covariance", readonly(cov))
+        object.__setattr__(self, "eigenvalues", readonly(vals))
+        object.__setattr__(self, "eigenvectors", readonly(vecs))
 
     @property
     def dim(self) -> int:
@@ -102,9 +98,7 @@ class LinearFunctional:
             raise ValueError("direction must be a finite vector")
         if float(np.linalg.norm(u)) > 1.0 + 1e-12:
             raise ValueError("direction must have Euclidean norm at most 1")
-        u = np.array(u, copy=True)
-        u.flags.writeable = False
-        object.__setattr__(self, "direction", u)
+        object.__setattr__(self, "direction", readonly(u))
 
 
 def _cgf_norms(model: GaussianModel, u: np.ndarray) -> np.ndarray:

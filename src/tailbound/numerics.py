@@ -1,5 +1,7 @@
-"""Shared numerics: golden-section search, the grid-then-golden minimizer,
-a composite Gauss-Legendre quadrature rule, the one bisection of the library
+"""Shared numerics: golden-section search and the grid-then-golden minimizer
+(left to the Orlicz quadrature bound on w_r and the conversion factor M; the
+CGF norm and T_r take Newton steps instead), a composite Gauss-Legendre
+quadrature rule, the one bisection of the library
 (which returns the end of each bracket where g >= target), and the batched
 cumulant generating function that the rate-function engine and the norms
 evaluate.
@@ -43,6 +45,13 @@ def check_int(name: str, value, low: int) -> int:
     return int(value)
 
 
+def readonly(a) -> np.ndarray:
+    """A float copy of a that cannot be written to."""
+    a = np.array(a, dtype=float, copy=True)
+    a.flags.writeable = False
+    return a
+
+
 def row_blocks(rows: int, per_row: int):
     """Slices cutting `rows` rows into blocks whose tensors, of `per_row`
     elements per row, hold at most BLOCK_ELEMENTS elements (one row at least)."""
@@ -52,80 +61,62 @@ def row_blocks(rows: int, per_row: int):
 
 def cgf_rows(logp: np.ndarray, x: np.ndarray, mu: np.ndarray) -> np.ndarray:
     """Lambda(mu[i, j]) = log sum_k p_k e^{mu[i, j] x[i, k]} for rows x (n, k)
-    with max|x| <= 1 and points mu (n, g); returns (n, g). A shifted
-    log-sum-exp, or where |mu| <= SMALL_MU log1p(sum p expm1(mu x)), which
-    keeps its precision as Lambda -> 0. Each entry depends on its own row
-    and point only, so results do not depend on how rows are batched.
+    with max|x| <= 1, log-probabilities logp (k,) or one row per row of x
+    (n, k), and points mu (n, g); returns (n, g). A shifted log-sum-exp, or
+    where |mu| <= SMALL_MU log1p(sum p expm1(mu x)), which keeps its
+    precision as Lambda -> 0. Each entry depends on its own row and point
+    only, so results do not depend on how rows are batched.
     """
-    a = logp + mu[:, :, None] * x[:, None, :]
+    logp = np.broadcast_to(logp, x.shape)
+    a = logp[:, None, :] + mu[:, :, None] * x[:, None, :]
     peak = a.max(axis=2)
     out = peak + np.log(np.exp(a - peak[:, :, None]).sum(axis=2))
     i, j = np.nonzero(np.abs(mu) <= SMALL_MU)
-    out[i, j] = np.log1p((np.exp(logp) * np.expm1(mu[i, j, None] * x[i])).sum(axis=1))
+    out[i, j] = np.log1p((np.exp(logp[i]) * np.expm1(mu[i, j, None] * x[i])).sum(axis=1))
     return out
 
 
 def golden_section_min(f, a, b):
-    """Minimize a unimodal f on each interval [a, b] of the arrays a and b,
-    all intervals in lockstep, until each is GOLDEN_REL_TOL wide relative
-    to max(|a|, |b|, a quarter of its initial width); the floor stops a
-    minimizer at 0 from narrowing toward underflow.
-
-    f maps an array of points elementwise. Each interval stops narrowing
-    once it has converged, so its result does not depend on the others.
-    Returns arrays (x, f(x)) at each interval's best interior probe.
+    """Minimize a unimodal scalar f on [a, b] until the bracket is
+    GOLDEN_REL_TOL wide relative to max(|a|, |b|, a quarter of its initial
+    width); the floor stops a minimizer at 0 from narrowing toward
+    underflow. Returns (x, f(x)) at the best interior probe.
     """
-    a, b = np.minimum(a, b), np.maximum(a, b)
-    h = b - a
-    floor = 0.25 * h
-    c, d = a + INV_PHI_SQ * h, a + INV_PHI * h
+    a, b = min(a, b), max(a, b)
+    floor = 0.25 * (b - a)
+    c, d = a + INV_PHI_SQ * (b - a), a + INV_PHI * (b - a)
     yc, yd = f(c), f(d)
-    active = h > GOLDEN_REL_TOL * np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
-    while np.any(active):
+    while b - a > GOLDEN_REL_TOL * max(abs(a), abs(b), floor):
         # the minimizer lies in [a, d]; it does too when both probes are +inf,
         # for objectives finite on a down-closed interval, as searched here
-        left = active & ((yc < yd) | (yd == math.inf))
-        right = active & ~left
-        b, a = np.where(left, d, b), np.where(right, c, a)
-        h = b - a
-        # left: d <- c and a new c; right: c <- d and a new d; others stay
-        c, d = (np.where(left, a + INV_PHI_SQ * h, np.where(right, d, c)),
-                np.where(right, a + INV_PHI * h, np.where(left, c, d)))
-        y = f(np.where(left, c, d))
-        yc, yd = np.where(left, y, np.where(right, yd, yc)), np.where(right, y, np.where(left, yc, yd))
-        active &= h > GOLDEN_REL_TOL * np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
-    return np.where(yc < yd, c, d), np.minimum(yc, yd)
+        if yc < yd or yd == math.inf:
+            b, d, yd = d, c, yc
+            c = a + INV_PHI_SQ * (b - a)
+            yc = f(c)
+        else:
+            a, c, yc = c, d, yd
+            d = a + INV_PHI * (b - a)
+            yd = f(d)
+    return (c, yc) if yc < yd else (d, yd)
 
 
-def grid_golden_min(f, grid, rows: int = 1, width: int = 1):
-    """Minimize f over the span of an increasing grid, for each of `rows` rows.
-
-    f(blk, x) gives f at the points x, an array (rows of slice blk, k), and
-    may be +inf. Each block of rows (at most BLOCK_ELEMENTS elements where f
-    holds `width` elements per row and point) is evaluated on the whole grid
-    as one array op; golden section then refines, rows in lockstep, the
-    bracket between the grid neighbours of each row's best grid point, which
-    holds the minimizer of a quasiconvex f inside the grid's span.
-    Returns arrays (x, fx, j) per row: the best point found, its value (no
-    worse than the best grid value), and the index j of the best grid point;
-    j = 0 or j = grid.size - 1 says the infimum may lie beyond the grid.
-    Raises NumericError when a row has no finite grid value.
+def grid_golden_min(f, grid):
+    """Minimize f over the span of an increasing grid, f mapping an array of
+    points to values, +inf allowed: f is evaluated on the whole grid as one
+    array op, then golden section refines the bracket between the grid
+    neighbours of the best grid point, which holds the minimizer of a
+    quasiconvex f inside the grid's span. Returns (x, fx, j): the best point
+    found, its value (no worse than the best grid value), and the index j of
+    the best grid point; j = 0 or j = grid.size - 1 says the infimum may lie
+    beyond the grid. Raises NumericError when no grid value is finite.
     """
     grid = np.asarray(grid, dtype=float)
-    x, fx = np.empty((2, rows))
-    j = np.empty(rows, dtype=int)
-    for blk in row_blocks(rows, grid.size * width):
-        n = blk.stop - blk.start
-        values = f(blk, np.broadcast_to(grid, (n, grid.size)))
-        jb = values.argmin(axis=1)
-        best = values[np.arange(n), jb]
-        if not np.all(np.isfinite(best)):
-            raise NumericError("no finite objective value on the search grid")
-        lo, hi = grid[np.maximum(jb - 1, 0)], grid[np.minimum(jb + 1, grid.size - 1)]
-        xg, yg = golden_section_min(lambda t: f(blk, t[:, None])[:, 0], lo, hi)
-        better = yg < best
-        x[blk], fx[blk], j[blk] = np.where(better, xg, grid[jb]), np.where(better, yg, best), jb
-    return x, fx, j
+    values = f(grid)
+    j = int(np.argmin(values))
+    if not np.isfinite(values[j]):
+        raise NumericError("no finite objective value on the search grid")
+    x, fx = golden_section_min(lambda t: f(np.array([t]))[0], grid[max(j - 1, 0)], grid[min(j + 1, grid.size - 1)])
+    return (float(x), float(fx), j) if fx < values[j] else (float(grid[j]), float(values[j]), j)
 
 
 def gauss_legendre(t_max, knots=()):
@@ -136,9 +127,18 @@ def gauss_legendre(t_max, knots=()):
     The QUAD_PANELS panels are graded geometrically toward 0, so an
     integrand whose mass sits near t = 1 is resolved on [0, 1e3] as well as
     on [0, 16]. Each knot below t, a point where the integrand has a kink,
-    is a panel edge too; knots above t give empty panels.
+    is a panel edge too; knots above t give empty panels. Without knots and
+    at powers of two t the rule is t times the rule on [0, 1], which equals
+    the panel construction bit for bit: scaling by a power of two is exact.
     """
     t_max = np.asarray(t_max, dtype=float).reshape(-1, 1)
+    if not knots and np.all(np.frexp(t_max)[0] == 0.5):
+        return t_max * _UNIT_RULE[0], t_max * _UNIT_RULE[1]
+    return _panel_rule(t_max, knots)
+
+
+def _panel_rule(t_max: np.ndarray, knots) -> tuple:
+    """gauss_legendre's panel construction for a column t_max (count, 1)."""
     edges = t_max * _QUAD_EDGES
     if knots:
         edges = np.sort(np.concatenate([edges, np.minimum(knots, t_max)], axis=1), axis=1)
@@ -146,6 +146,9 @@ def gauss_legendre(t_max, knots=()):
     mid = 0.5 * (edges[:, 1:] + edges[:, :-1])[:, :, None]
     shape = (t_max.shape[0], half.shape[1] * QUAD_NODES)
     return (mid + half * _GL_X).reshape(shape), (half * _GL_W).reshape(shape)
+
+
+_UNIT_RULE = _panel_rule(np.ones((1, 1)), ())
 
 
 def bisect_increasing(g, lo, hi, target, rel_tol: float = 1e-12):

@@ -8,14 +8,14 @@ linear on log-spaced abscissae). Conjugates phi* are closed-form where
 calculus gives them, and the maximum over the table points for custom
 tables.
 
-The quadrature bound on w_r, the conversion factor M and the moment
-integral D share one minimizer and one integration rule: a search over
-numerics.LAMBDA_GRID refined by golden section (numerics.grid_golden_min),
-and the composite Gauss-Legendre rule numerics.gauss_legendre, whose panels
+The quadrature bound on w_r and the conversion factor M, the library's only
+users of golden section, search numerics.LAMBDA_GRID and refine by golden
+section (numerics.grid_golden_min). They and the moment integral D share
+the composite Gauss-Legendre rule numerics.gauss_legendre, whose panels
 also end at the kinks of a custom table. Both integrals are truncated at the
-first power of two where the integrand has decayed (_first_power_of_two, which
-also brackets the Bennett inverse); the Orlicz norm and the Bennett inverse
-bisect with numerics.bisect_increasing, keeping its certified upper end.
+first power of two where the integrand has decayed (_first_power_of_two, one
+pass over all powers, which also brackets the Bennett inverse); the Orlicz
+norm and the Bennett inverse bisect with numerics.bisect_increasing.
 """
 
 from __future__ import annotations
@@ -91,12 +91,19 @@ class OrliczGenerator:
 
 
 def _first_power_of_two(g, level: np.ndarray, cap: float) -> np.ndarray:
-    """Per element of level, the first t in 1, 2, 4, ... up to cap with
-    g(t) >= level, for g mapping arrays elementwise; +inf where none is."""
-    t = np.ones(level.shape)
-    while np.any(grow := (low := g(t) < level) & (t < cap)):
-        t = np.where(grow, 2.0 * t, t)
-    return np.where(low, math.inf, t)
+    """Per element of level, the first t in 1, 2, 4, ... up to cap (a power of
+    two) with g(t) >= level, +inf where none is. g maps the row of powers
+    (1, k) to values (1, k) or (elements, k); all are tested in one pass, in
+    blocks of elements, with overflow in g past the first pass ignored."""
+    powers = np.ldexp(1.0, np.arange(int(math.log2(cap)) + 1))[None, :]
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = np.broadcast_to(g(powers), (level.size, powers.size))
+    out = np.full(level.shape, math.inf)
+    for blk in row_blocks(level.size, powers.size):
+        passes = ~(values[blk] < level[blk, None])
+        first = passes.argmax(axis=1)
+        out[blk] = np.where(passes[np.arange(first.size), first], powers[0, first], math.inf)
+    return out
 
 
 def _bernstein_phi(t, L: float):
@@ -323,7 +330,7 @@ def _log_quadrature_integral(gen: OrliczGenerator, lam: np.ndarray) -> np.ndarra
     for blk in row_blocks(decays.size, QUAD_NODES * (QUAD_PANELS + len(gen.knots))):
         idx, lam_b = decays[blk], lam[decays[blk]]
         level = np.full(lam_b.shape, EXP_TRUNCATION)
-        t_max = _first_power_of_two(lambda t: gen.phi(t) - lam_b * t, level, DECAY_T_CAP)
+        t_max = _first_power_of_two(lambda t: gen.phi(t) - lam_b[:, None] * t, level, DECAY_T_CAP)
         idx = idx[np.isfinite(t_max)]
         t, w = gauss_legendre(t_max[np.isfinite(t_max)], gen.knots)
         # w (e^{lam t - phi - shift} - e^{-phi - shift}) built in place, as
@@ -360,11 +367,10 @@ def wr_quadrature_bound(gen: OrliczGenerator, r: float) -> float:
     if r == 0.0:
         return 0.0
 
-    def objective(_blk, lam):
-        return (r + np.logaddexp(0.0, _log_quadrature_integral(gen, lam[0]))) / lam
+    def objective(lam):
+        return (r + np.logaddexp(0.0, _log_quadrature_integral(gen, lam))) / lam
 
-    _, value, _ = grid_golden_min(objective, LAMBDA_GRID)
-    return max(float(value[0]), 0.0)
+    return max(grid_golden_min(objective, LAMBDA_GRID)[1], 0.0)
 
 
 def exp_moment_integral(gen: OrliczGenerator) -> float:
@@ -399,17 +405,12 @@ def conversion_factor_M(gen: OrliczGenerator) -> float:
         )
     denom = exp_moment_integral(gen)
 
-    def ratio(lam: float) -> float:
+    def ratio(lam: float) -> float:  # +inf off phi*'s domain and past exp's range
         star = gen.phi_star(lam)
-        if not math.isfinite(star):
-            return math.inf
-        if star > 700.0:
-            return math.inf
-        return math.expm1(star) / (lam * lam)
+        return math.expm1(star) / (lam * lam) if star <= 700.0 else math.inf
 
-    _, value, j = grid_golden_min(lambda _blk, lam: np.vectorize(ratio, otypes=[float])(lam), LAMBDA_GRID)
-    infimum = min(value[0], gen.phi_star_limit) if j[0] == 0 else value[0]
-    return max(float(infimum), 0.0) / denom
+    _, value, j = grid_golden_min(np.vectorize(ratio, otypes=[float]), LAMBDA_GRID)
+    return max(min(value, gen.phi_star_limit) if j == 0 else value, 0.0) / denom
 
 
 def wr_exponential_type(gen: OrliczGenerator, M: float, r: float) -> float:

@@ -61,7 +61,7 @@ from .rng import normals, substream_seed, uniforms
 TARGETS = ("chernoff", "corollary", "gaussian", "theorem-main")
 _UNIT_ROUNDOFF = 2.0**-53
 _TINY = float(np.finfo(float).tiny)  # covers rounding below the normal range
-LEVEL_PASSES_MAX = 48  # largest support whose atoms _atom_counts counts by level passes
+LEVEL_PASSES_MAX = 96  # largest support whose atoms _atom_counts counts by level passes
 
 
 @dataclass(frozen=True)
@@ -177,9 +177,11 @@ def _atom_counts(u: np.ndarray, cdf: np.ndarray) -> np.ndarray:
     nondecreasing cdf of s levels whose last level is at least max u.
 
     Up to LEVEL_PASSES_MAX atoms, pass j < s - 1 counts the draws u <= cdf[j]
-    (atoms 0..j) and differences give each atom's count. Above it, where s
-    passes cost more than log s comparisons per draw (even at 36-70 atoms for
-    n = 50-1000), searchsorted and one bincount of atom + s * row count them.
+    (atoms 0..j) as bytes summed in the narrowest integer type that holds n,
+    and differences give each atom's count. Above it, where s passes cost
+    more than log s comparisons per draw (from about 50, 100 and 150 atoms
+    at n = 50, 200 and 1000), searchsorted and one bincount of atom + s * row
+    count them.
     """
     rows, s = u.shape[0], cdf.shape[0]
     if s > LEVEL_PASSES_MAX:
@@ -187,8 +189,10 @@ def _atom_counts(u: np.ndarray, cdf: np.ndarray) -> np.ndarray:
         return np.bincount(atoms.ravel(), minlength=rows * s).reshape(rows, s)
     at_most = np.empty((rows, s + 1), dtype=np.int64)  # column j + 1: draws of atoms <= j
     at_most[:, 0] = 0
+    below, counter = np.empty(u.shape, dtype=bool), np.min_scalar_type(u.shape[1])
     for j in range(s - 1):
-        at_most[:, j + 1] = np.count_nonzero(u <= cdf[j], axis=1)
+        np.less_equal(u, cdf[j], out=below)
+        at_most[:, j + 1] = np.add.reduce(below.view(np.uint8), axis=1, dtype=counter)
     at_most[:, s] = u.shape[1]
     return np.diff(at_most, axis=1)
 
@@ -294,10 +298,11 @@ class _Group:
     def _violated(self, x, y, check: _Check, xnorm: float) -> np.ndarray:
         """Per trial: does some column exceed its level in real arithmetic."""
         band = self.gamma_w * xnorm * self.wnorm[check.cols] + check.slack
-        over = y > check.level + band  # surely above
         maybe = y > check.level - band  # not surely at or below
-        viol = over.any(axis=1)
-        for t in np.nonzero(~viol & maybe.any(axis=1))[0]:
+        viol = np.zeros(y.shape[0], dtype=bool)
+        rows = np.nonzero(maybe.any(axis=1))[0]
+        viol[rows] = (y[rows] > check.level + band).any(axis=1)  # surely above
+        for t in rows[~viol[rows]]:
             viol[t] = any(
                 _above(_exact_dot(x[t], self.weights[:, check.cols.start + j]), check.square, check.t[j])
                 for j in np.nonzero(maybe[t])[0]

@@ -1,9 +1,11 @@
 """Test-side references for the rate function: a plain log-sum-exp CGF, the
-T_r property check, and a golden-section maximizer for conjugate oracles.
+T_r property check, a golden-section maximizer for conjugate oracles, and
+the doubling search that the one-pass truncation search replaced.
 
 Imported by the test modules as `oracles` (pytest puts tests/ on sys.path).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +29,17 @@ def maximize_on_interval(f, a: float, b: float):
     """Maximize a unimodal f on [a, b]; returns (x, f(x))."""
     x, neg = golden_section_min(lambda t: -f(t), a, b)
     return x, -neg
+
+
+def first_power_of_two_loop(g, level, cap):
+    """Per element of level, the first t in 1, 2, 4, ... up to cap with
+    g(t) >= level, doubling every element still below its level until it
+    passes or reaches cap; +inf where none passes. g maps an array of level's
+    shape elementwise."""
+    t = np.ones(level.shape)
+    while np.any(grow := (low := g(t) < level) & (t < cap)):
+        t = np.where(grow, 2.0 * t, t)
+    return np.where(low, math.inf, t)
 
 
 @dataclass(frozen=True)

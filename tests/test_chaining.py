@@ -264,6 +264,38 @@ def test_member_T_below_wr_norm(family12):
         assert t <= w * family12.member_norms[i] + 1e-10
 
 
+def synthetic_family(seed, members, support, scales=(1.0, 0.3, 3.0), step=0.05, noise=0.1):
+    """The benchmark's seeded synthetic family (bench/workloads.py): the zero
+    member and, per scale, a random balanced +-1 pattern times the scale,
+    member j scaled by 1 + step j with Gaussian jitter of noise * scale,
+    re-centered, on equally likely atoms."""
+    rng = np.random.default_rng(seed)
+    pattern = np.array([1.0] * (support // 2) + [-1.0] * (support - support // 2))
+    members_ = {"zero": np.zeros(support)}
+    rest = members - 1
+    for c, scale in enumerate(scales):
+        base = rng.permutation(pattern) * scale
+        for j in range(rest // len(scales) + (c < rest % len(scales))):
+            v = base * (1.0 + step * j) + noise * scale * rng.standard_normal(support)
+            members_[f"c{c}m{j}"] = v - v.mean()
+    dist = DiscreteDistribution(np.arange(float(support))[:, None], np.full(support, 1.0 / support))
+    return FunctionFamily(dist, members_)
+
+
+@pytest.fixture(scope="module")
+def synthetic_families():
+    return [synthetic_family(seed, m, s) for seed, m, s in ((1, 24, 16), (2, 24, 64), (3, 48, 32))]
+
+
+@pytest.mark.parametrize("r", [1e-4, 1e-3, 0.05, 0.5, 5.0])
+def test_wr_is_at_most_sqrt_2r_under_the_cgf_norm(family12, synthetic_families, r):
+    # Lambda_h(lam) <= ||h||^2 lam^2 / 2 by the norm's definition, so
+    # T_r(h) <= sqrt(2r) ||h||: a norm computed low by more than about 1e-9
+    # shows as w_r above sqrt(2r)
+    for fam in (family12, *synthetic_families):
+        assert class_wr(fam, r) <= math.sqrt(2.0 * r) * (1.0 + 1e-9)
+
+
 def test_wr_cache_hit(family12):
     # one cached pass per rate, shared by class_wr and extremal_difference
     before = family12._wr_pass.cache_info()

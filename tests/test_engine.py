@@ -106,6 +106,88 @@ def test_batched_norm_matches_dense_grid():
     assert worst <= REL
 
 
+def _norm_draws(s: int, count: int = 24):
+    """Seeded rows on s atoms: Gaussian rows under Dirichlet probabilities at
+    scales 1e-2 to 1e2, and near-symmetric +-1 rows under equal
+    probabilities, whose supremum sits close to the variance limit."""
+    rng = np.random.default_rng(s)
+    probs = rng.dirichlet(np.ones(s))
+    rows = rng.normal(size=(count, s)) * 10.0 ** rng.uniform(-2.0, 2.0, size=(count, 1))
+    signs = np.where(rng.permuted(np.tile(np.arange(s) % 2, (count, 1)), axis=1) == 0, 1.0, -1.0)
+    for p, h in ((probs, rows), (np.full(s, 1.0 / s), signs * (1.0 + 0.05 * rng.normal(size=(count, s))))):
+        h -= (h @ p)[:, None]
+        h -= (h @ p)[:, None]
+        yield DiscreteDistribution(np.arange(float(s))[:, None], p), h
+
+
+def _accurate_norm(probs, h):
+    """reference_norm with Lambda in the expm1 form wherever |lambda| max|h| <= 1:
+    the shifted log-sum-exp loses about eps |log p| / Lambda relative there,
+    up to 1e-9 of the norm for near-symmetric rows on 128 atoms."""
+    logp, top = np.log(probs), np.abs(h).max()
+
+    def cgf(lams):
+        out = _cgf(logp, h, lams)
+        small = np.abs(lams) * top <= 1.0
+        out[small] = np.log1p(np.expm1(lams[small, None] * h[None, :]) @ probs)
+        return out
+
+    best = float(probs @ h**2 - (probs @ h) ** 2)
+    for sign in (1.0, -1.0):
+        grid = sign * np.geomspace(1e-6, 1e9, 3001) / top
+        best = max(best, -_zoom(lambda lam: -2.0 * cgf(lam) / (lam * lam), grid))
+    return math.sqrt(best)
+
+
+@pytest.mark.parametrize("s", [2, 8, 32, 64, 128])
+def test_cgf_norm_matches_an_accurate_dense_grid(s):
+    for dist, rows in _norm_draws(s):
+        got = cgf_functional_norm(dist, rows)
+        want = np.array([_accurate_norm(dist.probabilities, h) for h in rows])
+        assert np.max(np.abs(got / want - 1.0)) <= 1e-9
+
+
+@pytest.mark.parametrize("s", [2, 8, 32, 64, 128])
+def test_cgf_norm_is_never_below_its_best_grid_value_or_variance(s):
+    grid = chaining.NORM_GRID
+    for dist, rows in _norm_draws(s):
+        probs, logp = dist.probabilities, np.log(dist.probabilities)
+        got = cgf_functional_norm(dist, rows)
+        for h, norm in zip(rows, got):
+            top = np.abs(h).max()
+            floor = 0.0
+            for side in (h / top, -h / top):
+                order = np.lexsort((probs, side))  # the norm sums each side's atoms in this order
+                x, p = side[order], probs[order]
+                values = 2.0 * numerics.cgf_rows(logp[order], x[None, :], grid[None, :])[0] / grid**2
+                floor = max(floor, (x * x * p).sum() - (x * p).sum() ** 2, float(values.max()))
+            assert norm >= top * math.sqrt(floor)
+
+
+def test_cgf_norm_ties_rows_equal_up_to_sign_and_permutation():
+    # rows that are permutations of one another on equally likely atoms, and
+    # their negatives, have one norm bit for bit, so exact ties stay tied
+    dist = DiscreteDistribution(np.arange(6.0)[:, None], np.full(6, 1.0 / 6.0))
+    rng = np.random.default_rng(3)
+    base = rng.normal(size=6)
+    base -= base.mean()
+    rows = np.array([sign * rng.permutation(base) for sign in (1.0, -1.0) for _ in range(8)])
+    norms = cgf_functional_norm(dist, rows)
+    assert np.all(norms == norms[0])
+
+
+def test_cgf_norm_makes_no_golden_section_call(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("golden section called")
+
+    for name in ("golden_section_min", "grid_golden_min"):
+        monkeypatch.setattr(numerics, name, forbidden)
+        monkeypatch.setattr(chaining, name, forbidden, raising=False)
+    dist, rows = next(_norm_draws(16))
+    assert np.all(cgf_functional_norm(dist, rows) > 0.0)
+    assert _random_family(4).distances.max() > 0.0
+
+
 def test_T_closed_form_at_infinity_or_replayed_at_its_lambda():
     at_inf = interior = 0
     for dist, vals, r, s, _alpha in criterion6_draws():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import tailbound.numerics as numerics
 from oracles import maximize_on_interval
 from tailbound.numerics import (
     LAMBDA_GRID,
@@ -58,9 +59,8 @@ def test_maximize_on_interval():
 
 
 def _grid_min(f):
-    """grid_golden_min of a scalar f over LAMBDA_GRID, one row: (x, fx, j)."""
-    x, fx, j = grid_golden_min(lambda _blk, t: np.vectorize(f, otypes=[float])(t), LAMBDA_GRID)
-    return float(x[0]), float(fx[0]), int(j[0])
+    """grid_golden_min of a scalar f over LAMBDA_GRID: (x, fx, j)."""
+    return grid_golden_min(np.vectorize(f, otypes=[float]), LAMBDA_GRID)
 
 
 def test_minimize_positive_interior():
@@ -89,17 +89,6 @@ def test_minimize_positive_boundary_reported():
 def test_minimize_positive_everything_infinite_raises():
     with pytest.raises(NumericError):
         _grid_min(lambda x: math.inf)
-
-
-def test_grid_golden_min_rows_are_independent():
-    # rows searched in one batch get the values each gets alone
-    centers = np.array([0.3, 2.0, 5e3])
-    f = lambda blk, t: (np.log(t) - np.log(centers[blk, None])) ** 2 + t * 1e-12
-    x, fx, j = grid_golden_min(f, LAMBDA_GRID, rows=3)
-    for i, c in enumerate(centers):
-        xi, fi, ji = grid_golden_min(lambda _blk, t: f(slice(i, i + 1), t), LAMBDA_GRID)
-        assert (x[i], fx[i], j[i]) == (xi[0], fi[0], ji[0])
-        assert x[i] == pytest.approx(c, rel=1e-4)
 
 
 def _integrate(f, t_max, knots=()):
@@ -134,6 +123,20 @@ def test_gauss_legendre_knots_are_panel_edges():
     f = lambda t: np.abs(t - 1.0 / 3.0)
     assert _integrate(f, 1.0, knots=(1.0 / 3.0, 5.0)) == pytest.approx(5.0 / 18.0, rel=1e-14)
     assert abs(_integrate(f, 1.0) / (5.0 / 18.0) - 1.0) > 1e-10
+
+
+def test_gauss_legendre_scales_the_unit_rule_exactly():
+    # at powers of two, without knots, the rule is t_max times the rule on
+    # [0, 1]: bit for bit the panel construction, batched or one t at a time
+    t_max = np.ldexp(1.0, np.arange(-10, 51))
+    panels = numerics._panel_rule(t_max[:, None], ())
+    one_at_a_time = [np.vstack(part) for part in zip(*(gauss_legendre([t]) for t in t_max))]
+    for got in (gauss_legendre(t_max), one_at_a_time):
+        assert np.array_equal(got[0], panels[0]) and np.array_equal(got[1], panels[1])
+    # elsewhere, or with knots, the panels are built
+    for t, knots in ((3.0, ()), (1.0 + 2.0**-52, ()), (4.0, (1.0, 5.0))):
+        want = numerics._panel_rule(np.array([[t]]), knots)
+        assert all(np.array_equal(a, b) for a, b in zip(gauss_legendre([t], knots), want))
 
 
 def test_bisect_increasing():

@@ -6,16 +6,23 @@ and a doubling-plus-golden maximizer for convex conjugates.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from tailbound.cgf import DiscreteDistribution, TabulatedFunction
-from oracles import maximize_on_interval
+from oracles import first_power_of_two_loop, maximize_on_interval
 from tailbound.numerics import NumericError
 from tailbound.orlicz import (
+    BENNETT_T_CAP,
+    DECAY_T_CAP,
+    EXP_TRUNCATION,
+    MOMENT_T_CAP,
     OrliczGenerator,
     UnsupportedGeneratorError,
+    _bennett_phi,
+    _first_power_of_two,
     _log_quadrature_integral,
     bernstein_phi_star,
     conversion_factor_M,
@@ -390,6 +397,58 @@ def test_inner_integral_matches_closed_form(gen, inner, lam_hi):
 @pytest.mark.parametrize("r", [1e-6, 0.05, 1.0, 10.0])
 def test_wr_quadrature_matches_closed_form_minimum(gen, inner, lam_hi, r):
     assert wr_quadrature_bound(gen, r) == pytest.approx(grid_wr_reference(inner, r, lam_hi), rel=1e-10)
+
+
+def _one_pass(g_row, level, cap):
+    """_first_power_of_two with every numpy warning raised as an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return _first_power_of_two(g_row, level, cap)
+
+
+TRUNCATION_GENERATORS = [
+    make_generator("sub-gaussian"),
+    make_generator("sub-exponential"),
+    *(make_generator("bernstein", L=L) for L in (0.1, 1.0, 10.0)),
+    *(make_generator("bennett", L=L) for L in (0.1, 1.0, 10.0)),
+    make_generator("custom", t=[0.5, 1.0, 2.0, 4.0], phi=[0.25, 0.75, 2.0, 5.0]),
+]
+
+
+@pytest.mark.parametrize("gen", TRUNCATION_GENERATORS, ids=[f"{g.kind}{i}" for i, g in enumerate(TRUNCATION_GENERATORS)])
+def test_truncation_search_is_the_doubling_loop_bit_for_bit(gen):
+    # t_max of the quadrature at random lambdas up to the edge of the decay
+    # range, where the integrand decays too slowly and the result is +inf,
+    # and at random levels besides the truncation level
+    rng = np.random.default_rng(13)
+    top = min(gen.lambda_sup, 64.0)
+    lam = np.concatenate([rng.uniform(0.0, top, 300), top * (1.0 - np.geomspace(1e-16, 1e-3, 20))])
+    for level in (np.full(lam.size, EXP_TRUNCATION), rng.uniform(-5.0, 200.0, lam.size)):
+        got = _one_pass(lambda t: gen.phi(t) - lam[:, None] * t, level, DECAY_T_CAP)
+        want = first_power_of_two_loop(lambda t: gen.phi(t) - lam * t, level, DECAY_T_CAP)
+        assert np.array_equal(got, want)
+    level = np.array([EXP_TRUNCATION + 5.0, 0.0, 1e3, math.inf])
+    got = _one_pass(lambda t: gen.phi(t) / 2.0 - np.log(t), level, MOMENT_T_CAP)
+    assert np.array_equal(got, first_power_of_two_loop(lambda t: gen.phi(t) / 2.0 - np.log(t), level, MOMENT_T_CAP))
+    assert got[-1] == math.inf
+
+
+@pytest.mark.parametrize("L", [1e-3, 1.0, 1e3, 1e10])
+def test_bennett_bracket_is_the_doubling_loop_up_to_its_cap(L):
+    # levels from 1e-300 to 1e308 and +inf, which no power reaches; at
+    # L = 1e10, L t overflows well before the cap
+    level = np.concatenate([np.geomspace(1e-300, 1e300, 601), [1e308, math.inf]])
+    got = _one_pass(lambda t: _bennett_phi(t, L), level, BENNETT_T_CAP)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = first_power_of_two_loop(lambda t: _bennett_phi(t, L), level, BENNETT_T_CAP)
+    assert np.array_equal(got, want)
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi = lambda t: _bennett_phi(t, L)
+        found = np.isfinite(got)
+        assert np.all(phi(got[found]) >= level[found]) and np.all(got[found] <= BENNETT_T_CAP)
+        assert np.all((got[found] == 1.0) | (phi(got[found] / 2.0) < level[found]))  # the first power that passes
+        assert np.all(level[~found] > phi(BENNETT_T_CAP))  # +inf only past the cap's value
+    assert (~found).any() == (L <= 1e3)  # at L = 1e10 phi overflows to +inf, which every level reaches
 
 
 # ---------------------------------------------------------------------------

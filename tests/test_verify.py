@@ -22,7 +22,7 @@ from tailbound.chaining import FunctionFamily, extremal_difference
 from tailbound.gaussian import GaussianModel
 from tailbound.rng import finalize, normals, substream_seed, uniforms
 from tailbound import numerics, rng, verify
-from tailbound.verify import TrialPlan, VerificationReport, run_trials, sweep
+from tailbound.verify import LEVEL_PASSES_MAX, TrialPlan, VerificationReport, run_trials, sweep
 
 _MASK = (1 << 64) - 1
 _PY_GOLDEN = 0x9E3779B97F4A7C15
@@ -443,8 +443,9 @@ class TestAtomCounts:
     def _reference(u, cdf):
         return np.stack([np.bincount(np.searchsorted(cdf, row, side="left"), minlength=cdf.size) for row in u])
 
-    # both sides of the cut-off between level passes and searchsorted
-    @pytest.mark.parametrize("s", [1, 2, 6, verify.LEVEL_PASSES_MAX, verify.LEVEL_PASSES_MAX + 1, 64, 65, 128, 2048])
+    # both sides of the cut-off between level passes and searchsorted, and
+    # of 48 and 64
+    @pytest.mark.parametrize("s", [1, 2, 6, 48, 49, 64, 65, LEVEL_PASSES_MAX, LEVEL_PASSES_MAX + 1, 128, 2048])
     def test_matches_searchsorted_bincount(self, s):
         gen = np.random.default_rng(s)
         probs = gen.dirichlet(np.ones(s))

@@ -43,12 +43,21 @@ def _atoms512() -> dict:
     return {"support": support.tolist(), "probabilities": probs.tolist(), "functions": {"f": (f - probs @ f).tolist()}}
 
 
-GENERATED = {"{atoms512}": _atoms512}  # placeholder -> inputs written for the run
+def _family64() -> dict:
+    """A 24-member synthetic family on 64 equally likely atoms (bench/workloads.py)."""
+    import workloads
+    return workloads.synthetic_family(np.random.default_rng(64), 24, 64, (0.25, 1.0, 4.0), 0.15, 0.02)
+
+
+GENERATED = {"{atoms512}": _atoms512, "{family64}": _family64}  # placeholder -> inputs written for the run
 BENNETT = ['{"kind": "bennett", "L": %s}' % L for L in (0.1, 1, 10)]
-# The benchmark's six generators, Bennett at other L and a custom table.
-GENERATORS = [
+# The benchmark's six generators; then Bennett at other L and a custom table.
+BENCH_GENERATORS = [
     '{"kind": "sub-gaussian"}', '{"kind": "sub-exponential"}',
-    *('{"kind": "bernstein", "L": %s}' % L for L in (0.1, 1, 10)), *BENNETT,
+    *('{"kind": "bernstein", "L": %s}' % L for L in (0.1, 1, 10)), BENNETT[1],
+]
+GENERATORS = [
+    *BENCH_GENERATORS, BENNETT[0], BENNETT[2],
     '{"kind": "custom", "t": [0.5, 1, 2, 4], "phi": [0.25, 0.75, 2.0, 5.0]}',
 ]
 FIXTURE_COMMANDS = [
@@ -65,8 +74,14 @@ FIXTURE_COMMANDS = [
     # The Orlicz coefficient bounds away from the benchmark's r = 1, and the
     # Bennett inverse and Orlicz norms at several L.
     *([op, "--gen", gen, "--r", r] for op in ("wr-quad", "wr-exp") for gen in GENERATORS for r in ("0.05", "10")),
+    # Large lambda, where the quadrature integrand is truncated early, for the
+    # benchmark's six generators.
+    *([op, "--gen", gen, "--r", "1000"] for op in ("wr-quad", "wr-exp") for gen in BENCH_GENERATORS),
     *(["orlicz-norm", "--dist", "{rademacher}", "--f", "f", "--gen", gen] for gen in BENNETT),
     *(["class-wr", "--family", "{family}", "--r", "0.05", "--norm", gen] for gen in BENNETT),
+    # The CGF norm and w_r on a larger support, down to a small rate.
+    *(["class-wr", "--family", "{family64}", "--r", r] for r in ("0.0001", "0.05")),
+    ["optimize", "--family", "{family64}", "--n", "200", "--r", "0.05", "--k-candidates", "0,1,2,3"],
     # The sweep's grouped draws: discrete points grouped by n, and a gaussian
     # sweep whose points all share one draw.
     ["sweep", "--target", "chernoff", "--dist", "{rademacher}", "--f", "f", "--n", "50", "--r", "0.05",
