@@ -134,7 +134,7 @@ def rate_bound_T_rows(dist: DiscreteDistribution, rows: np.ndarray, r: float):
     for blk in row_blocks(inner.size, probs.size):
         idx = inner[blk]
         mu = _dual_root(logp, x[idx], r)
-        cgf = cgf_rows(logp, x[idx], mu[:, None])[:, 0]
+        cgf = cgf_rows(logp, x[idx], mu)
         values[idx] = scale[idx] * ((r + cgf) / mu)
         lambdas[idx] = mu / scale[idx]
     return values, lambdas

@@ -3,12 +3,12 @@
 A FunctionFamily holds centered functions tabulated on a finite discrete
 support, together with a norm on differences: either the CGF functional
 sup_{lambda in R} sqrt(2 log E e^{lambda h}) / |lambda| (the default) or an
-Orlicz norm; the CGF norm is found by a capped grid and Newton steps, with
-no golden section. A deflation map A with |A[F]| <= e^k and ||A[f]|| <= ||f||
-shrinks the family to {f - A[f]}; the chain bound combines the gamma
-functional over admissible sequences anchored at {0} with covering
-resolutions epsilon_ell, and every reported value carries a certificate
-(the realizing sequences) that replays to the reported number.
+Orlicz norm; the CGF norm is found by a capped grid and Newton steps. A
+deflation map A with |A[F]| <= e^k and ||A[f]|| <= ||f|| shrinks the family
+to {f - A[f]}; the chain bound combines the gamma functional over admissible
+sequences anchored at {0} with covering resolutions epsilon_ell, and every
+reported value carries a certificate (the realizing sequences) that replays
+to the reported number.
 """
 
 from __future__ import annotations
@@ -84,7 +84,7 @@ def _sup_over_mu(logp: np.ndarray, x: np.ndarray, variance: np.ndarray) -> np.nd
     that row alone.
     """
     def f(logp, x, mu):
-        return 2.0 * cgf_rows(logp, x, mu[:, None])[:, 0] / (mu * mu)
+        return 2.0 * cgf_rows(logp, x, mu) / (mu * mu)
 
     log_grid, top = np.log(NORM_GRID), x.max(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):

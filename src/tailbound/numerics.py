@@ -1,7 +1,6 @@
-"""Shared numerics: golden-section search and the grid-then-golden minimizer
-(left to the Orlicz quadrature bound on w_r and the conversion factor M; the
-CGF norm and T_r take Newton steps instead), a composite Gauss-Legendre
-quadrature rule, the one bisection of the library
+"""Shared numerics: the grid-then-zoom minimizer (left to the Orlicz
+quadrature bound on w_r; the CGF norm and T_r take Newton steps instead), a
+composite Gauss-Legendre quadrature rule, the one bisection of the library
 (which returns the end of each bracket where g >= target), and the batched
 cumulant generating function that the rate-function engine and the norms
 evaluate.
@@ -12,13 +11,10 @@ outputs, which the certificate-replay machinery relies on.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
-INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
-GOLDEN_REL_TOL = 1e-10  # golden section stops at this width relative to its bracket's scale
+ZOOM_POINTS = 17  # evenly spaced points per zoom pass of grid_min
+ZOOM_REL_TOL = 1e-10  # grid_min stops at this bracket width relative to the bracket's scale
 
 BLOCK_ELEMENTS = 1 << 18  # elements of one batched tensor; bounds memory for any row count
 SMALL_MU = 1e-3  # below this |mu| the CGF takes its expm1 form
@@ -60,63 +56,50 @@ def row_blocks(rows: int, per_row: int):
 
 
 def cgf_rows(logp: np.ndarray, x: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """Lambda(mu[i, j]) = log sum_k p_k e^{mu[i, j] x[i, k]} for rows x (n, k)
-    with max|x| <= 1, log-probabilities logp (k,) or one row per row of x
-    (n, k), and points mu (n, g); returns (n, g). A shifted log-sum-exp, or
+    """Lambda(mu[i]) = log sum_k p_k e^{mu[i] x[i, k]} for rows x (n, k) with
+    max|x| <= 1, log-probabilities logp (k,) or one row per row of x (n, k),
+    and one point mu[i] per row; returns (n,). A shifted log-sum-exp, or
     where |mu| <= SMALL_MU log1p(sum p expm1(mu x)), which keeps its
     precision as Lambda -> 0. Each entry depends on its own row and point
     only, so results do not depend on how rows are batched.
     """
     logp = np.broadcast_to(logp, x.shape)
-    a = logp[:, None, :] + mu[:, :, None] * x[:, None, :]
-    peak = a.max(axis=2)
-    out = peak + np.log(np.exp(a - peak[:, :, None]).sum(axis=2))
-    i, j = np.nonzero(np.abs(mu) <= SMALL_MU)
-    out[i, j] = np.log1p((np.exp(logp[i]) * np.expm1(mu[i, j, None] * x[i])).sum(axis=1))
+    a = logp + mu[:, None] * x
+    peak = a.max(axis=1)
+    out = peak + np.log(np.exp(a - peak[:, None]).sum(axis=1))
+    i = np.nonzero(np.abs(mu) <= SMALL_MU)[0]
+    out[i] = np.log1p((np.exp(logp[i]) * np.expm1(mu[i, None] * x[i])).sum(axis=1))
     return out
 
 
-def golden_section_min(f, a, b):
-    """Minimize a unimodal scalar f on [a, b] until the bracket is
-    GOLDEN_REL_TOL wide relative to max(|a|, |b|, a quarter of its initial
-    width); the floor stops a minimizer at 0 from narrowing toward
-    underflow. Returns (x, f(x)) at the best interior probe.
-    """
-    a, b = min(a, b), max(a, b)
-    floor = 0.25 * (b - a)
-    c, d = a + INV_PHI_SQ * (b - a), a + INV_PHI * (b - a)
-    yc, yd = f(c), f(d)
-    while b - a > GOLDEN_REL_TOL * max(abs(a), abs(b), floor):
-        # the minimizer lies in [a, d]; it does too when both probes are +inf,
-        # for objectives finite on a down-closed interval, as searched here
-        if yc < yd or yd == math.inf:
-            b, d, yd = d, c, yc
-            c = a + INV_PHI_SQ * (b - a)
-            yc = f(c)
-        else:
-            a, c, yc = c, d, yd
-            d = a + INV_PHI * (b - a)
-            yd = f(d)
-    return (c, yc) if yc < yd else (d, yd)
-
-
-def grid_golden_min(f, grid):
+def grid_min(f, grid):
     """Minimize f over the span of an increasing grid, f mapping an array of
-    points to values, +inf allowed: f is evaluated on the whole grid as one
-    array op, then golden section refines the bracket between the grid
-    neighbours of the best grid point, which holds the minimizer of a
-    quasiconvex f inside the grid's span. Returns (x, fx, j): the best point
-    found, its value (no worse than the best grid value), and the index j of
-    the best grid point; j = 0 or j = grid.size - 1 says the infimum may lie
-    beyond the grid. Raises NumericError when no grid value is finite.
+    points to values, +inf allowed. f is evaluated on the whole grid in one
+    call; then each pass evaluates ZOOM_POINTS evenly spaced points across
+    the bracket between the neighbours of the last call's best point, in one
+    call, until the bracket is ZOOM_REL_TOL wide relative to max(|a|, |b|, a
+    quarter of the first bracket); the floor stops a minimizer at 0 from
+    narrowing toward underflow. The bracket holds the minimizer of a
+    quasiconvex f inside the grid's span. Returns (x, f(x)), the best point
+    seen, so never worse than the best grid value. Raises NumericError when
+    no grid value is finite.
     """
-    grid = np.asarray(grid, dtype=float)
-    values = f(grid)
+    points = np.asarray(grid, dtype=float)
+    values = f(points)
     j = int(np.argmin(values))
-    if not np.isfinite(values[j]):
+    x, fx = float(points[j]), float(values[j])
+    if not np.isfinite(fx):
         raise NumericError("no finite objective value on the search grid")
-    x, fx = golden_section_min(lambda t: f(np.array([t]))[0], grid[max(j - 1, 0)], grid[min(j + 1, grid.size - 1)])
-    return (float(x), float(fx), j) if fx < values[j] else (float(grid[j]), float(values[j]), j)
+    a, b = points[max(j - 1, 0)], points[min(j + 1, points.size - 1)]
+    floor = 0.25 * (b - a)
+    while b - a > ZOOM_REL_TOL * max(abs(a), abs(b), floor):
+        points = np.linspace(a, b, ZOOM_POINTS)
+        values = f(points)
+        j = int(np.argmin(values))
+        if values[j] < fx:
+            x, fx = float(points[j]), float(values[j])
+        a, b = points[max(j - 1, 0)], points[min(j + 1, ZOOM_POINTS - 1)]
+    return x, fx
 
 
 def gauss_legendre(t_max, knots=()):

@@ -4,18 +4,19 @@ generators psi(t) = e^{phi(t)} - 1.
 Registered generator kinds: sub-gaussian (phi = t^2), sub-exponential
 (phi = t), bernstein(L), bennett(L), power(p) (psi = t^p, accepted by the
 norm but not of exponential type), and custom (tabulated phi, piecewise
-linear on log-spaced abscissae). Conjugates phi* are closed-form where
-calculus gives them, and the maximum over the table points for custom
-tables.
+linear on log-spaced abscissae).
 
-The quadrature bound on w_r and the conversion factor M, the library's only
-users of golden section, search numerics.LAMBDA_GRID and refine by golden
-section (numerics.grid_golden_min). They and the moment integral D share
-the composite Gauss-Legendre rule numerics.gauss_legendre, whose panels
-also end at the kinks of a custom table. Both integrals are truncated at the
-first power of two where the integrand has decayed (_first_power_of_two, one
-pass over all powers, which also brackets the Bennett inverse); the Orlicz
-norm and the Bennett inverse bisect with numerics.bisect_increasing.
+The conversion factor M is the exact lambda -> 0 limit phi_star_limit of
+(e^{phi*(lambda)} - 1)/lambda^2 over the moment integral D: for every
+registered exponential-type kind that limit is the ratio's infimum, so no
+conjugate is evaluated. The quadrature bound on w_r, the library's only
+numerical minimization, searches numerics.LAMBDA_GRID and zooms into the
+best grid point's bracket (numerics.grid_min). It and D share the composite
+Gauss-Legendre rule numerics.gauss_legendre, whose panels also end at the
+kinks of a custom table. Both integrals are truncated at the first power of
+two where the integrand has decayed (_first_power_of_two, one pass over all
+powers, which also brackets the Bennett inverse); the Orlicz norm and the
+Bennett inverse bisect with numerics.bisect_increasing.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .numerics import (
     NumericError,
     bisect_increasing,
     gauss_legendre,
-    grid_golden_min,
+    grid_min,
     row_blocks,
 )
 
@@ -54,33 +55,32 @@ class UnsupportedGeneratorError(ValueError):
 
 @dataclass(frozen=True)
 class OrliczGenerator:
-    """Orlicz generator psi = e^phi - 1: phi, its inverse, and its conjugate.
+    """Orlicz generator psi = e^phi - 1: phi, its inverse, and the constants
+    the coefficient bounds read.
 
     phi and phi_inverse accept floats or numpy arrays; the kind's parameters
-    (L, p, a custom table) are bound into them. phi_star is a scalar map
-    returning +inf outside the conjugate's effective domain, or None for a
-    generator that is not of exponential type (power kind), which is how
-    exponential_type is read. lambda_sup is the supremum of
+    (L, p, a custom table) are bound into them. lambda_sup is the supremum of
     {lambda > 0 : lambda t - phi(t) -> -inf}, i.e. the open decay range used
-    by the quadrature bound. phi_star_limit is the exact
-    lambda -> 0 limit of phi*(lambda)/lambda^2, which is also the limit of the
-    conversion-factor ratio (e^{phi*} - 1)/lambda^2: 1/4 where phi(t) ~ t^2
-    near 0, and 0 where phi* vanishes near 0. knots, derived from the kind,
-    are the points where phi has a kink (a custom table's abscissae; empty
-    for the closed-form kinds); quadrature panels end there.
+    by the quadrature bound; it is 0 only for the power kind, the one kind
+    not of exponential type. phi_star_limit is the exact lambda -> 0 limit of
+    phi*(lambda)/lambda^2 for the conjugate phi*, which is also the limit,
+    and the infimum, of the conversion-factor ratio (e^{phi*} - 1)/lambda^2:
+    1/4 where phi(t) ~ t^2 near 0, and 0 where phi* vanishes near 0. knots,
+    derived from the kind, are the points where phi has a kink (a custom
+    table's abscissae; empty for the closed-form kinds); quadrature panels
+    end there.
     """
 
     kind: str
     phi: Callable
     phi_inverse: Callable
-    phi_star: Callable | None
     lambda_sup: float
     phi_star_limit: float = 0.0  # lim phi*(lambda) / lambda^2 as lambda -> 0+
     knots: tuple = ()
 
     @property
     def exponential_type(self) -> bool:
-        return self.phi_star is not None
+        return self.lambda_sup > 0.0
 
     def psi(self, t):
         """psi(t) = e^{phi(t)} - 1."""
@@ -135,19 +135,6 @@ def _bennett_phi_inverse(y, L: float):
     return out if out.ndim else float(out)
 
 
-def _bennett_phi_star(lam: float, L: float) -> float:
-    # sup_t lam*t - phi(t) with phi'(t) = 2 log(1+Lt)/L gives
-    # t* = (e^{lam L/2}-1)/L and value 2(e^{lam L/2}-1)/L^2 - lam/L
-    if lam < 0.0:
-        return 0.0
-    x = lam * L / 2.0
-    if x > 700.0:
-        return math.inf
-    if x < 1e-4:
-        return lam * lam / 4.0 + lam**3 * L / 24.0 + lam**4 * L * L / 192.0
-    return 2.0 * math.expm1(x) / (L * L) - lam / L
-
-
 def bernstein_phi_star(lam: float, L: float) -> float:
     """Convex conjugate of the Bernstein generator, piecewise.
 
@@ -164,17 +151,6 @@ def bernstein_phi_star(lam: float, L: float) -> float:
     return lam * lam / (4.0 * (1.0 - L * lam / 2.0))
 
 
-def _table_phi_star(lam: float, tk: np.ndarray, pk: np.ndarray, lambda_sup: float) -> float:
-    """sup_{t >= 0} lam*t - phi(t) for phi piecewise linear through (tk, pk),
-    tk[0] = pk[0] = 0, and of slope lambda_sup past the table: exact, as the
-    concave objective peaks at a table point when lam < lambda_sup."""
-    if lam < 0.0:
-        return 0.0
-    if lam >= lambda_sup:
-        return math.inf
-    return max(0.0, float(np.max(lam * tk - pk)))
-
-
 def make_generator(
     kind: str,
     L: float | None = None,
@@ -188,7 +164,6 @@ def make_generator(
             kind,
             phi=lambda x: np.square(np.asarray(x, dtype=float)),
             phi_inverse=lambda y: np.sqrt(np.asarray(y, dtype=float)),
-            phi_star=lambda lam: (lam * lam / 4.0) if lam >= 0.0 else 0.0,
             lambda_sup=math.inf,
             phi_star_limit=0.25,
         )
@@ -197,7 +172,6 @@ def make_generator(
             kind,
             phi=lambda x: np.asarray(x, dtype=float) + 0.0,
             phi_inverse=lambda y: np.asarray(y, dtype=float) + 0.0,
-            phi_star=lambda lam: 0.0 if lam <= 1.0 else math.inf,
             lambda_sup=1.0,
         )
     if kind == "bernstein":
@@ -208,7 +182,6 @@ def make_generator(
             phi=lambda x, _L=L: _bernstein_phi(x, _L),
             phi_inverse=lambda y, _L=L: np.sqrt(np.asarray(y, dtype=float))
             + _L * np.asarray(y, dtype=float) / 2.0,
-            phi_star=lambda lam, _L=L: bernstein_phi_star(lam, _L),
             lambda_sup=2.0 / L,
             phi_star_limit=0.25,
         )
@@ -219,7 +192,6 @@ def make_generator(
             kind,
             phi=lambda x, _L=L: _bennett_phi(x, _L),
             phi_inverse=lambda y, _L=L: _bennett_phi_inverse(y, _L),
-            phi_star=lambda lam, _L=L: _bennett_phi_star(lam, _L),
             lambda_sup=math.inf,
             phi_star_limit=0.25,
         )
@@ -232,7 +204,6 @@ def make_generator(
             kind,
             phi=lambda x, _p=p: np.log1p(np.power(np.asarray(x, dtype=float), _p)),
             phi_inverse=lambda y, _p=p: np.power(np.expm1(np.asarray(y, dtype=float)), 1.0 / _p),
-            phi_star=None,
             lambda_sup=0.0,
         )
     if kind == "custom":
@@ -269,7 +240,6 @@ def make_generator(
             kind,
             phi=phi_pl,
             phi_inverse=phi_pl_inv,
-            phi_star=lambda lam, _t=tk, _p=pk, _s=s_last: _table_phi_star(lam, _t, _p, _s),
             lambda_sup=s_last,
             knots=tuple(tk[1:].tolist()),
         )
@@ -353,10 +323,11 @@ def wr_quadrature_bound(gen: OrliczGenerator, r: float) -> float:
     """Integral bound on w_r: inf_{lambda} (r + log(1 + I(lambda)))/lambda
     with I(lambda) = int_0^inf 2 lambda (e^{lambda t}-1)/(psi(t)+1) dt.
 
-    The minimization over lambda runs on LAMBDA_GRID and golden section,
-    restricted to lambda with a decaying integrand (lambda < lambda_sup);
-    non-exponential-type generators are rejected. At r = 0 the infimum is
-    0, approached as lambda -> 0.
+    The minimization over lambda runs on LAMBDA_GRID and zooms into the
+    best grid point's bracket (numerics.grid_min), restricted to lambda with
+    a decaying integrand (lambda < lambda_sup); non-exponential-type
+    generators are rejected. At r = 0 the infimum is 0, approached as
+    lambda -> 0.
     """
     if not gen.exponential_type:
         raise UnsupportedGeneratorError(
@@ -370,7 +341,7 @@ def wr_quadrature_bound(gen: OrliczGenerator, r: float) -> float:
     def objective(lam):
         return (r + np.logaddexp(0.0, _log_quadrature_integral(gen, lam))) / lam
 
-    return max(grid_golden_min(objective, LAMBDA_GRID)[1], 0.0)
+    return max(grid_min(objective, LAMBDA_GRID)[1], 0.0)
 
 
 def exp_moment_integral(gen: OrliczGenerator) -> float:
@@ -391,26 +362,20 @@ def exp_moment_integral(gen: OrliczGenerator) -> float:
 
 def conversion_factor_M(gen: OrliczGenerator) -> float:
     """Largest M with inf_{lambda>0} (e^{phi*(lambda)}-1)/lambda^2 >= M * D,
-    where D = int_0^inf t e^{-phi(t)/2} dt.
+    where D = int_0^inf t e^{-phi(t)/2} dt (exp_moment_integral).
 
-    The infimum is found on LAMBDA_GRID and refined by golden section. When
-    the best grid point is the lowest, the ratio is increasing there (as it
-    is for the registered closed-form conjugates) and the infimum is its
-    lambda -> 0 limit, so the exact limit phi_star_limit is used: the ratio
-    at any lambda > 0 lies above it. D comes from the Gauss-Legendre rule.
+    The infimum is the ratio's lambda -> 0 limit phi_star_limit, exactly, for
+    every registered exponential-type kind: for sub-Gaussian, Bernstein and
+    Bennett the ratio is 1/4 plus a power series in lambda with nonnegative
+    coefficients, and for sub-exponential and every custom table phi*
+    vanishes on (0, s_1], s_1 being phi's first slope, so the ratio is 0
+    there and M = 0, however small s_1 is.
     """
     if not gen.exponential_type:
         raise UnsupportedGeneratorError(
             f"generator kind {gen.kind!r} is not of exponential type"
         )
-    denom = exp_moment_integral(gen)
-
-    def ratio(lam: float) -> float:  # +inf off phi*'s domain and past exp's range
-        star = gen.phi_star(lam)
-        return math.expm1(star) / (lam * lam) if star <= 700.0 else math.inf
-
-    _, value, j = grid_golden_min(np.vectorize(ratio, otypes=[float]), LAMBDA_GRID)
-    return max(min(value, gen.phi_star_limit) if j == 0 else value, 0.0) / denom
+    return gen.phi_star_limit / exp_moment_integral(gen)
 
 
 def wr_exponential_type(gen: OrliczGenerator, M: float, r: float) -> float:

@@ -1,5 +1,5 @@
 """Test-side references for the rate function: a plain log-sum-exp CGF, the
-T_r property check, a golden-section maximizer for conjugate oracles, and
+T_r property check, a grid-then-zoom maximizer for conjugate oracles, and
 the doubling search that the one-pass truncation search replaced.
 
 Imported by the test modules as `oracles` (pytest puts tests/ on sys.path).
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from tailbound.cgf import rate_bound_T
-from tailbound.numerics import golden_section_min
+from tailbound.numerics import grid_min
 
 
 def cgf_reference(dist, values, lam: float) -> float:
@@ -26,8 +26,9 @@ def cgf_reference(dist, values, lam: float) -> float:
 
 
 def maximize_on_interval(f, a: float, b: float):
-    """Maximize a unimodal f on [a, b]; returns (x, f(x))."""
-    x, neg = golden_section_min(lambda t: -f(t), a, b)
+    """Maximize a unimodal scalar f on [a, b] by numerics.grid_min over the
+    grid (a, (a + b)/2, b); returns (x, f(x))."""
+    x, neg = grid_min(np.vectorize(lambda t: -f(t), otypes=[float]), np.linspace(a, b, 3))
     return x, -neg
 
 

@@ -33,7 +33,7 @@ def test_cgf_matches_log_cosh():
     # the test-side reference and the library's batched CGF
     logp = np.log(RADEMACHER.probabilities)
     lams = np.array([0.25, 1.0, -3.0, 17.5])
-    batched = cgf_rows(logp, RADEMACHER_F[None, :], lams[None, :])[0]
+    batched = cgf_rows(logp, np.tile(RADEMACHER_F, (lams.size, 1)), lams)
     for lam, got in zip(lams, batched):
         want = math.log(math.cosh(lam))
         assert cgf_reference(RADEMACHER, RADEMACHER_F, lam) == pytest.approx(want, rel=1e-13)

@@ -411,6 +411,14 @@ class TestExitCodes:
         assert "sub-exponential generator's conversion factor M is 0" in err
         assert "must be positive" not in err
 
+    def test_wr_exp_table_flat_below_the_lambda_grid_exits_2(self):
+        # phi* vanishes on (0, 1e-13], below the lambda grid's first point
+        # 2^-40, so M is 0 and there is no closed-form bound
+        gen = '{"kind": "custom", "t": [1, 2], "phi": [1e-13, 1]}'
+        code, out, err = run_cli(["wr-exp", "--gen", gen, "--r", 1.0])
+        assert code == 2 and out == ""
+        assert err == "invalid input: the custom generator's conversion factor M is 0, so wr-exp has no bound for it\n"
+
 
 RADEMACHER_FIXTURE = {"support": [[-1.0], [1.0]], "probabilities": [0.5, 0.5], "functions": {"f": [-1.0, 1.0]}}
 

@@ -10,39 +10,45 @@ from tailbound.numerics import (
     NumericError,
     bisect_increasing,
     gauss_legendre,
-    golden_section_min,
-    grid_golden_min,
+    grid_min,
 )
 from tailbound.orlicz import make_generator
+
+
+# The golden_section_* tests check grid_min, which replaced golden section,
+# on the same functions over grids spanning the same intervals; they keep
+# their names so that their pass/fail record stays continuous.
 
 
 def test_golden_section_quadratic():
     # near a flat quadratic minimum the abscissa is only sqrt(eps)-accurate;
     # the value itself is quadratically better
-    x, fx = golden_section_min(lambda t: (t - 2.3) ** 2 + 1.0, 0.0, 10.0)
+    x, fx = grid_min(lambda t: (t - 2.3) ** 2 + 1.0, np.linspace(0.0, 10.0, 3))
     assert x == pytest.approx(2.3, abs=1e-6)
     assert fx == pytest.approx(1.0, abs=1e-12)
 
 
 def test_golden_section_moves_left_of_two_infinite_probes():
-    # both first probes (0.51, 0.69) lie where f is +inf; the finite part
-    # of the domain, and the minimizer, lie to their left
-    x, fx = golden_section_min(lambda t: math.inf if t >= 0.3 else (t - 0.25) ** 2, 0.2, 1.0)
+    # the grid's inner points (0.51, 0.69), golden section's first probes,
+    # lie where f is +inf; the finite part of the domain, and the
+    # minimizer, lie to their left
+    f = np.vectorize(lambda t: math.inf if t >= 0.3 else (t - 0.25) ** 2, otypes=[float])
+    x, fx = grid_min(f, [0.2, 0.51, 0.69, 1.0])
     assert x == pytest.approx(0.25, abs=1e-6)
     assert fx < 1e-12
 
 
 def test_golden_section_minimizer_at_zero_stops_early():
     # the bracket's own width sets the stop scale, so narrowing toward a
-    # minimizer at 0 ends after ~50 evaluations instead of ~1500
+    # minimizer at 0 ends after a dozen calls of f instead of ~130
     calls = []
 
     def f(t):
         calls.append(t)
         return t
 
-    x, fx = golden_section_min(f, 0.0, 2.0)
-    assert len(calls) <= 100
+    x, fx = grid_min(f, np.linspace(0.0, 2.0, 3))
+    assert len(calls) <= 15
     assert 0.0 <= x <= 1e-9 and fx == x
 
 
@@ -52,20 +58,20 @@ def test_maximize_on_interval():
     assert fx == pytest.approx(0.0, abs=1e-12)
 
 
-# The minimize_positive_* and adaptive_simpson_* tests check grid_golden_min
-# and gauss_legendre, which replaced those routines, on the same inputs and
+# The minimize_positive_* and adaptive_simpson_* tests check grid_min and
+# gauss_legendre, which replaced those routines, on the same inputs and
 # tolerances; they keep their names so that their pass/fail record stays
 # continuous.
 
 
 def _grid_min(f):
-    """grid_golden_min of a scalar f over LAMBDA_GRID: (x, fx, j)."""
-    return grid_golden_min(np.vectorize(f, otypes=[float]), LAMBDA_GRID)
+    """grid_min of a scalar f over LAMBDA_GRID: (x, fx)."""
+    return grid_min(np.vectorize(f, otypes=[float]), LAMBDA_GRID)
 
 
 def test_minimize_positive_interior():
-    x, fx, j = _grid_min(lambda x: x + 4.0 / x)
-    assert 0 < j < LAMBDA_GRID.size - 1
+    x, fx = _grid_min(lambda x: x + 4.0 / x)
+    assert LAMBDA_GRID[0] < x < LAMBDA_GRID[-1]
     assert x == pytest.approx(2.0, rel=1e-8)
     assert fx == pytest.approx(4.0, rel=1e-10)
 
@@ -75,13 +81,13 @@ def test_minimize_positive_walks_into_domain():
     def f(x):
         return math.inf if x >= 0.5 else (x - 0.1) ** 2
 
-    x, _, _ = _grid_min(f)
+    x, _ = _grid_min(f)
     assert x == pytest.approx(0.1, abs=1e-8)
 
 
 def test_minimize_positive_boundary_reported():
-    x, fx, j = _grid_min(lambda x: 1.0 / x)
-    assert j == LAMBDA_GRID.size - 1
+    # the infimum lies beyond the grid: the search ends at its last point
+    x, fx = _grid_min(lambda x: 1.0 / x)
     assert x == LAMBDA_GRID[-1] >= 1e8
     assert fx == 1.0 / x
 

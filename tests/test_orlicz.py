@@ -2,9 +2,10 @@
 
 Derived values are checked against test-local oracles that share no code
 with the implementation: trapezoid quadrature on dense grids for integrals
-and a doubling-plus-golden maximizer for convex conjugates.
+and a doubling-plus-zoom maximizer for convex conjugates.
 """
 
+import decimal
 import math
 import warnings
 
@@ -39,7 +40,7 @@ from tailbound.orlicz import (
 
 
 def conjugate_oracle(phi, lam: float) -> float:
-    """sup_{t >= 0} lam*t - phi(t), by doubling past the peak then golden."""
+    """sup_{t >= 0} lam*t - phi(t), by doubling past the peak then grid_min."""
     h = lambda t: lam * t - float(phi(t))
     t_hi = 1.0
     while h(t_hi) >= h(t_hi / 2.0):
@@ -168,6 +169,16 @@ ALL_KINDS = [
 ]
 
 
+# the nine generators tools/compare_outputs.py runs wr-quad and wr-exp on
+COMPARED_GENERATORS = [
+    make_generator("sub-gaussian"),
+    make_generator("sub-exponential"),
+    *(make_generator("bernstein", L=L) for L in (0.1, 1.0, 10.0)),
+    *(make_generator("bennett", L=L) for L in (0.1, 1.0, 10.0)),
+    make_generator("custom", t=[0.5, 1.0, 2.0, 4.0], phi=[0.25, 0.75, 2.0, 5.0]),
+]
+
+
 @pytest.mark.parametrize("gen", ALL_KINDS, ids=lambda g: g.kind)
 def test_generator_shape(gen):
     ts = np.concatenate(([0.0], np.logspace(-3, 1.5, 41)))
@@ -239,8 +250,8 @@ def test_custom_generator_linear_table():
     gen = make_generator("custom", t=[1.0, 2.0], phi=[1.0, 2.0])
     assert gen.lambda_sup == 1.0
     assert float(gen.phi(5.0)) == pytest.approx(5.0, rel=1e-12)
-    assert gen.phi_star(0.5) == pytest.approx(0.0, abs=1e-9)
-    assert gen.phi_star(2.0) == math.inf
+    # phi* is 0 below the first slope, so the conversion factor is 0
+    assert conversion_factor_M(gen) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -528,6 +539,72 @@ def test_conversion_factor_uses_the_exact_small_lambda_limit(kind, L):
     # the ratio increases in lambda, so the infimum is the limit 1/4 exactly
     gen = make_generator(kind, L=L)
     assert conversion_factor_M(gen) == 0.25 / exp_moment_integral(gen)
+
+
+@pytest.mark.parametrize("t,phi", [([1.0, 2.0], [1e-13, 1.0]), ([1e6, 2e6], [1e-9, 1.0])])
+def test_conversion_factor_of_a_table_flat_below_the_lambda_grid_is_zero(t, phi):
+    # first slopes 1e-13 and 1e-15 lie below LAMBDA_GRID[0] = 2^-40; phi* is
+    # 0 on (0, s_1] all the same, so the infimum ratio is 0
+    assert conversion_factor_M(make_generator("custom", t=t, phi=phi)) == 0.0
+
+
+def _bennett_phi_star_exact(lam: float, L: float) -> float:
+    """The Bennett conjugate 2 expm1(lam L/2)/L^2 - lam/L, in 60-digit decimal
+    arithmetic: in floats its two terms cancel to ~4 eps/(lam L) relative."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        lam_d, L_d = decimal.Decimal(lam), decimal.Decimal(L)
+        return float(2 * ((lam_d * L_d / 2).exp() - 1) / (L_d * L_d) - lam_d / L_d)
+
+
+LEMMA_L = (1e-3, 0.1, 1.0, 10.0, 1e3)
+LEMMA_CONJUGATES = [
+    pytest.param(make_generator("sub-gaussian"), lambda lam: lam * lam / 4.0, id="sub-gaussian"),
+    *(pytest.param(make_generator("bernstein", L=L), lambda lam, L=L: bernstein_phi_star(lam, L), id=f"bernstein-{L}")
+      for L in LEMMA_L),
+    *(pytest.param(make_generator("bennett", L=L), lambda lam, L=L: _bennett_phi_star_exact(lam, L), id=f"bennett-{L}")
+      for L in LEMMA_L),
+]
+
+
+@pytest.mark.parametrize("gen,phi_star", LEMMA_CONJUGATES)
+def test_conversion_ratio_rises_from_its_small_lambda_limit(gen, phi_star):
+    # the lemma behind conversion_factor_M: (e^{phi*} - 1)/lambda^2 is 1/4
+    # plus a power series in lambda with nonnegative coefficients, so it
+    # never falls below phi_star_limit and does not decrease
+    top = gen.lambda_sup * (1.0 - 1e-9) if math.isfinite(gen.lambda_sup) else 1e3
+    lams = np.geomspace(1e-6, top, 400)
+    with np.errstate(over="ignore"):
+        ratio = np.array([np.expm1(phi_star(float(lam))) for lam in lams]) / lams**2
+    assert gen.phi_star_limit == 0.25
+    assert np.all(ratio >= gen.phi_star_limit)
+    assert np.all(ratio[1:] >= ratio[:-1] * (1.0 - 1e-12))
+
+
+@pytest.mark.parametrize(
+    "gen,s1",
+    [
+        (make_generator("sub-exponential"), 1.0),
+        (make_generator("custom", t=[0.5, 1.0, 2.0, 4.0], phi=[0.25, 0.75, 2.0, 5.0]), 0.5),
+        (make_generator("custom", t=[1.0, 2.0], phi=[1e-13, 1.0]), 1e-13),
+    ],
+    ids=["sub-exponential", "custom", "custom-flat"],
+)
+def test_conjugate_vanishes_below_the_first_slope(gen, s1):
+    # the other half of the lemma: phi* = 0 on (0, s_1], s_1 being phi's
+    # first slope, where the ratio is 0 = phi_star_limit. Sub-exponential
+    # stops short of s_1 = 1, where lam t - phi(t) is 0 for every t and the
+    # oracle finds no peak
+    lams = s1 * np.geomspace(1e-6, 1.0, 25)
+    if gen.kind == "sub-exponential":
+        lams = lams[:-1]
+    assert gen.phi_star_limit == 0.0
+    assert [conjugate_oracle(gen.phi, float(lam)) for lam in lams] == [0.0] * lams.size
+
+
+@pytest.mark.parametrize("gen", COMPARED_GENERATORS, ids=lambda g: g.kind)
+def test_conversion_factor_is_the_limit_over_the_moment_integral(gen):
+    assert conversion_factor_M(gen) == gen.phi_star_limit / exp_moment_integral(gen)
 
 
 def test_conversion_factor_bennett_positive():

@@ -51,7 +51,8 @@ def _family64() -> dict:
 
 GENERATED = {"{atoms512}": _atoms512, "{family64}": _family64}  # placeholder -> inputs written for the run
 BENNETT = ['{"kind": "bennett", "L": %s}' % L for L in (0.1, 1, 10)]
-# The benchmark's six generators; then Bennett at other L and a custom table.
+# The benchmark's six generators; then Bennett at other L, a custom table,
+# and a table whose first slope 1e-13 lies below the lambda search grid.
 BENCH_GENERATORS = [
     '{"kind": "sub-gaussian"}', '{"kind": "sub-exponential"}',
     *('{"kind": "bernstein", "L": %s}' % L for L in (0.1, 1, 10)), BENNETT[1],
@@ -59,6 +60,7 @@ BENCH_GENERATORS = [
 GENERATORS = [
     *BENCH_GENERATORS, BENNETT[0], BENNETT[2],
     '{"kind": "custom", "t": [0.5, 1, 2, 4], "phi": [0.25, 0.75, 2.0, 5.0]}',
+    '{"kind": "custom", "t": [1, 2], "phi": [1e-13, 1]}',
 ]
 FIXTURE_COMMANDS = [
     # Deflation at k >= 1 with many anchors, under the CGF norm and an Orlicz
