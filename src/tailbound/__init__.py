@@ -13,7 +13,6 @@ from .numerics import NumericError
 from .cgf import (
     CENTERING_TOL,
     DiscreteDistribution,
-    TabulatedFunction,
     rate_bound_T,
     rate_bound_T_rows,
 )
@@ -32,7 +31,6 @@ from .orlicz import (
 from .gaussian import (
     GaussianBoundReport,
     GaussianModel,
-    LinearFunctional,
     cgf_norm,
     gaussian_instance_bound,
     gaussian_instance_bound_rows,

@@ -59,19 +59,6 @@ class DiscreteDistribution:
         return self.support.shape[0]
 
 
-@dataclass(frozen=True)
-class TabulatedFunction:
-    """Real-valued function tabulated on the support of a distribution."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float).reshape(-1)
-        if values.size < 1 or not np.all(np.isfinite(values)):
-            raise ValueError("function values must be a nonempty finite vector")
-        object.__setattr__(self, "values", readonly(values))
-
-
 def check_rows(dist: DiscreteDistribution, rows, centered: bool = True) -> np.ndarray:
     """rows as a float (count, support) array, checked to have one column per
     support point, only finite values and, when `centered`, each row's

@@ -16,9 +16,9 @@ import sys
 
 import numpy as np
 
-from .cgf import TabulatedFunction, rate_bound_T
+from .cgf import rate_bound_T
 from .chaining import build_deflation, class_wr, optimize_deflation, theorem_main_bound
-from .gaussian import LinearFunctional, gaussian_instance_bound
+from .gaussian import gaussian_instance_bound
 from .jsonio import (
     dump_csv,
     dump_json,
@@ -86,7 +86,7 @@ def _cmd_class_wr(args):
 def _cmd_orlicz_norm(args):
     dist, values = _dist_function(args)
     gen = load_generator(parse_inline_or_path(args.gen))
-    value = orlicz_norm(dist, TabulatedFunction(values), gen)
+    value = orlicz_norm(dist, values, gen)
     row = {"op": "orlicz-norm", "function": args.f, "kind": gen.kind, "value": value}
     return row, [row]
 
@@ -119,9 +119,7 @@ def _cmd_gaussian_bound(args):
             raise ValueError("--basis index out of range")
         u = np.zeros(model.dim)
         u[args.basis] = 1.0
-    report = gaussian_instance_bound(
-        model, LinearFunctional(u), args.k, args.n, args.r, loose_projected=args.loose_projected
-    )
+    report = gaussian_instance_bound(model, u, args.k, args.n, args.r, loose_projected=args.loose_projected)
     row = {"op": "gaussian-bound", **report.as_dict()}
     return row, [row]
 

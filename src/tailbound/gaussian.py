@@ -86,32 +86,21 @@ class GaussianModel:
         return GaussianModel(np.diag(lam))
 
 
-@dataclass(frozen=True)
-class LinearFunctional:
-    """Direction u with ||u||_2 <= 1, representing x -> <u, x>."""
-
-    direction: np.ndarray
-
-    def __post_init__(self):
-        u = np.asarray(self.direction, dtype=float).reshape(-1)
-        if u.size < 1 or not np.all(np.isfinite(u)):
-            raise ValueError("direction must be a finite vector")
-        if float(np.linalg.norm(u)) > 1.0 + 1e-12:
-            raise ValueError("direction must have Euclidean norm at most 1")
-        object.__setattr__(self, "direction", readonly(u))
-
-
 def _cgf_norms(model: GaussianModel, u: np.ndarray) -> np.ndarray:
-    """CGF norms (u' Sigma u)^{1/2} of the rows of a (count, d) array u."""
+    """CGF norms (u' Sigma u)^{1/2} of the rows of a (count, d) array u, each
+    row checked to be a finite direction of the model's dimension."""
     if u.ndim != 2 or u.shape[1] != model.dim:
         raise ValueError("direction dimension does not match the model")
+    if not np.all(np.isfinite(u)):
+        raise ValueError("direction must be a finite vector")
     quad = ((u @ model.covariance)[:, None, :] @ u[:, :, None])[:, 0, 0]  # one dot product per row
     return np.sqrt(np.maximum(quad, 0.0))
 
 
-def cgf_norm(model: GaussianModel, f: LinearFunctional) -> float:
-    """CGF norm of the linear functional: (u' Sigma u)^{1/2}."""
-    return float(_cgf_norms(model, f.direction[None, :])[0])
+def cgf_norm(model: GaussianModel, u) -> float:
+    """CGF norm (u' Sigma u)^{1/2} of the linear functional x -> <u, x>, for a
+    finite direction u with the model's dimension."""
+    return float(_cgf_norms(model, np.asarray(u, dtype=float).reshape(1, -1))[0])
 
 
 @dataclass(frozen=True)
@@ -140,13 +129,14 @@ class GaussianBoundReport:
 
 def gaussian_instance_bound(
     model: GaussianModel,
-    f: LinearFunctional,
+    u,
     k: int,
     n: int,
     r: float,
     loose_projected: bool = False,
 ) -> GaussianBoundReport:
-    """Rank-k instance-dependent bound for E_n <u, X>.
+    """Rank-k instance-dependent bound for E_n <u, X>, for a finite direction
+    u with the model's dimension and Euclidean norm at most 1.
 
     Terms: sqrt(tr(Sigma - Sigma_k)/n), sqrt(2r ||Sigma - Sigma_k||_op),
     sqrt(k/n) (u' Sigma_k u)^{1/2}, and the base deviation sqrt(2r) ||f||.
@@ -154,7 +144,7 @@ def gaussian_instance_bound(
     mid-derivation quantity; loose_projected=True substitutes the full norm
     (u' Sigma u)^{1/2}, the looser displayed variant.
     """
-    tail_trace, tail_op, projected, base = _bound_terms(model, f.direction[None, :], k, n, r, loose_projected)
+    tail_trace, tail_op, projected, base = _bound_terms(model, np.reshape(u, (1, -1)), k, n, r, loose_projected)
     projected, base = float(projected[0]), float(base[0])
     return GaussianBoundReport(
         k=int(k),

@@ -94,26 +94,9 @@ def load_vector(obj) -> np.ndarray:
     return _numbers(obj, "direction", 1)
 
 
-def jsonable(x):
-    """Recursively convert numpy values, tuples and dict keys to JSON-native
-    ones; reports arrive here as dicts, through their as_dict()."""
-    if isinstance(x, (bool, np.bool_)):
-        return bool(x)
-    if isinstance(x, (int, np.integer)):
-        return int(x)
-    if isinstance(x, (float, np.floating)):
-        return float(x)
-    if isinstance(x, np.ndarray):
-        return [jsonable(v) for v in x.tolist()]
-    if isinstance(x, dict):
-        return {str(k): jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [jsonable(v) for v in x]
-    return x
-
-
 def dump_json(obj) -> str:
-    return json.dumps(jsonable(obj), indent=2) + "\n"
+    """obj as indented JSON; numpy values are written through .tolist()."""
+    return json.dumps(obj, indent=2, default=lambda x: x.tolist()) + "\n"
 
 
 def _csv_cell(v) -> str:

@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cgf import DiscreteDistribution, TabulatedFunction, check_rows
+from .cgf import DiscreteDistribution, check_rows
 from .numerics import (
     LAMBDA_GRID,
     QUAD_NODES,
@@ -113,14 +113,27 @@ def _bernstein_phi(t, L: float):
 
 
 def _bennett_phi(t, L: float):
+    """phi(t) = 2((1+x)log(1+x) - x)/L^2 at x = Lt, each form evaluated only
+    where it is used; +inf where phi overflows."""
     t = np.asarray(t, dtype=float)
-    x = L * t
-    small = x < 1e-4
-    # series of (1+x)log(1+x)-x = x^2/2 - x^3/6 + x^4/12 - ... for tiny x
-    series = t * t * (1.0 - x / 3.0 + x * x / 6.0)
-    with np.errstate(invalid="ignore"):
+    out = np.empty(t.shape)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        x = L * t
+        small = x < 1e-4
+        if small.any():  # series of (1+x)log(1+x)-x = x^2/2 - x^3/6 + x^4/12 - ... for tiny x
+            ts, xs = t[small], x[small]
+            out[small] = ts * ts * (1.0 - xs / 3.0 + xs * xs / 6.0)
+        big = ~small
+        t, x = t[big], x[big]
         direct = 2.0 * ((1.0 + x) * np.log1p(x) - x) / (L * L)
-    out = np.where(small, series, direct)
+        # where L * L is not a normal float or the form above overflows, the same phi
+        # as 2t((1 + 1/x)log(1+x) - 1)/L, with log(1+x) = log L + log t once x overflows
+        redo = ~np.isfinite(direct) if 2.0**-1022 <= L * L < math.inf else np.ones(x.shape, bool)
+        if redo.any():
+            t, x = t[redo], x[redo]
+            log1p = np.where(np.isinf(x), np.log(L) + np.log(t), np.log1p(x))
+            direct[redo] = t * (2.0 * ((1.0 + 1.0 / x) * log1p - 1.0) / L)
+        out[big] = direct
     return out if out.ndim else float(out)
 
 
@@ -227,7 +240,8 @@ def make_generator(
         def phi_pl(x, _t=tk, _p=pk, _s=s_last):
             x = np.asarray(x, dtype=float)
             inside = np.interp(x, _t, _p)
-            out = np.where(x > _t[-1], _p[-1] + _s * (x - _t[-1]), inside)
+            with np.errstate(over="ignore"):  # +inf where the extrapolation overflows
+                out = np.where(x > _t[-1], _p[-1] + _s * (x - _t[-1]), inside)
             return out if out.ndim else float(out)
 
         def phi_pl_inv(y, _t=tk, _p=pk, _s=s_last):
@@ -280,9 +294,10 @@ def orlicz_norm_rows(dist: DiscreteDistribution, rows: np.ndarray, gen: OrliczGe
     return norms
 
 
-def orlicz_norm(dist: DiscreteDistribution, f: TabulatedFunction, gen: OrliczGenerator) -> float:
-    """||Y||_psi for Y = f(X); one row of orlicz_norm_rows."""
-    return float(orlicz_norm_rows(dist, f.values[None, :], gen)[0])
+def orlicz_norm(dist: DiscreteDistribution, values, gen: OrliczGenerator) -> float:
+    """||Y||_psi for Y = f(X), f given by its finite values on dist's
+    support: orlicz_norm_rows of a single row."""
+    return float(orlicz_norm_rows(dist, np.asarray(values, dtype=float)[None, :], gen)[0])
 
 
 def _log_quadrature_integral(gen: OrliczGenerator, lam: np.ndarray) -> np.ndarray:
@@ -339,7 +354,8 @@ def wr_quadrature_bound(gen: OrliczGenerator, r: float) -> float:
         return 0.0
 
     def objective(lam):
-        return (r + np.logaddexp(0.0, _log_quadrature_integral(gen, lam))) / lam
+        with np.errstate(over="ignore"):  # +inf where r / lambda overflows
+            return (r + np.logaddexp(0.0, _log_quadrature_integral(gen, lam))) / lam
 
     return max(grid_min(objective, LAMBDA_GRID)[1], 0.0)
 
@@ -347,7 +363,8 @@ def wr_quadrature_bound(gen: OrliczGenerator, r: float) -> float:
 def exp_moment_integral(gen: OrliczGenerator) -> float:
     """int_0^inf t e^{-phi(t)/2} dt, the integral on the right side of the
     conversion-factor inequality, by the Gauss-Legendre rule and rounded up
-    by MOMENT_ROUND_UP."""
+    by MOMENT_ROUND_UP. NumericError when the integrand has not decayed by
+    MOMENT_T_CAP or the integral is not finite and positive."""
     if not gen.exponential_type:
         raise UnsupportedGeneratorError(
             f"generator kind {gen.kind!r}: the moment integral diverges"
@@ -355,9 +372,12 @@ def exp_moment_integral(gen: OrliczGenerator) -> float:
     level = np.array([EXP_TRUNCATION + 5.0])
     t_hi = _first_power_of_two(lambda t: gen.phi(t) / 2.0 - np.log(t), level, MOMENT_T_CAP)
     if not np.isfinite(t_hi[0]):
-        raise UnsupportedGeneratorError("moment integral truncation point not found")
+        raise NumericError("moment integral truncation point not found")
     t, w = gauss_legendre(t_hi, gen.knots)
-    return float((w * t * np.exp(-gen.phi(t) / 2.0)).sum()) * (1.0 + MOMENT_ROUND_UP)
+    D = float((w * t * np.exp(-gen.phi(t) / 2.0)).sum())
+    if not (0.0 < D < math.inf):
+        raise NumericError(f"moment integral {D!r} is not finite and positive")
+    return D * (1.0 + MOMENT_ROUND_UP)
 
 
 def conversion_factor_M(gen: OrliczGenerator) -> float:

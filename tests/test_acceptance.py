@@ -29,7 +29,7 @@ from tailbound.chaining import (
     theorem_main_bound,
 )
 from tailbound.cli import main
-from tailbound.gaussian import LinearFunctional, gaussian_instance_bound, optimal_rank
+from tailbound.gaussian import gaussian_instance_bound, optimal_rank
 from tailbound.orlicz import (
     bernstein_phi_star,
     conversion_factor_M,
@@ -196,8 +196,8 @@ def test_criterion_08_gaussian_rank_k_validity(poly2_model):
         # strict payoff of truncation at the top eigen-direction
         top = np.zeros(poly2_model.dim)
         top[0] = 1.0
-        total_k = gaussian_instance_bound(poly2_model, LinearFunctional(top), k, 100, 0.02).total
-        total_0 = gaussian_instance_bound(poly2_model, LinearFunctional(top), 0, 100, 0.02).total
+        total_k = gaussian_instance_bound(poly2_model, top, k, 100, 0.02).total
+        total_0 = gaussian_instance_bound(poly2_model, top, 0, 100, 0.02).total
         assert total_k < total_0
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import cgf_reference, check_T_properties
-from tailbound import DiscreteDistribution, TabulatedFunction, rate_bound_T
+from tailbound import DiscreteDistribution, make_generator, orlicz_norm, rate_bound_T
 from tailbound.numerics import cgf_rows
 
 RADEMACHER = DiscreteDistribution([[-1.0], [1.0]], [0.5, 0.5])
@@ -124,10 +124,11 @@ def test_function_length_mismatch():
 
 
 def test_tabulated_function_validation():
-    with pytest.raises(ValueError):
-        TabulatedFunction([])
-    with pytest.raises(ValueError):
-        TabulatedFunction([0.0, math.inf])
+    gen = make_generator("sub-gaussian")
+    with pytest.raises(ValueError, match="function length does not match support size"):
+        orlicz_norm(RADEMACHER, [], gen)
+    with pytest.raises(ValueError, match="function values must be finite"):
+        orlicz_norm(RADEMACHER, [0.0, math.inf], gen)
 
 
 def test_check_properties_rejects_bad_parameters():

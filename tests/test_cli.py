@@ -19,10 +19,10 @@ import warnings
 import numpy as np
 import pytest
 
-from tailbound.cgf import TabulatedFunction, rate_bound_T
+from tailbound.cgf import rate_bound_T
 from tailbound.chaining import build_deflation, class_wr, optimize_deflation, theorem_main_bound
 from tailbound.cli import main
-from tailbound.gaussian import LinearFunctional, gaussian_instance_bound
+from tailbound.gaussian import gaussian_instance_bound
 from tailbound.jsonio import load_distribution, load_family, load_json
 from tailbound.orlicz import make_generator, orlicz_norm
 from tailbound.verify import TrialPlan, run_trials
@@ -97,7 +97,7 @@ class TestComputeCommands:
             ]
         )
         dist, functions = load_distribution(rademacher)
-        direct = orlicz_norm(dist, TabulatedFunction(functions["f"]), make_generator("sub-gaussian"))
+        direct = orlicz_norm(dist, functions["f"], make_generator("sub-gaussian"))
         assert payload["value"] == direct
         assert payload["value"] == pytest.approx(1.0 / math.sqrt(math.log(2.0)), rel=1e-9)
 
@@ -128,7 +128,7 @@ class TestComputeCommands:
         )
         u = np.zeros(poly2_model.dim)
         u[0] = 1.0
-        direct = gaussian_instance_bound(poly2_model, LinearFunctional(u), 2, 100, 0.02)
+        direct = gaussian_instance_bound(poly2_model, u, 2, 100, 0.02)
         for key, val in direct.as_dict().items():
             assert payload[key] == val
 
@@ -540,6 +540,42 @@ def test_family_whose_differences_overflow_exits_2_with_one_line(tmp_path, comma
     assert (code, out) == (2, "")
     assert err.startswith("invalid input: ") and err.count("\n") == 1 and "overflow" in err, err
     assert not caught, [str(w.message) for w in caught]
+
+
+# Generators at extreme parameters: (argv, allowed exit codes, output fields
+# or the stderr line). phi and the integrals overflow harmlessly to +inf there;
+# Bennett at L = 1e300 and 1e30 leaves the moment integral untruncated.
+EXTREME_GENERATORS = {
+    "bennett-1e300-wr-exp": (["wr-exp", "--gen", '{"kind": "bennett", "L": 1e300}', "--r", 1], (1,),
+                             "numeric failure: moment integral truncation point not found\n"),
+    "bennett-1e30-wr-exp": (["wr-exp", "--gen", '{"kind": "bennett", "L": 1e30}', "--r", 1], (1,),
+                            "numeric failure: moment integral truncation point not found\n"),
+    "bennett-1e-300-wr-exp": (["wr-exp", "--gen", '{"kind": "bennett", "L": 1e-300}', "--r", 1e300], (0,),
+                              {"M": 0.24999999999974998, "value": 3.4641016151397465e+150}),
+    "sub-gaussian-wr-quad": (["wr-quad", "--gen", SUB_GAUSSIAN, "--r", 1e300], (0,), {"value": 7.450580596923829e+291}),
+    "custom-wr-exp": (["wr-exp", "--gen", '{"kind": "custom", "t": [1, 2], "phi": [1, 1e308]}', "--r", 1], (2,),
+                      "invalid input: the custom generator's conversion factor M is 0, so wr-exp has no bound for it\n"),
+    "bennett-1e300-orlicz-norm": (["orlicz-norm", "--dist", "rademacher.json", "--f", "f", "--gen",
+                                   '{"kind": "bennett", "L": 1e300}'], (0, 1), None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXTREME_GENERATORS))
+def test_extreme_generators_exit_cleanly(fixtures_dir, case):
+    argv, codes, want = EXTREME_GENERATORS[case]
+    argv = [fixtures_dir / a if str(a).endswith(".json") else a for a in argv]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(argv)
+    assert not caught, [str(w.message) for w in caught]
+    assert code in codes, err
+    if code == 0:
+        assert err == ""
+        payload = json.loads(out)
+        assert want is None or {k: payload[k] for k in want} == want
+    else:
+        assert out == "" and err.count("\n") == 1 and err.endswith("\n"), err
+        assert want is None or err == want
 
 
 # Each size asks, at its first large allocation, for far more than the 4 GB

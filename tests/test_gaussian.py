@@ -1,13 +1,13 @@
 """Gaussian linear-class bounds: spectra, truncation, and the rank-k report."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from tailbound.gaussian import (
     GaussianModel,
-    LinearFunctional,
     cgf_norm,
     gaussian_instance_bound,
     gaussian_instance_bound_rows,
@@ -90,10 +90,22 @@ def test_model_from_spectrum():
 
 
 def test_functional_ball_constraint():
-    LinearFunctional(np.zeros(3))
-    LinearFunctional(np.array([0.6, 0.8]))
-    with pytest.raises(ValueError):
-        LinearFunctional(np.array([1.1, 0.0]))
+    model = GaussianModel(np.eye(2))
+    assert gaussian_instance_bound(model, np.zeros(2), 1, 10, 0.1).base == 0.0
+    assert gaussian_instance_bound(model, [0.6, 0.8], 1, 10, 0.1).base == pytest.approx(math.sqrt(0.2), rel=1e-15)
+    with pytest.raises(ValueError, match="Euclidean norm at most 1"):
+        gaussian_instance_bound(model, [1.1, 0.0], 1, 10, 0.1)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_direction_must_be_finite(bad):
+    model = GaussianModel(np.eye(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="direction must be a finite vector"):
+            cgf_norm(model, [bad, 0.0])
+        with pytest.raises(ValueError, match="direction must be a finite vector"):
+            gaussian_instance_bound(model, [0.0, bad], 1, 10, 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -102,10 +114,10 @@ def test_functional_ball_constraint():
 
 def test_cgf_norm_closed_cases():
     eye = GaussianModel(np.eye(3))
-    assert cgf_norm(eye, LinearFunctional([1.0, 0.0, 0.0])) == 1.0
+    assert cgf_norm(eye, [1.0, 0.0, 0.0]) == 1.0
     diag = GaussianModel(np.diag([4.0, 1.0]))
-    assert cgf_norm(diag, LinearFunctional([1.0, 0.0])) == 2.0
-    assert cgf_norm(diag, LinearFunctional([0.0, 0.0])) == 0.0
+    assert cgf_norm(diag, [1.0, 0.0]) == 2.0
+    assert cgf_norm(diag, [0.0, 0.0]) == 0.0
 
 
 def dense_T(cgf, r: float) -> float:
@@ -125,9 +137,9 @@ def test_rate_bound_matches_sqrt_two_r(r):
     # the base term is sqrt(2r) ||f||, the closed form of T_r for the CGF
     # sigma^2 lambda^2 / 2 of <u, X>, which a dense lambda search confirms
     model = GaussianModel(np.diag([2.25, 1.0, 0.16]))
-    f = LinearFunctional(np.array([0.5, 0.5, 0.5]))
-    sigma = cgf_norm(model, f)
-    assert gaussian_instance_bound(model, f, 1, 100, r).base == math.sqrt(2.0 * r) * sigma
+    u = np.array([0.5, 0.5, 0.5])
+    sigma = cgf_norm(model, u)
+    assert gaussian_instance_bound(model, u, 1, 100, r).base == math.sqrt(2.0 * r) * sigma
     assert dense_T(lambda lam: 0.5 * sigma * sigma * lam * lam, r) == pytest.approx(sigma * math.sqrt(2.0 * r), rel=1e-9)
 
 
@@ -141,7 +153,7 @@ def test_bound_oracle_d20():
     model = GaussianModel(np.diag(lam))
     u = np.zeros(20)
     u[0] = 1.0
-    rep = gaussian_instance_bound(model, LinearFunctional(u), k=3, n=100, r=0.02)
+    rep = gaussian_instance_bound(model, u, k=3, n=100, r=0.02)
     assert rep.tail_trace == pytest.approx(math.sqrt(lam[3:].sum() / 100.0), abs=1e-12)
     assert rep.tail_op == pytest.approx(math.sqrt(2.0 * 0.02 * lam[3]), abs=1e-12)
     assert rep.projected == pytest.approx(math.sqrt(3.0 / 100.0) * math.sqrt(lam[0]), abs=1e-12)
@@ -155,10 +167,10 @@ def test_bound_oracle_d20():
 def test_bound_full_rank_drops_tail_terms():
     model = GaussianModel(np.diag([2.0, 1.0, 0.5]))
     u = np.array([0.6, 0.0, 0.8])
-    rep = gaussian_instance_bound(model, LinearFunctional(u), k=3, n=50, r=0.1)
+    rep = gaussian_instance_bound(model, u, k=3, n=50, r=0.1)
     assert rep.tail_trace == 0.0
     assert rep.tail_op == 0.0
-    norm = cgf_norm(model, LinearFunctional(u))
+    norm = cgf_norm(model, u)
     # at k = d the truncated and full quadratic forms coincide
     assert rep.total == pytest.approx((math.sqrt(0.2) + math.sqrt(3.0 / 50.0)) * norm, rel=1e-12)
 
@@ -166,11 +178,9 @@ def test_bound_full_rank_drops_tail_terms():
 def test_bound_rank_zero_drops_projection():
     model = GaussianModel(np.diag([2.0, 1.0, 0.5]))
     u = np.array([0.6, 0.0, 0.8])
-    rep = gaussian_instance_bound(model, LinearFunctional(u), k=0, n=50, r=0.1)
+    rep = gaussian_instance_bound(model, u, k=0, n=50, r=0.1)
     assert rep.projected == 0.0
-    want = math.sqrt(3.5 / 50.0) + math.sqrt(2.0 * 0.1 * 2.0) + math.sqrt(0.2) * cgf_norm(
-        model, LinearFunctional(u)
-    )
+    want = math.sqrt(3.5 / 50.0) + math.sqrt(2.0 * 0.1 * 2.0) + math.sqrt(0.2) * cgf_norm(model, u)
     assert rep.total == pytest.approx(want, rel=1e-12)
 
 
@@ -179,7 +189,7 @@ def test_bound_term_monotonicity_in_k():
     model = GaussianModel(random_spd(rng, 8))
     u = rng.normal(size=8)
     u /= np.linalg.norm(u) * 1.25
-    reports = [gaussian_instance_bound(model, LinearFunctional(u), k, 40, 0.3) for k in range(9)]
+    reports = [gaussian_instance_bound(model, u, k, 40, 0.3) for k in range(9)]
     for lo, hi in zip(reports, reports[1:]):
         assert hi.tail_trace <= lo.tail_trace + 1e-12
         assert hi.tail_op <= lo.tail_op + 1e-12
@@ -189,12 +199,12 @@ def test_bound_term_monotonicity_in_k():
 def test_bound_loose_projected_dominates():
     model = GaussianModel(np.diag([4.0, 1.0, 0.25]))
     u = np.array([0.5, 0.5, 0.5])
-    tight = gaussian_instance_bound(model, LinearFunctional(u), k=1, n=30, r=0.2)
-    loose = gaussian_instance_bound(model, LinearFunctional(u), k=1, n=30, r=0.2, loose_projected=True)
+    tight = gaussian_instance_bound(model, u, k=1, n=30, r=0.2)
+    loose = gaussian_instance_bound(model, u, k=1, n=30, r=0.2, loose_projected=True)
     assert loose.loose_projected and not tight.loose_projected
     assert loose.projected > tight.projected
     assert loose.projected == pytest.approx(
-        math.sqrt(1.0 / 30.0) * cgf_norm(model, LinearFunctional(u)), rel=1e-12
+        math.sqrt(1.0 / 30.0) * cgf_norm(model, u), rel=1e-12
     )
     # only the projected term moves
     assert loose.total - loose.projected == pytest.approx(tight.total - tight.projected, rel=1e-12)
@@ -202,19 +212,19 @@ def test_bound_loose_projected_dominates():
 
 def test_bound_input_validation():
     model = GaussianModel(np.eye(2))
-    f = LinearFunctional([1.0, 0.0])
+    u = [1.0, 0.0]
     with pytest.raises(ValueError):
-        gaussian_instance_bound(model, f, k=-1, n=10, r=0.1)
+        gaussian_instance_bound(model, u, k=-1, n=10, r=0.1)
     with pytest.raises(ValueError):
-        gaussian_instance_bound(model, f, k=3, n=10, r=0.1)
+        gaussian_instance_bound(model, u, k=3, n=10, r=0.1)
     with pytest.raises(ValueError):
-        gaussian_instance_bound(model, f, k=True, n=10, r=0.1)
+        gaussian_instance_bound(model, u, k=True, n=10, r=0.1)
     with pytest.raises(ValueError):
-        gaussian_instance_bound(model, f, k=1, n=0, r=0.1)
+        gaussian_instance_bound(model, u, k=1, n=0, r=0.1)
     with pytest.raises(ValueError):
-        gaussian_instance_bound(model, f, k=1, n=10, r=0.0)
+        gaussian_instance_bound(model, u, k=1, n=10, r=0.0)
     with pytest.raises(ValueError):
-        gaussian_instance_bound(model, LinearFunctional([1.0, 0.0, 0.0]), k=1, n=10, r=0.1)
+        gaussian_instance_bound(model, [1.0, 0.0, 0.0], k=1, n=10, r=0.1)
 
 
 def _unit_rows(rng, count, d):
@@ -232,7 +242,7 @@ def test_bound_rows_match_single_direction(loose):
         totals = gaussian_instance_bound_rows(model, dirs, k, 50, 0.2, loose_projected=loose)
         assert totals.shape == (40,)
         for i, u in enumerate(dirs):
-            one = gaussian_instance_bound(model, LinearFunctional(u), k, 50, 0.2, loose_projected=loose)
+            one = gaussian_instance_bound(model, u, k, 50, 0.2, loose_projected=loose)
             assert totals[i] == pytest.approx(one.total, rel=1e-15, abs=0)
 
 
@@ -241,11 +251,10 @@ def test_single_direction_bound_follows_its_formula():
     d = 20
     model = GaussianModel(random_spd(rng, d))
     for u in _unit_rows(rng, 25, d):
-        f = LinearFunctional(u)
         full = math.sqrt(float(u @ model.covariance @ u))
-        assert cgf_norm(model, f) == pytest.approx(full, rel=1e-15, abs=0)
+        assert cgf_norm(model, u) == pytest.approx(full, rel=1e-15, abs=0)
         for k in (0, 3, d):
-            rep = gaussian_instance_bound(model, f, k, 40, 0.3)
+            rep = gaussian_instance_bound(model, u, k, 40, 0.3)
             coords = model.eigenvectors.T @ u
             trunc = math.sqrt(max(float(np.sum(model.eigenvalues[:k] * coords[:k] ** 2)), 0.0))
             assert rep.projected == pytest.approx(math.sqrt(k / 40) * trunc, rel=1e-15, abs=1e-15 * full)

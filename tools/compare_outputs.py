@@ -80,6 +80,14 @@ FIXTURE_COMMANDS = [
     # benchmark's six generators.
     *([op, "--gen", gen, "--r", "1000"] for op in ("wr-quad", "wr-exp") for gen in BENCH_GENERATORS),
     *(["orlicz-norm", "--dist", "{rademacher}", "--f", "f", "--gen", gen] for gen in BENNETT),
+    # Generators at extreme parameters, where phi, the moment integral or the
+    # quadrature objective overflows.
+    ["wr-exp", "--gen", '{"kind": "bennett", "L": 1e300}', "--r", "1"],
+    ["wr-exp", "--gen", '{"kind": "bennett", "L": 1e-300}', "--r", "1e300"],
+    ["wr-exp", "--gen", '{"kind": "bennett", "L": 1e30}', "--r", "1"],
+    ["wr-exp", "--gen", '{"kind": "custom", "t": [1, 2], "phi": [1, 1e308]}', "--r", "1"],
+    ["wr-quad", "--gen", '{"kind": "sub-gaussian"}', "--r", "1e300"],
+    ["orlicz-norm", "--dist", "{rademacher}", "--f", "f", "--gen", '{"kind": "bennett", "L": 1e300}'],
     *(["class-wr", "--family", "{family}", "--r", "0.05", "--norm", gen] for gen in BENNETT),
     # The CGF norm and w_r on a larger support, down to a small rate.
     *(["class-wr", "--family", "{family64}", "--r", r] for r in ("0.0001", "0.05")),
