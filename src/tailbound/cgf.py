@@ -1,10 +1,10 @@
 """Exact cumulant generating functions on finite discrete support and the
 confidence radius T_r(f) = inf_{lambda >= 0} (r + log E e^{lambda f(X)}) / lambda.
 
-All distributions here have finite support, so every CGF is an exact finite
-sum evaluated through log-sum-exp; there is no quadrature error in this
-module. T_r is computed in the Legendre dual form, many functions at once
-(rate_bound_T_rows); rate_bound_T is its one-function entry.
+Every CGF here is an exact finite sum over a finite support, evaluated
+through log-sum-exp. T_r is computed in the Legendre dual form, many
+functions at once (rate_bound_T_rows; rate_bound_T is its one-function
+entry), by _dual_root, the safeguarded Newton that wr-quad shares.
 """
 
 from __future__ import annotations
@@ -119,9 +119,16 @@ def rate_bound_T_rows(dist: DiscreteDistribution, rows: np.ndarray, r: float):
     inner = np.nonzero(~at_inf)[0]
     logp = np.log(probs)
     for blk in row_blocks(inner.size, probs.size):
-        idx = inner[blk]
-        mu = _dual_root(logp, x[idx], r)
-        cgf = cgf_rows(logp, x[idx], mu)
+        idx, xb = inner[blk], x[inner[blk]]
+        z = xb - xb.max(axis=1)[:, None]
+
+        def moments(rows, mu):  # g = mu Lambda' - Lambda and dg/dt, relative to max x
+            lam, m1, var = _moments(logp, z[rows], mu)
+            return mu * m1 - lam, mu * mu * var
+
+        t = 0.5 * np.log(2.0 * r / (np.exp(logp) * xb * xb).sum(axis=1))  # from g ~ Var mu^2 / 2
+        mu = _dual_root(moments, t, np.full(t.size, -math.inf), np.full(t.size, math.inf), r)
+        cgf = cgf_rows(logp, xb, mu)
         values[idx] = scale[idx] * ((r + cgf) / mu)
         lambdas[idx] = mu / scale[idx]
     return values, lambdas
@@ -140,30 +147,34 @@ def _moments(logp: np.ndarray, z: np.ndarray, mu: np.ndarray):
     return peak + np.log(total), m1, (e * np.square(z - m1[:, None])).sum(axis=1) / total
 
 
-def _dual_root(logp: np.ndarray, x: np.ndarray, r: float) -> np.ndarray:
-    """mu with g(mu) = r per row of x (max|x| = 1, r < -log P(x = max x)): Newton
-    in t = log mu from g ~ Var mu^2 / 2, inside a bracket lo < t < hi that a bad
-    step bisects (or leaves by NEWTON_STEP_CAP while a side is open). g and g'
-    are taken relative to max x, which keeps them accurate as mu grows."""
-    t = 0.5 * np.log(2.0 * r / (np.exp(logp) * x * x).sum(axis=1))
-    lo, hi = np.full(t.size, -math.inf), np.full(t.size, math.inf)
-    z = x - x.max(axis=1)[:, None]
+def _dual_root(moments, t: np.ndarray, lo: np.ndarray, hi: np.ndarray, r: float, width=None) -> np.ndarray:
+    """mu = e^t with g(mu) = r per row, g increasing, by safeguarded Newton
+    in t = log mu from each row's start t inside its bracket lo < t < hi
+    (updated in place, a side may be infinite); moments(rows, mu) returns (g,
+    dg/dt) at mu for an index array of rows. Each probe moves an end of the
+    bracket by the sign of g - r (a g that is not finite counts as above r);
+    a step that leaves it bisects it, or moves by NEWTON_STEP_CAP while a
+    side is open. A row stops at a step below DUAL_LOG_TOL, a relative
+    residual below DUAL_G_TOL or, when width is given, a bracket that narrow.
+    The one dual solver: T_r's (g = mu Lambda' - Lambda) and the Orlicz
+    quadrature bound's (g = lambda K' - K)."""
     active = np.arange(t.size)
     for _ in range(DUAL_MAX_ITER):
         ta = t[active]
         mu = np.exp(ta)
-        lam, m1, var = _moments(logp, z[active], mu)
-        g = mu * m1 - lam
+        g, dg = moments(active, mu)
         below = g < r
         lo[active] = np.where(below, ta, lo[active])
         hi[active] = np.where(below, hi[active], ta)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            step = np.clip((np.log(r) - np.log(g)) * g / (mu * mu * var), -NEWTON_STEP_CAP, NEWTON_STEP_CAP)
+            step = np.clip((np.log(r) - np.log(g)) * g / dg, -NEWTON_STEP_CAP, NEWTON_STEP_CAP)
             mid = 0.5 * (lo[active] + hi[active])  # not finite while a side is open
         nxt = ta + step
         inside = (nxt > lo[active]) & (nxt < hi[active])
         mid = np.where(np.isfinite(mid), mid, ta + np.where(below, NEWTON_STEP_CAP, -NEWTON_STEP_CAP))
         done = (np.abs(step) <= DUAL_LOG_TOL) | (np.abs(g - r) <= DUAL_G_TOL * r)
+        if width is not None:
+            done |= hi[active] - lo[active] <= width
         t[active] = np.minimum(np.where(done, ta, np.where(inside, nxt, mid)), LOG_MU_MAX)
         active = active[~done]
         if not active.size:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cgf import DiscreteDistribution, _moments, check_rows, rate_bound_T_rows
-from .numerics import NumericError, cgf_rows, check_int, readonly, row_blocks
+from .numerics import SMALL_MU, NumericError, cgf_rows, check_int, readonly, row_blocks
 from .orlicz import OrliczGenerator, orlicz_norm_rows
 
 LOG2 = math.log(2.0)
@@ -78,26 +78,15 @@ def _sup_over_mu(logp: np.ndarray, x: np.ndarray, variance: np.ndarray) -> np.nd
     """Per row of x (max|x| = 1, centered, of variance `variance`; logp holds
     its atoms' log-probabilities), a value of F(mu) = 2 Lambda(mu) / mu^2 at
     least F's best NORM_GRID value and F's local maximum next to it: the grid
-    up to mu = 2 max x / variance, past which F < variance, then safeguarded
-    Newton steps in log mu on mu Lambda'(mu) = 2 Lambda(mu) from the moment
-    kernel cgf._moments (README, "CGF norm"). Each row's result depends on
-    that row alone.
+    up to mu = 2 max x / variance, past which F < variance (_grid_max), then
+    safeguarded Newton steps in log mu on mu Lambda'(mu) = 2 Lambda(mu) from
+    the moment kernel cgf._moments (README, "CGF norm"). Each row's result
+    depends on that row alone.
     """
-    def f(logp, x, mu):
-        return 2.0 * cgf_rows(logp, x, mu) / (mu * mu)
-
     log_grid, top = np.log(NORM_GRID), x.max(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         count = np.clip(np.searchsorted(NORM_GRID, 2.0 * top / variance, side="right"), 1, NORM_GRID.size)
-    best, j = np.empty(x.shape[0]), np.empty(x.shape[0], dtype=int)
-    for blk in row_blocks(x.shape[0], NORM_GRID.size * x.shape[1]):
-        cb, n = count[blk], blk.stop - blk.start
-        rows = np.repeat(np.arange(n), cb)
-        cols = np.arange(rows.size) - np.repeat(np.cumsum(cb) - cb, cb)
-        grid = np.full((n, cb.max()), -math.inf)
-        grid[rows, cols] = f(logp[blk][rows], x[blk][rows], NORM_GRID[cols])
-        j[blk] = grid.argmax(axis=1)
-        best[blk] = grid[np.arange(n), j[blk]]
+    best, j = _grid_max(logp, x, count)
     t, lo, hi = log_grid[j], log_grid[np.maximum(j - 1, 0)], log_grid[np.minimum(j + 1, NORM_GRID.size - 1)]
     for blk in row_blocks(x.shape[0], x.shape[1]):
         tb, lb, hb, pb, mb = t[blk], lo[blk], hi[blk], logp[blk], top[blk]  # views: updates reach t, lo, hi
@@ -118,7 +107,29 @@ def _sup_over_mu(logp: np.ndarray, x: np.ndarray, variance: np.ndarray) -> np.nd
             active = active[~small & (hb[active] - lb[active] > NORM_BRACKET_TOL)]
             if not active.size:
                 break
-    return np.maximum(best, f(logp, x, np.exp(t)))
+    mu = np.exp(t)
+    return np.maximum(best, 2.0 * cgf_rows(logp, x, mu) / (mu * mu))
+
+
+def _grid_max(logp: np.ndarray, x: np.ndarray, count: np.ndarray):
+    """(best, index) of F(mu) = 2 Lambda(mu) / mu^2 over the first count[i]
+    NORM_GRID points per row of x: one (rows, points, atoms) tensor per
+    block, -inf past a row's count, each value bit for bit numerics.cgf_rows's
+    (a log-sum-exp above SMALL_MU, the expm1 form at or below it)."""
+    best, j = np.empty(x.shape[0]), np.empty(x.shape[0], dtype=int)
+    small = int(np.searchsorted(NORM_GRID, SMALL_MU, side="right"))
+    for blk in row_blocks(x.shape[0], NORM_GRID.size * x.shape[1]):
+        mu, xb, pb = NORM_GRID[: count[blk].max()], x[blk, None, :], logp[blk, None, :]
+        a = pb + mu[small:, None] * xb
+        peak = a.max(axis=2)
+        grid = np.empty((xb.shape[0], mu.size))
+        grid[:, small:] = peak + np.log(np.exp(a - peak[:, :, None]).sum(axis=2))
+        grid[:, :small] = np.log1p((np.exp(pb) * np.expm1(mu[:small, None] * xb)).sum(axis=2))
+        grid = 2.0 * grid / (mu * mu)
+        grid[np.arange(mu.size) >= count[blk, None]] = -math.inf
+        j[blk] = grid.argmax(axis=1)
+        best[blk] = grid[np.arange(grid.shape[0]), j[blk]]
+    return best, j
 
 
 @dataclass(frozen=True)

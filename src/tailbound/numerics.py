@@ -1,9 +1,9 @@
-"""Shared numerics: the grid-then-zoom minimizer (left to the Orlicz
-quadrature bound on w_r; the CGF norm and T_r take Newton steps instead), a
-composite Gauss-Legendre quadrature rule, the one bisection of the library
-(which returns the end of each bracket where g >= target), and the batched
-cumulant generating function that the rate-function engine and the norms
-evaluate.
+"""Shared numerics: a composite Gauss-Legendre quadrature rule, the one
+bracketed root finder of the library (Illinois false position, which returns
+the end of each bracket where g >= target), and the batched cumulant
+generating function that the rate-function engine and the norms evaluate.
+The library minimizes nothing numerically: T_r, the CGF norm and the
+quadrature bound on w_r take Newton steps on their stationarity conditions.
 
 Everything here is deterministic: identical inputs produce bit-identical
 outputs, which the certificate-replay machinery relies on.
@@ -12,9 +12,6 @@ outputs, which the certificate-replay machinery relies on.
 from __future__ import annotations
 
 import numpy as np
-
-ZOOM_POINTS = 17  # evenly spaced points per zoom pass of grid_min
-ZOOM_REL_TOL = 1e-10  # grid_min stops at this bracket width relative to the bracket's scale
 
 BLOCK_ELEMENTS = 1 << 18  # elements of one batched tensor; bounds memory for any row count
 SMALL_MU = 1e-3  # below this |mu| the CGF takes its expm1 form
@@ -72,36 +69,6 @@ def cgf_rows(logp: np.ndarray, x: np.ndarray, mu: np.ndarray) -> np.ndarray:
     return out
 
 
-def grid_min(f, grid):
-    """Minimize f over the span of an increasing grid, f mapping an array of
-    points to values, +inf allowed. f is evaluated on the whole grid in one
-    call; then each pass evaluates ZOOM_POINTS evenly spaced points across
-    the bracket between the neighbours of the last call's best point, in one
-    call, until the bracket is ZOOM_REL_TOL wide relative to max(|a|, |b|, a
-    quarter of the first bracket); the floor stops a minimizer at 0 from
-    narrowing toward underflow. The bracket holds the minimizer of a
-    quasiconvex f inside the grid's span. Returns (x, f(x)), the best point
-    seen, so never worse than the best grid value. Raises NumericError when
-    no grid value is finite.
-    """
-    points = np.asarray(grid, dtype=float)
-    values = f(points)
-    j = int(np.argmin(values))
-    x, fx = float(points[j]), float(values[j])
-    if not np.isfinite(fx):
-        raise NumericError("no finite objective value on the search grid")
-    a, b = points[max(j - 1, 0)], points[min(j + 1, points.size - 1)]
-    floor = 0.25 * (b - a)
-    while b - a > ZOOM_REL_TOL * max(abs(a), abs(b), floor):
-        points = np.linspace(a, b, ZOOM_POINTS)
-        values = f(points)
-        j = int(np.argmin(values))
-        if values[j] < fx:
-            x, fx = float(points[j]), float(values[j])
-        a, b = points[max(j - 1, 0)], points[min(j + 1, ZOOM_POINTS - 1)]
-    return x, fx
-
-
 def gauss_legendre(t_max, knots=()):
     """Nodes and weights of the composite Gauss-Legendre rule on [0, t] for
     each t of the array t_max: two arrays (len(t_max), nodes), so that
@@ -134,24 +101,31 @@ def _panel_rule(t_max: np.ndarray, knots) -> tuple:
 _UNIT_RULE = _panel_rule(np.ones((1, 1)), ())
 
 
-def bisect_increasing(g, lo, hi, target, rel_tol: float = 1e-12):
+def false_position(g, lo, hi, target, rel_tol: float = 1e-12):
     """Solve g(x) = target for increasing g on each bracket [lo, hi] of the
-    arrays lo, hi and target, in lockstep; g maps arrays elementwise. A
-    bracket stops halving at rel_tol times max(|lo|, |hi|), so its root does
-    not depend on the others and keeps its relative accuracy near 0. Returns
-    the upper end of each final bracket, where g >= target: the certified
-    side for a caller that needs g(x) >= target (an Orlicz norm, an
-    over-estimated inverse). A root exactly at lo = 0 halves toward
-    underflow (1040 evaluations), so callers keep roots off it: the Bennett
-    inverse maps y = 0 to 0 before bisecting.
+    arrays lo, hi and target, in lockstep, by Illinois false position; g maps
+    arrays elementwise. Each probe is the secant root of its bracket's ends
+    (the midpoint while a residual is not finite), kept at least half a
+    tolerance inside the bracket; an end kept for a second probe running
+    has its residual halved. A bracket stops at width rel_tol times
+    max(|lo|, |hi|), so its root does not depend on the others and keeps its
+    relative accuracy near 0. Returns the upper end of each final bracket,
+    where g >= target: the certified side for a caller that needs g(x) >=
+    target (an Orlicz norm, an over-estimated inverse).
     """
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    if np.any(g(lo) - target > 0.0) or np.any(g(hi) - target < 0.0):
-        raise ValueError("bisection bracket does not straddle the target")
-    active = hi - lo > rel_tol * np.maximum(np.maximum(np.abs(lo), np.abs(hi)), 1e-300)
-    while np.any(active):
-        mid = 0.5 * (lo + hi)
-        below = g(mid) - target <= 0.0
-        lo, hi = np.where(active & below, mid, lo), np.where(active & ~below, mid, hi)
-        active &= hi - lo > rel_tol * np.maximum(np.maximum(np.abs(lo), np.abs(hi)), 1e-300)
+    flo, fhi = g(lo) - target, g(hi) - target
+    if np.any(flo > 0.0) or np.any(fhi < 0.0):
+        raise ValueError("root bracket does not straddle the target")
+    kept = np.zeros(lo.shape)  # +1 where the last probe moved lo, -1 where it moved hi
+    while np.any(active := hi - lo > (tol := rel_tol * np.maximum(np.maximum(np.abs(lo), np.abs(hi)), 1e-300))):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            x = lo - flo * ((hi - lo) / (fhi - flo))
+        x = np.where(np.isfinite(flo) & np.isfinite(fhi) & np.isfinite(x), x, 0.5 * (lo + hi))
+        fx = g(x := np.clip(x, lo + 0.5 * tol, hi - 0.5 * tol)) - target
+        down = active & (fx <= 0.0)
+        up = active & ~down
+        flo, fhi = np.where(up & (kept < 0.0), 0.5 * flo, flo), np.where(down & (kept > 0.0), 0.5 * fhi, fhi)
+        lo, flo, hi, fhi = np.where(down, x, lo), np.where(down, fx, flo), np.where(up, x, hi), np.where(up, fx, fhi)
+        kept = np.where(down, 1.0, np.where(up, -1.0, kept))
     return hi

@@ -9,14 +9,13 @@ linear on log-spaced abscissae).
 The conversion factor M is the exact lambda -> 0 limit phi_star_limit of
 (e^{phi*(lambda)} - 1)/lambda^2 over the moment integral D: for every
 registered exponential-type kind that limit is the ratio's infimum, so no
-conjugate is evaluated. The quadrature bound on w_r, the library's only
-numerical minimization, searches numerics.LAMBDA_GRID and zooms into the
-best grid point's bracket (numerics.grid_min). It and D share the composite
-Gauss-Legendre rule numerics.gauss_legendre, whose panels also end at the
-kinks of a custom table. Both integrals are truncated at the first power of
-two where the integrand has decayed (_first_power_of_two, one pass over all
-powers, which also brackets the Bennett inverse); the Orlicz norm and the
-Bennett inverse bisect with numerics.bisect_increasing.
+conjugate is evaluated. The quadrature bound on w_r scans
+numerics.LAMBDA_GRID, then solves its dual condition by T_r's Newton
+(cgf._dual_root). It and D share the composite Gauss-Legendre rule
+numerics.gauss_legendre, whose panels also end at the kinks of a custom
+table, truncated at the first power of two where the integrand has decayed
+(_first_power_of_two, which also brackets the Bennett inverse). Orlicz norms
+and the Bennett inverse are roots found by numerics.false_position.
 """
 
 from __future__ import annotations
@@ -27,15 +26,14 @@ from typing import Callable
 
 import numpy as np
 
-from .cgf import DiscreteDistribution, check_rows
+from .cgf import DUAL_LOG_TOL, DiscreteDistribution, _dual_root, check_rows
 from .numerics import (
     LAMBDA_GRID,
     QUAD_NODES,
     QUAD_PANELS,
     NumericError,
-    bisect_increasing,
+    false_position,
     gauss_legendre,
-    grid_min,
     row_blocks,
 )
 
@@ -144,7 +142,7 @@ def _bennett_phi_inverse(y, L: float):
     hi = _first_power_of_two(lambda t: _bennett_phi(t, L), y[pos], BENNETT_T_CAP)
     if not np.all(np.isfinite(hi)):
         raise NumericError("bennett inverse bracketing exhaustion")
-    out[pos] = bisect_increasing(lambda t: _bennett_phi(t, L), np.zeros(hi.size), hi, y[pos])
+    out[pos] = false_position(lambda t: _bennett_phi(t, L), np.zeros(hi.size), hi, y[pos])
     return out if out.ndim else float(out)
 
 
@@ -262,10 +260,10 @@ def make_generator(
 
 def orlicz_norm_rows(dist: DiscreteDistribution, rows: np.ndarray, gen: OrliczGenerator) -> np.ndarray:
     """||Y||_psi = inf{u > 0 : E psi(|Y|/u) <= 1} for Y = h(X), for every row h
-    of a (count, support) array, by bisect_increasing on all rows in lockstep.
+    of a (count, support) array, by false_position on all rows in lockstep.
 
     Each bracket [max|h|/psi^{-1}(large), max|h|/psi^{-1}(1/2)] straddles the
-    root; bisection runs to relative width 1e-10, and each value satisfies
+    root; the search runs to relative width 1e-10, and each value satisfies
     E psi(|Y|/value) <= 1 + 1e-9, and value (1 - 1e-8) gives more than 1.
     """
     rows = check_rows(dist, rows, centered=False)
@@ -287,7 +285,7 @@ def orlicz_norm_rows(dist: DiscreteDistribution, rows: np.ndarray, gen: OrliczGe
         hi = top / float(gen.psi_inverse(0.5))
         if not np.all((expectation(lo) > 1.0) & (expectation(hi) <= 1.0)):
             raise NumericError("orlicz norm bracket failed to straddle the root")
-        hi = bisect_increasing(lambda u: -expectation(u), lo, hi, -1.0, rel_tol=1e-10)
+        hi = false_position(lambda u: -expectation(u), lo, hi, -1.0, rel_tol=1e-10)
         if np.any(expectation(hi) > 1.0 + 1e-9) or np.any(expectation(hi * (1.0 - 1e-8)) <= 1.0):
             raise NumericError("orlicz norm post-condition violated")
         norms[idx] = hi
@@ -300,54 +298,50 @@ def orlicz_norm(dist: DiscreteDistribution, values, gen: OrliczGenerator) -> flo
     return float(orlicz_norm_rows(dist, np.asarray(values, dtype=float)[None, :], gen)[0])
 
 
-def _log_quadrature_integral(gen: OrliczGenerator, lam: np.ndarray) -> np.ndarray:
-    """log of I(lam) = int_0^inf 2 lam (e^{lam t} - 1)/(psi(t)+1) dt for each
-    lam of an array; +inf where lam >= lambda_sup or the integrand decays
-    too slowly.
-
-    Computed on [0, t_max] by the Gauss-Legendre rule, one (lam, node)
-    tensor per block, after factoring out each integrand's peak over the
-    nodes so that exp never overflows; t_max is the first power of two with
-    phi(t) - lam t >= EXP_TRUNCATION, +inf past DECAY_T_CAP.
+def _quadrature_moments(gen: OrliczGenerator, lam: np.ndarray):
+    """(K, lambda K' - K, lambda^2 K'') at each lambda of an array, for K =
+    log(1 + I) and I(lambda) = int_0^inf 2 lambda (e^{lambda t} - 1)/(psi(t)
+    + 1) dt; +inf where lambda >= lambda_sup or the integrand decays too
+    slowly. One (lambda, node) tensor per block on [0, t_max], t_max the
+    first power of two with phi(t) - lambda t >= EXP_TRUNCATION (+inf past
+    DECAY_T_CAP). With each row's peak exponent s >= 0 factored out and E =
+    w e^{lambda t - phi(t) - s}, three sums of E give e^{-s} I = 2 lambda sum
+    E (1 - e^{-lambda t}), e^{-s} I' = 2 sum E (1 - e^{-lambda t} + lambda t)
+    and e^{-s} I'' = 2 sum E t (2 + lambda t).
     """
-    out = np.full(lam.shape, math.inf)
+    out = np.full((3, lam.size), math.inf)
     decays = np.nonzero(lam < gen.lambda_sup)[0]
     for blk in row_blocks(decays.size, QUAD_NODES * (QUAD_PANELS + len(gen.knots))):
-        idx, lam_b = decays[blk], lam[decays[blk]]
-        level = np.full(lam_b.shape, EXP_TRUNCATION)
-        t_max = _first_power_of_two(lambda t: gen.phi(t) - lam_b[:, None] * t, level, DECAY_T_CAP)
-        idx = idx[np.isfinite(t_max)]
+        lam_b = lam[decays[blk]]
+        t_max = _first_power_of_two(lambda t: gen.phi(t) - lam_b[:, None] * t, np.full(lam_b.shape, EXP_TRUNCATION),
+                                    DECAY_T_CAP)
+        idx, lam_b = decays[blk][np.isfinite(t_max)], lam_b[np.isfinite(t_max)]
         t, w = gauss_legendre(t_max[np.isfinite(t_max)], gen.knots)
-        # w (e^{lam t - phi - shift} - e^{-phi - shift}) built in place, as
-        # these (lam, node) tensors are the bound's largest allocations
-        low = gen.phi(t)
-        high = np.multiply(lam[idx, None], t, out=t)
-        high -= low
-        shift = np.maximum(0.0, high.max(axis=1))[:, None]
-        np.exp(np.subtract(high, shift, out=high), out=high)
-        np.exp(np.subtract(-shift, low, out=low), out=low)
-        high -= low
-        high *= w
-        val = 2.0 * lam[idx] * high.sum(axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out[idx] = np.where(val > 0.0, shift[:, 0] + np.log(val), -math.inf)
+        lt = lam_b[:, None] * t
+        e = lt - gen.phi(t)
+        shift = np.maximum(0.0, e.max(axis=1))
+        e = w * np.exp(e - shift[:, None])
+        s0, s1, s2 = (e * -np.expm1(-lt)).sum(axis=1), (e * t).sum(axis=1), (e * t * t).sum(axis=1)
+        one = np.expm1(-shift) + 2.0 * lam_b * s0  # e^{-s} (1 + I) - 1, exact as I -> 0
+        k, k1 = shift + np.log1p(one), 2.0 * (s0 + lam_b * s1) / (one + 1.0)
+        out[:, idx] = k, lam_b * k1 - k, lam_b * lam_b * (2.0 * (2.0 * s1 + lam_b * s2) / (one + 1.0) - k1 * k1)
     return out
 
 
 def wr_quadrature_bound(gen: OrliczGenerator, r: float) -> float:
-    """Integral bound on w_r: inf_{lambda} (r + log(1 + I(lambda)))/lambda
-    with I(lambda) = int_0^inf 2 lambda (e^{lambda t}-1)/(psi(t)+1) dt.
+    """Integral bound on w_r: inf_{lambda} (r + K(lambda))/lambda with
+    K = log(1 + I), I(lambda) = int_0^inf 2 lambda (e^{lambda t}-1)/(psi(t)+1) dt.
 
-    The minimization over lambda runs on LAMBDA_GRID and zooms into the
-    best grid point's bracket (numerics.grid_min), restricted to lambda with
-    a decaying integrand (lambda < lambda_sup); non-exponential-type
-    generators are rejected. At r = 0 the infimum is 0, approached as
-    lambda -> 0.
+    The objective is evaluated on LAMBDA_GRID, +inf where lambda >=
+    lambda_sup; then the dual condition lambda K' - K = r is solved by
+    cgf._dual_root, T_r's Newton, inside the best grid point's neighbour
+    bracket. The value is the smaller of the best grid value and the
+    objective at the final lambda, an upper bound whatever the solver's
+    accuracy. Non-exponential-type generators are rejected. At r = 0 the
+    infimum is 0, approached as lambda -> 0.
     """
     if not gen.exponential_type:
-        raise UnsupportedGeneratorError(
-            f"generator kind {gen.kind!r} has a divergent integrand for every lambda > 0"
-        )
+        raise UnsupportedGeneratorError(f"generator kind {gen.kind!r} has a divergent integrand for every lambda > 0")
     if not (r >= 0.0):
         raise ValueError("r must be nonnegative")
     if r == 0.0:
@@ -355,9 +349,19 @@ def wr_quadrature_bound(gen: OrliczGenerator, r: float) -> float:
 
     def objective(lam):
         with np.errstate(over="ignore"):  # +inf where r / lambda overflows
-            return (r + np.logaddexp(0.0, _log_quadrature_integral(gen, lam))) / lam
+            return (r + _quadrature_moments(gen, lam)[0]) / lam
 
-    return max(grid_min(objective, LAMBDA_GRID)[1], 0.0)
+    values = objective(LAMBDA_GRID)
+    j = int(np.argmin(values))
+    best = float(values[j])
+    if not np.isfinite(best):
+        raise NumericError("no finite objective value on the search grid")
+    if 0 < j < LAMBDA_GRID.size - 1:  # else the infimum lies at or past the grid's end
+        lo, t, hi = np.log(LAMBDA_GRID[j - 1 : j + 2, None])
+        # the bracket stop ends the search where a truncation step makes g jump across r
+        lam = _dual_root(lambda _rows, lam: _quadrature_moments(gen, lam)[1:], t, lo, hi, r, DUAL_LOG_TOL)
+        best = min(best, float(objective(lam)[0]))
+    return max(best, 0.0)
 
 
 def exp_moment_integral(gen: OrliczGenerator) -> float:

@@ -1,6 +1,9 @@
-"""Test-side references for the rate function: a plain log-sum-exp CGF, the
-T_r property check, a grid-then-zoom maximizer for conjugate oracles, and
-the doubling search that the one-pass truncation search replaced.
+"""Test-side references: a plain log-sum-exp CGF, the T_r property check,
+the grid-then-zoom minimizer that the Orlicz quadrature bound on w_r used
+before its dual Newton (and a maximizer on it for conjugate oracles), the
+CGF-norm grid built from repeated rows, the doubling search that the
+one-pass truncation search replaced, and the benchmark's seeded synthetic
+families.
 
 Imported by the test modules as `oracles` (pytest puts tests/ on sys.path).
 """
@@ -10,8 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from tailbound.cgf import rate_bound_T
-from tailbound.numerics import grid_min
+from tailbound.cgf import DiscreteDistribution, rate_bound_T
+from tailbound.numerics import NumericError, cgf_rows, row_blocks
+
+ZOOM_POINTS = 17  # evenly spaced points per zoom pass of grid_min
+ZOOM_REL_TOL = 1e-10  # grid_min stops at this bracket width relative to the bracket's scale
 
 
 def cgf_reference(dist, values, lam: float) -> float:
@@ -25,8 +31,38 @@ def cgf_reference(dist, values, lam: float) -> float:
     return float(peak + np.log(np.exp(a - peak).sum()))
 
 
+def grid_min(f, grid):
+    """Minimize f over the span of an increasing grid, f mapping an array of
+    points to values, +inf allowed. f is evaluated on the whole grid in one
+    call; then each pass evaluates ZOOM_POINTS evenly spaced points across
+    the bracket between the neighbours of the last call's best point, in one
+    call, until the bracket is ZOOM_REL_TOL wide relative to max(|a|, |b|, a
+    quarter of the first bracket); the floor stops a minimizer at 0 from
+    narrowing toward underflow. The bracket holds the minimizer of a
+    quasiconvex f inside the grid's span. Returns (x, f(x)), the best point
+    seen, so never worse than the best grid value. Raises NumericError when
+    no grid value is finite.
+    """
+    points = np.asarray(grid, dtype=float)
+    values = f(points)
+    j = int(np.argmin(values))
+    x, fx = float(points[j]), float(values[j])
+    if not np.isfinite(fx):
+        raise NumericError("no finite objective value on the search grid")
+    a, b = points[max(j - 1, 0)], points[min(j + 1, points.size - 1)]
+    floor = 0.25 * (b - a)
+    while b - a > ZOOM_REL_TOL * max(abs(a), abs(b), floor):
+        points = np.linspace(a, b, ZOOM_POINTS)
+        values = f(points)
+        j = int(np.argmin(values))
+        if values[j] < fx:
+            x, fx = float(points[j]), float(values[j])
+        a, b = points[max(j - 1, 0)], points[min(j + 1, ZOOM_POINTS - 1)]
+    return x, fx
+
+
 def maximize_on_interval(f, a: float, b: float):
-    """Maximize a unimodal scalar f on [a, b] by numerics.grid_min over the
+    """Maximize a unimodal scalar f on [a, b] by grid_min over the
     grid (a, (a + b)/2, b); returns (x, f(x))."""
     x, neg = grid_min(np.vectorize(lambda t: -f(t), otypes=[float]), np.linspace(a, b, 3))
     return x, -neg
@@ -41,6 +77,50 @@ def first_power_of_two_loop(g, level, cap):
     while np.any(grow := (low := g(t) < level) & (t < cap)):
         t = np.where(grow, 2.0 * t, t)
     return np.where(low, math.inf, t)
+
+
+def norm_grid_by_repeat(logp, x, count, grid):
+    """(best, index) of F(mu) = 2 Lambda(mu) / mu^2 over the first count[i]
+    points of grid per row of x, as the CGF norm built it before its
+    broadcast tensor: each (row, point) pair's row repeated (np.repeat) and
+    evaluated by numerics.cgf_rows, one block of rows at a time."""
+    best, j = np.empty(x.shape[0]), np.empty(x.shape[0], dtype=int)
+    for blk in row_blocks(x.shape[0], grid.size * x.shape[1]):
+        cb, n = count[blk], blk.stop - blk.start
+        rows = np.repeat(np.arange(n), cb)
+        cols = np.arange(rows.size) - np.repeat(np.cumsum(cb) - cb, cb)
+        values = np.full((n, cb.max()), -math.inf)
+        mu = grid[cols]
+        values[rows, cols] = 2.0 * cgf_rows(logp[blk][rows], x[blk][rows], mu) / (mu * mu)
+        j[blk] = values.argmax(axis=1)
+        best[blk] = values[np.arange(n), j[blk]]
+    return best, j
+
+
+def synthetic_family(rng, members, support, scales, step, noise):
+    """The benchmark's seeded synthetic family (bench/workloads.py), drawn
+    from rng, as (distribution, {name: values}): the zero member and, per
+    scale, a random balanced +-1 pattern times the scale, member j scaled by
+    1 + step j with Gaussian jitter of noise * scale, re-centered, on equally
+    likely atoms."""
+    pattern = np.array([1.0] * (support // 2) + [-1.0] * (support - support // 2))
+    functions = {"zero": np.zeros(support)}
+    rest = members - 1
+    for c, scale in enumerate(scales):
+        base = rng.permutation(pattern) * scale
+        for j in range(rest // len(scales) + (c < rest % len(scales))):
+            v = base * (1.0 + step * j) + noise * scale * rng.standard_normal(support)
+            functions[f"c{c}m{j}"] = v - v.mean()
+    dist = DiscreteDistribution(np.arange(float(support))[:, None], np.full(support, 1.0 / support))
+    return dist, functions
+
+
+def benchmark_families(seed):
+    """The families of the benchmark's chain-orlicz workload at a seed: its
+    chain-cgf family (14 members, 12 atoms), then its orlicz family (10
+    members, 8 atoms), drawn in that order from one generator."""
+    rng = np.random.default_rng(seed)
+    return synthetic_family(rng, 14, 12, (0.25, 1.0, 4.0), 0.15, 0.02), synthetic_family(rng, 10, 8, (0.5, 2.0), 0.15, 0.02)
 
 
 @dataclass(frozen=True)

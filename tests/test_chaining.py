@@ -14,6 +14,7 @@ import warnings
 import numpy as np
 import pytest
 
+import oracles
 from tailbound.cgf import DiscreteDistribution, rate_bound_T
 from tailbound.chaining import (
     ChainBoundReport,
@@ -265,21 +266,9 @@ def test_member_T_below_wr_norm(family12):
 
 
 def synthetic_family(seed, members, support, scales=(1.0, 0.3, 3.0), step=0.05, noise=0.1):
-    """The benchmark's seeded synthetic family (bench/workloads.py): the zero
-    member and, per scale, a random balanced +-1 pattern times the scale,
-    member j scaled by 1 + step j with Gaussian jitter of noise * scale,
-    re-centered, on equally likely atoms."""
-    rng = np.random.default_rng(seed)
-    pattern = np.array([1.0] * (support // 2) + [-1.0] * (support - support // 2))
-    members_ = {"zero": np.zeros(support)}
-    rest = members - 1
-    for c, scale in enumerate(scales):
-        base = rng.permutation(pattern) * scale
-        for j in range(rest // len(scales) + (c < rest % len(scales))):
-            v = base * (1.0 + step * j) + noise * scale * rng.standard_normal(support)
-            members_[f"c{c}m{j}"] = v - v.mean()
-    dist = DiscreteDistribution(np.arange(float(support))[:, None], np.full(support, 1.0 / support))
-    return FunctionFamily(dist, members_)
+    """The benchmark's seeded synthetic family (oracles.synthetic_family) as
+    a FunctionFamily."""
+    return FunctionFamily(*oracles.synthetic_family(np.random.default_rng(seed), members, support, scales, step, noise))
 
 
 @pytest.fixture(scope="module")

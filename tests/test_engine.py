@@ -13,9 +13,10 @@ import math
 import numpy as np
 import pytest
 
+import tailbound.cgf as cgf
 import tailbound.chaining as chaining
 import tailbound.numerics as numerics
-from oracles import cgf_reference
+from oracles import benchmark_families, cgf_reference, norm_grid_by_repeat, synthetic_family
 from tailbound.cgf import DiscreteDistribution, rate_bound_T, rate_bound_T_rows
 from tailbound.chaining import (
     FunctionFamily,
@@ -178,16 +179,52 @@ def test_cgf_norm_ties_rows_equal_up_to_sign_and_permutation():
 
 
 def test_cgf_norm_makes_no_golden_section_call(monkeypatch):
-    # the norm takes Newton steps; the library's one minimizer, grid_min,
-    # is left to the Orlicz quadrature bound
+    # the norm takes Newton steps of its own: the library has no minimizer
+    # left, and the norm calls neither the root finder nor the dual solver
     def forbidden(*args, **kwargs):
-        raise AssertionError("grid_min called")
+        raise AssertionError("solver called")
 
-    monkeypatch.setattr(numerics, "grid_min", forbidden)
-    monkeypatch.setattr(chaining, "grid_min", forbidden, raising=False)
+    assert not hasattr(numerics, "grid_min")
+    monkeypatch.setattr(numerics, "false_position", forbidden)
+    monkeypatch.setattr(cgf, "_dual_root", forbidden)
     dist, rows = next(_norm_draws(16))
     assert np.all(cgf_functional_norm(dist, rows) > 0.0)
     assert _random_family(4).distances.max() > 0.0
+
+
+# The benchmark's chain-cgf families and a 24-member family on 64 atoms;
+# BLOCK_ELEMENTS at 3 rows of 64 atoms cuts the norm grid's rows into many
+# blocks, so that the rows of one family straddle them.
+GRID_FAMILIES = [
+    *(lambda: benchmark_families(seed)[0] for seed in (1, 2, 3)),
+    lambda: synthetic_family(np.random.default_rng(64), 24, 64, (0.25, 1.0, 4.0), 0.15, 0.02),
+]
+
+
+@pytest.mark.parametrize("block", [numerics.BLOCK_ELEMENTS, 3 * chaining.NORM_GRID.size * 64])
+@pytest.mark.parametrize("family", range(len(GRID_FAMILIES)))
+def test_norm_grid_is_the_repeated_row_construction_bit_for_bit(monkeypatch, family, block):
+    # the broadcast grid tensor of the CGF norm gives the best grid value and
+    # its index of the np.repeat construction over numerics.cgf_rows exactly,
+    # at the caps the norm computes and at random caps, which test the mask
+    calls = []
+    grid_max = chaining._grid_max
+
+    def recorded(logp, x, count):
+        calls.append((logp, x, count, grid_max(logp, x, count)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(chaining, "_grid_max", recorded)
+    monkeypatch.setattr(numerics, "BLOCK_ELEMENTS", block)
+    FunctionFamily(*GRID_FAMILIES[family]())
+    rng = np.random.default_rng(family)
+    for logp, x, count, _ in list(calls):
+        recorded(logp, x, rng.integers(1, chaining.NORM_GRID.size + 1, count.size))
+    monkeypatch.undo()
+    assert calls
+    for logp, x, count, (best, j) in calls:
+        want_best, want_j = norm_grid_by_repeat(logp, x, count, chaining.NORM_GRID)
+        assert np.array_equal(best, want_best) and np.array_equal(j, want_j)
 
 
 def test_T_closed_form_at_infinity_or_replayed_at_its_lambda():

@@ -4,20 +4,15 @@ import numpy as np
 import pytest
 
 import tailbound.numerics as numerics
-from oracles import maximize_on_interval
-from tailbound.numerics import (
-    LAMBDA_GRID,
-    NumericError,
-    bisect_increasing,
-    gauss_legendre,
-    grid_min,
-)
+from oracles import grid_min, maximize_on_interval
+from tailbound.numerics import LAMBDA_GRID, NumericError, false_position, gauss_legendre
 from tailbound.orlicz import make_generator
 
 
 # The golden_section_* tests check grid_min, which replaced golden section,
 # on the same functions over grids spanning the same intervals; they keep
-# their names so that their pass/fail record stays continuous.
+# their names so that their pass/fail record stays continuous. grid_min is
+# now the test-side oracle of the quadrature bound on w_r (oracles.py).
 
 
 def test_golden_section_quadratic():
@@ -61,7 +56,8 @@ def test_maximize_on_interval():
 # The minimize_positive_* and adaptive_simpson_* tests check grid_min and
 # gauss_legendre, which replaced those routines, on the same inputs and
 # tolerances; they keep their names so that their pass/fail record stays
-# continuous.
+# continuous. The bisect_increasing_* tests check false_position, which
+# replaced bisection, on the same contract.
 
 
 def _grid_min(f):
@@ -146,16 +142,16 @@ def test_gauss_legendre_scales_the_unit_rule_exactly():
 
 
 def test_bisect_increasing():
-    root = bisect_increasing(lambda x: x**3, 0.0, 10.0, target=8.0)
+    root = false_position(lambda x: x**3, 0.0, 10.0, target=8.0)
     assert root == pytest.approx(2.0, rel=1e-10)
     with pytest.raises(ValueError):
-        bisect_increasing(lambda x: x, 0.0, 1.0, target=5.0)
+        false_position(lambda x: x, 0.0, 1.0, target=5.0)
 
 
 @pytest.mark.parametrize("y", [1e-300, 1e-30, 1e-12, 1.0])
 def test_bisect_increasing_keeps_relative_accuracy_near_zero(y):
-    # the stop width has no absolute floor: the Bennett inverse, a bisection
-    # on [0, hi], keeps phi(t) within 1e-11 y of y down to y = 1e-300
+    # the stop width has no absolute floor: the Bennett inverse, a root
+    # search on [0, hi], keeps phi(t) within 1e-11 y of y down to y = 1e-300
     gen = make_generator("bennett", L=1.0)
     assert abs(float(gen.phi(gen.phi_inverse(y))) - y) <= 1e-11 * y
 
@@ -163,17 +159,51 @@ def test_bisect_increasing_keeps_relative_accuracy_near_zero(y):
 def test_bisect_increasing_arrays_in_lockstep():
     # each bracket gives the root it gives alone
     lo, hi, target = np.array([0.0, 1.0, 0.0]), np.array([10.0, 3.0, 1.0]), np.array([8.0, 2.0, 1e-6])
-    roots = bisect_increasing(lambda x: x**3, lo, hi, target)
+    roots = false_position(lambda x: x**3, lo, hi, target)
     for i in range(3):
-        assert roots[i] == bisect_increasing(lambda x: x**3, lo[i], hi[i], target[i])
+        assert roots[i] == false_position(lambda x: x**3, lo[i], hi[i], target[i])
     assert roots == pytest.approx(np.cbrt(target), rel=1e-10)
     with pytest.raises(ValueError):
-        bisect_increasing(lambda x: x, np.zeros(2), np.ones(2), np.array([0.5, 5.0]))
+        false_position(lambda x: x, np.zeros(2), np.ones(2), np.array([0.5, 5.0]))
 
 
 def test_bisect_increasing_returns_the_certified_end():
     # the upper end of each final bracket, where g >= target
     g = lambda x: np.expm1(x) + x**3
     target = np.geomspace(1e-6, 1e6, 401)
-    roots = bisect_increasing(g, np.zeros(target.size), np.full(target.size, 20.0), target)
+    roots = false_position(g, np.zeros(target.size), np.full(target.size, 20.0), target)
     assert np.all(g(roots) >= target)
+
+
+def _probes(g, lo, hi, target, rel_tol):
+    """false_position's result and every point it evaluates g at, in order."""
+    seen = []
+
+    def logged(x):
+        seen.append(np.array(x, dtype=float, copy=True))
+        return g(x)
+
+    return false_position(logged, lo, hi, target, rel_tol), seen
+
+
+@pytest.mark.parametrize("rel_tol", [1e-12, 1e-10, 1e-6])
+def test_false_position_contract(rel_tol):
+    # on increasing functions that false position finds hard (steep, flat,
+    # kinked), each result is the upper end of a final bracket: g >= target
+    # there, and the last probe below the target lies within rel_tol of it
+    cases = [
+        (lambda x: np.expm1(30.0 * x), 0.0, 1.0),
+        (lambda x: x**9, 0.0, 4.0),
+        (lambda x: np.where(x < 1.0, 1e-3 * x, 1e-3 + 1e3 * (x - 1.0)), 0.0, 3.0),
+        (lambda x: np.cbrt(x - 0.3), 0.0, 2.0),
+    ]
+    for g, lo, hi in cases:
+        targets = np.linspace(float(g(np.float64(lo))), float(g(np.float64(hi))), 9)[1:-1]
+        root, seen = _probes(g, np.full(targets.size, lo), np.full(targets.size, hi), targets, rel_tol)
+        assert np.all(g(root) >= targets)
+        probes = np.array(seen[2:])  # after the two bracket checks
+        below = np.where(g(probes) - targets <= 0.0, probes, lo).max(axis=0)
+        assert np.all(root - below <= rel_tol * np.maximum(np.abs(root), np.abs(below)))
+        assert len(seen) <= 30  # bisection takes about 40 calls to 1e-12
+        # every probe lies strictly inside the bracket it was taken from
+        assert np.all((probes > lo) & (probes < hi))

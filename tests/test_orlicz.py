@@ -12,9 +12,10 @@ import warnings
 import numpy as np
 import pytest
 
+import tailbound.orlicz as orlicz
 from tailbound.cgf import DiscreteDistribution
-from oracles import first_power_of_two_loop, maximize_on_interval
-from tailbound.numerics import NumericError
+from oracles import benchmark_families, first_power_of_two_loop, grid_min, maximize_on_interval
+from tailbound.numerics import LAMBDA_GRID, NumericError, false_position
 from tailbound.orlicz import (
     BENNETT_T_CAP,
     DECAY_T_CAP,
@@ -24,7 +25,7 @@ from tailbound.orlicz import (
     UnsupportedGeneratorError,
     _bennett_phi,
     _first_power_of_two,
-    _log_quadrature_integral,
+    _quadrature_moments,
     bernstein_phi_star,
     conversion_factor_M,
     exp_moment_integral,
@@ -206,7 +207,7 @@ def test_generator_inverse_roundtrip(gen):
 
 
 def test_bennett_inverse_batch_matches_scalar():
-    # the batched bisection gives each value the root it gets alone
+    # the batched root finder gives each value the root it gets alone
     gen = make_generator("bennett", L=1.3)
     ys = np.array([0.0, 1e-9, 0.3, 7.0, 450.0, -1.0])
     got = gen.phi_inverse(ys)
@@ -217,7 +218,7 @@ def test_bennett_inverse_batch_matches_scalar():
 
 @pytest.mark.parametrize("L", [0.1, 1.0, 10.0])
 def test_bennett_inverse_is_not_below_the_true_inverse(L):
-    # the bisection keeps the upper end of its bracket, so phi(phi^-1(y)) >= y
+    # the root finder keeps the upper end of its bracket, so phi(phi^-1(y)) >= y
     # and the closed-form bound wr-exp stays an upper bound for Bennett
     gen = make_generator("bennett", L=L)
     ys = np.geomspace(1e-6, 1e6, 2001)
@@ -400,14 +401,91 @@ def test_wr_quadrature_bernstein_against_trapezoid_oracle():
 @pytest.mark.parametrize("gen,inner,lam_hi", CLOSED_FORMS, ids=[g.kind for g, _, _ in CLOSED_FORMS])
 def test_inner_integral_matches_closed_form(gen, inner, lam_hi):
     lams = np.geomspace(1e-3, 0.99 * lam_hi if lam_hi < 2.0 else 8.0, 40)
-    want = np.log([inner(lam) for lam in lams])
-    assert _log_quadrature_integral(gen, lams) == pytest.approx(want, rel=1e-10)
+    want = np.log1p([inner(lam) for lam in lams])
+    assert _quadrature_moments(gen, lams)[0] == pytest.approx(want, rel=1e-10)
 
 
 @pytest.mark.parametrize("gen,inner,lam_hi", CLOSED_FORMS, ids=[g.kind for g, _, _ in CLOSED_FORMS])
 @pytest.mark.parametrize("r", [1e-6, 0.05, 1.0, 10.0])
 def test_wr_quadrature_matches_closed_form_minimum(gen, inner, lam_hi, r):
     assert wr_quadrature_bound(gen, r) == pytest.approx(grid_wr_reference(inner, r, lam_hi), rel=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# solver budgets: each test counts calls and times nothing
+
+BENCH_GENERATORS = [
+    make_generator("sub-gaussian"),
+    make_generator("sub-exponential"),
+    *(make_generator("bernstein", L=L) for L in (0.1, 1.0, 10.0)),
+    make_generator("bennett", L=1.0),
+]
+
+
+@pytest.mark.parametrize("gen", BENCH_GENERATORS, ids=[f"{g.kind}{i}" for i, g in enumerate(BENCH_GENERATORS)])
+@pytest.mark.parametrize("r", [0.05, 1.0, 10.0])
+def test_wr_quadrature_budget_and_grid_zoom_agreement(monkeypatch, gen, r):
+    # one call of the kernel on the whole lambda grid, then at most 10 at one
+    # lambda each (Newton steps and the final value); the value is within
+    # 1e-12 of grid-and-zoom over the same objective, the search it replaced
+    kernel, sizes = _quadrature_moments, []
+
+    def counted(g, lam):
+        sizes.append(lam.size)
+        return kernel(g, lam)
+
+    monkeypatch.setattr(orlicz, "_quadrature_moments", counted)
+    got = wr_quadrature_bound(gen, r)
+    assert sizes[0] == LAMBDA_GRID.size and 1 <= len(sizes) - 1 <= 10 and set(sizes[1:]) == {1}
+    _, want = grid_min(lambda lam: (r + kernel(gen, lam)[0]) / lam, LAMBDA_GRID)
+    assert got == pytest.approx(want, rel=1e-12)
+
+
+def _solves(monkeypatch):
+    """Record (rel_tol, calls of g) for each false_position call of orlicz."""
+    solves = []
+
+    def counted(g, lo, hi, target, rel_tol=1e-12):
+        calls = [0]
+
+        def g_counted(x):
+            calls[0] += 1
+            return g(x)
+
+        out = false_position(g_counted, lo, hi, target, rel_tol)
+        solves.append((rel_tol, calls[0]))
+        return out
+
+    monkeypatch.setattr(orlicz, "false_position", counted)
+    return solves
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("gen", [make_generator("bernstein", L=1.0), make_generator("bennett", L=1.0),
+                                 make_generator("sub-gaussian")], ids=lambda g: g.kind)
+def test_orlicz_norm_budget(monkeypatch, seed, gen):
+    # every member and member difference of the benchmark's orlicz family:
+    # the norm's own solve (at rel_tol 1e-10; Bennett's psi inverse makes
+    # others) takes at most 20 calls of g, the two bracket checks included
+    solves = _solves(monkeypatch)
+    dist, functions = benchmark_families(seed)[1]
+    values = np.array(list(functions.values()))
+    rows = [*values[1:], *(values[i] - values[j] for i in range(len(values)) for j in range(i))]
+    for h in rows:
+        solves.clear()
+        orlicz_norm(dist, h, gen)
+        assert [n for tol, n in solves if tol == 1e-10] and all(n <= 20 for tol, n in solves if tol == 1e-10)
+
+
+@pytest.mark.parametrize("L", [0.1, 1.0, 10.0])
+def test_bennett_inverse_budget(monkeypatch, L):
+    # 50 values in one lockstep solve: at most 25 calls of phi, and phi at
+    # each returned t is at least its y
+    solves = _solves(monkeypatch)
+    ys = np.geomspace(1e-6, 1e6, 50)
+    t = orlicz._bennett_phi_inverse(ys, L)
+    assert len(solves) == 1 and solves[0][1] <= 25
+    assert np.all(_bennett_phi(t, L) >= ys)
 
 
 def _one_pass(g_row, level, cap):
