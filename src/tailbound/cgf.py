@@ -148,16 +148,14 @@ def _moments(logp: np.ndarray, z: np.ndarray, mu: np.ndarray):
 
 
 def _dual_root(moments, t: np.ndarray, lo: np.ndarray, hi: np.ndarray, r: float, width=None) -> np.ndarray:
-    """mu = e^t with g(mu) = r per row, g increasing, by safeguarded Newton
-    in t = log mu from each row's start t inside its bracket lo < t < hi
-    (updated in place, a side may be infinite); moments(rows, mu) returns (g,
-    dg/dt) at mu for an index array of rows. Each probe moves an end of the
-    bracket by the sign of g - r (a g that is not finite counts as above r);
-    a step that leaves it bisects it, or moves by NEWTON_STEP_CAP while a
-    side is open. A row stops at a step below DUAL_LOG_TOL, a relative
-    residual below DUAL_G_TOL or, when width is given, a bracket that narrow.
-    The one dual solver: T_r's (g = mu Lambda' - Lambda) and the Orlicz
-    quadrature bound's (g = lambda K' - K)."""
+    """mu = e^t with g(mu) = r per row, g increasing, by safeguarded Newton in
+    t = log mu from each row's start t inside lo < t < hi (updated in place; a
+    side may be infinite). moments(rows, mu) returns (g, dg/dt) for an index
+    array of rows. A probe moves the bracket end on its side of r (a g that is
+    not finite counts as above); a step that leaves the bracket bisects it, or
+    moves NEWTON_STEP_CAP while a side is open. A row stops at a step below
+    DUAL_LOG_TOL, a residual below DUAL_G_TOL r or a bracket at most `width`
+    wide. The one dual solver: T_r's and the Orlicz quadrature bound's."""
     active = np.arange(t.size)
     for _ in range(DUAL_MAX_ITER):
         ta = t[active]

@@ -332,13 +332,13 @@ def wr_quadrature_bound(gen: OrliczGenerator, r: float) -> float:
     """Integral bound on w_r: inf_{lambda} (r + K(lambda))/lambda with
     K = log(1 + I), I(lambda) = int_0^inf 2 lambda (e^{lambda t}-1)/(psi(t)+1) dt.
 
-    The objective is evaluated on LAMBDA_GRID, +inf where lambda >=
-    lambda_sup; then the dual condition lambda K' - K = r is solved by
-    cgf._dual_root, T_r's Newton, inside the best grid point's neighbour
-    bracket. The value is the smaller of the best grid value and the
-    objective at the final lambda, an upper bound whatever the solver's
-    accuracy. Non-exponential-type generators are rejected. At r = 0 the
-    infimum is 0, approached as lambda -> 0.
+    The objective is evaluated on LAMBDA_GRID (+inf where the integrand does
+    not decay); then lambda K' - K = r is solved by cgf._dual_root, T_r's
+    Newton, in the best grid point's neighbour bracket. The value is the
+    smaller of the best grid value and the objective at the final lambda (at
+    the bracket's lower end where that is not finite): an upper bound
+    whatever the solver's accuracy. Non-exponential-type generators are
+    rejected. At r = 0 the infimum is 0, approached as lambda -> 0.
     """
     if not gen.exponential_type:
         raise UnsupportedGeneratorError(f"generator kind {gen.kind!r} has a divergent integrand for every lambda > 0")
@@ -360,7 +360,9 @@ def wr_quadrature_bound(gen: OrliczGenerator, r: float) -> float:
         lo, t, hi = np.log(LAMBDA_GRID[j - 1 : j + 2, None])
         # the bracket stop ends the search where a truncation step makes g jump across r
         lam = _dual_root(lambda _rows, lam: _quadrature_moments(gen, lam)[1:], t, lo, hi, r, DUAL_LOG_TOL)
-        best = min(best, float(objective(lam)[0]))
+        value = float(objective(lam)[0])
+        # a last probe past a jump of g to +inf has no finite value; the bracket's lower end has
+        best = min(best, value if np.isfinite(value) else float(objective(np.exp(lo))[0]))
     return max(best, 0.0)
 
 

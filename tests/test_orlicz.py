@@ -441,6 +441,19 @@ def test_wr_quadrature_budget_and_grid_zoom_agreement(monkeypatch, gen, r):
     assert got == pytest.approx(want, rel=1e-12)
 
 
+@pytest.mark.parametrize("gen", [make_generator("bennett", L=1e-3), make_generator("sub-exponential"),
+                                 make_generator("bernstein", L=0.1)], ids=lambda g: g.kind)
+def test_wr_quadrature_past_the_decay_cap(gen):
+    # at r = 1e300 the root lies past the lambda where the integrand stops
+    # decaying by DECAY_T_CAP, so g jumps to +inf inside the Newton bracket;
+    # the value is still no worse than grid-and-zoom over the same objective
+    # (for Bennett at L = 1e-3 it was the grid value, 63% above, while the
+    # last probe could land past the jump)
+    with np.errstate(over="ignore"):  # 1e300 / lambda overflows at the grid's smallest lambda
+        want = grid_min(lambda lam: (1e300 + _quadrature_moments(gen, lam)[0]) / lam, LAMBDA_GRID)[1]
+    assert wr_quadrature_bound(gen, 1e300) <= want * (1.0 + 1e-12)
+
+
 def _solves(monkeypatch):
     """Record (rel_tol, calls of g) for each false_position call of orlicz."""
     solves = []
