@@ -1,9 +1,9 @@
 """Exact cumulant generating functions on finite discrete support and the
 confidence radius T_r(f) = inf_{lambda >= 0} (r + log E e^{lambda f(X)}) / lambda.
 
-Every CGF here is an exact finite sum over a finite support, evaluated
-through log-sum-exp. T_r is computed in the Legendre dual form, many
-functions at once (rate_bound_T_rows; rate_bound_T is its one-function
+Every CGF here is an exact finite sum over a finite support, evaluated by
+_moments, the one CGF kernel. T_r is computed in the Legendre dual form,
+many functions at once (rate_bound_T_rows; rate_bound_T is its one-function
 entry), by _dual_root, the safeguarded Newton that wr-quad shares.
 """
 
@@ -14,16 +14,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import cgf_rows, readonly, row_blocks
+from .numerics import readonly, row_blocks
 
 CENTERING_TOL = 1e-10  # |mean| allowed per unit of max(1, max|f|)
 PROB_SUM_TOL = 1e-12
 
 NEWTON_STEP_CAP = 4.0  # largest dual-solver step in log(lambda), a factor e^4
-DUAL_LOG_TOL = 1e-12  # relative change in lambda at which the dual root is accepted
+DUAL_LOG_TOL = 1e-12  # step, or bracket width, in log(lambda) at which the dual root is accepted
 DUAL_G_TOL = 1e-14  # relative residual |g - r| / r at which it is accepted too
 DUAL_MAX_ITER = 200
 LOG_MU_MAX = 690.0  # keeps the dual solver's lambda finite in units of 1/max|h|
+SERIES_MU = 1.0 / 16.0  # up to this mu the CGF kernel sums its moment series,
+SERIES_TERMS = 10  # of this many powers: the remainder is below 1e-16 relative there
+_INV_FACTORIAL = 1.0 / np.cumprod(np.arange(1.0, SERIES_TERMS + 1.0))  # 1 / k!, k = 1..SERIES_TERMS
 
 
 @dataclass(frozen=True)
@@ -120,42 +123,95 @@ def rate_bound_T_rows(dist: DiscreteDistribution, rows: np.ndarray, r: float):
     logp = np.log(probs)
     for blk in row_blocks(inner.size, probs.size):
         idx, xb = inner[blk], x[inner[blk]]
-        z = xb - xb.max(axis=1)[:, None]
 
-        def moments(rows, mu):  # g = mu Lambda' - Lambda and dg/dt, relative to max x
-            lam, m1, var = _moments(logp, z[rows], mu)
-            return mu * m1 - lam, mu * mu * var
+        def moments(rows, mu):  # g = mu Lambda' - Lambda and dg/dt
+            _, g, var = _moments(logp, xb[rows], mu)
+            return g, mu * mu * var
 
         t = 0.5 * np.log(2.0 * r / (np.exp(logp) * xb * xb).sum(axis=1))  # from g ~ Var mu^2 / 2
         mu = _dual_root(moments, t, np.full(t.size, -math.inf), np.full(t.size, math.inf), r)
-        cgf = cgf_rows(logp, xb, mu)
-        values[idx] = scale[idx] * ((r + cgf) / mu)
+        values[idx] = scale[idx] * ((r + _moments(logp, xb, mu)[0]) / mu)
         lambdas[idx] = mu / scale[idx]
     return values, lambdas
 
 
-def _moments(logp: np.ndarray, z: np.ndarray, mu: np.ndarray):
-    """(Lambda(mu) - mu max x, Lambda'(mu) - max x, Lambda''(mu)) per row of
-    z = x - max x at that row's mu > 0, from one shifted exponential; relative
-    to max x they stay accurate as mu grows. The kernel of the dual root and
-    of the CGF norm's Newton steps."""
-    b = logp + mu[:, None] * z
-    peak = b.max(axis=1)
-    e = np.exp(b - peak[:, None])
-    total = e.sum(axis=1)
-    m1 = (e * z).sum(axis=1) / total
-    return peak + np.log(total), m1, (e * np.square(z - m1[:, None])).sum(axis=1) / total
+def _moments(logp: np.ndarray, x: np.ndarray, mu: np.ndarray):
+    """(Lambda(mu), g(mu) = mu Lambda'(mu) - Lambda(mu), Lambda''(mu)) of rows x
+    scaled to max|x| = 1, atoms on the last axis (logp, their log-probabilities,
+    broadcasts against x), at the points mu > 0 of a 1-D array: one per row,
+    or a grid axis along which x's row axis is 1. By mu, E e^{mu x} - 1 is the
+    series sum_k mu^k E x^k / k! (_series, mu <= SERIES_MU), or the sum of
+    p expm1(mu x) (_expm1, mu <= 1), so that Lambda = log1p of it and g keep
+    their relative precision as mu -> 0; beyond, exponentials of
+    mu (x - max x) <= 0 keep g accurate as mu grows (_shifted). Each value
+    depends on its own row and mu only: the one CGF kernel, of T_r's dual root
+    and value and of the CGF norm's grid, Newton steps and value."""
+    kind = np.searchsorted(_FORM_EDGES, mu)  # index into _FORMS
+    counts = np.bincount(kind, minlength=3)
+    if counts.max() == mu.size:
+        return _FORMS[int(np.argmax(counts))](logp, x, mu)
+    out = np.empty((3, *np.broadcast_shapes(logp.shape[:-1], x.shape[:-1], mu.shape)))
+    for k in np.nonzero(counts)[0]:
+        where = kind == k  # rows of x (and logp) are cut to these points, a grid axis is not
+        rows = [a[where] if a.ndim > 1 and a.shape[-2] > 1 else a for a in (logp, x)]
+        out[:, ..., where] = _FORMS[k](*rows, mu[where])
+    return out[0], out[1], out[2]
 
 
-def _dual_root(moments, t: np.ndarray, lo: np.ndarray, hi: np.ndarray, r: float, width=None) -> np.ndarray:
+def _series(logp, x, mu):
+    """_moments from E e^{mu x} - 1 = mu R(mu), R = sum_k E x^{k+1} mu^k / (k+1)!
+    for k < SERIES_TERMS; R, R' and R''/2 by Horner's rule. E x, a sum that
+    cancels on a centered row, is taken in extended precision: its float
+    rounding, times mu, would swamp Lambda as mu -> 0."""
+    p = np.exp(logp)
+    coef, px = [(p.astype(np.longdouble) * x).sum(axis=-1).astype(float)], p * x
+    for k in range(1, SERIES_TERMS):
+        px = px * x
+        coef.append(px.sum(axis=-1) * _INV_FACTORIAL[k])
+    f, f1, f2 = coef.pop(), 0.0, 0.0
+    for c in reversed(coef):
+        f, f1, f2 = f * mu + c, f1 * mu + f, f2 * mu + f1
+    total = 1.0 + mu * f  # E e^{mu x}
+    m1, lam = (f + mu * f1) / total, np.log1p(mu * f)  # Lambda', Lambda
+    return lam, mu * m1 - lam, 2.0 * (f1 + mu * f2) / total - m1 * m1
+
+
+def _expm1(logp, x, mu):
+    """_moments from p expm1(mu x), atom by atom."""
+    p = np.exp(logp)
+    e1 = p * np.expm1(mu[..., None] * x)
+    wx = (p + e1) * x  # p x e^{mu x}
+    s0 = e1.sum(axis=-1)  # E e^{mu x} - 1
+    m1, lam = wx.sum(axis=-1) / (1.0 + s0), np.log1p(s0)
+    return lam, mu * m1 - lam, (wx * x).sum(axis=-1) / (1.0 + s0) - m1 * m1
+
+
+def _shifted(logp, x, mu):
+    """_moments from exponentials shifted by max x."""
+    top = x.max(axis=-1)
+    z = x - top[..., None]
+    b = logp + mu[..., None] * z
+    peak = b.max(axis=-1)
+    e = np.exp(b - peak[..., None])
+    total, ez = e.sum(axis=-1), e * z
+    m1, lam = ez.sum(axis=-1) / total, peak + np.log(total)  # Lambda' - max x, Lambda - mu max x
+    return lam + mu * top, mu * m1 - lam, (ez * z).sum(axis=-1) / total - m1 * m1
+
+
+_FORM_EDGES, _FORMS = np.array([SERIES_MU, 1.0]), (_series, _expm1, _shifted)
+
+
+def _dual_root(moments, t: np.ndarray, lo: np.ndarray, hi: np.ndarray, r: float) -> np.ndarray:
     """mu = e^t with g(mu) = r per row, g increasing, by safeguarded Newton in
     t = log mu from each row's start t inside lo < t < hi (updated in place; a
     side may be infinite). moments(rows, mu) returns (g, dg/dt) for an index
     array of rows. A probe moves the bracket end on its side of r (a g that is
     not finite counts as above); a step that leaves the bracket bisects it, or
     moves NEWTON_STEP_CAP while a side is open. A row stops at a step below
-    DUAL_LOG_TOL, a residual below DUAL_G_TOL r or a bracket at most `width`
-    wide. The one dual solver: T_r's and the Orlicz quadrature bound's."""
+    DUAL_LOG_TOL, a residual below DUAL_G_TOL r or a bracket at most
+    DUAL_LOG_TOL wide, where a computed g that only rounding moves meets
+    neither of the other tests. The one dual solver: T_r's and the Orlicz
+    quadrature bound's."""
     active = np.arange(t.size)
     for _ in range(DUAL_MAX_ITER):
         ta = t[active]
@@ -170,9 +226,8 @@ def _dual_root(moments, t: np.ndarray, lo: np.ndarray, hi: np.ndarray, r: float,
         nxt = ta + step
         inside = (nxt > lo[active]) & (nxt < hi[active])
         mid = np.where(np.isfinite(mid), mid, ta + np.where(below, NEWTON_STEP_CAP, -NEWTON_STEP_CAP))
-        done = (np.abs(step) <= DUAL_LOG_TOL) | (np.abs(g - r) <= DUAL_G_TOL * r)
-        if width is not None:
-            done |= hi[active] - lo[active] <= width
+        done = np.abs(step) <= DUAL_LOG_TOL
+        done |= (np.abs(g - r) <= DUAL_G_TOL * r) | (hi[active] - lo[active] <= DUAL_LOG_TOL)
         t[active] = np.minimum(np.where(done, ta, np.where(inside, nxt, mid)), LOG_MU_MAX)
         active = active[~done]
         if not active.size:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cgf import DiscreteDistribution, _moments, check_rows, rate_bound_T_rows
-from .numerics import SMALL_MU, NumericError, cgf_rows, check_int, readonly, row_blocks
+from .numerics import NumericError, check_int, readonly, row_blocks
 from .orlicz import OrliczGenerator, orlicz_norm_rows
 
 LOG2 = math.log(2.0)
@@ -79,9 +79,9 @@ def _sup_over_mu(logp: np.ndarray, x: np.ndarray, variance: np.ndarray) -> np.nd
     its atoms' log-probabilities), a value of F(mu) = 2 Lambda(mu) / mu^2 at
     least F's best NORM_GRID value and F's local maximum next to it: the grid
     up to mu = 2 max x / variance, past which F < variance (_grid_max), then
-    safeguarded Newton steps in log mu on mu Lambda'(mu) = 2 Lambda(mu) from
-    the moment kernel cgf._moments (README, "CGF norm"). Each row's result
-    depends on that row alone.
+    safeguarded Newton steps in log mu on mu Lambda'(mu) = 2 Lambda(mu). Every
+    Lambda is the CGF kernel cgf._moments (README, "CGF norm"). Each row's
+    result depends on that row alone.
     """
     log_grid, top = np.log(NORM_GRID), x.max(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -89,14 +89,13 @@ def _sup_over_mu(logp: np.ndarray, x: np.ndarray, variance: np.ndarray) -> np.nd
     best, j = _grid_max(logp, x, count)
     t, lo, hi = log_grid[j], log_grid[np.maximum(j - 1, 0)], log_grid[np.minimum(j + 1, NORM_GRID.size - 1)]
     for blk in row_blocks(x.shape[0], x.shape[1]):
-        tb, lb, hb, pb, mb = t[blk], lo[blk], hi[blk], logp[blk], top[blk]  # views: updates reach t, lo, hi
-        z, active = x[blk] - mb[:, None], np.arange(blk.stop - blk.start)
+        tb, lb, hb, pb, xb = t[blk], lo[blk], hi[blk], logp[blk], x[blk]  # views: updates reach t, lo, hi
+        active = np.arange(blk.stop - blk.start)
         for _ in range(NORM_MAX_ITER):
             ta, mu = tb[active], np.exp(tb[active])
-            lam, m1, var = _moments(pb[active], z[active], mu)
+            lam, g, var = _moments(pb[active], xb[active], mu)
             with np.errstate(divide="ignore", invalid="ignore"):
-                lam += mu * mb[active]  # Lambda(mu)
-                ratio = mu * (m1 + mb[active]) / lam  # mu Lambda' / Lambda: 2 where F is stationary
+                ratio = 1.0 + g / lam  # mu Lambda' / Lambda: 2 where F is stationary
                 slope = ratio + mu * mu * var / lam - ratio * ratio  # d ratio / dt
                 step = (2.0 - ratio) / slope
             rising = ratio > 2.0
@@ -108,24 +107,17 @@ def _sup_over_mu(logp: np.ndarray, x: np.ndarray, variance: np.ndarray) -> np.nd
             if not active.size:
                 break
     mu = np.exp(t)
-    return np.maximum(best, 2.0 * cgf_rows(logp, x, mu) / (mu * mu))
+    return np.maximum(best, 2.0 * _moments(logp, x, mu)[0] / (mu * mu))
 
 
 def _grid_max(logp: np.ndarray, x: np.ndarray, count: np.ndarray):
     """(best, index) of F(mu) = 2 Lambda(mu) / mu^2 over the first count[i]
-    NORM_GRID points per row of x: one (rows, points, atoms) tensor per
-    block, -inf past a row's count, each value bit for bit numerics.cgf_rows's
-    (a log-sum-exp above SMALL_MU, the expm1 form at or below it)."""
+    NORM_GRID points per row of x: one cgf._moments call per block, over a
+    (rows, points) grid axis, -inf past a row's count."""
     best, j = np.empty(x.shape[0]), np.empty(x.shape[0], dtype=int)
-    small = int(np.searchsorted(NORM_GRID, SMALL_MU, side="right"))
     for blk in row_blocks(x.shape[0], NORM_GRID.size * x.shape[1]):
-        mu, xb, pb = NORM_GRID[: count[blk].max()], x[blk, None, :], logp[blk, None, :]
-        a = pb + mu[small:, None] * xb
-        peak = a.max(axis=2)
-        grid = np.empty((xb.shape[0], mu.size))
-        grid[:, small:] = peak + np.log(np.exp(a - peak[:, :, None]).sum(axis=2))
-        grid[:, :small] = np.log1p((np.exp(pb) * np.expm1(mu[:small, None] * xb)).sum(axis=2))
-        grid = 2.0 * grid / (mu * mu)
+        mu = NORM_GRID[: count[blk].max()]
+        grid = 2.0 * _moments(logp[blk, None, :], x[blk, None, :], mu)[0] / (mu * mu)
         grid[np.arange(mu.size) >= count[blk, None]] = -math.inf
         j[blk] = grid.argmax(axis=1)
         best[blk] = grid[np.arange(grid.shape[0]), j[blk]]

@@ -1,9 +1,9 @@
 """Shared numerics: a composite Gauss-Legendre quadrature rule, the one
 bracketed root finder of the library (Illinois false position, which returns
-the end of each bracket where g >= target), and the batched cumulant
-generating function that the rate-function engine and the norms evaluate.
-The library minimizes nothing numerically: T_r, the CGF norm and the
-quadrature bound on w_r take Newton steps on their stationarity conditions.
+the end of each bracket where g >= target), and the row blocks that bound
+every batched tensor. The library minimizes nothing numerically: T_r, the
+CGF norm and the quadrature bound on w_r take Newton steps on their
+stationarity conditions, and the CGF they read is cgf._moments.
 
 Everything here is deterministic: identical inputs produce bit-identical
 outputs, which the certificate-replay machinery relies on.
@@ -14,7 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 BLOCK_ELEMENTS = 1 << 18  # elements of one batched tensor; bounds memory for any row count
-SMALL_MU = 1e-3  # below this |mu| the CGF takes its expm1 form
 
 LAMBDA_GRID = np.power(2.0, np.arange(-40, 28))  # searches over lambda > 0: 2^-40 < 1e-12 to 2^27 > 1e8
 
@@ -50,23 +49,6 @@ def row_blocks(rows: int, per_row: int):
     elements per row, hold at most BLOCK_ELEMENTS elements (one row at least)."""
     step = max(1, BLOCK_ELEMENTS // max(per_row, 1))
     return [slice(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
-
-
-def cgf_rows(logp: np.ndarray, x: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """Lambda(mu[i]) = log sum_k p_k e^{mu[i] x[i, k]} for rows x (n, k) with
-    max|x| <= 1, log-probabilities logp (k,) or one row per row of x (n, k),
-    and one point mu[i] per row; returns (n,). A shifted log-sum-exp, or
-    where |mu| <= SMALL_MU log1p(sum p expm1(mu x)), which keeps its
-    precision as Lambda -> 0. Each entry depends on its own row and point
-    only, so results do not depend on how rows are batched.
-    """
-    logp = np.broadcast_to(logp, x.shape)
-    a = logp + mu[:, None] * x
-    peak = a.max(axis=1)
-    out = peak + np.log(np.exp(a - peak[:, None]).sum(axis=1))
-    i = np.nonzero(np.abs(mu) <= SMALL_MU)[0]
-    out[i] = np.log1p((np.exp(logp[i]) * np.expm1(mu[i, None] * x[i])).sum(axis=1))
-    return out
 
 
 def gauss_legendre(t_max, knots=()):

@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cgf import DUAL_LOG_TOL, DiscreteDistribution, _dual_root, check_rows
+from .cgf import DiscreteDistribution, _dual_root, check_rows
 from .numerics import (
     LAMBDA_GRID,
     QUAD_NODES,
@@ -359,7 +359,7 @@ def wr_quadrature_bound(gen: OrliczGenerator, r: float) -> float:
     if 0 < j < LAMBDA_GRID.size - 1:  # else the infimum lies at or past the grid's end
         lo, t, hi = np.log(LAMBDA_GRID[j - 1 : j + 2, None])
         # the bracket stop ends the search where a truncation step makes g jump across r
-        lam = _dual_root(lambda _rows, lam: _quadrature_moments(gen, lam)[1:], t, lo, hi, r, DUAL_LOG_TOL)
+        lam = _dual_root(lambda _rows, lam: _quadrature_moments(gen, lam)[1:], t, lo, hi, r)
         value = float(objective(lam)[0])
         # a last probe past a jump of g to +inf has no finite value; the bracket's lower end has
         best = min(best, value if np.isfinite(value) else float(objective(np.exp(lo))[0]))

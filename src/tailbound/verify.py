@@ -12,17 +12,16 @@ values and the float thresholds and tracked values:
                     P = Sigma^{1/2} U' the projected mesh
 Float products decide every comparison whose margin clears an a-priori
 bound on their rounding error; fractions.Fraction settles the rest, so no
-decision depends on summation order, BLAS or thread count.
+decision depends on summation order or BLAS threads.
 
 Trials draw from disjoint counter-based substreams of the root seed, so
-reports are bit-identical across runs and parallelism degrees: violation
-counting is a commutative fold over trial indices. Trials are drawn in
-chunks whose arrays hold at most numerics.BLOCK_ELEMENTS elements (one
-trial at least). run_trials and sweep share one runner: plans that draw the
-same values (the discrete targets at one n, the gaussian target at every
-grid point) draw and count each trial once. Thread count is set by the
-TAILBOUND_THREADS environment variable (default 1), capped at the machine's
-CPU count.
+reports are bit-identical across runs: violation counting is a commutative
+fold over trial indices, and does not depend on how trials are chunked.
+Trials are drawn in chunks whose arrays hold at most numerics.BLOCK_ELEMENTS
+elements (one trial at least). run_trials and sweep share one runner: plans
+that draw the same values (the discrete targets at one n, the gaussian
+target at every grid point) draw and count each trial once. BLAS is the
+only parallelism.
 
 Targets and ceilings:
   chernoff      one function f, threshold T_r(f), ceiling e^{-nr}
@@ -40,8 +39,6 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -127,16 +124,6 @@ class VerificationReport:
         out = dataclasses.asdict(self)
         out["pass"] = out.pop("passed")
         return out
-
-
-def _thread_count() -> int:
-    """TAILBOUND_THREADS, clamped to 1..os.cpu_count()."""
-    raw = os.environ.get("TAILBOUND_THREADS", "1")
-    try:
-        v = int(raw)
-    except ValueError:
-        raise ValueError("TAILBOUND_THREADS must be an integer") from None
-    return min(max(v, 1), os.cpu_count() or 1)
 
 
 def _discrete_setup(plan: TrialPlan):
@@ -284,11 +271,11 @@ class _Group:
         self.width = max(per_trial, *self.weights.shape)
         self.gamma_w = 2.0 * _gamma(self.weights.shape[0])
 
-    def count(self, root_seed: int, lo: int, hi: int) -> np.ndarray:
-        """Violating trials among trials lo..hi - 1, per plan."""
+    def count(self, root_seed: int, trials: int) -> np.ndarray:
+        """Violating trials among trials 0..trials - 1, per plan."""
         out = np.zeros(len(self.checks), dtype=np.int64)
-        for block in row_blocks(hi - lo, self.width):
-            x = self.draw(substream_seed(root_seed, np.arange(lo + block.start, lo + block.stop) + 1))
+        for block in row_blocks(trials, self.width):
+            x = self.draw(substream_seed(root_seed, np.arange(block.start, block.stop) + 1))
             y = x @ self.weights
             xnorm = float(np.linalg.norm(x, ord=self.p, axis=1).max())
             for i, check in enumerate(self.checks):
@@ -329,16 +316,9 @@ def _gaussian_group(plans):
     return _Group(lambda seeds: normals(seeds, d), 2 * d, (2, 2), parts), ceilings
 
 
-def _block_ranges(trials: int, workers: int):
-    step = -(-trials // workers)
-    return [(lo, min(lo + step, trials)) for lo in range(0, trials, step)]
-
-
 def _run(plans) -> list:
     """Reports of plans that differ only in n, r and k. Plans of one draw
-    width share a group, so each trial range is drawn and counted once per
-    group; trial ranges are spread over TAILBOUND_THREADS threads."""
-    workers = _thread_count()
+    width share a group, so each trial is drawn and counted once per group."""
     gaussian = plans[0].target == "gaussian"
     members = {}  # draw width (the model's d for gaussian, else n) -> plan indices
     for i, plan in enumerate(plans):
@@ -350,21 +330,9 @@ def _run(plans) -> list:
         groups.append((idx, group))
         for i, ceiling in zip(idx, group_ceilings):
             ceilings[i] = ceiling
-
-    root_seed, trials = plans[0].root_seed, plans[0].trials
-
-    def count(lo, hi):
-        out = np.zeros(len(plans), dtype=np.int64)
-        for idx, group in groups:
-            out[idx] += group.count(root_seed, lo, hi)
-        return out
-
-    ranges = _block_ranges(trials, workers)
-    if len(ranges) == 1:
-        violations = count(*ranges[0])
-    else:
-        with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
-            violations = sum(pool.map(lambda rg: count(*rg), ranges))
+    violations = np.zeros(len(plans), dtype=np.int64)
+    for idx, group in groups:
+        violations[idx] += group.count(plans[0].root_seed, plans[0].trials)
     return [_report(plan, int(v), ceiling) for plan, v, ceiling in zip(plans, violations, ceilings)]
 
 

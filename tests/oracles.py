@@ -1,4 +1,5 @@
-"""Test-side references: a plain log-sum-exp CGF, the T_r property check,
+"""Test-side references: a plain log-sum-exp CGF, T_r's objective in
+50-digit decimal arithmetic, the T_r property check,
 the grid-then-zoom minimizer that the Orlicz quadrature bound on w_r used
 before its dual Newton (and a maximizer on it for conjugate oracles), the
 CGF-norm grid built from repeated rows, the doubling search that the
@@ -10,11 +11,12 @@ Imported by the test modules as `oracles` (pytest puts tests/ on sys.path).
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 
 import numpy as np
 
-from tailbound.cgf import DiscreteDistribution, rate_bound_T
-from tailbound.numerics import NumericError, cgf_rows, row_blocks
+from tailbound.cgf import DiscreteDistribution, _moments, rate_bound_T
+from tailbound.numerics import NumericError, row_blocks
 
 ZOOM_POINTS = 17  # evenly spaced points per zoom pass of grid_min
 ZOOM_REL_TOL = 1e-10  # grid_min stops at this bracket width relative to the bracket's scale
@@ -29,6 +31,20 @@ def cgf_reference(dist, values, lam: float) -> float:
     a = np.log(dist.probabilities[mask]) + lam * np.asarray(values, dtype=float)[mask]
     peak = a.max()
     return float(peak + np.log(np.exp(a - peak).sum()))
+
+
+def decimal_objective(dist, values, r: float, lam: float) -> Decimal:
+    """(r + Lambda(lam)) / lam of a tabulated function, for a finite lam > 0,
+    in 50-digit decimal arithmetic from the exact values of the float inputs.
+    Lambda is the CGF of the law that dist's probabilities define, divided by
+    their exact sum (DiscreteDistribution checks the float sum to 1e-12)."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        lam_d = Decimal(lam)
+        values = np.asarray(values, dtype=float).tolist()
+        pairs = [(Decimal(p), Decimal(v)) for p, v in zip(dist.probabilities.tolist(), values) if p > 0.0]
+        total = sum(p * (lam_d * v).exp() for p, v in pairs)
+        return (Decimal(r) + (total / sum(p for p, _ in pairs)).ln()) / lam_d
 
 
 def grid_min(f, grid):
@@ -83,7 +99,8 @@ def norm_grid_by_repeat(logp, x, count, grid):
     """(best, index) of F(mu) = 2 Lambda(mu) / mu^2 over the first count[i]
     points of grid per row of x, as the CGF norm built it before its
     broadcast tensor: each (row, point) pair's row repeated (np.repeat) and
-    evaluated by numerics.cgf_rows, one block of rows at a time."""
+    evaluated by the CGF kernel cgf._moments at its one point, one block of
+    rows at a time."""
     best, j = np.empty(x.shape[0]), np.empty(x.shape[0], dtype=int)
     for blk in row_blocks(x.shape[0], grid.size * x.shape[1]):
         cb, n = count[blk], blk.stop - blk.start
@@ -91,7 +108,7 @@ def norm_grid_by_repeat(logp, x, count, grid):
         cols = np.arange(rows.size) - np.repeat(np.cumsum(cb) - cb, cb)
         values = np.full((n, cb.max()), -math.inf)
         mu = grid[cols]
-        values[rows, cols] = 2.0 * cgf_rows(logp[blk][rows], x[blk][rows], mu) / (mu * mu)
+        values[rows, cols] = 2.0 * _moments(logp[blk][rows], x[blk][rows], mu)[0] / (mu * mu)
         j[blk] = values.argmax(axis=1)
         best[blk] = values[np.arange(n), j[blk]]
     return best, j

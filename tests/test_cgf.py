@@ -5,7 +5,7 @@ import pytest
 
 from oracles import cgf_reference, check_T_properties
 from tailbound import DiscreteDistribution, make_generator, orlicz_norm, rate_bound_T
-from tailbound.numerics import cgf_rows
+from tailbound.cgf import _moments
 
 RADEMACHER = DiscreteDistribution([[-1.0], [1.0]], [0.5, 0.5])
 RADEMACHER_F = np.array([-1.0, 1.0])
@@ -30,10 +30,12 @@ def random_centered(rng, size):
 
 
 def test_cgf_matches_log_cosh():
-    # the test-side reference and the library's batched CGF
+    # the test-side reference and the library's CGF kernel, on each of its
+    # three forms; Lambda(-lam) of f is Lambda(lam) of -f
     logp = np.log(RADEMACHER.probabilities)
-    lams = np.array([0.25, 1.0, -3.0, 17.5])
-    batched = cgf_rows(logp, np.tile(RADEMACHER_F, (lams.size, 1)), lams)
+    lams = np.array([0.01, 0.25, 1.0, -3.0, 17.5])
+    rows = np.sign(lams)[:, None] * RADEMACHER_F
+    batched = _moments(logp, rows, np.abs(lams))[0]
     for lam, got in zip(lams, batched):
         want = math.log(math.cosh(lam))
         assert cgf_reference(RADEMACHER, RADEMACHER_F, lam) == pytest.approx(want, rel=1e-13)

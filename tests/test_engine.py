@@ -1,14 +1,16 @@
-"""The batched rate-function engine: dual-form T_r, the batched CGF norm,
-the family's distances by index (one re-centering difference helper,
-identity reuse in deflate, a per-plan cache) and the shared w_r /
-extremal-pair pass.
+"""The batched rate-function engine: the CGF kernel, dual-form T_r, the
+batched CGF norm, the family's distances by index (one re-centering
+difference helper, identity reuse in deflate, a per-plan cache) and the
+shared w_r / extremal-pair pass.
 
-References here are dense lambda grids with zoom refinement, computed apart
-from the library's solvers; the random distributions are those of
-acceptance criterion 6.
+References here are dense lambda grids with zoom refinement, long-double
+sums and 50-digit decimal replays, computed apart from the library's
+solvers; the random distributions are those of acceptance criterion 6.
 """
 
+import collections
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ import pytest
 import tailbound.cgf as cgf
 import tailbound.chaining as chaining
 import tailbound.numerics as numerics
-from oracles import benchmark_families, cgf_reference, norm_grid_by_repeat, synthetic_family
+from oracles import benchmark_families, cgf_reference, decimal_objective, norm_grid_by_repeat, synthetic_family
 from tailbound.cgf import DiscreteDistribution, rate_bound_T, rate_bound_T_rows
 from tailbound.chaining import (
     FunctionFamily,
@@ -160,8 +162,7 @@ def test_cgf_norm_is_never_below_its_best_grid_value_or_variance(s):
             for side in (h / top, -h / top):
                 order = np.lexsort((probs, side))  # the norm sums each side's atoms in this order
                 x, p = side[order], probs[order]
-                rep = np.broadcast_to(x, (grid.size, x.size))
-                values = 2.0 * numerics.cgf_rows(logp[order], rep, grid) / grid**2
+                values = 2.0 * cgf._moments(logp[order], x[None, :], grid)[0] / grid**2
                 floor = max(floor, (x * x * p).sum() - (x * p).sum() ** 2, float(values.max()))
             assert norm >= top * math.sqrt(floor)
 
@@ -205,7 +206,7 @@ GRID_FAMILIES = [
 @pytest.mark.parametrize("family", range(len(GRID_FAMILIES)))
 def test_norm_grid_is_the_repeated_row_construction_bit_for_bit(monkeypatch, family, block):
     # the broadcast grid tensor of the CGF norm gives the best grid value and
-    # its index of the np.repeat construction over numerics.cgf_rows exactly,
+    # its index of the np.repeat construction over the kernel exactly,
     # at the caps the norm computes and at random caps, which test the mask
     calls = []
     grid_max = chaining._grid_max
@@ -273,6 +274,119 @@ def test_T_rows_zero_rate_zero_row_and_centering():
         rate_bound_T_rows(dist, np.array([[1.0, 0.0, 0.0]]), 0.3)
     with pytest.raises(ValueError):
         rate_bound_T_rows(dist, rows[:, :2], 0.3)
+
+
+def _m96():
+    """The m = 96, s = 64 synthetic family on which the norm's search and the
+    dual solver were measured."""
+    return synthetic_family(np.random.default_rng(1), 96, 64, (1, 0.3, 3), 0.05, 0.1)
+
+
+def test_cgf_kernel_matches_long_double_sums_for_mu_up_to_1():
+    # Lambda and g = mu Lambda' - Lambda within 1e-12 relative of np.longdouble
+    # sums of p expm1(mu x) on rows scaled to max|x| = 1: the _norm_draws rows
+    # and heavy-tailed rows, whose sum over atoms cancels most; the shifted
+    # log-sum-exp that T_r and the norm read before was up to ~1e-7 off here
+    mus = np.geomspace(1e-3, 1.0, 61)
+    worst = 0.0
+    for s in (2, 8, 32, 64, 128):
+        (dist, gaussian), (dist_eq, signs) = _norm_draws(s)
+        cauchy = np.random.default_rng(s).standard_cauchy(size=gaussian.shape)
+        cauchy -= (cauchy @ dist.probabilities)[:, None]
+        kinds = ((dist.probabilities, gaussian), (dist_eq.probabilities, signs), (dist.probabilities, cauchy))
+        for probs, rows in kinds:
+            x = rows / np.abs(rows).max(axis=1)[:, None]
+            logp = np.log(probs)
+            lam, g, _ = cgf._moments(logp, x[:, None, :], mus)
+            p, xl, ml = np.exp(logp).astype(np.longdouble), x[:, None, :].astype(np.longdouble), mus[:, None]
+            s0 = (p * np.expm1(ml * xl)).sum(axis=-1)
+            want_lam = np.log1p(s0)
+            want_g = mus * (p * xl * np.exp(ml * xl)).sum(axis=-1) / (1 + s0) - want_lam
+            worst = max(worst, float(np.max(np.abs(lam / want_lam - 1))), float(np.max(np.abs(g / want_g - 1))))
+    assert worst <= 1e-12
+
+
+def test_norm_sides_end_their_search_within_5_steps(monkeypatch):
+    # with a shifted log-sum-exp CGF, 1091 of the 9120 norm sides of _m96 took
+    # more than 5 iterations, about 780 of them ~20 bisection steps on a
+    # Newton function that was rounding noise near mu = 1e-6. A side takes no
+    # more bisection steps than iterations, so at most 78 (10x fewer) sides
+    # may take more than 5. Sides are told apart by their bytes; each kernel
+    # call with 2-D rows is one iteration of the sides in it, or their final value
+    calls = collections.Counter()
+    kernel = chaining._moments
+
+    def recorded(logp, x, mu):
+        if x.ndim == 2:
+            calls.update({(a.tobytes(), b.tobytes()) for a, b in zip(np.broadcast_to(logp, x.shape), x)})
+        return kernel(logp, x, mu)
+
+    monkeypatch.setattr(chaining, "_moments", recorded)
+    FunctionFamily(*_m96())
+    assert len(calls) > 9000
+    assert sum(count - 1 > 5 for count in calls.values()) <= 78
+
+
+@pytest.mark.parametrize("r", [1e-4, 1e-3])
+def test_T_rows_stop_before_the_dual_iteration_cap_at_small_rates(monkeypatch, family12, r):
+    # rows whose computed g only rounding moves end at a bracket 1e-12 wide
+    # in log lambda, where they ran all DUAL_MAX_ITER iterations before
+    most = []
+    solve = cgf._dual_root
+
+    def counted(moments, t, lo, hi, rate):
+        calls = np.zeros(t.size, dtype=int)
+
+        def counting(rows, mu):
+            calls[rows] += 1
+            return moments(rows, mu)
+
+        mu = solve(counting, t, lo, hi, rate)
+        most.append(calls.max())
+        return mu
+
+    monkeypatch.setattr(cgf, "_dual_root", counted)
+    families = [(family12.distribution, family12.members), _m96()]
+    families += [fam for seed in (1, 2, 3) for fam in benchmark_families(seed)]
+    for dist, members in families:
+        class_wr(FunctionFamily(dist, members), r)  # a new family: w_r passes are cached per family
+    assert len(most) >= len(families)
+    assert max(most) < cgf.DUAL_MAX_ITER
+
+
+def test_T_is_its_objective_at_its_lambda_in_decimal():
+    # every interior T_r equals (r + Lambda(lam)) / lam at its own lam,
+    # replayed in 50 digits, within an a-priori bound on its float rounding:
+    # Lambda's in the kernel's forms, of h / max|h| and of p = e^{log p}, and
+    # three operations after it. No value falls below its replay by more than
+    # 2.4e-13 relative, the largest shortfall of the log-sum-exp kernel on
+    # rates of 1e-3 and up (it reached 2.4e-12 at r = 1e-4)
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(20261019)
+    worst, checked = 0.0, 0
+    for _ in range(150):
+        s = int(rng.integers(2, 41))
+        probs = rng.dirichlet(np.ones(s))
+        h = rng.normal(size=s) * 10.0 ** rng.uniform(-3.0, 3.0)
+        h -= probs @ h
+        h -= probs @ h
+        dist = DiscreteDistribution(np.arange(float(s))[:, None], probs)
+        rows = np.stack([h, -h])
+        for r in (1e-4, 1e-3, 0.05, 0.5):
+            values, lams = rate_bound_T_rows(dist, rows, r)
+            for row, t, lam in zip(rows, values, lams):
+                if lam == math.inf:
+                    assert t == row.max()
+                    continue
+                want = decimal_objective(dist, row, r, lam)
+                mu = lam * np.abs(row).max()
+                slack = (s + 8) * eps * (1.0 - math.log(probs.min())) * (2.0 * mu if mu <= 1.0 else mu + 1.0)
+                rel = float((Decimal(t) - want) / want)
+                assert abs(rel) <= slack / float(want * Decimal(lam)) + 4.0 * eps  # want * lam = r + Lambda
+                worst = max(worst, -rel)
+                checked += 1
+    assert checked > 1000
+    assert worst <= 2.4e-13
 
 
 UNIFORM4 = DiscreteDistribution(np.arange(4.0)[:, None], np.full(4, 0.25))

@@ -358,50 +358,6 @@ class TestRunTrials:
         assert rep.passed
 
 
-class TestParallelism:
-    def test_thread_count_determinism(self, monkeypatch, family12):
-        plans = [
-            _rademacher_plan(trials=20_000),
-            TrialPlan(
-                target="theorem-main", n=100, r=0.03, trials=4_000, root_seed=11,
-                k=2, family=family12,
-            ),
-        ]
-        for plan in plans:
-            reports = []
-            for threads in ("1", "3", "8", "0"):
-                monkeypatch.setenv("TAILBOUND_THREADS", threads)
-                reports.append(run_trials(plan).as_dict())
-            assert all(rep == reports[0] for rep in reports[1:])
-
-    def test_gaussian_thread_determinism(self, monkeypatch, poly2_model):
-        plan = TrialPlan(
-            target="gaussian", n=60, r=0.05, trials=1_200, root_seed=5, k=3,
-            model=poly2_model, mesh=64,
-        )
-        reports = []
-        for threads in ("1", "4"):
-            monkeypatch.setenv("TAILBOUND_THREADS", threads)
-            reports.append(run_trials(plan).as_dict())
-        assert reports[0] == reports[1]
-
-    @pytest.mark.parametrize("raw,cpus,want", [("1000000", 4, 4), ("3", 4, 3), ("0", 4, 1), ("-5", 2, 1), ("8", None, 1)])
-    def test_thread_count_capped_at_cpu_count(self, monkeypatch, raw, cpus, want):
-        # the cap is checked on the block plan alone; no thread is started
-        monkeypatch.setenv("TAILBOUND_THREADS", raw)
-        monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
-        assert verify._thread_count() == want
-        ranges = verify._block_ranges(1_000_000, verify._thread_count())
-        assert len(ranges) == want
-        assert ranges[0][0] == 0 and ranges[-1][1] == 1_000_000
-        assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
-
-    def test_invalid_thread_env(self, monkeypatch):
-        monkeypatch.setenv("TAILBOUND_THREADS", "many")
-        with pytest.raises(ValueError):
-            run_trials(_rademacher_plan(trials=100))
-
-
 class TestSweep:
     def test_single_point_equals_run_trials(self):
         plan = _rademacher_plan(trials=2_000)
@@ -552,18 +508,6 @@ class TestExactDecisions:
             assert not tracked.any() and np.all(thresholds == 0.0)
             assert run_trials(plan).violations == 0
         assert calls == []
-
-    @pytest.mark.parametrize("target", ["chernoff", "theorem-main", "gaussian"])
-    def test_reports_bit_identical_for_one_and_two_threads(self, monkeypatch, family12, poly2_model, target):
-        monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
-        _scale_thresholds(monkeypatch, 0.3)
-        plan = _target_plan(target, family12, poly2_model)
-        reports = []
-        for threads in ("1", "2"):
-            monkeypatch.setenv("TAILBOUND_THREADS", threads)
-            reports.append([rep.as_dict() for rep in sweep(plan, n_values=[30, 60])])
-        assert reports[0] == reports[1]
-        assert all(rep["violations"] > 0 for rep in reports[0])
 
 
 class TestChunks:

@@ -16,7 +16,7 @@ among their JSON floats; it exits 1 if any do.
 import os
 
 # One thread everywhere, as in bench/run.py, before numpy is imported.
-for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "TAILBOUND_THREADS"):
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse
