@@ -4,7 +4,7 @@ confidence radius T_r(f) = inf_{lambda >= 0} (r + log E e^{lambda f(X)}) / lambd
 Every CGF here is an exact finite sum over a finite support, evaluated by
 _moments, the one CGF kernel. T_r is computed in the Legendre dual form,
 many functions at once (rate_bound_T_rows; rate_bound_T is its one-function
-entry), by _dual_root, the safeguarded Newton that wr-quad shares.
+entry), by _dual_root, the safeguarded Newton that wr-quad and the norm share.
 """
 
 from __future__ import annotations
@@ -210,8 +210,8 @@ def _dual_root(moments, t: np.ndarray, lo: np.ndarray, hi: np.ndarray, r: float)
     moves NEWTON_STEP_CAP while a side is open. A row stops at a step below
     DUAL_LOG_TOL, a residual below DUAL_G_TOL r or a bracket at most
     DUAL_LOG_TOL wide, where a computed g that only rounding moves meets
-    neither of the other tests. The one dual solver: T_r's and the Orlicz
-    quadrature bound's."""
+    neither of the other tests. The one Newton solver: T_r's, wr-quad's and
+    the CGF norm's, whose G = Lambda / g meets r = 1 at the norm's peak."""
     active = np.arange(t.size)
     for _ in range(DUAL_MAX_ITER):
         ta = t[active]

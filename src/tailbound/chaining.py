@@ -3,12 +3,12 @@
 A FunctionFamily holds centered functions tabulated on a finite discrete
 support, together with a norm on differences: either the CGF functional
 sup_{lambda in R} sqrt(2 log E e^{lambda h}) / |lambda| (the default) or an
-Orlicz norm; the CGF norm is found by a capped grid and Newton steps. A
-deflation map A with |A[F]| <= e^k and ||A[f]|| <= ||f|| shrinks the family
-to {f - A[f]}; the chain bound combines the gamma functional over admissible
-sequences anchored at {0} with covering resolutions epsilon_ell, and every
-reported value carries a certificate (the realizing sequences) that replays
-to the reported number.
+Orlicz norm; the CGF norm is found by a capped grid and Newton steps of
+cgf._dual_root, the solver T_r shares. A deflation map A with |A[F]| <= e^k
+and ||A[f]|| <= ||f|| shrinks the family to {f - A[f]}; the chain bound
+combines the gamma functional over admissible sequences anchored at {0}
+with covering resolutions epsilon_ell, and every reported value carries a
+certificate (the realizing sequences) that replays to the reported number.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cgf import DiscreteDistribution, _moments, check_rows, rate_bound_T_rows
+from .cgf import DiscreteDistribution, _dual_root, _moments, check_rows, rate_bound_T_rows
 from .numerics import NumericError, check_int, readonly, row_blocks
 from .orlicz import OrliczGenerator, orlicz_norm_rows
 
@@ -33,9 +33,6 @@ EXACT_GAMMA_LIMIT = 8  # exhaustive nested-sequence threshold for gamma
 
 
 NORM_GRID = np.power(2.0, np.arange(-40, 61) / 2.0)  # |lambda| grid in units of 1/max|h|
-NORM_GAIN_TOL = 1e-13  # a Newton step that promises less relative gain in the norm's F ends its search
-NORM_BRACKET_TOL = 1e-6  # as does a bracket this narrow in log mu
-NORM_MAX_ITER = 60  # bisection alone takes a grid bracket (0.69 wide) to NORM_BRACKET_TOL in 20
 CACHE_SIZE = 64  # rates whose w_r pass, and plans whose deflated set, a family keeps
 
 
@@ -79,35 +76,27 @@ def _sup_over_mu(logp: np.ndarray, x: np.ndarray, variance: np.ndarray) -> np.nd
     its atoms' log-probabilities), a value of F(mu) = 2 Lambda(mu) / mu^2 at
     least F's best NORM_GRID value and F's local maximum next to it: the grid
     up to mu = 2 max x / variance, past which F < variance (_grid_max), then
-    safeguarded Newton steps in log mu on mu Lambda'(mu) = 2 Lambda(mu). Every
-    Lambda is the CGF kernel cgf._moments (README, "CGF norm"). Each row's
-    result depends on that row alone.
+    cgf._dual_root from the best grid point, bracketed by its neighbours, on
+    G = Lambda / g = 1 (g = mu Lambda' - Lambda), where F peaks; G < 1 where
+    F rises. Every Lambda is the CGF kernel cgf._moments (README, "CGF
+    norm"). Each row's result depends on that row alone.
     """
     log_grid, top = np.log(NORM_GRID), x.max(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         count = np.clip(np.searchsorted(NORM_GRID, 2.0 * top / variance, side="right"), 1, NORM_GRID.size)
     best, j = _grid_max(logp, x, count)
     t, lo, hi = log_grid[j], log_grid[np.maximum(j - 1, 0)], log_grid[np.minimum(j + 1, NORM_GRID.size - 1)]
+    peak = np.empty(x.shape[0])
     for blk in row_blocks(x.shape[0], x.shape[1]):
-        tb, lb, hb, pb, xb = t[blk], lo[blk], hi[blk], logp[blk], x[blk]  # views: updates reach t, lo, hi
-        active = np.arange(blk.stop - blk.start)
-        for _ in range(NORM_MAX_ITER):
-            ta, mu = tb[active], np.exp(tb[active])
-            lam, g, var = _moments(pb[active], xb[active], mu)
+        pb, xb = logp[blk], x[blk]
+
+        def moments(rows, mu):  # G = Lambda / g and dG/dt
+            lam, g, var = _moments(pb[rows], xb[rows], mu)
             with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = 1.0 + g / lam  # mu Lambda' / Lambda: 2 where F is stationary
-                slope = ratio + mu * mu * var / lam - ratio * ratio  # d ratio / dt
-                step = (2.0 - ratio) / slope
-            rising = ratio > 2.0
-            lb[active], hb[active] = np.where(rising, ta, lb[active]), np.where(rising, hb[active], ta)
-            newton = (slope < 0.0) & (ta + step > lb[active]) & (ta + step < hb[active])
-            tb[active] = np.where(newton, ta + step, 0.5 * (lb[active] + hb[active]))
-            small = newton & (np.abs(step * (ratio - 2.0)) <= NORM_GAIN_TOL)
-            active = active[~small & (hb[active] - lb[active] > NORM_BRACKET_TOL)]
-            if not active.size:
-                break
-    mu = np.exp(t)
-    return np.maximum(best, 2.0 * _moments(logp, x, mu)[0] / (mu * mu))
+                return lam / g, (g + lam) / g - lam * mu * mu * var / (g * g)
+
+        peak[blk] = _dual_root(moments, t[blk], lo[blk], hi[blk], 1.0)
+    return np.maximum(best, 2.0 * _moments(logp, x, peak)[0] / (peak * peak))
 
 
 def _grid_max(logp: np.ndarray, x: np.ndarray, count: np.ndarray):

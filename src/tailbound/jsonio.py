@@ -7,6 +7,8 @@ serialized certificates and reports replay bit-for-bit.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 
@@ -108,7 +110,8 @@ def _csv_cell(v) -> str:
 
 
 def dump_csv(rows) -> str:
-    """CSV text from a nonempty list of dicts sharing one key set."""
+    """CSV text from a nonempty list of dicts sharing one key set. A cell
+    that holds a comma, a double quote or a line break is quoted."""
     rows = list(rows)
     if not rows:
         raise ValueError("no rows to serialize")
@@ -116,7 +119,6 @@ def dump_csv(rows) -> str:
     for row in rows:
         if list(row.keys()) != header:
             raise ValueError("CSV rows must share one column set")
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_csv_cell(row[k]) for k in header))
-    return "\n".join(lines) + "\n"
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows([header, *([_csv_cell(row[k]) for k in header] for row in rows)])
+    return out.getvalue()

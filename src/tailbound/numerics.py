@@ -1,9 +1,9 @@
-"""Shared numerics: a composite Gauss-Legendre quadrature rule, the one
-bracketed root finder of the library (Illinois false position, which returns
-the end of each bracket where g >= target), and the row blocks that bound
-every batched tensor. The library minimizes nothing numerically: T_r, the
-CGF norm and the quadrature bound on w_r take Newton steps on their
-stationarity conditions, and the CGF they read is cgf._moments.
+"""Shared numerics: a composite Gauss-Legendre quadrature rule, Illinois
+false position for the Orlicz roots (it returns the end of each bracket
+where g >= target), and the row blocks that bound every batched tensor.
+The library minimizes nothing numerically: T_r, the CGF norm and the
+quadrature bound on w_r solve their stationarity conditions with one
+safeguarded Newton, cgf._dual_root, and the CGF they read is cgf._moments.
 
 Everything here is deterministic: identical inputs produce bit-identical
 outputs, which the certificate-replay machinery relies on.
@@ -59,18 +59,10 @@ def gauss_legendre(t_max, knots=()):
     The QUAD_PANELS panels are graded geometrically toward 0, so an
     integrand whose mass sits near t = 1 is resolved on [0, 1e3] as well as
     on [0, 16]. Each knot below t, a point where the integrand has a kink,
-    is a panel edge too; knots above t give empty panels. Without knots and
-    at powers of two t the rule is t times the rule on [0, 1], which equals
-    the panel construction bit for bit: scaling by a power of two is exact.
+    is a panel edge too; knots above t give empty panels. Each t's rule
+    depends on that t and the knots alone.
     """
     t_max = np.asarray(t_max, dtype=float).reshape(-1, 1)
-    if not knots and np.all(np.frexp(t_max)[0] == 0.5):
-        return t_max * _UNIT_RULE[0], t_max * _UNIT_RULE[1]
-    return _panel_rule(t_max, knots)
-
-
-def _panel_rule(t_max: np.ndarray, knots) -> tuple:
-    """gauss_legendre's panel construction for a column t_max (count, 1)."""
     edges = t_max * _QUAD_EDGES
     if knots:
         edges = np.sort(np.concatenate([edges, np.minimum(knots, t_max)], axis=1), axis=1)
@@ -78,9 +70,6 @@ def _panel_rule(t_max: np.ndarray, knots) -> tuple:
     mid = 0.5 * (edges[:, 1:] + edges[:, :-1])[:, :, None]
     shape = (t_max.shape[0], half.shape[1] * QUAD_NODES)
     return (mid + half * _GL_X).reshape(shape), (half * _GL_W).reshape(shape)
-
-
-_UNIT_RULE = _panel_rule(np.ones((1, 1)), ())
 
 
 def false_position(g, lo, hi, target, rel_tol: float = 1e-12):

@@ -7,6 +7,7 @@ and comparing with == against library results checks bit-level agreement.
 """
 
 import contextlib
+import csv
 import io
 import json
 import math
@@ -175,6 +176,27 @@ class TestComputeCommands:
         for name in family12.names:
             assert f"threshold_{name}" in cols
         assert len(row.split(",")) == len(cols)
+
+    def test_chain_bound_csv_quotes_member_names(self, fixtures_dir, tmp_path):
+        # member names that hold a comma, a double quote or a line break are
+        # quoted cells: header and row read back to equal lengths, and each
+        # threshold cell is its JSON value
+        data = load_json(fixtures_dir / "family12.json")
+        renames = {"l1": "a,b", "l2": 'q"x', "l3": "two\nlines"}
+        data["functions"] = {renames.get(k, k): v for k, v in data["functions"].items()}
+        path = tmp_path / "renamed.json"
+        path.write_text(json.dumps(data))
+        argv = ["chain-bound", "--family", path, "--k", 0, "--n", 200, "--r", 0.05]
+        payload = run_json(argv)
+        code, out, err = run_cli(argv + ["--format", "csv"])
+        assert code == 0, err
+        header, row = csv.reader(io.StringIO(out))
+        assert len(header) == len(row)
+        cells = dict(zip(header, row))
+        for name in renames.values():
+            assert f"threshold_{name}" in cells
+        for name, value in payload["per_member"].items():
+            assert float(cells[f"threshold_{name}"]) == value
 
     def test_optimize_selects_best_k(self, fixtures_dir, family12):
         payload = run_json(

@@ -180,17 +180,32 @@ def test_cgf_norm_ties_rows_equal_up_to_sign_and_permutation():
 
 
 def test_cgf_norm_makes_no_golden_section_call(monkeypatch):
-    # the norm takes Newton steps of its own: the library has no minimizer
-    # left, and the norm calls neither the root finder nor the dual solver
+    # the library has no minimizer left: the norm solves its peak condition
+    # with the dual solver chaining imports, once per row block at least,
+    # and never calls the root finder
+    calls = []
+    solve = chaining._dual_root
+
+    def counted(*args):
+        calls.append(args[1].size)
+        return solve(*args)
+
     def forbidden(*args, **kwargs):
-        raise AssertionError("solver called")
+        raise AssertionError("root finder called")
 
     assert not hasattr(numerics, "grid_min")
     monkeypatch.setattr(numerics, "false_position", forbidden)
-    monkeypatch.setattr(cgf, "_dual_root", forbidden)
+    monkeypatch.setattr(chaining, "_dual_root", counted)
     dist, rows = next(_norm_draws(16))
     assert np.all(cgf_functional_norm(dist, rows) > 0.0)
+    assert len(calls) == 1 and calls[0] == 2 * rows.shape[0]  # one block: both sides of every row
+    calls.clear()
+    monkeypatch.setattr(numerics, "BLOCK_ELEMENTS", 3 * rows.shape[1])  # blocks of three sides
+    assert np.all(cgf_functional_norm(dist, rows) > 0.0)
+    assert len(calls) == len(numerics.row_blocks(2 * rows.shape[0], rows.shape[1])) > 1
+    calls.clear()
     assert _random_family(4).distances.max() > 0.0
+    assert calls
 
 
 # The benchmark's chain-cgf families and a 24-member family on 64 atoms;
@@ -306,13 +321,14 @@ def test_cgf_kernel_matches_long_double_sums_for_mu_up_to_1():
     assert worst <= 1e-12
 
 
-def test_norm_sides_end_their_search_within_5_steps(monkeypatch):
-    # with a shifted log-sum-exp CGF, 1091 of the 9120 norm sides of _m96 took
-    # more than 5 iterations, about 780 of them ~20 bisection steps on a
-    # Newton function that was rounding noise near mu = 1e-6. A side takes no
-    # more bisection steps than iterations, so at most 78 (10x fewer) sides
-    # may take more than 5. Sides are told apart by their bytes; each kernel
-    # call with 2-D rows is one iteration of the sides in it, or their final value
+def test_norm_sides_end_their_search_within_7_steps(monkeypatch):
+    # with a shifted log-sum-exp CGF, about 780 of the 9120 norm sides of
+    # _m96 took ~20 bisection steps on a Newton function that was rounding
+    # noise near mu = 1e-6. Through cgf._dual_root, which stops at a step or
+    # bracket of 1e-12 in log mu, the most any side takes is 7 (5 under the
+    # norm's former stop at 1e-13 relative gain). Sides are told apart by
+    # their bytes; each kernel call with 2-D rows is one iteration of the
+    # sides in it, or their final value
     calls = collections.Counter()
     kernel = chaining._moments
 
@@ -324,7 +340,7 @@ def test_norm_sides_end_their_search_within_5_steps(monkeypatch):
     monkeypatch.setattr(chaining, "_moments", recorded)
     FunctionFamily(*_m96())
     assert len(calls) > 9000
-    assert sum(count - 1 > 5 for count in calls.values()) <= 78
+    assert max(calls.values()) - 1 <= 7
 
 
 @pytest.mark.parametrize("r", [1e-4, 1e-3])

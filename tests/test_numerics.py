@@ -127,18 +127,20 @@ def test_gauss_legendre_knots_are_panel_edges():
     assert abs(_integrate(f, 1.0) / (5.0 / 18.0) - 1.0) > 1e-10
 
 
-def test_gauss_legendre_scales_the_unit_rule_exactly():
-    # at powers of two, without knots, the rule is t_max times the rule on
-    # [0, 1]: bit for bit the panel construction, batched or one t at a time
-    t_max = np.ldexp(1.0, np.arange(-10, 51))
-    panels = numerics._panel_rule(t_max[:, None], ())
-    one_at_a_time = [np.vstack(part) for part in zip(*(gauss_legendre([t]) for t in t_max))]
-    for got in (gauss_legendre(t_max), one_at_a_time):
-        assert np.array_equal(got[0], panels[0]) and np.array_equal(got[1], panels[1])
-    # elsewhere, or with knots, the panels are built
-    for t, knots in ((3.0, ()), (1.0 + 2.0**-52, ()), (4.0, (1.0, 5.0))):
-        want = numerics._panel_rule(np.array([[t]]), knots)
-        assert all(np.array_equal(a, b) for a, b in zip(gauss_legendre([t], knots), want))
+def test_gauss_legendre_rows_and_knot_panels():
+    # each t's rule is the one it gets alone, bit for bit, batched or one t
+    # at a time, with knots or without
+    t_max = np.concatenate([np.ldexp(1.0, np.arange(-10, 51)), [3.0, 1.0 + 2.0**-52, 0.7]])
+    for knots in ((), (1.0, 5.0)):
+        batched = gauss_legendre(t_max, knots)
+        one_at_a_time = [np.vstack(part) for part in zip(*(gauss_legendre([t], knots) for t in t_max))]
+        assert all(np.array_equal(a, b) for a, b in zip(batched, one_at_a_time))
+    # each knot adds a panel; one above t is empty: its nodes sit at t with
+    # zero weights
+    nodes, weights = gauss_legendre([4.0], (1.0, 5.0))
+    assert nodes.shape == (1, (numerics.QUAD_PANELS + 2) * numerics.QUAD_NODES)
+    assert np.all((nodes > 0.0) & (nodes <= 4.0)) and np.count_nonzero(weights == 0.0) == numerics.QUAD_NODES
+    assert np.all(nodes[weights == 0.0] == 4.0) and weights.sum() == pytest.approx(4.0, rel=1e-14)
 
 
 def test_bisect_increasing():
