@@ -24,7 +24,6 @@ from .orlicz import (
     exp_moment_integral,
     make_generator,
     orlicz_norm,
-    orlicz_norm_rows,
     wr_exponential_type,
     wr_quadrature_bound,
 )
@@ -33,7 +32,6 @@ from .gaussian import (
     GaussianModel,
     cgf_norm,
     gaussian_instance_bound,
-    gaussian_instance_bound_rows,
     optimal_rank,
 )
 from .chaining import (

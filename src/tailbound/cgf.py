@@ -101,8 +101,10 @@ def rate_bound_T_rows(dist: DiscreteDistribution, rows: np.ndarray, r: float):
     Otherwise the root is found by safeguarded Newton for all rows in
     lockstep, and the value is (r + Lambda(lambda)) / lambda at the final
     lambda: an upper bound on the infimum whatever the solver's accuracy.
-    At r = 0 all values and lambdas are 0. Rows are solved in blocks of
-    bounded size, and each row's result depends on that row alone.
+    At r = 0 all values and lambdas are 0. A lambda beyond the float range,
+    as on a row of subnormal values, is reported as +inf, its rounded value.
+    Rows are solved in blocks of bounded size, and each row's result depends
+    on that row alone.
     """
     if not (r >= 0.0):
         raise ValueError("r must be nonnegative")
@@ -131,7 +133,8 @@ def rate_bound_T_rows(dist: DiscreteDistribution, rows: np.ndarray, r: float):
         t = 0.5 * np.log(2.0 * r / (np.exp(logp) * xb * xb).sum(axis=1))  # from g ~ Var mu^2 / 2
         mu = _dual_root(moments, t, np.full(t.size, -math.inf), np.full(t.size, math.inf), r)
         values[idx] = scale[idx] * ((r + _moments(logp, xb, mu)[0]) / mu)
-        lambdas[idx] = mu / scale[idx]
+        with np.errstate(over="ignore"):  # lambda past the float range on a subnormal row: +inf
+            lambdas[idx] = mu / scale[idx]
     return values, lambdas
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .cgf import DiscreteDistribution, _dual_root, _moments, check_rows, rate_bound_T_rows
 from .numerics import NumericError, check_int, readonly, row_blocks
-from .orlicz import OrliczGenerator, orlicz_norm_rows
+from .orlicz import OrliczGenerator, orlicz_norm
 
 LOG2 = math.log(2.0)
 ZERO_NORM_TOL = 1e-12
@@ -186,7 +186,7 @@ def _distances(family: FunctionFamily, values: np.ndarray, known=None) -> np.nda
     dist, ctx = family.distribution, family.norm_context
 
     def norm(rows):
-        return cgf_functional_norm(dist, rows) if ctx == "cgf" else orlicz_norm_rows(dist, rows, ctx)
+        return cgf_functional_norm(dist, rows) if ctx == "cgf" else orlicz_norm(dist, rows, ctx)
 
     q = len(values)
     iu, ju = np.triu_indices(q, 1)

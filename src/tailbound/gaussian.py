@@ -86,21 +86,19 @@ class GaussianModel:
         return GaussianModel(np.diag(lam))
 
 
-def _cgf_norms(model: GaussianModel, u: np.ndarray) -> np.ndarray:
-    """CGF norms (u' Sigma u)^{1/2} of the rows of a (count, d) array u, each
-    row checked to be a finite direction of the model's dimension."""
-    if u.ndim != 2 or u.shape[1] != model.dim:
-        raise ValueError("direction dimension does not match the model")
-    if not np.all(np.isfinite(u)):
-        raise ValueError("direction must be a finite vector")
-    quad = ((u @ model.covariance)[:, None, :] @ u[:, :, None])[:, 0, 0]  # one dot product per row
-    return np.sqrt(np.maximum(quad, 0.0))
-
-
-def cgf_norm(model: GaussianModel, u) -> float:
+def cgf_norm(model: GaussianModel, u):
     """CGF norm (u' Sigma u)^{1/2} of the linear functional x -> <u, x>, for a
-    finite direction u with the model's dimension."""
-    return float(_cgf_norms(model, np.asarray(u, dtype=float).reshape(1, -1))[0])
+    finite direction u with the model's dimension: a float for one direction,
+    one norm per row for a (count, d) array."""
+    u = np.asarray(u, dtype=float)
+    rows = np.atleast_2d(u)
+    if rows.ndim != 2 or rows.shape[1] != model.dim:
+        raise ValueError("direction dimension does not match the model")
+    if not np.all(np.isfinite(rows)):
+        raise ValueError("direction must be a finite vector")
+    quad = ((rows @ model.covariance)[:, None, :] @ rows[:, :, None])[:, 0, 0]  # one dot product per row
+    norms = np.sqrt(np.maximum(quad, 0.0))
+    return float(norms[0]) if u.ndim == 1 else norms
 
 
 @dataclass(frozen=True)
@@ -109,7 +107,8 @@ class GaussianBoundReport:
 
     total = tail_trace + tail_op + projected + base bounds E_n f with
     probability at least `guarantee` = 1 - 2 e^{-nr}, uniformly over the unit
-    ball of directions.
+    ball of directions. For a batch of directions, projected, base and
+    total are arrays with one entry per direction.
     """
 
     k: int
@@ -127,16 +126,12 @@ class GaussianBoundReport:
         return dataclasses.asdict(self)
 
 
-def gaussian_instance_bound(
-    model: GaussianModel,
-    u,
-    k: int,
-    n: int,
-    r: float,
-    loose_projected: bool = False,
-) -> GaussianBoundReport:
+def gaussian_instance_bound(model: GaussianModel, u, k: int, n: int, r: float,
+                            loose_projected: bool = False) -> GaussianBoundReport:
     """Rank-k instance-dependent bound for E_n <u, X>, for a finite direction
-    u with the model's dimension and Euclidean norm at most 1.
+    u with the model's dimension and Euclidean norm at most 1. For a (count,
+    d) array of such directions the one report's projected, base and total
+    are arrays with one entry per row.
 
     Terms: sqrt(tr(Sigma - Sigma_k)/n), sqrt(2r ||Sigma - Sigma_k||_op),
     sqrt(k/n) (u' Sigma_k u)^{1/2}, and the base deviation sqrt(2r) ||f||.
@@ -144,56 +139,29 @@ def gaussian_instance_bound(
     mid-derivation quantity; loose_projected=True substitutes the full norm
     (u' Sigma u)^{1/2}, the looser displayed variant.
     """
-    tail_trace, tail_op, projected, base = _bound_terms(model, np.reshape(u, (1, -1)), k, n, r, loose_projected)
-    projected, base = float(projected[0]), float(base[0])
-    return GaussianBoundReport(
-        k=int(k),
-        n=int(n),
-        r=float(r),
-        tail_trace=tail_trace,
-        tail_op=tail_op,
-        projected=projected,
-        base=base,
-        total=tail_trace + tail_op + projected + base,
-        guarantee=1.0 - 2.0 * math.exp(-n * r),
-        loose_projected=loose_projected,
-    )
-
-
-def gaussian_instance_bound_rows(
-    model: GaussianModel,
-    directions: np.ndarray,
-    k: int,
-    n: int,
-    r: float,
-    loose_projected: bool = False,
-) -> np.ndarray:
-    """Totals of gaussian_instance_bound for every row of a (count, d) array
-    of directions with Euclidean norm at most 1, one entry per row."""
-    tail_trace, tail_op, projected, base = _bound_terms(model, directions, k, n, r, loose_projected)
-    return tail_trace + tail_op + projected + base
-
-
-def _bound_terms(model, directions, k, n, r, loose_projected):
-    """The bound's terms for each row u of directions: tail_trace and tail_op,
-    which do not depend on u, and the arrays of projected and base terms."""
     if check_int("k", k, 0) > model.dim:
         raise ValueError("k must lie in 0..d")
     check_int("n", n, 1)
     if not (r > 0.0):
         raise ValueError("r must be positive")
-    u = np.asarray(directions, dtype=float)
-    norms = _cgf_norms(model, u)
-    if not np.all(np.linalg.norm(u, axis=1) <= 1.0 + 1e-12):
+    u = np.asarray(u, dtype=float)
+    rows = np.atleast_2d(u)
+    norms = cgf_norm(model, rows)
+    if not np.all(np.linalg.norm(rows, axis=1) <= 1.0 + 1e-12):
         raise ValueError("direction must have Euclidean norm at most 1")
-
-    coords = u @ model.eigenvectors  # coordinates of each u in the eigenbasis
+    coords = rows @ model.eigenvectors  # coordinates of each direction in the eigenbasis
     trunc_quad = np.sum(model.eigenvalues[:k] * coords[:, :k] ** 2, axis=1)
     tail_trace = math.sqrt(model.residual_trace(k) / n)
     tail_op = math.sqrt(2.0 * r * model.residual_op(k))
     projected = math.sqrt(k / n) * (norms if loose_projected else np.sqrt(np.maximum(trunc_quad, 0.0)))
     base = math.sqrt(2.0 * r) * norms
-    return tail_trace, tail_op, projected, base
+    if u.ndim == 1:
+        projected, base = float(projected[0]), float(base[0])
+    return GaussianBoundReport(
+        k=int(k), n=int(n), r=float(r), tail_trace=tail_trace, tail_op=tail_op, projected=projected, base=base,
+        total=tail_trace + tail_op + projected + base, guarantee=1.0 - 2.0 * math.exp(-n * r),
+        loose_projected=loose_projected,
+    )
 
 
 def optimal_rank(model: GaussianModel, n: int, r: float) -> int:

@@ -105,9 +105,15 @@ def _first_power_of_two(g, level: np.ndarray, cap: float) -> np.ndarray:
 
 
 def _bernstein_phi(t, L: float):
-    # (sqrt(1+2Lt)-1)^2/L^2 written without cancellation for small t
+    """phi(t) = (sqrt(1+2Lt)-1)^2/L^2, written without cancellation for small
+    t; where 2Lt overflows, sqrt(1+2Lt) is sqrt(2) sqrt(L) sqrt(t) to within
+    rounding, so phi stays finite there."""
     t = np.asarray(t, dtype=float)
-    return np.square(2.0 * t / (np.sqrt(1.0 + 2.0 * L * t) + 1.0))
+    with np.errstate(over="ignore"):
+        root = np.sqrt(1.0 + 2.0 * L * t)
+    if np.isinf(root).any():
+        root = np.where(np.isinf(root), math.sqrt(2.0) * math.sqrt(L) * np.sqrt(t), root)
+    return np.square(2.0 * t / (root + 1.0))
 
 
 def _bennett_phi(t, L: float):
@@ -258,15 +264,19 @@ def make_generator(
     raise ValueError(f"unknown generator kind {kind!r}")
 
 
-def orlicz_norm_rows(dist: DiscreteDistribution, rows: np.ndarray, gen: OrliczGenerator) -> np.ndarray:
-    """||Y||_psi = inf{u > 0 : E psi(|Y|/u) <= 1} for Y = h(X), for every row h
-    of a (count, support) array, by false_position on all rows in lockstep.
+def orlicz_norm(dist: DiscreteDistribution, values, gen: OrliczGenerator):
+    """||Y||_psi = inf{u > 0 : E psi(|Y|/u) <= 1} for Y = h(X), h given by its
+    finite values on dist's support: one function gives a float, a (count,
+    support) array one norm per row.
 
-    Each bracket [max|h|/psi^{-1}(large), max|h|/psi^{-1}(1/2)] straddles the
-    root; the search runs to relative width 1e-10, and each value satisfies
-    E psi(|Y|/value) <= 1 + 1e-9, and value (1 - 1e-8) gives more than 1.
+    Each row is solved as x = |h| / max|h|, by false_position on all rows in
+    lockstep, and its norm is max|h| times the root u. Each bracket
+    [1/psi^{-1}(large), 1/psi^{-1}(1/2)] straddles the root; the search runs
+    to relative width 1e-10, and each u satisfies E psi(x/u) <= 1 + 1e-9,
+    while u (1 - 1e-8) gives more than 1.
     """
-    rows = check_rows(dist, rows, centered=False)
+    values = np.asarray(values, dtype=float)
+    rows = check_rows(dist, np.atleast_2d(values), centered=False)
     mask = dist.probabilities > 0.0
     probs = dist.probabilities[mask]
     absv = np.abs(rows[:, mask])
@@ -275,27 +285,21 @@ def orlicz_norm_rows(dist: DiscreteDistribution, rows: np.ndarray, gen: OrliczGe
     live = np.nonzero(vmax > 0.0)[0]
     for blk in row_blocks(live.size, probs.size):
         idx = live[blk]
-        v, top = absv[idx], vmax[idx]
+        x = absv[idx] / vmax[idx, None]
         def expectation(u):
-            return (probs * gen.psi(v / u[:, None])).sum(axis=1)
+            return (probs * gen.psi(x / u[:, None])).sum(axis=1)
         # mass sitting at (essentially) the largest |value| of each row
-        pm = (probs * (v >= (top * (1.0 - 1e-12))[:, None])).sum(axis=1)
+        pm = (probs * (x >= 1.0 - 1e-12)).sum(axis=1)
         big, where = np.unique(np.maximum(2.0 / pm, 2.0), return_inverse=True)
-        lo = top / np.asarray(gen.psi_inverse(big), dtype=float).reshape(-1)[where.reshape(-1)]
-        hi = top / float(gen.psi_inverse(0.5))
+        lo = 1.0 / np.asarray(gen.psi_inverse(big), dtype=float).reshape(-1)[where.reshape(-1)]
+        hi = np.full(idx.size, 1.0 / float(gen.psi_inverse(0.5)))
         if not np.all((expectation(lo) > 1.0) & (expectation(hi) <= 1.0)):
             raise NumericError("orlicz norm bracket failed to straddle the root")
         hi = false_position(lambda u: -expectation(u), lo, hi, -1.0, rel_tol=1e-10)
         if np.any(expectation(hi) > 1.0 + 1e-9) or np.any(expectation(hi * (1.0 - 1e-8)) <= 1.0):
             raise NumericError("orlicz norm post-condition violated")
-        norms[idx] = hi
-    return norms
-
-
-def orlicz_norm(dist: DiscreteDistribution, values, gen: OrliczGenerator) -> float:
-    """||Y||_psi for Y = f(X), f given by its finite values on dist's
-    support: orlicz_norm_rows of a single row."""
-    return float(orlicz_norm_rows(dist, np.asarray(values, dtype=float)[None, :], gen)[0])
+        norms[idx] = vmax[idx] * hi
+    return float(norms[0]) if values.ndim == 1 else norms
 
 
 def _quadrature_moments(gen: OrliczGenerator, lam: np.ndarray):
@@ -405,7 +409,10 @@ def conversion_factor_M(gen: OrliczGenerator) -> float:
 
 
 def wr_exponential_type(gen: OrliczGenerator, M: float, r: float) -> float:
-    """Closed-form exponential-type bound max{3, 3/sqrt(2M)} * phi^{-1}(2r/3)."""
+    """Closed-form exponential-type bound max{3, 3/sqrt(2M)} * phi^{-1}(2r/3);
+    generators not of exponential type are rejected, whatever M is given."""
+    if not gen.exponential_type:
+        raise UnsupportedGeneratorError(f"generator kind {gen.kind!r} is not of exponential type")
     if not (M > 0.0):
         raise ValueError("M must be positive")
     if not (r >= 0.0):

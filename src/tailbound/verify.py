@@ -51,7 +51,7 @@ from .chaining import (
     extremal_difference,
     theorem_main_bound,
 )
-from .gaussian import GaussianModel, gaussian_instance_bound_rows
+from .gaussian import GaussianModel, gaussian_instance_bound
 from .numerics import check_int, row_blocks
 from .rng import normals, substream_seed, uniforms
 
@@ -199,8 +199,7 @@ def _gaussian_mesh(plan: TrialPlan):
 
 def _gaussian_setup(plan: TrialPlan, dirs: np.ndarray):
     """Rank-k totals of the mesh directions, and the ceiling."""
-    totals = gaussian_instance_bound_rows(plan.model, dirs, plan.k, plan.n, plan.r)
-    return totals, 2.0 * math.exp(-plan.n * plan.r)
+    return gaussian_instance_bound(plan.model, dirs, plan.k, plan.n, plan.r).total, 2.0 * math.exp(-plan.n * plan.r)
 
 
 def _gamma(k: int) -> float:
@@ -214,7 +213,9 @@ def _exact_dot(x: np.ndarray, w: np.ndarray) -> Fraction:
 
 
 def _above(dot: Fraction, square: int, t: float) -> bool:
-    """dot > sqrt(square) * t, exactly."""
+    """dot > sqrt(square) * t, exactly, for a float t that may be infinite."""
+    if math.isinf(t):
+        return t < 0
     t = Fraction(t)
     if t >= 0:
         return dot > 0 and dot * dot > square * t * t
@@ -262,7 +263,8 @@ class _Group:
                 start = sum(b.shape[1] for b in blocks)
                 index[key] = slice(start, start + weights.shape[1])
                 blocks.append(weights)
-            level = math.sqrt(square) * t
+            with np.errstate(over="ignore"):  # +inf where sqrt(square) t overflows; decided exactly
+                level = math.sqrt(square) * t
             exact = (level == 0.0) & ~np.any(weights, axis=0)
             slack = np.where(exact, 0.0, 2.0 * _gamma(2) * np.abs(level) + _TINY)
             self.checks.append(_Check(index[key], t, square, level, slack))
@@ -276,19 +278,23 @@ class _Group:
         out = np.zeros(len(self.checks), dtype=np.int64)
         for block in row_blocks(trials, self.width):
             x = self.draw(substream_seed(root_seed, np.arange(block.start, block.stop) + 1))
-            y = x @ self.weights
             xnorm = float(np.linalg.norm(x, ord=self.p, axis=1).max())
-            for i, check in enumerate(self.checks):
-                out[i] += np.count_nonzero(self._violated(x, y[:, check.cols], check, xnorm))
+            # a product or band that overflows makes its cell's float test NaN, decided exactly
+            with np.errstate(over="ignore", invalid="ignore"):
+                y = x @ self.weights
+                for i, check in enumerate(self.checks):
+                    out[i] += np.count_nonzero(self._violated(x, y[:, check.cols], check, xnorm))
         return out
 
     def _violated(self, x, y, check: _Check, xnorm: float) -> np.ndarray:
         """Per trial: does some column exceed its level in real arithmetic."""
         band = self.gamma_w * xnorm * self.wnorm[check.cols] + check.slack
-        maybe = y > check.level - band  # not surely at or below
+        maybe = y <= check.level - band
+        np.logical_not(maybe, out=maybe)  # not surely at or below; a NaN test goes to the exact path
         viol = np.zeros(y.shape[0], dtype=bool)
         rows = np.nonzero(maybe.any(axis=1))[0]
-        viol[rows] = (y[rows] > check.level + band).any(axis=1)  # surely above
+        yr = y[rows]  # surely above; an overflowed product bounds nothing and goes to the exact test
+        viol[rows] = ((yr > check.level + band) & (yr < math.inf)).any(axis=1)
         for t in rows[~viol[rows]]:
             viol[t] = any(
                 _above(_exact_dot(x[t], self.weights[:, check.cols.start + j]), check.square, check.t[j])

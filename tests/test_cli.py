@@ -600,6 +600,37 @@ def test_extreme_generators_exit_cleanly(fixtures_dir, case):
         assert want is None or err == want
 
 
+# Commands at the edges of the float range: (argv, exit code). Orlicz norms
+# are solved on rows scaled to max 1, Monte Carlo cells whose float products
+# or levels overflow are decided exactly, and a T_r lambda past the float
+# range is +inf. big.json and tiny.json hold f = +-1e308 and f = +-5e-324.
+FLOAT_EDGES = {
+    "orlicz-norm-sub-exponential-1e308": (["orlicz-norm", "--dist", "big.json", "--f", "f", "--gen",
+                                           '{"kind": "sub-exponential"}'], 0),
+    "orlicz-norm-bernstein-L-1e300": (["orlicz-norm", "--dist", "rademacher.json", "--f", "f", "--gen",
+                                       '{"kind": "bernstein", "L": 1e300}'], 0),
+    "verify-chernoff-1e308": (["verify", "--target", "chernoff", "--dist", "big.json", "--f", "f", "--n", 5,
+                               "--r", 0.1, "--trials", 4000, "--seed", 1], 0),
+    "trf-5e-324": (["trf", "--dist", "tiny.json", "--f", "f", "--r", 0.1], 0),
+    "wr-exp-power-with-M": (["wr-exp", "--gen", '{"kind": "power", "p": 2}', "--r", 1, "--M", 0.5], 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FLOAT_EDGES))
+def test_float_range_edges_exit_cleanly(fixtures_dir, tmp_path, case):
+    argv, want = FLOAT_EDGES[case]
+    for name, value in (("big.json", 1e308), ("tiny.json", 5e-324)):
+        dist = {"support": [[-1.0], [1.0]], "probabilities": [0.5, 0.5], "functions": {"f": [-value, value]}}
+        (tmp_path / name).write_text(json.dumps(dist))
+    argv = [(fixtures_dir if a == "rademacher.json" else tmp_path) / a if str(a).endswith(".json") else a
+            for a in argv]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(argv)
+    assert code == want, err
+    assert err.count("\n") <= 1, err
+
+
 # Each size asks, at its first large allocation, for far more than the 4 GB
 # address-space limit (74.5 GiB of uint64 counters), so the test touches no
 # memory near the limit.

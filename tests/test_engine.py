@@ -28,7 +28,7 @@ from tailbound.chaining import (
     deflate,
     extremal_difference,
 )
-from tailbound.orlicz import make_generator, orlicz_norm_rows
+from tailbound.orlicz import make_generator, orlicz_norm
 
 REL = 1e-10
 
@@ -414,7 +414,7 @@ def test_norms_reject_non_finite_rows(bad):
     with pytest.raises(ValueError):
         cgf_functional_norm(UNIFORM4, row)
     with pytest.raises(ValueError):
-        orlicz_norm_rows(UNIFORM4, row[None, :], make_generator("sub-gaussian"))
+        orlicz_norm(UNIFORM4, row, make_generator("sub-gaussian"))
 
 
 def test_cgf_norm_centering_rule_is_the_T_r_rule():
@@ -462,7 +462,7 @@ def _recentered(h, p):
 def test_deflate_at_k0_reuses_every_family_norm(monkeypatch, norm_context):
     fam = _random_family(3, size=14, norm_context=norm_context)  # k = 2 gives anchors besides 0
     p = fam.distribution.probabilities
-    name = "cgf_functional_norm" if norm_context == "cgf" else "orlicz_norm_rows"
+    name = "cgf_functional_norm" if norm_context == "cgf" else "orlicz_norm"
     original = getattr(chaining, name)
     normed = []
     monkeypatch.setattr(chaining, name, lambda *a: normed.extend(row.tobytes() for row in a[1]) or original(*a))

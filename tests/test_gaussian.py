@@ -10,7 +10,6 @@ from tailbound.gaussian import (
     GaussianModel,
     cgf_norm,
     gaussian_instance_bound,
-    gaussian_instance_bound_rows,
     optimal_rank,
 )
 
@@ -238,12 +237,21 @@ def test_bound_rows_match_single_direction(loose):
     d = 30
     model = GaussianModel(random_spd(rng, d))
     dirs = _unit_rows(rng, 40, d)
+    # BLAS rounds a many-row product apart from a one-row one, so rows agree to rounding, not bit for bit
+    norms = cgf_norm(model, dirs)
+    assert norms.shape == (40,)
+    assert norms == pytest.approx([cgf_norm(model, u) for u in dirs], rel=1e-15, abs=0)
+    assert cgf_norm(model, dirs[:1]).shape == (1,)
     for k in (0, 1, 7, d):
-        totals = gaussian_instance_bound_rows(model, dirs, k, 50, 0.2, loose_projected=loose)
-        assert totals.shape == (40,)
+        rep = gaussian_instance_bound(model, dirs, k, 50, 0.2, loose_projected=loose)
+        assert rep.projected.shape == rep.base.shape == rep.total.shape == (40,)
         for i, u in enumerate(dirs):
             one = gaussian_instance_bound(model, u, k, 50, 0.2, loose_projected=loose)
-            assert totals[i] == pytest.approx(one.total, rel=1e-15, abs=0)
+            assert (rep.base[i], rep.total[i]) == pytest.approx((one.base, one.total), rel=1e-15, abs=0)
+            # a small eigen-coordinate loses relative precision to cancellation in u . v
+            assert rep.projected[i] == pytest.approx(one.projected, rel=1e-15, abs=1e-15 * norms[i])
+        first = gaussian_instance_bound(model, dirs[:1], k, 50, 0.2, loose_projected=loose)
+        assert first.projected.shape == first.base.shape == first.total.shape == (1,)
 
 
 def test_single_direction_bound_follows_its_formula():
@@ -266,13 +274,11 @@ def test_single_direction_bound_follows_its_formula():
 def test_bound_rows_input_validation():
     model = GaussianModel(np.eye(2))
     with pytest.raises(ValueError):
-        gaussian_instance_bound_rows(model, np.ones((3, 3)) / 2, k=1, n=10, r=0.1)
+        gaussian_instance_bound(model, np.ones((3, 3)) / 2, k=1, n=10, r=0.1)
     with pytest.raises(ValueError):
-        gaussian_instance_bound_rows(model, np.array([1.0, 0.0]), k=1, n=10, r=0.1)
+        gaussian_instance_bound(model, np.array([[1.0, 0.0], [1.0, 1.0]]), k=1, n=10, r=0.1)
     with pytest.raises(ValueError):
-        gaussian_instance_bound_rows(model, np.array([[1.0, 0.0], [1.0, 1.0]]), k=1, n=10, r=0.1)
-    with pytest.raises(ValueError):
-        gaussian_instance_bound_rows(model, np.array([[np.nan, 0.0]]), k=1, n=10, r=0.1)
+        gaussian_instance_bound(model, np.array([[np.nan, 0.0]]), k=1, n=10, r=0.1)
 
 
 # ---------------------------------------------------------------------------

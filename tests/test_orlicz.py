@@ -337,6 +337,33 @@ def test_norm_triangle_inequality():
             assert nfg <= nf + ng + 1e-8
 
 
+@pytest.mark.parametrize(
+    "gen",
+    [make_generator("sub-gaussian"), make_generator("sub-exponential"), make_generator("bernstein", L=1.0),
+     make_generator("bennett", L=10.0), make_generator("power", p=2.0)],
+    ids=lambda g: g.kind,
+)
+def test_norm_rows_match_one_row_at_a_time(gen):
+    rng = np.random.default_rng(14)
+    dist, _ = _random_case(rng, 6)
+    base = rng.normal(size=(4, 6))
+    signs = np.where(rng.random((2, 6)) < 0.5, -1.0, 1.0)
+    rows = np.vstack([base * 1e-300, base, base * 1e6, signs * 1e308, np.zeros((1, 6))])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        norms = orlicz_norm(dist, rows, gen)
+        assert norms.tolist() == [orlicz_norm(dist, row, gen) for row in rows]  # bit for bit
+    assert np.all(np.isfinite(norms)) and norms[-1] == 0.0 and np.all(norms[:-1] > 0.0)
+    assert orlicz_norm(dist, rows[:1], gen).shape == (1,)
+
+
+def test_bernstein_phi_is_finite_where_2Lt_overflows():
+    # phi(t) = (sqrt(1 + 2Lt) - 1)^2 / L^2 ~ 2t/L once Lt is large
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert float(orlicz._bernstein_phi(8e299, 1e300)) == pytest.approx(1.6, rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # conjugates
 

@@ -12,6 +12,7 @@ import dataclasses
 import itertools
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -495,6 +496,32 @@ class TestExactDecisions:
         rep = run_trials(plan)
         assert rep.violations == sum(above(x, total) for x in real)
         assert rep.violations != sum(xf > math.sqrt(n) * total for xf in floated)
+
+    @pytest.mark.parametrize("r", [0.02, 0.1])
+    def test_overflowing_products_and_levels_decided_exactly(self, r):
+        # f = +-1e308 is f = +-1 scaled, so it violates in the same trials; its
+        # products and levels overflow (r = 0.1) or its products overflow
+        # below a finite level (r = 0.02), and those cells go to the exact test
+        dist = DiscreteDistribution(support=np.array([[-1.0], [1.0]]), probabilities=np.array([0.5, 0.5]))
+        plans = [TrialPlan(target="chernoff", n=5, r=r, trials=4000, root_seed=1, distribution=dist,
+                           function_values=np.array([-s, s])) for s in (1.0, 1e308)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            unit, big = (run_trials(plan).violations for plan in plans)
+        assert big == unit > 0
+
+    def test_infinite_threshold_is_never_exceeded(self):
+        assert not verify._above(Fraction(10**400), 25, math.inf)
+        assert verify._above(Fraction(-(10**400)), 25, -math.inf)
+        s = 4e307  # every member's theorem-main threshold overflows to +inf
+        dist = DiscreteDistribution(support=np.arange(3.0)[:, None], probabilities=np.array([0.25, 0.5, 0.25]))
+        fam = FunctionFamily(dist, {"z": np.zeros(3), "a": np.array([-s, 0.0, s]), "b": np.array([s, -s, s]),
+                                    "c": np.array([s / 2, 0.0, -s / 2])})
+        plan = TrialPlan(target="theorem-main", n=5, r=1.0, k=0, trials=500, root_seed=1, family=fam)
+        assert np.all(verify._discrete_setup(plan)[1] == math.inf)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run_trials(plan).violations == 0
 
     def test_zero_row_at_zero_threshold_never_enters_exact_path(self, monkeypatch):
         calls = []
