@@ -14,7 +14,6 @@ from .cgf import (
     CENTERING_TOL,
     DiscreteDistribution,
     rate_bound_T,
-    rate_bound_T_rows,
 )
 from .orlicz import (
     OrliczGenerator,

@@ -2,9 +2,9 @@
 confidence radius T_r(f) = inf_{lambda >= 0} (r + log E e^{lambda f(X)}) / lambda.
 
 Every CGF here is an exact finite sum over a finite support, evaluated by
-_moments, the one CGF kernel. T_r is computed in the Legendre dual form,
-many functions at once (rate_bound_T_rows; rate_bound_T is its one-function
-entry), by _dual_root, the safeguarded Newton that wr-quad and the norm share.
+_moments, the one CGF kernel. T_r is computed in the Legendre dual form, one
+function or many at once (rate_bound_T), by _dual_root, the safeguarded
+Newton that wr-quad and the norm share.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from .numerics import readonly, row_blocks
 
-CENTERING_TOL = 1e-10  # |mean| allowed per unit of max(1, max|f|)
+CENTERING_TOL = 1e-10  # |mean| allowed per unit of max|f|
 PROB_SUM_TOL = 1e-12
 
 NEWTON_STEP_CAP = 4.0  # largest dual-solver step in log(lambda), a factor e^4
@@ -65,7 +65,7 @@ class DiscreteDistribution:
 def check_rows(dist: DiscreteDistribution, rows, centered: bool = True) -> np.ndarray:
     """rows as a float (count, support) array, checked to have one column per
     support point, only finite values and, when `centered`, each row's
-    p-weighted mean within CENTERING_TOL * max(1, max|row|) of 0. A failed
+    p-weighted mean within CENTERING_TOL * max|row| of 0. A failed
     check raises ValueError; a NaN row fails the centering check."""
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2 or rows.shape[1] != dist.size:
@@ -74,7 +74,7 @@ def check_rows(dist: DiscreteDistribution, rows, centered: bool = True) -> np.nd
         raise ValueError("function values must be finite")
     if centered:
         means = np.abs((rows * dist.probabilities).sum(axis=1))
-        tols = CENTERING_TOL * np.maximum(1.0, np.abs(rows).max(axis=1))
+        tols = CENTERING_TOL * np.abs(rows).max(axis=1)
         if not np.all(means <= tols):  # NaN fails too
             bad = int(np.argmin(means <= tols))
             raise ValueError(f"function is not centered: mean {float(means[bad])!r} exceeds {float(tols[bad])!r}")
@@ -83,15 +83,11 @@ def check_rows(dist: DiscreteDistribution, rows, centered: bool = True) -> np.nd
     return rows
 
 
-def rate_bound_T(dist: DiscreteDistribution, values, r: float) -> float:
-    """T_r(f) = inf_{lambda >= 0} (r + Lambda(lambda)) / lambda of one centered
-    function tabulated on dist's support: rate_bound_T_rows of a single row."""
-    return float(rate_bound_T_rows(dist, np.asarray(values, dtype=float)[None, :], r)[0][0])
-
-
-def rate_bound_T_rows(dist: DiscreteDistribution, rows: np.ndarray, r: float):
-    """T_r of every row of a (count, support) array of centered tabulated
-    functions, with the lambda each value was evaluated at: (values, lambdas).
+def rate_bound_T(dist: DiscreteDistribution, values, r: float):
+    """T_r(h) = inf_{lambda >= 0} (r + Lambda(lambda)) / lambda of centered
+    functions tabulated on dist's support, with the lambda each value was
+    evaluated at: (values, lambdas), floats for one function and one entry
+    per row for a (count, support) array.
 
     Dual form (Dembo and Zeitouni, Large Deviations Techniques and
     Applications, section 2.2): g(lambda) = lambda Lambda'(lambda) - Lambda(lambda)
@@ -108,10 +104,11 @@ def rate_bound_T_rows(dist: DiscreteDistribution, rows: np.ndarray, r: float):
     """
     if not (r >= 0.0):
         raise ValueError("r must be nonnegative")
-    rows = check_rows(dist, rows)
+    one = np.ndim(values) == 1
+    rows = check_rows(dist, np.atleast_2d(values))
     values, lambdas = np.zeros((2, rows.shape[0]))
     if r == 0.0:
-        return values, lambdas
+        return (0.0, 0.0) if one else (values, lambdas)
     mask = dist.probabilities > 0.0
     probs = dist.probabilities[mask]
     h = rows[:, mask]
@@ -135,7 +132,7 @@ def rate_bound_T_rows(dist: DiscreteDistribution, rows: np.ndarray, r: float):
         values[idx] = scale[idx] * ((r + _moments(logp, xb, mu)[0]) / mu)
         with np.errstate(over="ignore"):  # lambda past the float range on a subnormal row: +inf
             lambdas[idx] = mu / scale[idx]
-    return values, lambdas
+    return (float(values[0]), float(lambdas[0])) if one else (values, lambdas)
 
 
 def _moments(logp: np.ndarray, x: np.ndarray, mu: np.ndarray):

@@ -20,13 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cgf import DiscreteDistribution, _dual_root, _moments, check_rows, rate_bound_T_rows
+from .cgf import DiscreteDistribution, _dual_root, _moments, check_rows, rate_bound_T
 from .numerics import NumericError, check_int, readonly, row_blocks
 from .orlicz import OrliczGenerator, orlicz_norm
 
 LOG2 = math.log(2.0)
-ZERO_NORM_TOL = 1e-12
-PLAN_NORM_SLACK = 1e-12
 
 EXACT_EPSILON_LIMIT = 12  # exhaustive subset enumeration threshold for epsilon_ell
 EXACT_GAMMA_LIMIT = 8  # exhaustive nested-sequence threshold for gamma
@@ -66,7 +64,7 @@ def cgf_functional_norm(dist: DiscreteDistribution, values: np.ndarray):
     norms[live] = vmax[live] * np.sqrt(np.maximum(best[: live.size], best[live.size :]))
     # positive-definiteness on discrete support: a function that is nonzero
     # on an atom of positive probability cannot have norm 0
-    if np.any((norms <= ZERO_NORM_TOL) & (vmax > ZERO_NORM_TOL)):
+    if np.any((norms <= 0.0) & (vmax > 0.0)):
         raise NumericError("norm evaluated to 0 on a function that is nonzero with positive probability")
     return float(norms[0]) if values.ndim == 1 else norms
 
@@ -201,13 +199,13 @@ def _distances(family: FunctionFamily, values: np.ndarray, known=None) -> np.nda
 
 def _extremal_pass(family: FunctionFamily, r: float):
     """(w_r, extremal pair) from one batched T_r pass over every ordered pair
-    of members with a difference norm above 1e-12, in lexicographic order."""
+    of members at a nonzero distance, in lexicographic order."""
     if not (r >= 0.0):
         raise ValueError("r must be nonnegative")
-    pairs = np.argwhere(family.distances > ZERO_NORM_TOL)
+    pairs = np.argwhere(family.distances > 0.0)
     dist, (i, j) = family.distribution, pairs.T
     scale = family.distances[i, j]
-    t = _differences(dist, family.values, i, j, lambda rows: rate_bound_T_rows(dist, rows, r)[0], scale)
+    t = _differences(dist, family.values, i, j, lambda rows: rate_bound_T(dist, rows, r)[0], scale)
     if not len(pairs):
         return 0.0, None
     best = int(np.argmax(t))  # the first maximum: ties go to the smallest (i, j)
@@ -218,7 +216,7 @@ def class_wr(family: FunctionFamily, r: float) -> float:
     """w_r = sup over normalized member differences h/||h|| of T_r.
 
     Covers ordered pairs so both signs of every difference are included;
-    differences with norm at most 1e-12 are skipped; 0 when all are. One
+    differences of norm 0 are skipped; 0 when all are. One
     batched pass per rate, cached and shared with extremal_difference.
     """
     return family._wr_pass(r)[0]
@@ -256,7 +254,7 @@ def validate_plan(family: FunctionFamily, plan: DeflationPlan) -> None:
     for i, a in enumerate(plan.assignment):
         if not (0 <= a < family.size):
             raise ValueError("plan assignment index out of range")
-        if family.member_norms[a] > family.member_norms[i] + PLAN_NORM_SLACK:
+        if family.member_norms[a] > family.member_norms[i]:
             raise ValueError(
                 f"plan violates the norm constraint at member {family.names[i]!r}"
             )
@@ -286,7 +284,7 @@ def build_deflation(family: FunctionFamily, k: int) -> DeflationPlan:
     z, norms = family.zero_index, family.member_norms
     centers = _farthest_first(family.distances, [z], _center_budget(k, family.size))
     order = np.array([z] + sorted(set(centers) - {z}))  # the zero member first: it wins ties
-    admissible = norms[order][None, :] <= norms[:, None] + PLAN_NORM_SLACK
+    admissible = norms[order][None, :] <= norms[:, None]
     assignment = order[np.argmin(np.where(admissible, family.distances[:, order], np.inf), axis=1)]
     return DeflationPlan(tuple(assignment), k)
 

@@ -71,7 +71,7 @@ def _finites(text: str):
 
 def _cmd_trf(args):
     dist, values = _dist_function(args)
-    value = rate_bound_T(dist, values, args.r)
+    value, _lam = rate_bound_T(dist, values, args.r)
     row = {"op": "trf", "function": args.f, "r": args.r, "value": value}
     return row, [row]
 

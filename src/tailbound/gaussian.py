@@ -89,15 +89,19 @@ class GaussianModel:
 def cgf_norm(model: GaussianModel, u):
     """CGF norm (u' Sigma u)^{1/2} of the linear functional x -> <u, x>, for a
     finite direction u with the model's dimension: a float for one direction,
-    one norm per row for a (count, d) array."""
+    one norm per row for a (count, d) array. Each row is formed in units of
+    max|u| by its own vector-matrix product, so its norm depends on that row
+    alone and scales with it exactly by powers of two."""
     u = np.asarray(u, dtype=float)
     rows = np.atleast_2d(u)
     if rows.ndim != 2 or rows.shape[1] != model.dim:
         raise ValueError("direction dimension does not match the model")
     if not np.all(np.isfinite(rows)):
         raise ValueError("direction must be a finite vector")
-    quad = ((rows @ model.covariance)[:, None, :] @ rows[:, :, None])[:, 0, 0]  # one dot product per row
-    norms = np.sqrt(np.maximum(quad, 0.0))
+    scale = np.abs(rows).max(axis=1)
+    x = rows / np.where(scale > 0.0, scale, 1.0)[:, None]
+    quad = ((x[:, None, :] @ model.covariance) @ x[:, :, None])[:, 0, 0]
+    norms = scale * np.sqrt(np.maximum(quad, 0.0))
     return float(norms[0]) if u.ndim == 1 else norms
 
 
@@ -131,7 +135,7 @@ def gaussian_instance_bound(model: GaussianModel, u, k: int, n: int, r: float,
     """Rank-k instance-dependent bound for E_n <u, X>, for a finite direction
     u with the model's dimension and Euclidean norm at most 1. For a (count,
     d) array of such directions the one report's projected, base and total
-    are arrays with one entry per row.
+    are arrays with one entry per row, each depending on that row alone.
 
     Terms: sqrt(tr(Sigma - Sigma_k)/n), sqrt(2r ||Sigma - Sigma_k||_op),
     sqrt(k/n) (u' Sigma_k u)^{1/2}, and the base deviation sqrt(2r) ||f||.
@@ -149,7 +153,7 @@ def gaussian_instance_bound(model: GaussianModel, u, k: int, n: int, r: float,
     norms = cgf_norm(model, rows)
     if not np.all(np.linalg.norm(rows, axis=1) <= 1.0 + 1e-12):
         raise ValueError("direction must have Euclidean norm at most 1")
-    coords = rows @ model.eigenvectors  # coordinates of each direction in the eigenbasis
+    coords = (rows[:, None, :] @ model.eigenvectors)[:, 0, :]  # each direction's eigen-coordinates, row by row
     trunc_quad = np.sum(model.eigenvalues[:k] * coords[:, :k] ** 2, axis=1)
     tail_trace = math.sqrt(model.residual_trace(k) / n)
     tail_op = math.sqrt(2.0 * r * model.residual_op(k))

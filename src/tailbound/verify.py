@@ -131,7 +131,7 @@ def _discrete_setup(plan: TrialPlan):
     if plan.target == "chernoff":
         dist = plan.distribution
         tracked = plan.function_values[None, :]
-        thresholds = np.array([rate_bound_T(dist, plan.function_values, plan.r)])
+        thresholds = rate_bound_T(dist, tracked, plan.r)[0]
         ceiling = math.exp(-plan.n * plan.r)
     elif plan.target == "corollary":
         fam = plan.family

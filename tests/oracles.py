@@ -162,11 +162,11 @@ def check_T_properties(dist, values, r: float, s: float, alpha: float) -> TPrope
     if alpha <= 0.0:
         raise ValueError("alpha must be positive")
     values = np.asarray(values, dtype=float)
-    t_r = rate_bound_T(dist, values, r)
-    t_s = rate_bound_T(dist, values, s)
-    t_rs = rate_bound_T(dist, values, r + s)
-    t_scaled = rate_bound_T(dist, alpha * values, r)
+    t_r = rate_bound_T(dist, values, r)[0]
+    t_s = rate_bound_T(dist, values, s)[0]
+    t_rs = rate_bound_T(dist, values, r + s)[0]
+    t_scaled = rate_bound_T(dist, alpha * values, r)[0]
     homog = abs(t_scaled - alpha * t_r) <= 1e-8 * max(1.0, abs(alpha * t_r))
-    zero = rate_bound_T(dist, values, 0.0) == 0.0
+    zero = rate_bound_T(dist, values, 0.0)[0] == 0.0
     subadd = t_rs <= t_r + t_s + 1e-8
     return TPropertyReport(homog, zero, subadd, t_r, t_s, t_rs, t_scaled)

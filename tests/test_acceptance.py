@@ -160,7 +160,7 @@ def test_criterion_06_rate_function_property_suite():
             assert rep.zero_at_zero
             assert rep.subadditive, (vals, r, s)
             # concavity in r, midpoint form
-            mid = rate_bound_T(dist, vals, 0.5 * (r + s))
+            mid = rate_bound_T(dist, vals, 0.5 * (r + s))[0]
             assert 2.0 * mid >= rep.t_r + rep.t_s - 1e-8
 
 

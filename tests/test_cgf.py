@@ -47,18 +47,18 @@ def test_rate_bound_matches_dense_grid_rademacher():
     lams = np.linspace(50.0 / 1e6, 50.0, 10**6)
     cgf_vals = np.log(np.cosh(lams))
     want = grid_T(cgf_vals, lams, 0.1)
-    got = rate_bound_T(RADEMACHER, RADEMACHER_F, 0.1)
+    got = rate_bound_T(RADEMACHER, RADEMACHER_F, 0.1)[0]
     assert got == pytest.approx(want, abs=1e-6)
     assert got <= want + 1e-12  # the grid can only overestimate the infimum
 
 
 def test_rate_bound_zero_cases():
-    assert rate_bound_T(RADEMACHER, RADEMACHER_F, 0.0) == 0.0
-    assert rate_bound_T(RADEMACHER, [0.0, 0.0], 3.0) == 0.0
+    assert rate_bound_T(RADEMACHER, RADEMACHER_F, 0.0)[0] == 0.0
+    assert rate_bound_T(RADEMACHER, [0.0, 0.0], 3.0)[0] == 0.0
 
 
 def test_rate_bound_monotone_in_r():
-    values = [rate_bound_T(RADEMACHER, RADEMACHER_F, r) for r in (0.0, 0.01, 0.1, 1.0, 10.0)]
+    values = [rate_bound_T(RADEMACHER, RADEMACHER_F, r)[0] for r in (0.0, 0.01, 0.1, 1.0, 10.0)]
     assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
 
 
@@ -93,7 +93,7 @@ def test_randomized_property_suite_small():
         report = check_T_properties(dist, f, r, s, alpha)
         assert report.homogeneity and report.zero_at_zero and report.subadditive
         # concavity in r, midpoint test
-        mid = rate_bound_T(dist, f, 0.5 * (r + s))
+        mid = rate_bound_T(dist, f, 0.5 * (r + s))[0]
         assert 2.0 * mid >= report.t_r + report.t_s - 1e-8
 
 
@@ -122,7 +122,9 @@ def test_function_length_mismatch():
     with pytest.raises(ValueError, match="function length does not match support size"):
         rate_bound_T(RADEMACHER, [1.0, -0.5, -0.5], 0.1)
     with pytest.raises(ValueError, match="function length does not match support size"):
-        rate_bound_T(RADEMACHER, [[-1.0, 1.0]], 0.1)
+        rate_bound_T(RADEMACHER, [[1.0, -0.5, -0.5]], 0.1)
+    with pytest.raises(ValueError, match="function length does not match support size"):
+        rate_bound_T(RADEMACHER, [[[-1.0, 1.0]]], 0.1)
 
 
 def test_tabulated_function_validation():

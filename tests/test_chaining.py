@@ -110,8 +110,8 @@ def test_centering_rule_scales_with_the_family(family12, scale):
     for r in (0.05, 0.5, 5.0):
         assert class_wr(scaled, r) == pytest.approx(class_wr(family12, r), rel=1e-12)
         for i in range(family12.size):
-            want = scale * rate_bound_T(family12.distribution, family12.values[i], r)
-            assert rate_bound_T(scaled.distribution, scaled.values[i], r) == pytest.approx(want, rel=1e-12)
+            want = scale * rate_bound_T(family12.distribution, family12.values[i], r)[0]
+            assert rate_bound_T(scaled.distribution, scaled.values[i], r)[0] == pytest.approx(want, rel=1e-12)
     got, want = (optimize_deflation(f, 200, 0.05, (0, 1, 2, 3)) for f in (scaled, family12))
     assert got.plan.k == want.plan.k
     assert got.objective / scale == pytest.approx(want.objective, rel=1e-12)
@@ -240,7 +240,7 @@ def test_wr_three_member_grid_oracle():
                 continue
             h = rows[i] - rows[j]
             nh = oracle_norm(probs, h)
-            if nh <= 1e-12:
+            if nh == 0.0:
                 continue
             want = max(want, oracle_T(probs, h / nh, 0.5))
     assert class_wr(THREE, 0.5) == pytest.approx(want, abs=1e-6)
@@ -259,9 +259,9 @@ def test_wr_monotone_and_subadditive():
 def test_member_T_below_wr_norm(family12):
     w = class_wr(family12, 0.05)
     for i in range(family12.size):
-        if family12.member_norms[i] <= 1e-12:
+        if family12.member_norms[i] == 0.0:
             continue
-        t = rate_bound_T(family12.distribution, family12.values[i], 0.05)
+        t = rate_bound_T(family12.distribution, family12.values[i], 0.05)[0]
         assert t <= w * family12.member_norms[i] + 1e-10
 
 
@@ -301,7 +301,7 @@ def test_extremal_difference_attains_wr(family12):
     assert val == pytest.approx(class_wr(family12, 0.05), abs=0.0)
     d = family12.distances[i, j]
     h = (family12.values[i] - family12.values[j]) / d
-    assert rate_bound_T(family12.distribution, h, 0.05) == pytest.approx(val, abs=1e-14)
+    assert rate_bound_T(family12.distribution, h, 0.05)[0] == pytest.approx(val, abs=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +339,18 @@ def test_validate_plan_rejections(family12):
     with pytest.raises(ValueError):
         validate_plan(family12, DeflationPlan(tuple(wide), 1))
     validate_plan(family12, DeflationPlan(tuple(wide), 2))
+
+
+def test_plan_norm_constraint_has_no_slack(family12):
+    # at scale 2^-45 every norm is below 1e-12, so an absolute slack of 1e-12
+    # let the small member l1 map to the centre b1 of norm 5 * 2^-45
+    s = 2.0**-45
+    small = FunctionFamily(family12.distribution, {n: s * v for n, v in family12.members.items()})
+    bad = list(range(12))
+    bad[1] = 6
+    assert small.member_norms[6] > small.member_norms[1]
+    with pytest.raises(ValueError, match="plan violates the norm constraint at member 'l1'"):
+        validate_plan(small, DeflationPlan(tuple(bad), 3))
 
 
 def test_build_deflation_input_checks(family12):
@@ -412,7 +424,7 @@ def test_greedy_centers_within_factor_two_of_exhaustive():
         for i in range(fam.size):
             best = fam.distances[i, fam.zero_index]
             for c in centers:
-                if fam.member_norms[c] > fam.member_norms[i] + 1e-12:
+                if fam.member_norms[c] > fam.member_norms[i]:
                     continue
                 best = min(best, fam.distances[i, c])
             worst = max(worst, best)

@@ -50,7 +50,7 @@ class TestComputeCommands:
             ["trf", "--dist", fixtures_dir / "rademacher.json", "--f", "f", "--r", 0.05]
         )
         dist, functions = load_distribution(rademacher)
-        direct = rate_bound_T(dist, functions["f"], 0.05)
+        direct = rate_bound_T(dist, functions["f"], 0.05)[0]
         assert payload["op"] == "trf"
         assert payload["function"] == "f"
         assert payload["value"] == direct
@@ -541,6 +541,40 @@ def test_member_differences_meet_the_centering_rule(tmp_path, command, family):
     code, out, err = run_cli(argv)
     assert (code, err) == (0, "")
     json.loads(out)
+
+
+def _scaled_family12(fixtures_dir, tmp_path, scale, shift=None):
+    """fixtures/family12.json with every member times scale, written to
+    tmp_path; shift adds a constant to the members it names."""
+    fam = json.loads((fixtures_dir / "family12.json").read_text())
+    shift = shift or {}
+    fam["functions"] = {name: [scale * v + shift.get(name, 0.0) for v in values]
+                        for name, values in fam["functions"].items()}
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(fam))
+    return path
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_theorem_main_holds_on_a_family_scaled_by_1e_13(fixtures_dir, tmp_path, k):
+    # with absolute tolerances of 1e-12 in the chain every threshold of this
+    # family read 0, and all 2000 trials violated; a decimal scale, since the
+    # exact 2^e rescales are tests/test_contract.py's
+    path = _scaled_family12(fixtures_dir, tmp_path, 1e-13)
+    payload = run_json(["verify", "--target", "theorem-main", "--family", path, "--k", k, "--n", 200, "--r", 0.05,
+                        "--trials", 2000, "--seed", 1])
+    assert payload["pass"] is True and payload["violations"] == 0
+
+
+def test_centering_rule_is_relative_on_a_small_family(fixtures_dir, tmp_path):
+    # at scale 2^-45 a mean of 5e-11 is 7e3 times the member's largest value;
+    # a rule floored at 1e-10 absolute accepted it, and all 2000 trials violated
+    path = _scaled_family12(fixtures_dir, tmp_path, 2.0**-45, {"l1": 5e-11})
+    code, out, err = run_cli(["verify", "--target", "theorem-main", "--family", path, "--k", 1, "--n", 200,
+                              "--r", 0.05, "--trials", 2000, "--seed", 1])
+    assert code == 2 and out == ""
+    assert err.startswith("invalid input: member 'l1': function is not centered: mean 5e-11 exceeds ")
+    assert err.count("\n") == 1
 
 
 # members 2e308 apart at each support point: their differences overflow

@@ -19,7 +19,7 @@ import tailbound.cgf as cgf
 import tailbound.chaining as chaining
 import tailbound.numerics as numerics
 from oracles import benchmark_families, cgf_reference, decimal_objective, norm_grid_by_repeat, synthetic_family
-from tailbound.cgf import DiscreteDistribution, rate_bound_T, rate_bound_T_rows
+from tailbound.cgf import DiscreteDistribution, rate_bound_T
 from tailbound.chaining import (
     FunctionFamily,
     build_deflation,
@@ -93,7 +93,7 @@ def test_batched_T_matches_dense_grid():
         rows = np.stack([vals, -vals, alpha * vals])
         probs = dist.probabilities
         for rate in (r, s):
-            got, _lam = rate_bound_T_rows(dist, rows, rate)
+            got, _lam = rate_bound_T(dist, rows, rate)
             want = np.array([reference_T(probs, h, rate) for h in rows])
             worst = max(worst, float(np.max(np.abs(got - want) / want)))
     assert worst <= REL
@@ -248,7 +248,7 @@ def test_T_closed_form_at_infinity_or_replayed_at_its_lambda():
     for dist, vals, r, s, _alpha in criterion6_draws():
         rows = np.stack([vals, -vals])
         for rate in (r, s):
-            got, lams = rate_bound_T_rows(dist, rows, rate)
+            got, lams = rate_bound_T(dist, rows, rate)
             for h, t, lam in zip(rows, got, lams):
                 top = h.max()
                 if rate >= -math.log(dist.probabilities[h == top].sum()):
@@ -261,34 +261,18 @@ def test_T_closed_form_at_infinity_or_replayed_at_its_lambda():
     assert at_inf > 100 and interior > 100  # both branches are exercised
 
 
-def test_T_rows_do_not_depend_on_batching(monkeypatch):
-    rng = np.random.default_rng(5)
-    probs = rng.dirichlet(np.ones(7))
-    dist = DiscreteDistribution(np.arange(7.0)[:, None], probs)
-    rows = rng.normal(size=(40, 7))
-    rows -= (rows @ probs)[:, None]
-    rows -= (rows @ probs)[:, None]
-    together, lam_together = rate_bound_T_rows(dist, rows, 0.4)
-    alone = [rate_bound_T_rows(dist, row[None, :], 0.4) for row in rows]
-    assert np.array_equal(together, [a[0][0] for a in alone])
-    assert np.array_equal(lam_together, [a[1][0] for a in alone])
-    monkeypatch.setattr(numerics, "BLOCK_ELEMENTS", 16)  # blocks of two rows
-    assert np.array_equal(rate_bound_T_rows(dist, rows, 0.4)[0], together)
-    assert np.array_equal(cgf_functional_norm(dist, rows), [cgf_functional_norm(dist, row) for row in rows])
-
-
 def test_T_rows_zero_rate_zero_row_and_centering():
     dist = DiscreteDistribution([[0.0], [1.0], [2.0]], [0.25, 0.25, 0.5])
     rows = np.array([[1.0, 1.0, -1.0], [0.0, 0.0, 0.0]])
-    vals, lams = rate_bound_T_rows(dist, rows, 0.0)
+    vals, lams = rate_bound_T(dist, rows, 0.0)
     assert vals.tolist() == [0.0, 0.0] and lams.tolist() == [0.0, 0.0]
-    vals, lams = rate_bound_T_rows(dist, rows, 0.3)
+    vals, lams = rate_bound_T(dist, rows, 0.3)
     assert vals[1] == 0.0 and lams[1] == math.inf
-    assert vals[0] == pytest.approx(rate_bound_T(dist, rows[0], 0.3), abs=0.0)
+    assert vals[0] == pytest.approx(rate_bound_T(dist, rows[0], 0.3)[0], abs=0.0)
     with pytest.raises(ValueError):
-        rate_bound_T_rows(dist, np.array([[1.0, 0.0, 0.0]]), 0.3)
+        rate_bound_T(dist, np.array([[1.0, 0.0, 0.0]]), 0.3)
     with pytest.raises(ValueError):
-        rate_bound_T_rows(dist, rows[:, :2], 0.3)
+        rate_bound_T(dist, rows[:, :2], 0.3)
 
 
 def _m96():
@@ -389,7 +373,7 @@ def test_T_is_its_objective_at_its_lambda_in_decimal():
         dist = DiscreteDistribution(np.arange(float(s))[:, None], probs)
         rows = np.stack([h, -h])
         for r in (1e-4, 1e-3, 0.05, 0.5):
-            values, lams = rate_bound_T_rows(dist, rows, r)
+            values, lams = rate_bound_T(dist, rows, r)
             for row, t, lam in zip(rows, values, lams):
                 if lam == math.inf:
                     assert t == row.max()
@@ -511,11 +495,11 @@ def test_extremal_pair_matches_class_wr_and_per_pair_loop():
         for a in range(fam.size):
             for b in range(fam.size):
                 d = fam.distances[a, b]
-                if a == b or d <= 1e-12:
+                if a == b or d == 0.0:
                     continue
                 h = ((fam.values[a] - fam.values[b]) / d)[None, :]
                 h = h - (h * fam.distribution.probabilities).sum(axis=1)[:, None]
-                t = rate_bound_T(fam.distribution, h[0], r)
+                t = rate_bound_T(fam.distribution, h[0], r)[0]
                 if t > best:
                     best, pair = t, (a, b)
         assert (i, j) == pair
@@ -524,6 +508,6 @@ def test_extremal_pair_matches_class_wr_and_per_pair_loop():
 
 def test_extremal_ties_break_to_the_first_pair(monkeypatch):
     fam = _random_family(7)
-    monkeypatch.setattr(chaining, "rate_bound_T_rows", lambda dist, rows, r: (np.ones(len(rows)), np.ones(len(rows))))
+    monkeypatch.setattr(chaining, "rate_bound_T", lambda dist, rows, r: (np.ones(len(rows)), np.ones(len(rows))))
     assert extremal_difference(fam, 0.2) == (0, 1, 1.0)
     assert class_wr(fam, 0.2) == 1.0

@@ -604,7 +604,7 @@ def test_chernoff_threshold_is_rate_bound(rademacher, monkeypatch):
         support=np.asarray(rademacher["support"], dtype=float),
         probabilities=np.asarray(rademacher["probabilities"], dtype=float),
     )
-    t_direct = rate_bound_T(dist, rademacher["functions"]["f"], 0.05)
+    t_direct = rate_bound_T(dist, rademacher["functions"]["f"], 0.05)[0]
     plan = _rademacher_plan(trials=4_000)
     plain = run_trials(plan)
     _override_thresholds(monkeypatch, t_direct)

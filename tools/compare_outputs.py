@@ -6,9 +6,10 @@
 `dump` runs the jobs of both benchmark workloads, seeds 1-3, as this
 checkout's bench/workloads.py (only imported) defines them, and the
 FIXTURE_COMMANDS on this checkout's fixtures/family12.json,
-fixtures/rademacher.json and fixtures/gaussian-poly2.json and on the seeded
-GENERATED inputs, through the `tailbound.cli.main` of DIR/src, DIR being a
-checkout's root, and saves each job's exit code, output and stderr in FILE.
+fixtures/rademacher.json and fixtures/gaussian-poly2.json and on the
+GENERATED inputs (seeded, or family12 rescaled), through the
+`tailbound.cli.main` of DIR/src, DIR being a checkout's root, and saves each
+job's exit code, output and stderr in FILE.
 `diff` lists the jobs whose records differ, with the largest relative change
 among their JSON floats; it exits 1 if any do.
 """
@@ -24,6 +25,7 @@ import contextlib
 import io
 import itertools
 import json
+import math
 import sys
 import tempfile
 
@@ -49,7 +51,17 @@ def _family64() -> dict:
     return workloads.synthetic_family(np.random.default_rng(64), 24, 64, (0.25, 1.0, 4.0), 0.15, 0.02)
 
 
-GENERATED = {"{atoms512}": _atoms512, "{family64}": _family64}  # placeholder -> inputs written for the run
+def _family12_times(e: int) -> dict:
+    """fixtures/family12.json with every member times 2^e: the scale edge,
+    where every output is 2^e times the unscaled one."""
+    with open(os.path.join(ROOT, "fixtures", "family12.json"), encoding="utf-8") as fh:
+        family = json.load(fh)
+    family["functions"] = {name: [math.ldexp(v, e) for v in values] for name, values in family["functions"].items()}
+    return family
+
+
+SCALE_EDGE = {"{family12x2^-45}": lambda: _family12_times(-45), "{family12x2^1000}": lambda: _family12_times(1000)}
+GENERATED = {"{atoms512}": _atoms512, "{family64}": _family64, **SCALE_EDGE}  # placeholder -> inputs written for the run
 BENNETT = ['{"kind": "bennett", "L": %s}' % L for L in (0.1, 1, 10)]
 # The benchmark's six generators; then Bennett at other L, a custom table,
 # and a table whose first slope 1e-13 lies below the lambda search grid.
@@ -106,6 +118,17 @@ FIXTURE_COMMANDS = [
      "--trials", "1000", "--seed", "7"],
     ["verify", "--target", "gaussian", "--model", "{gaussian}", "--n", "5", "--r", "0.0001", "--mesh", "4000",
      "--trials", "2000", "--seed", "8"],
+    # The scale edge: family12 times 2^-45 and 2^1000, under the CGF norm and
+    # an Orlicz norm.
+    *([*cmd, *norm]
+      for family in SCALE_EDGE
+      for norm in ([], ["--norm", '{"kind": "bernstein", "L": 1}'])
+      for cmd in [
+          ["optimize", "--family", family, "--n", "200", "--r", "0.05", "--k-candidates", "0,1,2,3"],
+          ["chain-bound", "--family", family, "--k", "2", "--n", "200", "--r", "0.05"],
+          ["verify", "--target", "theorem-main", "--family", family, "--k", "2", "--n", "200", "--r", "0.05",
+           "--trials", "2000", "--seed", "1"],
+      ]),
 ]
 
 
