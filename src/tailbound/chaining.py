@@ -293,11 +293,10 @@ def build_deflation(family: FunctionFamily, k: int) -> DeflationPlan:
 class DeflatedSet:
     """The deflated family {f - A[f]}, deduplicated, with its metric data."""
 
-    values: np.ndarray  # (q, support) distinct deflated functions
+    values: np.ndarray  # (q, support) distinct deflated functions; row 0 is the zero function
     labels: tuple
-    zero_pos: int
     member_map: tuple  # member index -> row in values
-    dist: np.ndarray  # (q, q) pairwise norms; column zero_pos holds the norms
+    dist: np.ndarray  # (q, q) pairwise norms; column 0 holds the norms
 
     @property
     def size(self) -> int:
@@ -313,9 +312,11 @@ def deflate(family: FunctionFamily, plan: DeflationPlan) -> DeflatedSet:
 
 def _deflate(family: FunctionFamily, assignment: tuple) -> DeflatedSet:
     """Deflated rows f_m - f_c, deduplicated by their bytes, each kept with the
-    (member m, anchor c) that first gives it. Distances come from the family
-    by identity where one holds, and only the other pairs are normed."""
-    rows, keys, member_map, origin = family.values - family.values[list(assignment)], {}, [], []
+    (member m, anchor c) that first gives it, the zero member's (z, z) first.
+    Distances come from the family by identity where one holds, and only the
+    other pairs are normed."""
+    z, rows = family.zero_index, family.values - family.values[list(assignment)]
+    keys, member_map, origin = {rows[z].tobytes(): 0}, [], [(z, z)]
     for i, c in enumerate(assignment):
         key = rows[i].tobytes()
         if key not in keys:
@@ -324,47 +325,50 @@ def _deflate(family: FunctionFamily, assignment: tuple) -> DeflatedSet:
         member_map.append(keys[key])
     m, c = np.array(origin).T
     values = readonly(rows[m])
-    zero_pos = keys[np.zeros(family.values.shape[1]).tobytes()]
     a, b, fd = *np.triu_indices(len(origin), 1), family.distances
     known = np.where(c[a] == c[b], fd[m[a], m[b]], np.nan)  # (f - c) - (g - c) = f - g
-    known = np.where(b == zero_pos, fd[m[a], c[a]], known)  # a row's distance to 0 is its member's to its anchor
-    known = np.where(a == zero_pos, fd[m[b], c[b]], known)
+    known = np.where(a == 0, fd[m[b], c[b]], known)  # a row's distance to 0 is its member's to its anchor
     labels = tuple(f"{family.names[i]}-{family.names[j]}" for i, j in origin)
-    return DeflatedSet(values, labels, zero_pos, tuple(member_map), _distances(family, values, known))
+    return DeflatedSet(values, labels, tuple(member_map), _distances(family, values, known))
 
 
 def _farthest_first(dist: np.ndarray, seed: list, budget: int) -> list:
     """seed grown by farthest-first traversal under dist to `budget` indices,
     or until every point is at distance 0; ties go to the smallest index."""
-    chosen = list(seed)
+    chosen, gap = list(seed), dist[:, seed].min(axis=1)
     while len(chosen) < budget:
-        min_d = np.min(dist[:, chosen], axis=1)
-        cand = int(np.argmax(min_d))
-        if min_d[cand] <= 0.0:
+        cand = int(np.argmax(gap))
+        if gap[cand] <= 0.0:
             break
         chosen.append(cand)
+        np.minimum(gap, dist[:, cand], out=gap)  # each point's distance to the chosen set
     return chosen
+
+
+def _level_size(ell: int, q: int) -> int:
+    """min(2^{2^ell}, q); the power is formed only while it is at most 2q."""
+    return q if ell >= q.bit_length().bit_length() else min(2 ** (2**ell), q)
 
 
 def epsilon_ell(deflated: DeflatedSet, ell: int):
     """Best covering radius of the deflated set by at most 2^{2^ell} elements.
 
     The candidates are every subset of that size, in itertools.combinations
-    order, for sets of at most 12 elements, else the one farthest-first
-    subset; all are scored in one reduction and the first minimum wins. The
-    returned subset certifies the value.
+    order, for sets of at most 12 elements, else a prefix of gamma's one
+    farthest-first traversal from row 0; all are scored in one reduction and
+    the first minimum wins. The returned subset certifies the value.
     """
     if ell < 0:
         raise ValueError("ell must be nonnegative")
     q = deflated.size
-    budget = 2 ** (2**ell)
-    if budget >= q:
+    budget = _level_size(ell, q)
+    if budget == q:
         return 0.0, tuple(range(q))
     if q <= EXACT_EPSILON_LIMIT:
         subsets = np.array(list(itertools.combinations(range(q), budget)))
     else:
         subsets = np.array([_farthest_first(deflated.dist, [0], budget)])
-    radii = deflated.dist[:, subsets].min(axis=2).max(axis=0)
+    radii = _gamma_values(deflated.dist, (subsets,), (1.0,))
     best = int(np.argmin(radii))
     return float(radii[best]), tuple(subsets[best].tolist())
 
@@ -373,19 +377,16 @@ def _ell_top(q: int) -> int:
     """Smallest ell >= 1 with 2^{2^ell} >= q; levels from there on may equal
     the whole set, so their chain terms vanish. (Level 0 is pinned to {0} and
     always contributes unless the set is just {0}.)"""
-    ell = 1
-    while 2 ** (2**ell) < q:
-        ell += 1
-    return ell
+    return next(ell for ell in itertools.count(1) if _level_size(ell, q) == q)
 
 
-def _gamma_values(dist: np.ndarray, levels, weights) -> np.ndarray:
-    """max over points x of sum_ell 2 w_ell dist(x, level ell), for each
-    candidate: a level is a (candidates, size) index array, or one index
-    sequence that every candidate shares."""
+def _gamma_values(dist: np.ndarray, levels, coefficients) -> np.ndarray:
+    """max over points x of sum_ell c_ell dist(x, level ell), for each
+    candidate (with one level and c = 1, its covering radius): a level is a
+    (candidates, size) index array, or one index sequence all candidates share."""
     total = np.zeros((dist.shape[0], 1))
-    for lvl, w in zip(levels, weights):
-        total = total + 2.0 * w * dist[:, np.atleast_2d(lvl)].min(axis=2)
+    for lvl, c in zip(levels, coefficients):
+        total = total + c * dist[:, np.atleast_2d(lvl)].min(axis=2)
     return total.max(axis=0)
 
 
@@ -394,38 +395,35 @@ def gamma_functional(deflated: DeflatedSet, family: FunctionFamily, n: int):
 
     gamma = inf over admissible nested sequences (A_0 = {0}, |A_ell| <=
     2^{2^ell}) of the worst-case weighted distance sum, with rates
-    (2^{ell+3} + ell + 2) log(2) / n. Sequences are grown greedily by
-    farthest-first additions; for sets of at most 8 elements every admissible
-    sequence is scored as well, in one reduction, and the first minimum
-    replaces the greedy sequence when it is strictly smaller.
+    (2^{ell+3} + ell + 2) log(2) / n. The greedy levels are prefixes of one
+    farthest-first traversal from row 0, the zero row; for sets of at most 8
+    elements every admissible sequence is scored as well, in one reduction,
+    and the first minimum replaces the greedy sequence when strictly smaller.
     Returns (value, certificate) where the certificate lists the realizing
     levels, their rates, and their weights.
     """
     check_int("n", n, 1)
     q = deflated.size
-    z = deflated.zero_pos
     if q == 1:
-        return 0.0, {"levels": ((z,),), "rates": (), "weights": ()}
+        return 0.0, {"levels": ((0,),), "rates": (), "weights": ()}
     ell_top = _ell_top(q)
     rates = tuple((2.0 ** (ell + 3) + ell + 2) * LOG2 / n for ell in range(ell_top))
     weights = tuple(class_wr(family, rr) for rr in rates)
+    coefficients = tuple(2.0 * w for w in weights)
     dist = deflated.dist
 
-    levels = [[z]]
-    for ell in range(1, ell_top):
-        levels.append(_farthest_first(dist, levels[-1], min(2 ** (2**ell), q)))
-    best_levels = tuple(tuple(lvl) for lvl in levels)
-    best_val = float(_gamma_values(dist, best_levels, weights)[0])
+    order = _farthest_first(dist, [0], _level_size(ell_top - 1, q))
+    best_levels = ((0,), *(tuple(order[: 2 ** (2**ell)]) for ell in range(1, ell_top)))
+    best_val = float(_gamma_values(dist, best_levels, coefficients)[0])
 
     if q <= EXACT_GAMMA_LIMIT and ell_top == 2:
         # only the ell = 1 level is free: it contains 0, has 4 elements
         # (q > 4 here), and larger never hurts, so enumerate exactly
-        others = [i for i in range(q) if i != z]
-        cands = np.sort([(z, *combo) for combo in itertools.combinations(others, 3)], axis=1)
-        vals = _gamma_values(dist, ((z,), cands), weights)
+        cands = np.array([(0, *combo) for combo in itertools.combinations(range(1, q), 3)])
+        vals = _gamma_values(dist, ((0,), cands), coefficients)
         best = int(np.argmin(vals))
         if vals[best] < best_val:
-            best_val, best_levels = float(vals[best]), ((z,), tuple(cands[best].tolist()))
+            best_val, best_levels = float(vals[best]), ((0,), tuple(cands[best].tolist()))
 
     return best_val, {"levels": best_levels, "rates": rates, "weights": weights}
 
@@ -472,7 +470,7 @@ def theorem_main_bound(
     q = deflated.size
     _, gamma_cert = gamma_functional(deflated, family, n)
     # a covering subset for every ell with a nonvanishing term
-    subsets = tuple((ell, epsilon_ell(deflated, ell)[1]) for ell in range(_ell_top(q)) if 2 ** (2**ell) < q)
+    subsets = tuple((ell, epsilon_ell(deflated, ell)[1]) for ell in range(_ell_top(q)) if _level_size(ell, q) < q)
     certificate = {
         "deflated_labels": deflated.labels,
         "deflated_values": [list(map(float, row)) for row in deflated.values],
@@ -513,9 +511,9 @@ def _chain_terms(family: FunctionFamily, deflated: DeflatedSet, certificate: dic
     epsilon_values, total_rhs = gamma_value + 2 w_r epsilon_sum and the
     gamma weights."""
     weights = tuple(class_wr(family, rr) for rr in certificate["gamma_rates"])
-    gamma_value = float(_gamma_values(deflated.dist, certificate["gamma_levels"], weights)[0])
+    gamma_value = float(_gamma_values(deflated.dist, certificate["gamma_levels"], [2.0 * w for w in weights])[0])
     epsilon_values = tuple(
-        float(deflated.dist[:, list(subset)].min(axis=1).max()) for _ell, subset in certificate["epsilon_subsets"]
+        float(_gamma_values(deflated.dist, (subset,), (1.0,))[0]) for _ell, subset in certificate["epsilon_subsets"]
     )
     epsilon_sum = float(sum(epsilon_values))
     w_r = class_wr(family, r)

@@ -18,7 +18,7 @@ import numpy as np
 from .numerics import NumericError, check_int, readonly
 
 MAX_DIM = 2000
-SYMMETRY_TOL = 1e-12
+SYMMETRY_TOL = 1e-12  # the tolerances are relative to s = max|Sigma|
 EIG_CLAMP = -1e-10
 RECONSTRUCTION_TOL = 1e-8
 
@@ -27,10 +27,10 @@ RECONSTRUCTION_TOL = 1e-8
 class GaussianModel:
     """Covariance matrix with its spectral decomposition, fixed at construction.
 
-    The decomposition is LAPACK's symmetric eigensolver (numpy.linalg.eigh).
-    Eigenvalues are stored descending; values in [-1e-10, 0) are clamped to
-    zero and anything more negative rejects the matrix. The reconstruction
-    V diag(lambda) V' must match Sigma entrywise to 1e-8.
+    The decomposition is LAPACK's symmetric eigensolver (numpy.linalg.eigh),
+    eigenvalues stored descending. Tolerances are relative to s = max|Sigma|:
+    symmetry to 1e-12 s; eigenvalues in [-1e-10 s, 0) are clamped to zero,
+    lower or infinite ones reject Sigma; V diag(lambda) V' matches it to 1e-8 s.
     """
 
     covariance: np.ndarray
@@ -43,17 +43,19 @@ class GaussianModel:
             raise ValueError(f"dimension cap is {MAX_DIM}")
         if not np.all(np.isfinite(cov)):
             raise ValueError("covariance must be finite")
-        if float(np.max(np.abs(cov - cov.T))) > SYMMETRY_TOL:
-            raise ValueError("covariance must be symmetric within 1e-12")
+        s = float(np.abs(cov).max())
+        with np.errstate(over="ignore"):
+            if float(np.max(np.abs(cov - cov.T))) > SYMMETRY_TOL * s:
+                raise ValueError("covariance must be symmetric within 1e-12 max|covariance|")
         vals, vecs = np.linalg.eigh(cov)
         order = np.argsort(-vals, kind="stable")
         vals = vals[order]
         vecs = vecs[:, order]
-        if float(vals.min()) < EIG_CLAMP:
-            raise ValueError("covariance is not positive semidefinite")
+        if not (np.isfinite(vals[0]) and vals[-1] >= EIG_CLAMP * s):  # an eigenvalue past the float range is inf
+            raise ValueError("covariance must be positive semidefinite, with finite eigenvalues")
         vals = np.maximum(vals, 0.0)
         recon_err = float(np.max(np.abs((vecs * vals) @ vecs.T - cov)))
-        if recon_err > RECONSTRUCTION_TOL:
+        if recon_err > RECONSTRUCTION_TOL * s:
             raise NumericError(f"eigendecomposition reconstruction error {recon_err:.3e}")
         object.__setattr__(self, "covariance", readonly(cov))
         object.__setattr__(self, "eigenvalues", readonly(vals))

@@ -229,7 +229,7 @@ def _random_family(rng, size, support_points=6):
 def _exhaustive_gamma(deflated, family, n):
     """Exact optimum over admissible two-level sequences (valid for q <= 16)."""
     q = deflated.size
-    z = deflated.zero_pos
+    z = 0  # the zero row
     rates = tuple((2.0 ** (ell + 3) + ell + 2) * LOG2 / n for ell in range(2))
     weights = tuple(class_wr(family, rr) for rr in rates)
 

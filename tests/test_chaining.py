@@ -32,6 +32,7 @@ from tailbound.chaining import (
     theorem_main_bound,
     validate_plan,
 )
+from tailbound.chaining import _farthest_first, _level_size
 from tailbound.jsonio import load_family, load_json
 from tailbound.orlicz import make_generator
 
@@ -394,9 +395,9 @@ def test_build_deflation_two_cluster(family12):
         "l5-zero",
     )
     assert deflated.member_map == (0, 1, 2, 3, 4, 5, 0, 0, 0, 0, 0, 0)
-    assert deflated.zero_pos == 0
-    # the deflated norms, the column at zero_pos, are those of l1..l5
-    assert deflated.dist[:, deflated.zero_pos] == pytest.approx(family12.member_norms[:6], abs=0.0)
+    assert not deflated.values[0].any()  # row 0 is the zero function
+    # the deflated norms, column 0, are those of l1..l5
+    assert deflated.dist[:, 0] == pytest.approx(family12.member_norms[:6], abs=0.0)
 
 
 def test_build_deflation_identity_when_budget_covers(family12):
@@ -404,7 +405,7 @@ def test_build_deflation_identity_when_budget_covers(family12):
     assert plan.assignment == tuple(range(12))
     deflated = deflate(family12, plan)
     assert deflated.size == 1
-    assert deflated.zero_pos == 0
+    assert not deflated.values[0].any()
 
 
 def test_build_deflation_budget_past_float_range(family12):
@@ -488,6 +489,44 @@ def test_epsilon_rejects_negative_ell(family12):
         epsilon_ell(deflated, -1)
 
 
+def test_epsilon_at_a_huge_ell_is_the_whole_set(family12):
+    # 2^{2^ell} is never formed once it covers the set: at ell = 10^6 it
+    # would be an integer of 2^{10^6} bits
+    deflated = deflate(family12, build_deflation(family12, 0))
+    assert epsilon_ell(deflated, 10**6) == (0.0, tuple(range(deflated.size)))
+    assert [_level_size(ell, 17) for ell in range(6)] == [2, 4, 16, 17, 17, 17]
+
+
+def _farthest_first_by_hand(dist, seed, budget):
+    """Farthest-first traversal with every distance to the chosen set
+    recomputed at each step; ties go to the first index."""
+    chosen = list(seed)
+    while len(chosen) < budget:
+        gaps = [min(dist[i][c] for c in chosen) for i in range(len(dist))]
+        if max(gaps) <= 0.0:
+            break
+        chosen.append(gaps.index(max(gaps)))
+    return chosen
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_farthest_first_matches_a_traversal_by_hand(seed):
+    rng = np.random.default_rng(seed)
+    q = 30
+    # L1 distances of points on a 4 x 4 grid tie often, and repeated points
+    # sit at distance 0; a symmetric matrix of 0, 1 and 2 has zero gaps off
+    # the diagonal
+    pts = rng.integers(0, 4, size=(q, 2)).astype(float)
+    grid = np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=2)
+    m = rng.integers(0, 2, size=(q, q)).astype(float)
+    loose = m + m.T
+    np.fill_diagonal(loose, 0.0)
+    for dist in (grid, loose):
+        for start in ([0], [7], [5, 1], list(range(0, q, 7))):
+            for budget in (1, 2, 5, 16, q, q + 3):
+                assert _farthest_first(dist, start, budget) == _farthest_first_by_hand(dist, start, budget)
+
+
 # ---------------------------------------------------------------------------
 # gamma functional
 
@@ -505,7 +544,7 @@ def test_gamma_two_point_closed_form():
     )
     deflated = deflate(fam, build_deflation(fam, 0))
     val, cert = gamma_functional(deflated, fam, 50)
-    want = 2.0 * class_wr(fam, 10.0 * LOG2 / 50.0) * float(deflated.dist[1, deflated.zero_pos])
+    want = 2.0 * class_wr(fam, 10.0 * LOG2 / 50.0) * float(deflated.dist[1, 0])
     assert val == pytest.approx(want, rel=1e-12)
     assert cert["rates"] == pytest.approx((10.0 * LOG2 / 50.0,), rel=1e-15)
 
@@ -516,7 +555,7 @@ def test_gamma_matches_exhaustive_sequences():
     deflated = deflate(fam, build_deflation(fam, 0))
     got, cert = gamma_functional(deflated, fam, 120)
     q = deflated.size
-    z = deflated.zero_pos
+    z = 0  # the zero row
     rates = tuple((2.0 ** (ell + 3) + ell + 2) * LOG2 / 120 for ell in range(2))
     weights = tuple(class_wr(fam, rr) for rr in rates)
 
@@ -580,7 +619,7 @@ def test_epsilon_returns_the_first_tied_minimum_in_combinations_order(family12, 
 
 def test_gamma_returns_the_first_tied_minimum_in_combinations_order():
     deflated = deflate(TIED, build_deflation(TIED, 0))
-    q, z = deflated.size, deflated.zero_pos
+    q, z = deflated.size, 0  # row 0 is the zero row
     got, cert = gamma_functional(deflated, TIED, 100)
     weights = cert["weights"]
 
@@ -729,3 +768,22 @@ def test_optimize_rejects_bad_candidates(family12):
         optimize_deflation(family12, 200, 0.05, [-1])
     with pytest.raises(ValueError):
         optimize_deflation(family12, 200, 0.05, [True])
+
+
+@pytest.mark.parametrize("norm", ["cgf", make_generator("bernstein", L=1.0)], ids=["cgf", "bernstein"])
+def test_chain_bounds_do_not_depend_on_member_order(norm):
+    # the deflated set's row 0 is its zero row whatever the members' order,
+    # so gamma and epsilon grow their traversal from the same point
+    dist, members = oracles.synthetic_family(np.random.default_rng(64), 24, 64, (0.25, 1.0, 4.0), 0.15, 0.02)
+    names = list(members)
+    shuffled = {names[i]: members[names[i]] for i in np.random.default_rng(64).permutation(len(names))}
+    assert next(iter(shuffled)) != "zero"
+    fams = [FunctionFamily(dist, m, norm) for m in (members, shuffled)]
+    first, second = (optimize_deflation(f, 200, 0.05, (0, 1, 2, 3)) for f in fams)
+    assert first.evaluations == second.evaluations
+    assert (first.objective, first.report.k) == (second.objective, second.report.k)
+    reports = [(first.report, second.report), [theorem_main_bound(f, build_deflation(f, 2), 200, 0.05) for f in fams]]
+    for a, b in reports:
+        assert a.per_member == b.per_member  # by name
+        for field in ("w_r", "w_shift", "gamma_value", "epsilon_values", "epsilon_sum", "total_rhs", "deflated_size"):
+            assert getattr(a, field) == getattr(b, field), field

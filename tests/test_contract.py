@@ -225,3 +225,38 @@ def test_family_scales_exactly_by_powers_of_two(family12, norm, e):
     got, want = (optimize_deflation(f, 200, 0.05, (0, 1, 2, 3)) for f in (fam, base))
     assert got.plan == want.plan and got.objective == s * want.objective
     assert np.array_equal(got.report.thresholds(), s * want.report.thresholds())
+
+
+def _dense_covariance(d):
+    """Q diag(i^-2) Q' for a seeded orthogonal Q, made exactly symmetric."""
+    q, _ = np.linalg.qr(np.random.default_rng(1).normal(size=(d, d)))
+    cov = (q * np.arange(1.0, d + 1) ** -2) @ q.T
+    return (cov + cov.T) / 2
+
+
+@pytest.mark.parametrize("d", (2, 50))
+@pytest.mark.parametrize("e", (-60, -40, 30, 40, 200))
+def test_gaussian_model_scales_exactly_by_powers_of_two(d, e):
+    # the model's tolerances are relative to max|Sigma|: at 2^30 an absolute
+    # reconstruction tolerance of 1e-8 rejected this d = 50 matrix
+    cov = _dense_covariance(d)
+    base, model = GaussianModel(cov), GaussianModel(cov * 2.0**e)
+    assert np.array_equal(model.eigenvalues, base.eigenvalues * 2.0**e)
+    assert np.array_equal(model.eigenvectors, base.eigenvectors)
+    dirs = np.random.default_rng(d).normal(size=(8, d))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    for k in sorted({0, 1, d // 2, d}):
+        for loose in (False, True):
+            got, want = (gaussian_instance_bound(m, dirs, k, 200, 0.05, loose) for m in (model, base))
+            for term in ("tail_trace", "tail_op", "projected", "base", "total"):
+                assert np.array_equal(getattr(got, term), getattr(want, term) * 2.0 ** (e // 2)), (k, term)
+
+
+@pytest.mark.parametrize("cov", [
+    [[1e-12, 0.0], [0.0, -1e-15]],  # an eigenvalue of -1e-3 max|Sigma|
+    [[1e308, 1e308], [1e308, 1e308]],  # its eigenvalue 2e308 overflows
+    [[1e-20, 2e-32], [0.0, 1e-20]],  # asymmetric by 2e-12 max|Sigma|
+])
+def test_gaussian_model_rejects_by_relative_tolerances(cov):
+    with pytest.raises(ValueError):
+        GaussianModel(np.array(cov))

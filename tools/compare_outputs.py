@@ -7,7 +7,7 @@
 checkout's bench/workloads.py (only imported) defines them, and the
 FIXTURE_COMMANDS on this checkout's fixtures/family12.json,
 fixtures/rademacher.json and fixtures/gaussian-poly2.json and on the
-GENERATED inputs (seeded, or family12 rescaled), through the
+GENERATED inputs (seeded, permuted or rescaled), through the
 `tailbound.cli.main` of DIR/src, DIR being a checkout's root, and saves each
 job's exit code, output and stderr in FILE.
 `diff` lists the jobs whose records differ, with the largest relative change
@@ -51,6 +51,26 @@ def _family64() -> dict:
     return workloads.synthetic_family(np.random.default_rng(64), 24, 64, (0.25, 1.0, 4.0), 0.15, 0.02)
 
 
+def _family64_permuted() -> dict:
+    """_family64 with its members listed in default_rng(64).permutation(24)
+    order, so that the zero member is not first: every bound must match
+    _family64's."""
+    family = _family64()
+    names = list(family["functions"])
+    order = np.random.default_rng(64).permutation(len(names))
+    family["functions"] = {names[i]: family["functions"][names[i]] for i in order}
+    return family
+
+
+def _gaussian50_times(e: int) -> dict:
+    """A dense d = 50 covariance Q diag(i^-2) Q' (Q from a QR of seeded
+    normals), made exactly symmetric, times 2^e: every bound term at even e
+    is 2^(e/2) times the unscaled one."""
+    q, _ = np.linalg.qr(np.random.default_rng(1).normal(size=(50, 50)))
+    cov = (q * np.arange(1.0, 51.0) ** -2) @ q.T
+    return {"covariance": np.ldexp((cov + cov.T) / 2, e).tolist()}
+
+
 def _family12_times(e: int) -> dict:
     """fixtures/family12.json with every member times 2^e: the scale edge,
     where every output is 2^e times the unscaled one."""
@@ -61,7 +81,11 @@ def _family12_times(e: int) -> dict:
 
 
 SCALE_EDGE = {"{family12x2^-45}": lambda: _family12_times(-45), "{family12x2^1000}": lambda: _family12_times(1000)}
-GENERATED = {"{atoms512}": _atoms512, "{family64}": _family64, **SCALE_EDGE}  # placeholder -> inputs written for the run
+GAUSSIAN_SCALES = {"{gaussian50}": 0, "{gaussian50x2^30}": 30, "{gaussian50x2^-60}": -60}
+GENERATED = {  # placeholder -> inputs written for the run
+    "{atoms512}": _atoms512, "{family64}": _family64, "{family64perm}": _family64_permuted, **SCALE_EDGE,
+    **{key: (lambda e=e: _gaussian50_times(e)) for key, e in GAUSSIAN_SCALES.items()},
+}
 BENNETT = ['{"kind": "bennett", "L": %s}' % L for L in (0.1, 1, 10)]
 # The benchmark's six generators; then Bennett at other L, a custom table,
 # and a table whose first slope 1e-13 lies below the lambda search grid.
@@ -103,7 +127,18 @@ FIXTURE_COMMANDS = [
     *(["class-wr", "--family", "{family}", "--r", "0.05", "--norm", gen] for gen in BENNETT),
     # The CGF norm and w_r on a larger support, down to a small rate.
     *(["class-wr", "--family", "{family64}", "--r", r] for r in ("0.0001", "0.05")),
-    ["optimize", "--family", "{family64}", "--n", "200", "--r", "0.05", "--k-candidates", "0,1,2,3"],
+    # The member order: family64 and its members permuted, the zero member
+    # no longer first, under the CGF norm and an Orlicz norm.
+    *([*cmd, *norm]
+      for family in ("{family64}", "{family64perm}")
+      for norm in ([], ["--norm", '{"kind": "bernstein", "L": 1}'])
+      for cmd in [
+          ["optimize", "--family", family, "--n", "200", "--r", "0.05", "--k-candidates", "0,1,2,3"],
+          ["chain-bound", "--family", family, "--k", "2", "--n", "200", "--r", "0.05"],
+      ]),
+    # The Gaussian model's scale edge: a dense covariance times 2^30 and 2^-60.
+    *(["gaussian-bound", "--model", model, "--basis", "0", "--k", "3", "--n", "200", "--r", "0.05"]
+      for model in GAUSSIAN_SCALES),
     # The sweep's grouped draws: discrete points grouped by n, and a gaussian
     # sweep whose points all share one draw.
     ["sweep", "--target", "chernoff", "--dist", "{rademacher}", "--f", "f", "--n", "50", "--r", "0.05",
