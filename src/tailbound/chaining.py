@@ -434,21 +434,21 @@ class ChainBoundReport:
 
     total_rhs = gamma_value + 2 w_r epsilon_sum, and each member's threshold
     is w_shift ||f|| + total_rhs where w_shift = class_wr at rate r + k/n.
-    The guarantee is 1 - 2 e^{-nr}.
+    The guarantee is 1 - 2 e^{-nr}. Fields are in the CLI's output order.
     """
 
     n: int
     r: float
     k: int
+    deflated_size: int
     gamma_value: float
-    epsilon_sum: float
     epsilon_values: tuple
+    epsilon_sum: float
     w_r: float
     w_shift: float
-    per_member: dict
     total_rhs: float
     guarantee: float
-    deflated_size: int
+    per_member: dict
     certificate: dict
 
     def thresholds(self) -> np.ndarray:
@@ -471,75 +471,57 @@ def theorem_main_bound(
     _, gamma_cert = gamma_functional(deflated, family, n)
     # a covering subset for every ell with a nonvanishing term
     subsets = tuple((ell, epsilon_ell(deflated, ell)[1]) for ell in range(_ell_top(q)) if _level_size(ell, q) < q)
-    certificate = {
-        "deflated_labels": deflated.labels,
-        "deflated_values": [list(map(float, row)) for row in deflated.values],
-        "member_map": deflated.member_map,
-        "gamma_levels": gamma_cert["levels"],
-        "gamma_rates": gamma_cert["rates"],
-        "gamma_weights": gamma_cert["weights"],
-        "epsilon_subsets": subsets,
-        "assignment": plan.assignment,
-        "k": plan.k,
-    }
-    w_r, terms = _chain_terms(family, deflated, certificate, r)
-    w_shift = class_wr(family, r + plan.k / n)
-    per_member = {
-        name: w_shift * float(family.member_norms[i]) + terms["total_rhs"] for i, name in enumerate(family.names)
-    }
-    return ChainBoundReport(
-        n=n,
-        r=float(r),
-        k=int(plan.k),
-        gamma_value=terms["gamma_value"],
-        epsilon_sum=terms["epsilon_sum"],
-        epsilon_values=terms["epsilon_values"],
-        w_r=w_r,
-        w_shift=w_shift,
-        per_member=per_member,
-        total_rhs=terms["total_rhs"],
-        guarantee=1.0 - 2.0 * math.exp(-n * r),
-        deflated_size=q,
-        certificate=certificate,
-    )
+    return _chain_report(family, deflated, plan, n, r, gamma_cert["levels"], gamma_cert["rates"], subsets)
 
 
-def _chain_terms(family: FunctionFamily, deflated: DeflatedSet, certificate: dict, r: float):
-    """(w_r, terms) of a chain bound, evaluated over the certificate's gamma
-    levels and rates and its epsilon subsets: the one arithmetic of the
-    report and of its replay. terms holds gamma_value, epsilon_sum,
-    epsilon_values, total_rhs = gamma_value + 2 w_r epsilon_sum and the
-    gamma weights."""
-    weights = tuple(class_wr(family, rr) for rr in certificate["gamma_rates"])
-    gamma_value = float(_gamma_values(deflated.dist, certificate["gamma_levels"], [2.0 * w for w in weights])[0])
-    epsilon_values = tuple(
-        float(_gamma_values(deflated.dist, (subset,), (1.0,))[0]) for _ell, subset in certificate["epsilon_subsets"]
-    )
+def _chain_report(family, deflated, plan, n, r, levels, rates, subsets) -> ChainBoundReport:
+    """The report that a plan's deflated set, gamma's levels and rates and
+    epsilon's subsets certify: every value, evaluated over those index sets,
+    and the certificate with its derived entries (deflated rows, labels,
+    member map, gamma weights). The one arithmetic of theorem_main_bound and
+    of replay_certificate."""
+    weights = tuple(class_wr(family, rr) for rr in rates)
+    gamma_value = float(_gamma_values(deflated.dist, levels, [2.0 * w for w in weights])[0])
+    epsilon_values = tuple(float(_gamma_values(deflated.dist, (subset,), (1.0,))[0]) for _ell, subset in subsets)
     epsilon_sum = float(sum(epsilon_values))
-    w_r = class_wr(family, r)
-    return w_r, {
-        "gamma_value": gamma_value,
-        "epsilon_sum": epsilon_sum,
-        "epsilon_values": epsilon_values,
-        "total_rhs": gamma_value + 2.0 * w_r * epsilon_sum,
-        "weights": weights,
-    }
+    w_r, w_shift = class_wr(family, r), class_wr(family, r + plan.k / n)
+    total_rhs = gamma_value + 2.0 * w_r * epsilon_sum
+    return ChainBoundReport(
+        n=n, r=float(r), k=int(plan.k), deflated_size=deflated.size, gamma_value=gamma_value,
+        epsilon_values=epsilon_values, epsilon_sum=epsilon_sum, w_r=w_r, w_shift=w_shift, total_rhs=total_rhs,
+        guarantee=1.0 - 2.0 * math.exp(-n * r),
+        per_member={name: w_shift * float(family.member_norms[i]) + total_rhs for i, name in enumerate(family.names)},
+        certificate={
+            "deflated_labels": deflated.labels,
+            "deflated_values": [list(map(float, row)) for row in deflated.values],
+            "member_map": deflated.member_map,
+            "gamma_levels": levels,
+            "gamma_rates": rates,
+            "gamma_weights": weights,
+            "epsilon_subsets": subsets,
+            "assignment": plan.assignment,
+            "k": plan.k,
+        },
+    )
 
 
-def replay_certificate(family: FunctionFamily, report: ChainBoundReport) -> dict:
-    """Recompute every reported value from the certificate alone.
+def replay_certificate(family: FunctionFamily, report: ChainBoundReport) -> ChainBoundReport:
+    """The report that the certificate alone implies for this family.
 
-    Rebuilds the deflated set from the stored assignment, re-evaluates all
-    distances, weights, and covering radii over the certified index sets
-    with the report's own arithmetic, and returns the recomputed quantities
-    for comparison with the report.
+    Rebuilds the deflated set from the stored assignment, checks it against
+    the stored rows (ValueError if they differ, so the stored indices name
+    the same rows), and re-evaluates every value over the certified index
+    sets with the report's own arithmetic. The certificate is valid for the
+    family exactly when the returned report equals the given one.
     """
-    plan = DeflationPlan(tuple(report.certificate["assignment"]), int(report.certificate["k"]))
+    cert = report.certificate
+    plan = DeflationPlan(tuple(cert["assignment"]), int(cert["k"]))
     deflated = deflate(family, plan)
-    stored = np.array(report.certificate["deflated_values"], dtype=float)
+    stored = np.array(cert["deflated_values"], dtype=float)
     if stored.shape != deflated.values.shape or not np.array_equal(stored, deflated.values):
         raise ValueError("certificate deflated values do not match the family and plan")
-    return _chain_terms(family, deflated, report.certificate, report.r)[1]
+    return _chain_report(family, deflated, plan, report.n, report.r,
+                         cert["gamma_levels"], cert["gamma_rates"], cert["epsilon_subsets"])
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ with their shortest round-trip representation.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import math
 import sys
@@ -124,12 +125,9 @@ def _cmd_gaussian_bound(args):
     return row, [row]
 
 
-CHAIN_FIELDS = ("n", "r", "k", "deflated_size", "gamma_value", "epsilon_values", "epsilon_sum", "w_r",
-                "w_shift", "total_rhs", "guarantee", "per_member", "certificate")
-
-
 def _chain_payload(report):
-    payload = {"op": "chain-bound", **{name: getattr(report, name) for name in CHAIN_FIELDS}}
+    # shallow: dataclasses.asdict would deep-copy the certificate's rows
+    payload = {"op": "chain-bound", **{f.name: getattr(report, f.name) for f in dataclasses.fields(report)}}
     row = {k: v for k, v in payload.items() if k not in ("op", "epsilon_values", "per_member", "certificate")}
     row.update({f"threshold_{name}": thr for name, thr in report.per_member.items()})
     return payload, [row]

@@ -84,7 +84,8 @@ class GaussianModel:
             raise ValueError(f"unknown spectrum shorthand {kind!r}")
         if not 1 <= d <= MAX_DIM:
             raise ValueError(f"d must lie in 1..{MAX_DIM}")
-        lam = np.arange(1, d + 1, dtype=float) ** (-float(exponent))
+        with np.errstate(over="ignore"):  # an overflowing eigenvalue is rejected as infinite
+            lam = np.arange(1, d + 1, dtype=float) ** (-float(exponent))
         return GaussianModel(np.diag(lam))
 
 
@@ -153,8 +154,9 @@ def gaussian_instance_bound(model: GaussianModel, u, k: int, n: int, r: float,
     u = np.asarray(u, dtype=float)
     rows = np.atleast_2d(u)
     norms = cgf_norm(model, rows)
-    if not np.all(np.linalg.norm(rows, axis=1) <= 1.0 + 1e-12):
-        raise ValueError("direction must have Euclidean norm at most 1")
+    with np.errstate(over="ignore"):  # a norm past the float range is inf, and rejected
+        if not np.all(np.linalg.norm(rows, axis=1) <= 1.0 + 1e-12):
+            raise ValueError("direction must have Euclidean norm at most 1")
     coords = (rows[:, None, :] @ model.eigenvectors)[:, 0, :]  # each direction's eigen-coordinates, row by row
     trunc_quad = np.sum(model.eigenvalues[:k] * coords[:, :k] ** 2, axis=1)
     tail_trace = math.sqrt(model.residual_trace(k) / n)

@@ -236,7 +236,10 @@ def make_generator(
             raise ValueError("custom phi values must be nonnegative and strictly increasing")
         tk = np.concatenate(([0.0], tk))
         pk = np.concatenate(([0.0], pk))
-        slopes = np.diff(pk) / np.diff(tk)
+        with np.errstate(over="ignore", invalid="ignore"):
+            slopes = np.diff(pk) / np.diff(tk)
+        if not np.all(np.isfinite(slopes)):
+            raise ValueError("custom phi table slopes must be finite")
         if np.any(np.diff(slopes) < -1e-12 * slopes.max()):
             raise ValueError("custom phi table is not convex (slopes must be nondecreasing)")
         s_last = float(slopes[-1])

@@ -107,6 +107,10 @@ def test_distribution_validation():
         DiscreteDistribution([[0.0], [0.0]], [0.5, 0.5])
     with pytest.raises(ValueError):
         DiscreteDistribution([[0.0], [1.0]], [1.5, -0.5])
+    with pytest.raises(ValueError, match="support must be a nonempty list of points"):
+        DiscreteDistribution(np.zeros((0, 1)), [])
+    with pytest.raises(ValueError, match="probabilities and support must have equal length"):
+        DiscreteDistribution([[0.0], [1.0]], [1.0])
 
 
 def test_rate_bound_rejects_bad_inputs():

@@ -231,6 +231,11 @@ def test_wr_singleton_family():
     assert extremal_difference(fam, 0.7) is None
 
 
+def test_wr_rejects_a_negative_rate(family12):
+    with pytest.raises(ValueError, match="r must be nonnegative"):
+        class_wr(family12, -0.1)
+
+
 def test_wr_three_member_grid_oracle():
     probs = UNIFORM4.probabilities
     rows = THREE.values
@@ -340,6 +345,12 @@ def test_validate_plan_rejections(family12):
     with pytest.raises(ValueError):
         validate_plan(family12, DeflationPlan(tuple(wide), 1))
     validate_plan(family12, DeflationPlan(tuple(wide), 2))
+    with pytest.raises(ValueError, match="k must be nonnegative"):
+        DeflationPlan(tuple(wide), -1)
+    # a second zero member meets the norm constraint as the zero member's image
+    twin = FunctionFamily(UNIFORM4, {"zero": [0.0] * 4, "zero2": [0.0] * 4, "a": [1.0, -1.0, 0.0, 0.0]})
+    with pytest.raises(ValueError, match="plan must map the zero member to itself"):
+        validate_plan(twin, DeflationPlan((1, 1, 0), 1))
 
 
 def test_plan_norm_constraint_has_no_slack(family12):
@@ -691,34 +702,74 @@ def test_theorem_bound_validation(family12):
 def test_certificate_replays_to_report(family12, k):
     plan = build_deflation(family12, k)
     rep = theorem_main_bound(family12, plan, 200, 0.05)
-    replay = replay_certificate(family12, rep)
-    assert replay["gamma_value"] == pytest.approx(rep.gamma_value, abs=1e-12)
-    assert replay["epsilon_sum"] == pytest.approx(rep.epsilon_sum, abs=1e-12)
-    assert replay["total_rhs"] == pytest.approx(rep.total_rhs, abs=1e-12)
-    assert replay["epsilon_values"] == pytest.approx(rep.epsilon_values, abs=1e-12)
+    assert replay_certificate(family12, rep) == rep
+
+
+def _fresh_loader(fixtures_dir, norm):
+    """Loads family12 anew on each call, so that a replay shares no cache
+    with the run that made the report."""
+    def load():
+        context = "cgf" if norm == "cgf" else make_generator("bernstein", L=1.0)
+        return load_family(load_json(fixtures_dir / "family12.json"), context)
+    return load
 
 
 @pytest.mark.parametrize("norm", ["cgf", "bernstein"])
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_certificate_replays_bit_for_bit_on_a_fresh_family(fixtures_dir, norm, k):
-    """The replay rebuilds the family from its JSON, so no cache is shared
-    with the run that made the report."""
-    def load():
-        context = "cgf" if norm == "cgf" else make_generator("bernstein", L=1.0)
-        return load_family(load_json(fixtures_dir / "family12.json"), context)
-
+    load = _fresh_loader(fixtures_dir, norm)
     fam = load()
     plan = build_deflation(fam, k)
     rep = theorem_main_bound(fam, plan, 200, 0.05)
     replay = replay_certificate(load(), rep)
-    # every returned value, bit for bit (== on floats)
-    assert replay == {
-        "gamma_value": rep.gamma_value,
-        "epsilon_sum": rep.epsilon_sum,
-        "epsilon_values": rep.epsilon_values,
-        "total_rhs": rep.total_rhs,
-        "weights": rep.certificate["gamma_weights"],
-    }
+    # every value and every certificate entry, bit for bit (== on floats)
+    assert isinstance(replay, ChainBoundReport)
+    assert replay == rep
+
+
+@pytest.mark.parametrize("norm", ["cgf", "bernstein"])
+def test_optimized_report_replays_bit_for_bit_on_a_fresh_family(fixtures_dir, norm):
+    load = _fresh_loader(fixtures_dir, norm)
+    rep = optimize_deflation(load(), 200, 0.05, (0, 1, 2, 3)).report
+    assert replay_certificate(load(), rep) == rep
+
+
+@pytest.mark.parametrize("norm", ["cgf", make_generator("bernstein", L=1.0)], ids=["cgf", "bernstein"])
+def test_certificates_replay_on_a_family_past_the_exhaustive_limits(norm):
+    # deflated sets of more than 12 rows: gamma's levels and epsilon's
+    # subsets are prefixes of the farthest-first traversal
+    dist, functions = oracles.synthetic_family(np.random.default_rng(64), 24, 64, (0.25, 1.0, 4.0), 0.15, 0.02)
+    fam, fresh = FunctionFamily(dist, functions, norm), FunctionFamily(dist, functions, norm)
+    reports = [theorem_main_bound(fam, build_deflation(fam, k), 200, 0.05) for k in range(4)]
+    reports.append(optimize_deflation(fam, 200, 0.05, (0, 1, 2, 3)).report)
+    assert max(rep.deflated_size for rep in reports) > 12
+    for rep in reports:
+        assert replay_certificate(fresh, rep) == rep
+
+
+def _replace_certificate(rep, key, edit):
+    return dataclasses.replace(rep, certificate={**rep.certificate, key: edit(rep.certificate[key])})
+
+
+# one reported value or derived certificate entry changed: the replay differs
+EDITS = {
+    "per_member": lambda rep: dataclasses.replace(rep, per_member={**rep.per_member, "b5": rep.per_member["b5"] / 2}),
+    "w_r": lambda rep: dataclasses.replace(rep, w_r=rep.w_r / 2),
+    "w_shift": lambda rep: dataclasses.replace(rep, w_shift=rep.w_shift / 2),
+    "guarantee": lambda rep: dataclasses.replace(rep, guarantee=rep.guarantee / 2),
+    "deflated_size": lambda rep: dataclasses.replace(rep, deflated_size=rep.deflated_size + 1),
+    "label": lambda rep: _replace_certificate(rep, "deflated_labels", lambda labels: (*labels[:-1], "tampered")),
+    "gamma_weight": lambda rep: _replace_certificate(rep, "gamma_weights", lambda w: (w[0] / 2, *w[1:])),
+}
+
+
+@pytest.mark.parametrize("field", sorted(EDITS))
+def test_certificate_replay_detects_an_edited_value(family12, field):
+    rep = theorem_main_bound(family12, build_deflation(family12, 2), 200, 0.05)
+    edited = EDITS[field](rep)
+    assert edited != rep
+    replay = replay_certificate(family12, edited)
+    assert replay != edited and replay == rep
 
 
 def test_certificate_tamper_detected(family12):

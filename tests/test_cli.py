@@ -24,7 +24,7 @@ from tailbound.cgf import rate_bound_T
 from tailbound.chaining import build_deflation, class_wr, optimize_deflation, theorem_main_bound
 from tailbound.cli import main
 from tailbound.gaussian import gaussian_instance_bound
-from tailbound.jsonio import load_distribution, load_family, load_json
+from tailbound.jsonio import dump_csv, load_distribution, load_family, load_json
 from tailbound.orlicz import make_generator, orlicz_norm
 from tailbound.verify import TrialPlan, run_trials
 
@@ -361,11 +361,30 @@ class TestExitCodes:
         assert run_cli(base + ["--basis", 99])[0] == 2  # out of range
 
     def test_verify_missing_reference_exits_2(self, fixtures_dir):
-        code, _, err = run_cli(
-            ["verify", "--target", "chernoff", "--n", 50, "--r", 0.05, "--trials", 10, "--seed", 1]
-        )
-        assert code == 2
-        assert "requires" in err
+        for target, flags in (("chernoff", "--dist and --f"), ("corollary", "--family"), ("gaussian", "--model")):
+            code, _, err = run_cli(
+                ["verify", "--target", target, "--n", 50, "--r", 0.05, "--trials", 10, "--seed", 1]
+            )
+            assert code == 2
+            assert err == f"invalid input: {target} target requires {flags}\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["class-wr", "--family", "family12.json", "--r", -0.1], ["wr-exp", "--gen", SUB_GAUSSIAN, "--r", -1, "--M", 1]],
+        ids=["class-wr", "wr-exp"],
+    )
+    def test_negative_rate_exits_2(self, fixtures_dir, argv):
+        code, out, err = run_cli([fixtures_dir / a if str(a).endswith(".json") else a for a in argv])
+        assert (code, out, err) == (2, "", "invalid input: r must be nonnegative\n")
+
+    @pytest.mark.parametrize(
+        "rows,message",
+        [([], "no rows to serialize"), ([{"a": 1.0}, {"b": 1.0}], "CSV rows must share one column set")],
+        ids=["empty", "mixed-keys"],
+    )
+    def test_dump_csv_rejects_rows_without_one_column_set(self, rows, message):
+        with pytest.raises(ValueError, match=message):
+            dump_csv(rows)
 
     def test_sweep_empty_grid_exits_2(self, fixtures_dir):
         code, _, err = run_cli(
@@ -393,10 +412,11 @@ class TestExitCodes:
             (["wr-exp", "--gen", SUB_GAUSSIAN, "--r", "inf"], "--r"),
             (["wr-quad", "--gen", SUB_GAUSSIAN, "--r", "inf"], "--r"),
             (["trf", "--dist", "d.json", "--f", "f", "--r=-inf"], "--r"),
+            (["trf", "--dist", "d.json", "--f", "f", "--r", "abc"], "--r"),
             (["sweep", "--target", "chernoff", "--dist", "d.json", "--f", "f", "--n", 50, "--r", 0.05,
               "--trials", 10, "--seed", 1, "--r-grid", "0.05,nan"], "--r-grid"),
         ],
-        ids=["M-nan", "M-inf", "wr-exp-r-inf", "wr-quad-r-inf", "trf-r-minus-inf", "r-grid-nan"],
+        ids=["M-nan", "M-inf", "wr-exp-r-inf", "wr-quad-r-inf", "trf-r-minus-inf", "trf-r-abc", "r-grid-nan"],
     )
     def test_non_finite_number_exits_2(self, argv, flag):
         # NaN passed `M <= 0` and inf printed the non-JSON `Infinity`
@@ -471,6 +491,8 @@ MALFORMED = [
     ("dist", "not an object", "support"),
     ("u", {"a": 1.0}, "direction"),
     ("u", [0.5, "x"], "direction"),
+    ("family", {**RADEMACHER_FIXTURE, "functions": {}}, "nonempty 'functions'"),
+    ("gen", {"kind": "custom"}, "tabulated t and phi"),
 ]
 
 
@@ -485,6 +507,7 @@ def test_malformed_input_exits_2_with_one_line(tmp_path, flag, obj, word):
         "gen": ["wr-exp", "--gen", path, "--r", 1.0],
         "dist": ["trf", "--dist", path, "--f", "f", "--r", 0.1],
         "u": ["gaussian-bound", "--model", model, "--u", path, "--k", 1, "--n", 10, "--r", 0.1],
+        "family": ["class-wr", "--family", path, "--r", 0.1],
     }[flag]
     code, out, err = run_cli(argv)
     assert code == 2
@@ -647,17 +670,29 @@ FLOAT_EDGES = {
                                "--r", 0.1, "--trials", 4000, "--seed", 1], 0),
     "trf-5e-324": (["trf", "--dist", "tiny.json", "--f", "f", "--r", 0.1], 0),
     "wr-exp-power-with-M": (["wr-exp", "--gen", '{"kind": "power", "p": 2}', "--r", 1, "--M", 0.5], 2),
+    # custom tables whose slopes overflow: about 1e310 then 1e8 (not convex), and 1e600
+    "class-wr-custom-slope-1e310": (["class-wr", "--family", "family12.json", "--r", 0.1, "--norm",
+                                     '{"kind": "custom", "t": [1e-320, 1], "phi": [1e-10, 1e8]}'], 2),
+    "orlicz-norm-custom-slope-1e600": (["orlicz-norm", "--dist", "rademacher.json", "--f", "f", "--gen",
+                                        '{"kind": "custom", "t": [1e-300, 1], "phi": [1e300, 1e301]}'], 2),
+    # a spectrum whose eigenvalue 3^1000 overflows, and a direction whose norm does
+    "gaussian-bound-spectrum-3^1000": (["gaussian-bound", "--model", "poly-1000.json", "--basis", 0, "--k", 1,
+                                        "--n", 10, "--r", 0.1], 2),
+    "gaussian-bound-u-1e200": (["gaussian-bound", "--model", "gaussian-poly2.json", "--u",
+                                json.dumps([1e200] + [0.0] * 49), "--k", 1, "--n", 10, "--r", 0.1], 2),
 }
 
 
 @pytest.mark.parametrize("case", sorted(FLOAT_EDGES))
 def test_float_range_edges_exit_cleanly(fixtures_dir, tmp_path, case):
     argv, want = FLOAT_EDGES[case]
-    for name, value in (("big.json", 1e308), ("tiny.json", 5e-324)):
-        dist = {"support": [[-1.0], [1.0]], "probabilities": [0.5, 0.5], "functions": {"f": [-value, value]}}
-        (tmp_path / name).write_text(json.dumps(dist))
-    argv = [(fixtures_dir if a == "rademacher.json" else tmp_path) / a if str(a).endswith(".json") else a
-            for a in argv]
+    written = {name: {"support": [[-1.0], [1.0]], "probabilities": [0.5, 0.5], "functions": {"f": [-value, value]}}
+               for name, value in (("big.json", 1e308), ("tiny.json", 5e-324))}
+    written["poly-1000.json"] = {"spectrum": "poly", "d": 3, "exponent": -1000}
+    for name, obj in written.items():
+        (tmp_path / name).write_text(json.dumps(obj))
+    # other .json names are fixtures
+    argv = [(tmp_path if a in written else fixtures_dir) / a if str(a).endswith(".json") else a for a in argv]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         code, out, err = run_cli(argv)

@@ -245,6 +245,14 @@ def test_make_generator_rejects_bad_parameters():
     with pytest.raises(ValueError):
         # slopes 2 then 0.5: concave table
         make_generator("custom", t=[1.0, 2.0, 4.0], phi=[2.0, 4.0, 5.0])
+    with pytest.raises(ValueError, match="requires tabulated t and phi"):
+        make_generator("custom")
+    # slopes past the float range: about 1e310 then 1e8 (concave), and 1e600
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for t, phi in (([1e-320, 1.0], [1e-10, 1e8]), ([1e-300, 1.0], [1e300, 1e301])):
+            with pytest.raises(ValueError, match="slopes must be finite"):
+                make_generator("custom", t=t, phi=phi)
 
 
 def test_custom_generator_linear_table():
@@ -370,6 +378,8 @@ def test_bernstein_phi_is_finite_where_2Lt_overflows():
 
 def test_bernstein_conjugate_piecewise_values():
     assert bernstein_phi_star(0.0, 1.0) == 0.0
+    with pytest.raises(ValueError, match="L must be positive"):
+        bernstein_phi_star(1.0, 0.0)
     assert bernstein_phi_star(-0.5, 1.0) == 0.0
     assert bernstein_phi_star(1.0, 1.0) == pytest.approx(0.5, rel=1e-15)
     assert bernstein_phi_star(3.0, 1.0) == math.inf

@@ -9,9 +9,10 @@ FIXTURE_COMMANDS on this checkout's fixtures/family12.json,
 fixtures/rademacher.json and fixtures/gaussian-poly2.json and on the
 GENERATED inputs (seeded, permuted or rescaled), through the
 `tailbound.cli.main` of DIR/src, DIR being a checkout's root, and saves each
-job's exit code, output and stderr in FILE.
+job's exit code, output and stderr in FILE. Every warning is recorded, and
+an exception that escapes main is recorded in place of the exit code.
 `diff` lists the jobs whose records differ, with the largest relative change
-among their JSON floats; it exits 1 if any do.
+among their JSON floats (CSV outputs are compared as text); it exits 1 if any do.
 """
 
 import os
@@ -28,6 +29,7 @@ import json
 import math
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 
@@ -83,6 +85,7 @@ def _family12_times(e: int) -> dict:
 SCALE_EDGE = {"{family12x2^-45}": lambda: _family12_times(-45), "{family12x2^1000}": lambda: _family12_times(1000)}
 GAUSSIAN_SCALES = {"{gaussian50}": 0, "{gaussian50x2^30}": 30, "{gaussian50x2^-60}": -60}
 GENERATED = {  # placeholder -> inputs written for the run
+    "{poly-1000}": lambda: {"spectrum": "poly", "d": 3, "exponent": -1000},  # eigenvalue 3^1000 overflows
     "{atoms512}": _atoms512, "{family64}": _family64, "{family64perm}": _family64_permuted, **SCALE_EDGE,
     **{key: (lambda e=e: _gaussian50_times(e)) for key, e in GAUSSIAN_SCALES.items()},
 }
@@ -109,6 +112,19 @@ FIXTURE_COMMANDS = [
           ["sweep", "--target", "theorem-main", "--family", "{family}", "--n", "200", "--r", "0.05",
            "--trials", "400", "--seed", "1", "--k-grid", "0,1,2,3", "--r-grid", "0.05,0.2"],
       ]),
+    # The chain report's CSV columns.
+    ["chain-bound", "--family", "{family}", "--k", "2", "--n", "200", "--r", "0.05", "--format", "csv"],
+    ["optimize", "--family", "{family}", "--n", "200", "--r", "0.05", "--k-candidates", "0,1,2,3", "--format", "csv"],
+    # Input faults found by an overflow: custom tables whose slopes overflow
+    # (about 1e310 then 1e8, and 1e600), a spectrum whose eigenvalue 3^1000
+    # overflows, and a direction whose Euclidean norm does.
+    ["class-wr", "--family", "{family}", "--r", "0.1", "--norm",
+     '{"kind": "custom", "t": [1e-320, 1], "phi": [1e-10, 1e8]}'],
+    ["orlicz-norm", "--dist", "{rademacher}", "--f", "f", "--gen",
+     '{"kind": "custom", "t": [1e-300, 1], "phi": [1e300, 1e301]}'],
+    ["gaussian-bound", "--model", "{poly-1000}", "--basis", "0", "--k", "1", "--n", "10", "--r", "0.1"],
+    ["gaussian-bound", "--model", "{gaussian}", "--u", json.dumps([1e200] + [0] * 49), "--k", "1", "--n", "10",
+     "--r", "0.1"],
     # The Orlicz coefficient bounds away from the benchmark's r = 1, and the
     # Bennett inverse and Orlicz norms at several L.
     *([op, "--gen", gen, "--r", r] for op in ("wr-quad", "wr-exp") for gen in GENERATORS for r in ("0.05", "10")),
@@ -171,8 +187,12 @@ def _run(main, argv) -> dict:
     """Exit code, output file text (when the call succeeds) and stderr of one CLI call."""
     with tempfile.TemporaryDirectory() as workdir:
         output = os.path.join(workdir, "out.json")
-        with contextlib.redirect_stderr(io.StringIO()) as err:
-            rc = main(argv + ["--output", output])
+        with contextlib.redirect_stderr(io.StringIO()) as err, warnings.catch_warnings():
+            warnings.simplefilter("always")  # each warning, not only the first at its line
+            try:
+                rc = main(argv + ["--output", output])
+            except Exception as exc:  # the command line would print a traceback
+                rc = f"uncaught {type(exc).__name__}: {exc}"
         text = ""
         if rc == 0:
             with open(output, encoding="utf-8") as fh:
@@ -213,9 +233,13 @@ def dump(src: str, out: str) -> int:
 
 
 def _floats(text: str):
-    """(the parsed JSON text with each float replaced by 0.0, the floats in order)."""
+    """(the parsed JSON text with each float replaced by 0.0, the floats in
+    order), or (the text, no floats) for CSV output."""
     found = []
-    return json.loads(text or "null", parse_float=lambda s: found.append(float(s)) or 0.0), found
+    try:
+        return json.loads(text or "null", parse_float=lambda s: found.append(float(s)) or 0.0), found
+    except ValueError:
+        return text, []
 
 
 def diff(path_a: str, path_b: str) -> int:
