@@ -42,7 +42,7 @@ class DiscreteDistribution:
 
     def __post_init__(self):
         support = np.atleast_2d(np.asarray(self.support, dtype=float))
-        if support.ndim != 2 or support.shape[0] < 1:
+        if support.ndim != 2 or support.size == 0:  # no points, or points of no coordinates
             raise ValueError("support must be a nonempty list of points")
         probs = np.asarray(self.probabilities, dtype=float).reshape(-1)
         if probs.shape[0] != support.shape[0]:

@@ -380,6 +380,16 @@ def _ell_top(q: int) -> int:
     return next(ell for ell in itertools.count(1) if _level_size(ell, q) == q)
 
 
+def _gamma_rates(q: int, n: int) -> tuple:
+    """gamma's rate (2^{ell+3} + ell + 2) log(2) / n per level of a set of q rows; none for q = 1."""
+    return () if q == 1 else tuple((2.0 ** (ell + 3) + ell + 2) * LOG2 / n for ell in range(_ell_top(q)))
+
+
+def _epsilon_ells(q: int) -> list:
+    """The ell whose epsilon term does not vanish for a set of q rows."""
+    return [ell for ell in range(_ell_top(q)) if _level_size(ell, q) < q]
+
+
 def _gamma_values(dist: np.ndarray, levels, coefficients) -> np.ndarray:
     """max over points x of sum_ell c_ell dist(x, level ell), for each
     candidate (with one level and c = 1, its covering radius): a level is a
@@ -407,7 +417,7 @@ def gamma_functional(deflated: DeflatedSet, family: FunctionFamily, n: int):
     if q == 1:
         return 0.0, {"levels": ((0,),), "rates": (), "weights": ()}
     ell_top = _ell_top(q)
-    rates = tuple((2.0 ** (ell + 3) + ell + 2) * LOG2 / n for ell in range(ell_top))
+    rates = _gamma_rates(q, n)
     weights = tuple(class_wr(family, rr) for rr in rates)
     coefficients = tuple(2.0 * w for w in weights)
     dist = deflated.dist
@@ -467,19 +477,19 @@ def theorem_main_bound(
     if not (r > 0.0):
         raise ValueError("r must be positive")
     deflated = deflate(family, plan)
-    q = deflated.size
-    _, gamma_cert = gamma_functional(deflated, family, n)
+    levels = gamma_functional(deflated, family, n)[1]["levels"]
     # a covering subset for every ell with a nonvanishing term
-    subsets = tuple((ell, epsilon_ell(deflated, ell)[1]) for ell in range(_ell_top(q)) if _level_size(ell, q) < q)
-    return _chain_report(family, deflated, plan, n, r, gamma_cert["levels"], gamma_cert["rates"], subsets)
+    subsets = tuple((ell, epsilon_ell(deflated, ell)[1]) for ell in _epsilon_ells(deflated.size))
+    return _chain_report(family, deflated, plan, n, r, levels, subsets)
 
 
-def _chain_report(family, deflated, plan, n, r, levels, rates, subsets) -> ChainBoundReport:
-    """The report that a plan's deflated set, gamma's levels and rates and
-    epsilon's subsets certify: every value, evaluated over those index sets,
-    and the certificate with its derived entries (deflated rows, labels,
-    member map, gamma weights). The one arithmetic of theorem_main_bound and
-    of replay_certificate."""
+def _chain_report(family, deflated, plan, n, r, levels, subsets) -> ChainBoundReport:
+    """The report that a plan's deflated set, gamma's levels and epsilon's
+    subsets certify: every value, evaluated over those index sets, and the
+    certificate with its derived entries (deflated rows, labels, member map,
+    gamma's rates for (q, n) and weights). The one arithmetic of
+    theorem_main_bound and of replay_certificate."""
+    rates = _gamma_rates(deflated.size, n)
     weights = tuple(class_wr(family, rr) for rr in rates)
     gamma_value = float(_gamma_values(deflated.dist, levels, [2.0 * w for w in weights])[0])
     epsilon_values = tuple(float(_gamma_values(deflated.dist, (subset,), (1.0,))[0]) for _ell, subset in subsets)
@@ -510,9 +520,12 @@ def replay_certificate(family: FunctionFamily, report: ChainBoundReport) -> Chai
 
     Rebuilds the deflated set from the stored assignment, checks it against
     the stored rows (ValueError if they differ, so the stored indices name
-    the same rows), and re-evaluates every value over the certified index
-    sets with the report's own arithmetic. The certificate is valid for the
-    family exactly when the returned report equals the given one.
+    the same rows) and that its sets are admissible (ValueError otherwise:
+    gamma's levels nested from {0}, one per rate, an epsilon subset for each
+    ell whose term does not vanish, each set at most 2^{2^ell} distinct row
+    indices), and re-evaluates every value over those sets with the report's
+    own arithmetic. The certificate is valid for the family exactly when the
+    returned report equals the given one.
     """
     cert = report.certificate
     plan = DeflationPlan(tuple(cert["assignment"]), int(cert["k"]))
@@ -520,8 +533,14 @@ def replay_certificate(family: FunctionFamily, report: ChainBoundReport) -> Chai
     stored = np.array(cert["deflated_values"], dtype=float)
     if stored.shape != deflated.values.shape or not np.array_equal(stored, deflated.values):
         raise ValueError("certificate deflated values do not match the family and plan")
-    return _chain_report(family, deflated, plan, report.n, report.r,
-                         cert["gamma_levels"], cert["gamma_rates"], cert["epsilon_subsets"])
+    q, levels, subsets = deflated.size, cert["gamma_levels"], cert["epsilon_subsets"]
+    if (len(levels) != _ell_top(q) or tuple(levels[0]) != (0,) or [ell for ell, _ in subsets] != _epsilon_ells(q)
+            or any(not set(low) <= set(high) for low, high in zip(levels, levels[1:]))
+            or any(len(set(idx)) != len(idx) or len(idx) > _level_size(ell, q)
+                   or not all(isinstance(i, (int, np.integer)) and 0 <= i < q for i in idx)
+                   for ell, idx in [*enumerate(levels), *subsets])):
+        raise ValueError("certificate gamma levels or epsilon subsets are not admissible for the deflated set")
+    return _chain_report(family, deflated, plan, report.n, report.r, levels, subsets)
 
 
 @dataclass(frozen=True)

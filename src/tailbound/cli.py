@@ -1,10 +1,11 @@
 """Command-line interface: every operation behind one `tailbound` entry point.
 
 Exit codes: 0 on success, 2 on input validation failure (the message names
-the violated precondition; NaN or infinite --r, --M and --r-grid values
-included), 1 on internal numeric failure such as a search grid with no
-finite objective value, or on memory exhaustion. All floats are printed
-with their shortest round-trip representation.
+the violated precondition; argument faults such as a missing option or a
+NaN or infinite --r, --M or --r-grid value included), 1 on internal
+numeric failure such as a search grid with no finite objective value, or
+on memory exhaustion; each failure prints one stderr line. All floats are
+printed with their shortest round-trip representation.
 """
 
 from __future__ import annotations
@@ -200,6 +201,13 @@ def _cmd_sweep(args):
     return rows, rows
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument fault raises ValueError, which main reports as invalid input."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def _add_output_flags(sub):
     sub.add_argument("--format", choices=("json", "csv"), default="json")
     sub.add_argument("--output", default=None, help="write result to this path instead of stdout")
@@ -207,7 +215,7 @@ def _add_output_flags(sub):
 
 @functools.cache  # built once per process; parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tailbound",
         description="Instance-dependent uniform tail bounds: rate functions, "
         "Orlicz coefficients, Gaussian rank-k bounds, deflated chaining, and "
@@ -303,8 +311,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         payload, rows = args.handler(args)
         text = dump_json(payload) if args.format == "json" else dump_csv(rows)
     except NumericError as exc:

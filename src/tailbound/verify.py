@@ -23,15 +23,15 @@ that draw the same values (the discrete targets at one n, the gaussian
 target at every grid point) draw and count each trial once. BLAS is the
 only parallelism.
 
-Targets and ceilings:
-  chernoff      one function f, threshold T_r(f), ceiling e^{-nr}
+Targets (each report's guarantee is the ceiling CEILING_FACTOR[target] e^{-nr}):
+  chernoff      one function f, threshold T_r(f), factor 1
   corollary     the extremal normalized family difference h*, threshold
-                w_r ||h*||, ceiling e^{-nr}
+                w_r ||h*||, factor 1
   gaussian      a mesh of unit directions u with per-direction rank-k
-                totals, ceiling 2 e^{-nr} (the mesh under-approximates the
-                sup over the unit ball, which the bound covers uniformly)
+                totals, factor 2 (the mesh under-approximates the sup over
+                the unit ball, which the bound covers uniformly)
   theorem-main  every family member against w_{r+k/n} ||f|| + totalRHS,
-                ceiling 2 e^{-nr}
+                factor 2
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -55,7 +55,8 @@ from .gaussian import GaussianModel, gaussian_instance_bound
 from .numerics import check_int, row_blocks
 from .rng import normals, substream_seed, uniforms
 
-TARGETS = ("chernoff", "corollary", "gaussian", "theorem-main")
+CEILING_FACTOR = {"chernoff": 1.0, "corollary": 1.0, "gaussian": 2.0, "theorem-main": 2.0}
+TARGETS = tuple(CEILING_FACTOR)
 _UNIT_ROUNDOFF = 2.0**-53
 _TINY = float(np.finfo(float).tiny)  # covers rounding below the normal range
 LEVEL_PASSES_MAX = 96  # largest support whose atoms _atom_counts counts by level passes
@@ -103,22 +104,29 @@ class TrialPlan:
 
 @dataclass(frozen=True)
 class VerificationReport:
+    """Violations of one plan's thresholds in `trials` trials, against the
+    ceiling `guarantee`. The observed rate, its binomial standard error and
+    the pass rule rate <= guarantee + 3 stderr derive from those counts."""
+
     target: str
     n: int
     r: float
     k: int
     trials: int
     violations: int
-    rate: float
+    rate: float = field(init=False)
     guarantee: float
-    stderr: float
-    passed: bool
+    stderr: float = field(init=False)
+    passed: bool = field(init=False)
 
     def __post_init__(self):
-        if not (0.0 <= self.rate <= 1.0):
-            raise ValueError("violation rate must lie in [0, 1]")
-        if self.passed != (self.rate <= self.guarantee + 3.0 * self.stderr):
-            raise ValueError("pass flag inconsistent with rate and guarantee")
+        if not (0 <= self.violations <= self.trials and self.trials >= 1):
+            raise ValueError("violations must lie in 0..trials, with at least one trial")
+        rate = self.violations / self.trials
+        stderr = math.sqrt(rate * (1.0 - rate) / self.trials)
+        object.__setattr__(self, "rate", rate)
+        object.__setattr__(self, "stderr", stderr)
+        object.__setattr__(self, "passed", rate <= self.guarantee + 3.0 * stderr)
 
     def as_dict(self) -> dict:
         out = dataclasses.asdict(self)
@@ -127,35 +135,22 @@ class VerificationReport:
 
 
 def _discrete_setup(plan: TrialPlan):
-    """Tracked value rows, thresholds, cdf, and ceiling for discrete targets."""
+    """Tracked value rows, their thresholds, and the cdf of a discrete target."""
+    fam = plan.family
+    dist = plan.distribution if plan.target == "chernoff" else fam.distribution
     if plan.target == "chernoff":
-        dist = plan.distribution
         tracked = plan.function_values[None, :]
         thresholds = rate_bound_T(dist, tracked, plan.r)[0]
-        ceiling = math.exp(-plan.n * plan.r)
-    elif plan.target == "corollary":
-        fam = plan.family
-        dist = fam.distribution
-        ext = extremal_difference(fam, plan.r)
-        if ext is None:
-            tracked = np.zeros((1, dist.size))
-            thresholds = np.array([0.0])
-        else:
-            i, j, t_val = ext
-            tracked = (fam.values[i] - fam.values[j])[None, :]
-            thresholds = np.array([t_val * fam.distances[i, j]])
-        ceiling = math.exp(-plan.n * plan.r)
+    elif plan.target == "corollary":  # with no nonzero difference, the zero row at threshold 0
+        i, j, t_val = extremal_difference(fam, plan.r) or (fam.zero_index, fam.zero_index, 0.0)
+        tracked = (fam.values[i] - fam.values[j])[None, :]
+        thresholds = np.array([t_val * fam.distances[i, j]])
     else:  # theorem-main
-        fam = plan.family
-        dist = fam.distribution
-        defl = build_deflation(fam, plan.k)
-        report = theorem_main_bound(fam, defl, plan.n, plan.r)
         tracked = fam.values
-        thresholds = report.thresholds()
-        ceiling = 1.0 - report.guarantee
+        thresholds = theorem_main_bound(fam, build_deflation(fam, plan.k), plan.n, plan.r).thresholds()
     cdf = np.cumsum(dist.probabilities)
     cdf[-1] = 1.0
-    return tracked, thresholds, cdf, ceiling
+    return tracked, thresholds, cdf
 
 
 def _atom_counts(u: np.ndarray, cdf: np.ndarray) -> np.ndarray:
@@ -195,11 +190,6 @@ def _gaussian_mesh(plan: TrialPlan):
         raise ValueError("degenerate mesh direction")
     dirs /= norms[:, None]
     return dirs, model.sqrt_matrix() @ dirs.T
-
-
-def _gaussian_setup(plan: TrialPlan, dirs: np.ndarray):
-    """Rank-k totals of the mesh directions, and the ceiling."""
-    return gaussian_instance_bound(plan.model, dirs, plan.k, plan.n, plan.r).total, 2.0 * math.exp(-plan.n * plan.r)
 
 
 def _gamma(k: int) -> float:
@@ -303,60 +293,38 @@ class _Group:
         return viol
 
 
-def _discrete_group(plans):
+def _discrete_group(plans) -> _Group:
     setups = [_discrete_setup(plan) for plan in plans]
     n, cdf = plans[0].n, setups[0][2]
-    parts = [(tracked.T, thresholds, n * n) for tracked, thresholds, _, _ in setups]
+    parts = [(tracked.T, thresholds, n * n) for tracked, thresholds, _ in setups]
     draw = lambda seeds: _atom_counts(uniforms(seeds, n), cdf).astype(float)
-    return _Group(draw, n, (1, math.inf), parts), [setup[3] for setup in setups]
+    return _Group(draw, n, (1, math.inf), parts)
 
 
-def _gaussian_group(plans):
+def _gaussian_group(plans) -> _Group:
     dirs, projector = _gaussian_mesh(plans[0])
     d = projector.shape[0]
-    parts, ceilings = [], []
-    for plan in plans:
-        totals, ceiling = _gaussian_setup(plan, dirs)
-        parts.append((projector, totals, plan.n))
-        ceilings.append(ceiling)
-    return _Group(lambda seeds: normals(seeds, d), 2 * d, (2, 2), parts), ceilings
+    parts = [(projector, gaussian_instance_bound(p.model, dirs, p.k, p.n, p.r).total, p.n) for p in plans]
+    return _Group(lambda seeds: normals(seeds, d), 2 * d, (2, 2), parts)
 
 
 def _run(plans) -> list:
-    """Reports of plans that differ only in n, r and k. Plans of one draw
-    width share a group, so each trial is drawn and counted once per group."""
+    """Reports of plans that differ only in n, r and k. The gaussian plans
+    form one group and the discrete plans one group per n; each group draws
+    and counts each trial once, for all its plans."""
     gaussian = plans[0].target == "gaussian"
-    members = {}  # draw width (the model's d for gaussian, else n) -> plan indices
+    members = {}  # group key (None for gaussian, else n) -> plan indices
     for i, plan in enumerate(plans):
-        members.setdefault(plan.model.dim if gaussian else plan.n, []).append(i)
-    build = _gaussian_group if gaussian else _discrete_group
-    groups, ceilings = [], [0.0] * len(plans)
-    for idx in members.values():
-        group, group_ceilings = build([plans[i] for i in idx])
-        groups.append((idx, group))
-        for i, ceiling in zip(idx, group_ceilings):
-            ceilings[i] = ceiling
+        members.setdefault(None if gaussian else plan.n, []).append(i)
     violations = np.zeros(len(plans), dtype=np.int64)
-    for idx, group in groups:
-        violations[idx] += group.count(plans[0].root_seed, plans[0].trials)
-    return [_report(plan, int(v), ceiling) for plan, v, ceiling in zip(plans, violations, ceilings)]
-
-
-def _report(plan: TrialPlan, violations: int, ceiling: float) -> VerificationReport:
-    rate = violations / plan.trials
-    stderr = math.sqrt(rate * (1.0 - rate) / plan.trials)
-    return VerificationReport(
-        target=plan.target,
-        n=int(plan.n),
-        r=float(plan.r),
-        k=int(plan.k),
-        trials=int(plan.trials),
-        violations=violations,
-        rate=rate,
-        guarantee=ceiling,
-        stderr=stderr,
-        passed=bool(rate <= ceiling + 3.0 * stderr),
-    )
+    for idx in members.values():
+        group = (_gaussian_group if gaussian else _discrete_group)([plans[i] for i in idx])
+        violations[idx] = group.count(plans[0].root_seed, plans[0].trials)
+    return [
+        VerificationReport(target=p.target, n=int(p.n), r=float(p.r), k=int(p.k), trials=int(p.trials),
+                           violations=int(v), guarantee=CEILING_FACTOR[p.target] * math.exp(-p.n * p.r))
+        for p, v in zip(plans, violations)
+    ]
 
 
 def run_trials(plan: TrialPlan) -> VerificationReport:

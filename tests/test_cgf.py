@@ -109,6 +109,8 @@ def test_distribution_validation():
         DiscreteDistribution([[0.0], [1.0]], [1.5, -0.5])
     with pytest.raises(ValueError, match="support must be a nonempty list of points"):
         DiscreteDistribution(np.zeros((0, 1)), [])
+    with pytest.raises(ValueError, match="support must be a nonempty list of points"):
+        DiscreteDistribution([], [1.0])  # atleast_2d makes it one point of dimension 0
     with pytest.raises(ValueError, match="probabilities and support must have equal length"):
         DiscreteDistribution([[0.0], [1.0]], [1.0])
 

@@ -760,6 +760,7 @@ EDITS = {
     "deflated_size": lambda rep: dataclasses.replace(rep, deflated_size=rep.deflated_size + 1),
     "label": lambda rep: _replace_certificate(rep, "deflated_labels", lambda labels: (*labels[:-1], "tampered")),
     "gamma_weight": lambda rep: _replace_certificate(rep, "gamma_weights", lambda w: (w[0] / 2, *w[1:])),
+    "gamma_rate": lambda rep: _replace_certificate(rep, "gamma_rates", lambda rates: (rates[0] / 2, *rates[1:])),
 }
 
 
@@ -770,6 +771,35 @@ def test_certificate_replay_detects_an_edited_value(family12, field):
     assert edited != rep
     replay = replay_certificate(family12, edited)
     assert replay != edited and replay == rep
+
+
+# gamma levels or epsilon subsets that are not admissible for the deflated set of q rows
+FORGERIES = {
+    "level-1-every-row": lambda levels, subsets, q: ((levels[0], tuple(range(q))), subsets),
+    "subsets-every-row": lambda levels, subsets, q: (levels, tuple((ell, tuple(range(q))) for ell, _ in subsets)),
+    "level-0-not-zero": lambda levels, subsets, q: (((1,), *levels[1:]), subsets),
+    "level-1-without-0": lambda levels, subsets, q: ((levels[0], (1, 2, 3, 4)), subsets),
+    "negative-index": lambda levels, subsets, q: ((levels[0], (*levels[1][:-1], -1)), subsets),
+    "index-past-q": lambda levels, subsets, q: (levels, ((0, (0, q)), *subsets[1:])),
+    "float-index": lambda levels, subsets, q: (levels, ((0, (0, 1.0)), *subsets[1:])),
+    "repeated-index": lambda levels, subsets, q: (levels, ((0, (0, 0)), *subsets[1:])),
+    "missing-subset": lambda levels, subsets, q: (levels, subsets[:-1]),
+    "extra-subset": lambda levels, subsets, q: (levels, (*subsets, (2, tuple(range(q))))),
+    "missing-level": lambda levels, subsets, q: (levels[:1], subsets),
+    "extra-level": lambda levels, subsets, q: ((*levels, tuple(range(q))), subsets),
+}
+
+
+@pytest.mark.parametrize("forgery", sorted(FORGERIES))
+def test_certificate_with_inadmissible_sets_is_rejected(family12, forgery):
+    # every set of the first two forgeries replayed to total_rhs 2.63 in place of 12.49
+    rep = theorem_main_bound(family12, build_deflation(family12, 0), 200, 0.05)
+    cert, q = rep.certificate, rep.deflated_size
+    assert q == 12 and len(cert["gamma_levels"]) == 2 and [ell for ell, _ in cert["epsilon_subsets"]] == [0, 1]
+    levels, subsets = FORGERIES[forgery](cert["gamma_levels"], cert["epsilon_subsets"], q)
+    forged = dataclasses.replace(rep, certificate={**cert, "gamma_levels": levels, "epsilon_subsets": subsets})
+    with pytest.raises(ValueError, match="not admissible"):
+        replay_certificate(family12, forged)
 
 
 def test_certificate_tamper_detected(family12):

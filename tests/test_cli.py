@@ -420,12 +420,10 @@ class TestExitCodes:
     )
     def test_non_finite_number_exits_2(self, argv, flag):
         # NaN passed `M <= 0` and inf printed the non-JSON `Infinity`
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exc:
-            main([str(a) for a in argv])
-        assert exc.value.code == 2
-        assert out.getvalue() == ""
-        assert f"argument {flag}: " in err.getvalue() and "not a finite number" in err.getvalue()
+        code, out, err = run_cli(argv)
+        assert code == 2 and out == ""
+        assert err.startswith(f"invalid input: tailbound {argv[0]}: argument {flag}: ") and err.count("\n") == 1
+        assert "not a finite number" in err
 
     @pytest.mark.parametrize(
         "argv",
@@ -443,9 +441,33 @@ class TestExitCodes:
         json.loads(out)
 
     def test_argparse_usage_error(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["trf", "--f", "f", "--r", "0.1"])
-        assert exc.value.code == 2
+        code, out, err = run_cli(["trf", "--f", "f", "--r", "0.1"])
+        assert code == 2 and out == ""
+        assert err == "invalid input: tailbound trf: the following arguments are required: --dist\n"
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            ([], "tailbound: the following arguments are required: command"),
+            (["trf", "--dist", "d.json", "--f", "f", "--r", "0.1", "--bogus"],
+             "tailbound: unrecognized arguments: --bogus"),
+            (["verify", "--target", "bogus", "--n", 1, "--r", 1, "--trials", 1, "--seed", 1],
+             "tailbound verify: argument --target: invalid choice: 'bogus' (choose from 'chernoff', 'corollary', "
+             "'gaussian', 'theorem-main')"),
+            (["chain-bound", "--family", "f.json", "--k", "two", "--n", 10, "--r", 0.1],
+             "tailbound chain-bound: argument --k: invalid int value: 'two'"),
+        ],
+        ids=["no-command", "unknown-flag", "unknown-target", "bad-int"],
+    )
+    def test_argument_faults_print_one_line(self, argv, message):
+        assert run_cli(argv) == (2, "", f"invalid input: {message}\n")
+
+    def test_help_still_exits_0_with_usage(self):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exc:
+            main(["trf", "--help"])
+        assert exc.value.code == 0
+        assert out.getvalue().startswith("usage: tailbound trf [-h] --dist DIST --f F --r R")
 
     def test_wr_exp_zero_conversion_factor_names_the_generator(self):
         code, out, err = run_cli(["wr-exp", "--gen", '{"kind": "sub-exponential"}', "--r", 1.0])

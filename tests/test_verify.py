@@ -14,6 +14,7 @@ import math
 import tracemalloc
 import warnings
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from tailbound.chaining import FunctionFamily, extremal_difference
 from tailbound.gaussian import GaussianModel
 from tailbound.rng import finalize, normals, substream_seed, uniforms
 from tailbound import numerics, rng, verify
-from tailbound.verify import LEVEL_PASSES_MAX, TrialPlan, VerificationReport, run_trials, sweep
+from tailbound.verify import CEILING_FACTOR, LEVEL_PASSES_MAX, TARGETS, TrialPlan, VerificationReport, run_trials, sweep
 
 _MASK = (1 << 64) - 1
 _PY_GOLDEN = 0x9E3779B97F4A7C15
@@ -68,8 +69,8 @@ def _override_thresholds(monkeypatch, value):
     setup = verify._discrete_setup
 
     def constant(plan):
-        tracked, thresholds, cdf, ceiling = setup(plan)
-        return tracked, np.full(thresholds.shape, float(value)), cdf, ceiling
+        tracked, thresholds, cdf = setup(plan)
+        return tracked, np.full(thresholds.shape, float(value)), cdf
 
     monkeypatch.setattr(verify, "_discrete_setup", constant)
 
@@ -77,18 +78,18 @@ def _override_thresholds(monkeypatch, value):
 def _scale_thresholds(monkeypatch, factor):
     """Scale every threshold and gaussian total run_trials derives by
     `factor`, so that the violation counts the tests compare are not 0."""
-    discrete, gaussian = verify._discrete_setup, verify._gaussian_setup
+    discrete, gaussian = verify._discrete_setup, verify.gaussian_instance_bound
 
     def scaled_discrete(plan):
-        tracked, thresholds, cdf, ceiling = discrete(plan)
-        return tracked, factor * thresholds, cdf, ceiling
+        tracked, thresholds, cdf = discrete(plan)
+        return tracked, factor * thresholds, cdf
 
-    def scaled_gaussian(plan, dirs):
-        totals, ceiling = gaussian(plan, dirs)
-        return factor * totals, ceiling
+    def scaled_gaussian(*args):
+        report = gaussian(*args)
+        return dataclasses.replace(report, total=factor * report.total)
 
     monkeypatch.setattr(verify, "_discrete_setup", scaled_discrete)
-    monkeypatch.setattr(verify, "_gaussian_setup", scaled_gaussian)
+    monkeypatch.setattr(verify, "gaussian_instance_bound", scaled_gaussian)
 
 
 def _target_plan(target, family12, poly2_model, **overrides):
@@ -251,31 +252,44 @@ class TestTrialPlanValidation:
 
 class TestReportValidation:
     def _kwargs(self):
-        rate = 0.03
-        return dict(
-            target="chernoff", n=10, r=1.0, k=0, trials=100, violations=3,
-            rate=rate, guarantee=0.05,
-            stderr=math.sqrt(rate * (1.0 - rate) / 100), passed=True,
-        )
+        return dict(target="chernoff", n=10, r=1.0, k=0, trials=100, violations=3, guarantee=0.05)
 
     def test_valid_report(self):
         rep = VerificationReport(**self._kwargs())
         d = rep.as_dict()
         assert d["pass"] is True
         assert d["violations"] == 3
+        assert list(d) == ["target", "n", "r", "k", "trials", "violations", "rate", "guarantee", "stderr", "pass"]
+
+    @pytest.mark.parametrize("violations,trials", [(3, 100), (0, 7), (7, 7), (40, 1000)])
+    def test_rate_stderr_and_pass_derive_from_the_counts(self, violations, trials):
+        rep = VerificationReport(**{**self._kwargs(), "violations": violations, "trials": trials})
+        rate = violations / trials
+        stderr = math.sqrt(rate * (1.0 - rate) / trials)
+        assert (rep.rate, rep.stderr, rep.passed) == (rate, stderr, rate <= 0.05 + 3.0 * stderr)
+        assert type(rep.passed) is bool
+
+    def test_pass_rule_at_its_edge(self):
+        # ceiling 0.05 in 100 trials: 15 violations lie within 3 stderr of it, 16 do not
+        assert VerificationReport(**{**self._kwargs(), "violations": 15}).passed
+        assert not VerificationReport(**{**self._kwargs(), "violations": 16}).passed
 
     @pytest.mark.parametrize("rate", [-0.1, 1.2])
     def test_rate_range(self, rate):
         kw = self._kwargs()
-        kw.update(rate=rate, passed=rate <= kw["guarantee"] + 3 * kw["stderr"])
-        with pytest.raises(ValueError):
+        kw.update(violations=round(rate * kw["trials"]))
+        with pytest.raises(ValueError, match="violations must lie in 0..trials"):
             VerificationReport(**kw)
 
-    def test_inconsistent_pass_flag(self):
-        kw = self._kwargs()
-        kw["passed"] = False
-        with pytest.raises(ValueError):
-            VerificationReport(**kw)
+    @pytest.mark.parametrize("violations,trials", [(-1, 100), (101, 100), (0, 0)])
+    def test_violations_just_outside_0_to_trials(self, violations, trials):
+        with pytest.raises(ValueError, match="violations must lie in 0..trials"):
+            VerificationReport(**{**self._kwargs(), "violations": violations, "trials": trials})
+
+    @pytest.mark.parametrize("field", ["rate", "stderr", "passed"])
+    def test_derived_fields_cannot_be_passed(self, field):
+        with pytest.raises(TypeError):
+            VerificationReport(**self._kwargs(), **{field: 0})
 
 
 class TestRunTrials:
@@ -357,6 +371,22 @@ class TestRunTrials:
         assert rep.guarantee == pytest.approx(2.0 * math.exp(-2.0), rel=1e-12)
         assert rep.violations == 0
         assert rep.passed
+
+
+@pytest.mark.parametrize("target", TARGETS)
+def test_guarantee_is_the_ceiling_factor_times_e_to_the_minus_nr(family12, poly2_model, target):
+    # theorem-main once reported 1 - (1 - 2 e^{-nr}), which is 0.0 at nr = 40
+    if target == "corollary":
+        plan = TrialPlan(target=target, n=60, r=0.05, trials=50, root_seed=1, family=family12)
+    else:
+        plan = _target_plan(target, family12, poly2_model, trials=50)
+    grid = dict(n_values=[50, 200, 800], r_values=[0.05, 0.3])
+    reports = sweep(plan, **grid)
+    factor = 1.0 if target in ("chernoff", "corollary") else 2.0
+    assert CEILING_FACTOR[target] == factor
+    points = itertools.product(*grid.values())
+    assert [rep.guarantee for rep in reports] == [factor * math.exp(-n * r) for n, r in points]
+    assert reports[4].guarantee == factor * 4.248354255291589e-18 > 0.0  # n = 800, r = 0.05
 
 
 class TestSweep:
@@ -446,7 +476,7 @@ class TestExactDecisions:
 
         cdf = np.array([0.5, 1.0])
         monkeypatch.setattr(
-            verify, "_discrete_setup", lambda plan: (np.array([[a, b]]), np.array([thr]), cdf, 1.0)
+            verify, "_discrete_setup", lambda plan: (np.array([[a, b]]), np.array([thr]), cdf)
         )
         calls = []
         exact_dot = verify._exact_dot
@@ -490,7 +520,7 @@ class TestExactDecisions:
         total = separating_total()
         assert total is not None
         monkeypatch.setattr(verify, "_gaussian_mesh", lambda plan: (np.ones((1, 1)), np.array([[p]])))
-        monkeypatch.setattr(verify, "_gaussian_setup", lambda plan, dirs: (np.array([total]), 2.0 * math.exp(-0.1)))
+        monkeypatch.setattr(verify, "gaussian_instance_bound", lambda *args: SimpleNamespace(total=np.array([total])))
         plan = TrialPlan(target="gaussian", n=n, r=0.05, trials=trials, root_seed=seed,
                          model=GaussianModel(np.eye(1)), mesh=1)
         rep = run_trials(plan)
@@ -531,7 +561,7 @@ class TestExactDecisions:
         fam = FunctionFamily(dist, {"zero": np.zeros(2)})
         for target in ("corollary", "theorem-main"):
             plan = TrialPlan(target=target, n=20, r=0.1, trials=2_000, root_seed=3, family=fam)
-            tracked, thresholds, _, _ = verify._discrete_setup(plan)
+            tracked, thresholds, _ = verify._discrete_setup(plan)
             assert not tracked.any() and np.all(thresholds == 0.0)
             assert run_trials(plan).violations == 0
         assert calls == []

@@ -10,7 +10,8 @@ fixtures/rademacher.json and fixtures/gaussian-poly2.json and on the
 GENERATED inputs (seeded, permuted or rescaled), through the
 `tailbound.cli.main` of DIR/src, DIR being a checkout's root, and saves each
 job's exit code, output and stderr in FILE. Every warning is recorded, and
-an exception that escapes main is recorded in place of the exit code.
+an exception or a SystemExit (an argparse fault of a checkout whose parser
+exits) that escapes main is recorded in place of the exit code.
 `diff` lists the jobs whose records differ, with the largest relative change
 among their JSON floats (CSV outputs are compared as text); it exits 1 if any do.
 """
@@ -180,6 +181,17 @@ FIXTURE_COMMANDS = [
           ["verify", "--target", "theorem-main", "--family", family, "--k", "2", "--n", "200", "--r", "0.05",
            "--trials", "2000", "--seed", "1"],
       ]),
+    # The theorem-main guarantee at nr = 40, where 1 - (1 - 2e^{-nr}) is 0.
+    ["verify", "--target", "theorem-main", "--family", "{family}", "--k", "2", "--n", "800", "--r", "0.05",
+     "--trials", "2000", "--seed", "1"],
+    # The verify report's CSV columns.
+    ["sweep", "--target", "chernoff", "--dist", "{rademacher}", "--f", "f", "--n", "50", "--r", "0.05",
+     "--trials", "2000", "--seed", "3", "--n-grid", "10,50", "--format", "csv"],
+    # Argument faults: a NaN --r, a missing --r, and an unknown --target.
+    ["trf", "--dist", "{rademacher}", "--f", "f", "--r", "nan"],
+    ["trf", "--dist", "{rademacher}", "--f", "f"],
+    ["verify", "--target", "bogus", "--family", "{family}", "--n", "200", "--r", "0.05", "--trials", "100",
+     "--seed", "1"],
 ]
 
 
@@ -193,6 +205,8 @@ def _run(main, argv) -> dict:
                 rc = main(argv + ["--output", output])
             except Exception as exc:  # the command line would print a traceback
                 rc = f"uncaught {type(exc).__name__}: {exc}"
+            except SystemExit as exc:
+                rc = f"SystemExit({exc.code})"
         text = ""
         if rc == 0:
             with open(output, encoding="utf-8") as fh:
