@@ -98,7 +98,8 @@ def rate_bound_T(dist: DiscreteDistribution, values, r: float):
     lockstep, and the value is (r + Lambda(lambda)) / lambda at the final
     lambda: an upper bound on the infimum whatever the solver's accuracy.
     At r = 0 all values and lambdas are 0. A lambda beyond the float range,
-    as on a row of subnormal values, is reported as +inf, its rounded value.
+    as on a row of subnormal values, is reported as +inf, its rounded value,
+    and a value below the normal range one subnormal step up, past rounding.
     Rows are solved in blocks of bounded size, and each row's result depends
     on that row alone.
     """
@@ -129,7 +130,9 @@ def rate_bound_T(dist: DiscreteDistribution, values, r: float):
 
         t = 0.5 * np.log(2.0 * r / (np.exp(logp) * xb * xb).sum(axis=1))  # from g ~ Var mu^2 / 2
         mu = _dual_root(moments, t, np.full(t.size, -math.inf), np.full(t.size, math.inf), r)
-        values[idx] = scale[idx] * ((r + _moments(logp, xb, mu)[0]) / mu)
+        value = scale[idx] * ((r + _moments(logp, xb, mu)[0]) / mu)
+        # below the normal range the product can round off half a subnormal step: step up past it
+        values[idx] = np.where(value < np.finfo(float).tiny, np.nextafter(value, math.inf), value)
         with np.errstate(over="ignore"):  # lambda past the float range on a subnormal row: +inf
             lambdas[idx] = mu / scale[idx]
     return (float(values[0]), float(lambdas[0])) if one else (values, lambdas)

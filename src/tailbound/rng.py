@@ -8,9 +8,11 @@ xor-shift 27 / multiply 0x94D049BB133111EB / xor-shift 31) and GOLDEN is
 so results are independent of evaluation order and parallelism. Stream 0 is
 reserved for setup (e.g. mesh directions); trial i uses stream i + 1.
 
-Uniforms map the top 53 bits to ((x >> 11) + 0.5) * 2^-53, which lies
-strictly inside (0, 1). Normals use one Box-Muller cosine per pair of
-uniforms. Draws are made in tiles of at most TILE uniforms of the flattened
+Uniforms map the top 53 bits, the key m = x >> 11, to fl(m + 0.5) * 2^-53
+in (0, 1] (m = 2^53 - 1 rounds to 1.0, ties to even). The map is
+nondecreasing, so discrete draws compare keys with key_levels and never
+form u. Normals use one Box-Muller cosine per pair of uniforms (u = 1 gives
+0). Draws are made in tiles of at most TILE uniforms of the flattened
 (substream, counter) space, in place in two tile buffers owned by the call:
 memory is the output plus a few tiles, and the tiling changes no bit.
 """
@@ -49,14 +51,15 @@ def substream_seed(root_seed: int, index):
         return finalize(root + (idx + np.uint64(1)) * GOLDEN)
 
 
-def _draw(seeds, count: int, pairs: bool) -> np.ndarray:
-    """Uniforms 0..count-1 of each substream or, with pairs, the normals of
-    uniforms (2j, 2j+1). A tile is whole substreams while count <= TILE,
-    else TILE counters of one, so no pair straddles two tiles."""
+def _draw(seeds, count: int, form: str) -> np.ndarray:
+    """Values 0..count-1 of each substream as form "keys" (int64), "uniforms"
+    or "normals" (of uniforms 2j, 2j+1). A tile is whole substreams while
+    count <= TILE, else TILE counters of one, so no pair straddles two tiles."""
+    pairs = form == "normals"
     per = 2 if pairs else 1
     shape = np.shape(seeds) + (count // per,)
     seeds = np.asarray(seeds, dtype=np.uint64).reshape(-1, 1)
-    out = np.empty((seeds.shape[0], count // per))
+    out = np.empty((seeds.shape[0], count // per), dtype=np.int64 if form == "keys" else float)
     width = max(1, min(count, TILE))
     step = TILE // width
     counters = (np.arange(width, dtype=np.uint64) + np.uint64(1)) * GOLDEN
@@ -67,7 +70,9 @@ def _draw(seeds, count: int, pairs: bool) -> np.ndarray:
             z = bits[: seg.size * per].reshape(seg.shape[0], -1)
             np.add(seeds[r0 : r0 + step] + np.uint64(c0) * GOLDEN, counters[: z.shape[1]], out=z)
             finalize(z, tmp[: z.size].reshape(z.shape))
-            np.right_shift(z, np.uint64(11), out=z)
+            np.right_shift(z, np.uint64(11), out=seg.view(np.uint64) if form == "keys" else z)
+            if form == "keys":
+                continue
             u = tmp[: z.size].view(np.float64).reshape(z.shape) if pairs else seg
             np.add(z, 0.5, out=u)
             np.multiply(u, _U53, out=u)
@@ -79,13 +84,25 @@ def _draw(seeds, count: int, pairs: bool) -> np.ndarray:
     return out.reshape(shape)
 
 
+def keys(seeds, count: int) -> np.ndarray:
+    """The int64 keys m in [0, 2^53) behind uniforms(seeds, count)."""
+    return _draw(seeds, count, "keys")
+
+
+def key_levels(levels: np.ndarray) -> np.ndarray:
+    """Per float level c >= 0, the largest key m whose uniform fl(m + 0.5)
+    2^-53 is at most c, or -1: u <= c exactly when m <= it."""
+    m = np.minimum(np.floor(levels * 2.0**53), 2.0**53 - 1).astype(np.int64)
+    return m - ((m + 0.5) * _U53 > levels)  # key m - 1 maps at or below c whenever m <= c 2^53
+
+
 def uniforms(seeds, count: int) -> np.ndarray:
-    """Uniform(0, 1) draws, shape seeds.shape + (count,), stateless: column j
+    """Uniform(0, 1] draws, shape seeds.shape + (count,), stateless: column j
     holds the j-th value of each substream base in seeds (from substream_seed)."""
-    return _draw(seeds, count, False)
+    return _draw(seeds, count, "uniforms")
 
 
 def normals(seeds, count: int) -> np.ndarray:
     """Standard normal draws, shape seeds.shape + (count,), stateless. Normal j
     consumes uniforms (2j, 2j+1), so extending count preserves earlier values."""
-    return _draw(seeds, 2 * count, True)
+    return _draw(seeds, 2 * count, "normals")

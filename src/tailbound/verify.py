@@ -12,7 +12,11 @@ values and the float thresholds and tracked values:
                     P = Sigma^{1/2} U' the projected mesh
 Float products decide every comparison whose margin clears an a-priori
 bound on their rounding error; fractions.Fraction settles the rest, so no
-decision depends on summation order or BLAS threads.
+decision depends on summation order or BLAS threads. Two shortcuts keep
+every decision exact: discrete draws stay 53-bit keys, compared with the
+integer key level of each cdf level (u <= c exactly when key <= level), and
+a gaussian trial skips the full product when a rank-K screen (K the largest
+k of its group) proves that it has no violation in real arithmetic.
 
 Trials draw from disjoint counter-based substreams of the root seed, so
 reports are bit-identical across runs: violation counting is a commutative
@@ -53,13 +57,13 @@ from .chaining import (
 )
 from .gaussian import GaussianModel, gaussian_instance_bound
 from .numerics import check_int, row_blocks
-from .rng import normals, substream_seed, uniforms
+from .rng import key_levels, keys, normals, substream_seed
 
 CEILING_FACTOR = {"chernoff": 1.0, "corollary": 1.0, "gaussian": 2.0, "theorem-main": 2.0}
 TARGETS = tuple(CEILING_FACTOR)
 _UNIT_ROUNDOFF = 2.0**-53
 _TINY = float(np.finfo(float).tiny)  # covers rounding below the normal range
-LEVEL_PASSES_MAX = 96  # largest support whose atoms _atom_counts counts by level passes
+LEVEL_PASSES_MAX = 80  # largest support whose atoms _atom_counts counts by level passes
 
 
 @dataclass(frozen=True)
@@ -154,16 +158,17 @@ def _discrete_setup(plan: TrialPlan):
 
 
 def _atom_counts(u: np.ndarray, cdf: np.ndarray) -> np.ndarray:
-    """Integer (rows, s) matrix counting, per row of uniforms u, the draws of
-    each inverse-CDF atom searchsorted(cdf, u, side="left"), for a
-    nondecreasing cdf of s levels whose last level is at least max u.
+    """Integer (rows, s) matrix counting, per row of draws u, the draws of
+    each atom searchsorted(cdf, u, side="left"), for a nondecreasing cdf of s
+    levels whose last level is at least max u. The draws are uniforms and cdf
+    levels, or their integer keys and rng.key_levels, which count alike.
 
     Up to LEVEL_PASSES_MAX atoms, pass j < s - 1 counts the draws u <= cdf[j]
     (atoms 0..j) as bytes summed in the narrowest integer type that holds n,
-    and differences give each atom's count. Above it, where s passes cost
-    more than log s comparisons per draw (from about 50, 100 and 150 atoms
-    at n = 50, 200 and 1000), searchsorted and one bincount of atom + s * row
-    count them.
+    and differences give each atom's count. Above it, where s passes of
+    integer keys cost more than log s comparisons per draw (from about 40,
+    85 and 105 atoms at n = 50, 200 and 1000), searchsorted and one bincount
+    of atom + s * row count them.
     """
     rows, s = u.shape[0], cdf.shape[0]
     if s > LEVEL_PASSES_MAX:
@@ -195,6 +200,12 @@ def _gaussian_mesh(plan: TrialPlan):
 def _gamma(k: int) -> float:
     """gamma_k = k u / (1 - k u), u the unit roundoff of float64."""
     return k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF)
+
+
+def _norm_up(a: np.ndarray, axis) -> np.ndarray:
+    """Euclidean norms of a along axis (all of a for None), plus sqrt(length)
+    2^-537, the most that squares lost below the subnormal range take away."""
+    return np.linalg.norm(a, axis=axis) + math.sqrt(a.size if axis is None else a.shape[axis]) * 2.0**-537
 
 
 def _exact_dot(x: np.ndarray, w: np.ndarray) -> Fraction:
@@ -241,10 +252,11 @@ class _Group:
     zeros, so y > level decides it.
     """
 
-    def __init__(self, draw, per_trial: int, norms, parts):
+    def __init__(self, draw, per_trial: int, norms, parts, screen=None):
         """draw maps trial seeds to the trials' values (trials, w) in floats;
         per_trial is the number of uniforms one trial draws; norms is the
-        Hoelder pair (p, q); parts holds one (weights (w, c), t, square) per plan."""
+        Hoelder pair (p, q); parts holds one (weights (w, c), t, square) per
+        plan; screen is None or the (L, R) of a rank-K screen (see _screen)."""
         self.draw, self.p = draw, norms[0]
         index, blocks, self.checks = {}, [], []
         for weights, t, square in parts:
@@ -262,12 +274,47 @@ class _Group:
         self.wnorm = np.linalg.norm(self.weights, ord=norms[1], axis=0)
         self.width = max(per_trial, *self.weights.shape)
         self.gamma_w = 2.0 * _gamma(self.weights.shape[0])
+        self.screen = None if screen is None else self._screen(*screen)
+
+    def _screen(self, L, R):
+        """(L, [R; -lev], a, c): for any floats L (w, K) and R (K, c), a trial
+        x with finite h = max_j (fl(x L) . R_j - lev_j) <= -(||x|| a + c) has
+        no violation. lev_j, the least level_j - slack_j over the plans, is at
+        most every plan's level in real arithmetic. There x . w_j = (x L) .
+        R_j + x . E_j, E = weights - L R, with ||E_j|| <= (1 + u) ||fl(weights
+        - fl(L R))_j|| + gamma_K ||L||_F ||R_j|| + sqrt(w) tiny; a and c add
+        the roundings of x L (gamma_w ||x|| ||L||_F ||R_j||), of h
+        (gamma_{K+1} (||x L|| ||R_j|| + |lev_j|)) and of lev (Higham 3.1 and
+        4.2, tiny per product for underflow), and the factor 1 + 2
+        gamma_{2w+8} covers the rounding of the norms, a, c and the test.
+        """
+        w, k = L.shape
+        lev = np.full(self.weights.shape[1], math.inf)
+        with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN makes a or c so, and every trial survives
+            for check in self.checks:
+                lev[check.cols] = np.minimum(lev[check.cols], check.level - check.slack)
+            rnorm, lnorm, up = _norm_up(R, 0).max(), _norm_up(L, None), 1.0 + 2.0 * _gamma(2 * w + 8)
+            a = _norm_up(self.weights - L @ R, 0).max() + 4.0 * _gamma(w) * lnorm * rnorm + math.sqrt(w) * _TINY
+            c = 2.0 * _gamma(w) * np.abs(lev).max() + 2.0 * _TINY * (1.0 + math.sqrt(k) * rnorm)
+        return L, np.vstack([R, -lev]), a * up, c * up
+
+    def _screened(self, x) -> np.ndarray:
+        """Rows of x the screen, if any, cannot prove free of violations (a NaN or inf keeps a row)."""
+        if self.screen is None:
+            return x
+        L, head, a, c = self.screen
+        with np.errstate(over="ignore", invalid="ignore"):  # h from one product [x L, 1] @ [R; -lev], none at K = 0
+            h = (np.hstack([x @ L, np.ones((len(x), 1))]) @ head).max(axis=1) if L.shape[1] else head[-1].max()
+            tau = _norm_up(x, 1) * a + c
+            return x[~((-math.inf < h) & (h <= -tau))]
 
     def count(self, root_seed: int, trials: int) -> np.ndarray:
         """Violating trials among trials 0..trials - 1, per plan."""
         out = np.zeros(len(self.checks), dtype=np.int64)
         for block in row_blocks(trials, self.width):
-            x = self.draw(substream_seed(root_seed, np.arange(block.start, block.stop) + 1))
+            x = self._screened(self.draw(substream_seed(root_seed, np.arange(block.start, block.stop) + 1)))
+            if not x.shape[0]:
+                continue
             xnorm = float(np.linalg.norm(x, ord=self.p, axis=1).max())
             # a product or band that overflows makes its cell's float test NaN, decided exactly
             with np.errstate(over="ignore", invalid="ignore"):
@@ -295,9 +342,9 @@ class _Group:
 
 def _discrete_group(plans) -> _Group:
     setups = [_discrete_setup(plan) for plan in plans]
-    n, cdf = plans[0].n, setups[0][2]
+    n, levels = plans[0].n, key_levels(setups[0][2])
     parts = [(tracked.T, thresholds, n * n) for tracked, thresholds, _ in setups]
-    draw = lambda seeds: _atom_counts(uniforms(seeds, n), cdf).astype(float)
+    draw = lambda seeds: _atom_counts(keys(seeds, n), levels).astype(float)
     return _Group(draw, n, (1, math.inf), parts)
 
 
@@ -305,7 +352,10 @@ def _gaussian_group(plans) -> _Group:
     dirs, projector = _gaussian_mesh(plans[0])
     d = projector.shape[0]
     parts = [(projector, gaussian_instance_bound(p.model, dirs, p.k, p.n, p.r).total, p.n) for p in plans]
-    return _Group(lambda seeds: normals(seeds, d), 2 * d, (2, 2), parts)
+    k, model = max(p.k for p in plans), plans[0].model  # the screen's rank: where the bound splits Sigma
+    vecs = model.eigenvectors[:, :k]  # above d/2 - 1 the screen's product costs as much as the full one
+    screen = (vecs * np.sqrt(model.eigenvalues[:k]), vecs.T @ dirs.T) if k + 1 <= d / 2 else None
+    return _Group(lambda seeds: normals(seeds, d), 2 * d, (2, 2), parts, screen)
 
 
 def _run(plans) -> list:

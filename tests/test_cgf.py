@@ -1,9 +1,10 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
-from oracles import cgf_reference, check_T_properties
+from oracles import cgf_reference, check_T_properties, decimal_objective
 from tailbound import DiscreteDistribution, make_generator, orlicz_norm, rate_bound_T
 from tailbound.cgf import _moments
 
@@ -55,6 +56,18 @@ def test_rate_bound_matches_dense_grid_rademacher():
 def test_rate_bound_zero_cases():
     assert rate_bound_T(RADEMACHER, RADEMACHER_F, 0.0)[0] == 0.0
     assert rate_bound_T(RADEMACHER, [0.0, 0.0], 3.0)[0] == 0.0
+
+
+def test_subnormal_function_gets_a_positive_bound():
+    # f = +-5e-324 reaches the solver as f / max|f| = +-1, so the objective it
+    # certifies is 5e-324 times the unit one at the unit lambda; that product
+    # rounds to 0 unless it is stepped up past its rounding
+    unit_lam = rate_bound_T(RADEMACHER, RADEMACHER_F, 0.1)[1]
+    value, lam = rate_bound_T(RADEMACHER, 5e-324 * RADEMACHER_F, 0.1)
+    assert value > 0.0 and lam == math.inf
+    with localcontext() as ctx:
+        ctx.prec = 60
+        assert Decimal(value) >= Decimal(5e-324) * decimal_objective(RADEMACHER, RADEMACHER_F, 0.1, unit_lam)
 
 
 def test_rate_bound_monotone_in_r():

@@ -22,7 +22,7 @@ import pytest
 from tailbound.cgf import DiscreteDistribution, rate_bound_T
 from tailbound.chaining import FunctionFamily, extremal_difference
 from tailbound.gaussian import GaussianModel
-from tailbound.rng import finalize, normals, substream_seed, uniforms
+from tailbound.rng import finalize, key_levels, keys, normals, substream_seed, uniforms
 from tailbound import numerics, rng, verify
 from tailbound.verify import CEILING_FACTOR, LEVEL_PASSES_MAX, TARGETS, TrialPlan, VerificationReport, run_trials, sweep
 
@@ -106,13 +106,13 @@ def _target_plan(target, family12, poly2_model, **overrides):
 
 def _record_uniforms(monkeypatch):
     """Record (seed array ndim, seed count, uniforms per seed) of every draw,
-    by rng.uniforms and by rng.normals (two uniforms per normal)."""
+    by rng.keys, rng.uniforms and rng.normals (two uniforms per normal)."""
     calls = []
     real = rng._draw
 
-    def recording(seeds, count, pairs):
+    def recording(seeds, count, form):
         calls.append((np.ndim(seeds), np.size(seeds), count))
-        return real(seeds, count, pairs)
+        return real(seeds, count, form)
 
     monkeypatch.setattr(rng, "_draw", recording)
     return calls
@@ -136,11 +136,32 @@ class TestRng:
         for j in range(5):
             assert u[j] == _uniform_py(int(base), j)
 
-    def test_uniforms_shape_and_open_interval(self):
+    def test_uniforms_shape_and_half_open_interval(self):
         seeds = substream_seed(11, np.arange(6).reshape(3, 2))
         u = uniforms(seeds, 5)
         assert u.shape == (3, 2, 5)
-        assert np.all(u > 0.0) and np.all(u < 1.0)
+        assert np.all(u > 0.0) and np.all(u <= 1.0)
+
+    def test_uniforms_are_the_keys_mapped(self):
+        seeds = substream_seed(13, np.arange(1, 7).reshape(3, 2))
+        m = keys(seeds, 9)
+        assert m.dtype == np.int64 and m.shape == (3, 2, 9)
+        assert np.all((m >= 0) & (m < 2**53))
+        assert np.array_equal((m + 0.5) * 2.0**-53, uniforms(seeds, 9))
+
+    def test_key_map_at_its_edges(self):
+        # fl(m + 0.5) 2^-53: exact below 2^52, ties to even from 2^52 on, so
+        # the largest key maps to 1.0, and it is the key level of c = 1.0
+        m = np.array([0, 2**52, 2**52 + 1, 2**53 - 1], dtype=np.int64)
+        assert ((m + 0.5) * 2.0**-53).tolist() == [2.0**-54, 0.5, (2**52 + 2) * 2.0**-53, 1.0]
+        assert key_levels(np.array([1.0])).tolist() == [2**53 - 1]
+
+    @pytest.mark.parametrize("c", [0.0, 2.0**-60, 0.5, (2**52 + 2) * 2.0**-53, 1.0])
+    def test_key_levels_exhaustively_near_each_level(self, c):
+        level = int(key_levels(np.array([c]))[0])
+        for m in range(max(level - 2, 0), min(level + 3, 2**53)):
+            assert ((float(m) + 0.5) * 2.0**-53 <= c) == (m <= level)
+        assert level == -1 or (float(level) + 0.5) * 2.0**-53 <= c
 
     def test_substreams_distinct(self):
         seeds = substream_seed(0, np.arange(4096))
@@ -431,8 +452,9 @@ class TestAtomCounts:
         return np.stack([np.bincount(np.searchsorted(cdf, row, side="left"), minlength=cdf.size) for row in u])
 
     # both sides of the cut-off between level passes and searchsorted, and
-    # of 48 and 64
-    @pytest.mark.parametrize("s", [1, 2, 6, 48, 49, 64, 65, LEVEL_PASSES_MAX, LEVEL_PASSES_MAX + 1, 128, 2048])
+    # of 48, 64 and 96
+    @pytest.mark.parametrize("s", sorted({1, 2, 6, 48, 49, 64, 65, 96, 97, 128, 2048,
+                                          LEVEL_PASSES_MAX, LEVEL_PASSES_MAX + 1}))
     def test_matches_searchsorted_bincount(self, s):
         gen = np.random.default_rng(s)
         probs = gen.dirichlet(np.ones(s))
@@ -448,6 +470,22 @@ class TestAtomCounts:
         assert counts.dtype.kind == "i"
         assert np.array_equal(counts, self._reference(u, cdf))
         assert np.all(counts.sum(axis=1) == u.shape[1])
+
+    @pytest.mark.parametrize("s", [2, 6, 97, 512])
+    def test_keys_count_as_their_uniforms(self, s):
+        gen = np.random.default_rng(s)
+        probs = gen.dirichlet(np.ones(s))
+        probs[1::3] = 0.0
+        probs /= probs.sum()
+        cdf = np.cumsum(probs)
+        cdf[-1] = 1.0
+        levels = key_levels(cdf)
+        m = keys(substream_seed(s, np.arange(1, 201)), 150)
+        hits = np.clip(np.concatenate([levels[:-1], levels[:-1] + 1]), 0, 2**53 - 1)[: m.shape[1]]
+        m[:, : hits.size] = hits  # keys at and just above each level
+        u = (m + 0.5) * 2.0**-53
+        assert np.array_equal(verify._atom_counts(m, levels), verify._atom_counts(u, cdf))
+        assert np.array_equal(verify._atom_counts(m, levels), self._reference(u, cdf))
 
     def test_level_hits_and_zero_probability_atoms(self):
         cdf = np.cumsum([0.25, 0.0, 0.0, 0.5, 0.0, 0.25])
@@ -565,6 +603,92 @@ class TestExactDecisions:
             assert not tracked.any() and np.all(thresholds == 0.0)
             assert run_trials(plan).violations == 0
         assert calls == []
+
+
+def _dense50_model(e: int) -> GaussianModel:
+    """A dense d = 50 covariance Q diag(i^-2) Q', exactly symmetric, times 2^e."""
+    q, _ = np.linalg.qr(np.random.default_rng(1).normal(size=(50, 50)))
+    cov = (q * np.arange(1.0, 51.0) ** -2) @ q.T
+    return GaussianModel(np.ldexp((cov + cov.T) / 2, e))
+
+
+class TestGaussianScreen:
+    """The rank-K screen only drops trials that have no violation in real
+    arithmetic, so a group counts the same with it and without it."""
+
+    @staticmethod
+    def _with_and_without_screen(monkeypatch, plans):
+        """(counts or exception with the screen, the same without it, trials
+        the screen dropped)."""
+        dropped = []
+        screened = verify._Group._screened
+
+        def counting(group, x):
+            kept = screened(group, x)
+            dropped.append(len(x) - len(kept))
+            return kept
+
+        monkeypatch.setattr(verify._Group, "_screened", counting)
+        group = verify._gaussian_group(plans)
+        outcomes = []
+        for screen in (group.screen, None):
+            group.screen = screen
+            try:
+                outcomes.append(group.count(plans[0].root_seed, plans[0].trials).tolist())
+            except ValueError as exc:  # a NaN total reaches Fraction
+                outcomes.append(repr(exc))
+        return outcomes[0], outcomes[1], sum(dropped)
+
+    @pytest.mark.parametrize("k", [0, 3, 10, 20, 50])
+    def test_equal_counts_across_threshold_scales(self, monkeypatch, poly2_model, k):
+        runs = []  # (violations, trials dropped) per scale
+        for factor in (0.15, 0.25, 0.35, 0.4, 0.5, 1.0, 3.0):
+            monkeypatch.undo()
+            _scale_thresholds(monkeypatch, factor)
+            plan = TrialPlan(target="gaussian", n=60, r=0.05, trials=800, root_seed=5 + k, k=k, model=poly2_model,
+                             mesh=64)
+            screened, full, dropped = self._with_and_without_screen(monkeypatch, [plan])
+            assert screened == full
+            runs.append((full[0], dropped))
+        assert (verify._gaussian_group([plan]).screen is None) == (k == poly2_model.dim)  # K + 1 > d / 2
+        assert max(runs)[0] > 0 and (max(d for _, d in runs) > 0) == (k < poly2_model.dim)
+        if k in (10, 20):  # some scale both drops trials and counts violations among the rest
+            assert any(v > 0 and d > 0 for v, d in runs)
+
+    def test_equal_counts_for_a_sweep_group(self, monkeypatch, poly2_model):
+        # lev is the least level over plans whose levels differ; at this scale
+        # the screen drops trials and the full test still finds violations
+        _scale_thresholds(monkeypatch, 0.5)
+        plans = [TrialPlan(target="gaussian", n=n, r=r, trials=800, root_seed=9, k=k, model=poly2_model, mesh=64)
+                 for n, r, k in itertools.product([30, 60], [0.05, 0.2], [0, 2, 5])]
+        screened, full, dropped = self._with_and_without_screen(monkeypatch, plans)
+        assert screened == full and sum(full) > 0 and dropped > 0
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_equal_outcome_with_a_non_finite_total(self, monkeypatch, poly2_model, bad):
+        bound = verify.gaussian_instance_bound
+
+        def with_bad_total(*args):
+            report = bound(*args)
+            return dataclasses.replace(report, total=np.where(np.arange(report.total.size) == 7, bad,
+                                                              0.3 * report.total))
+
+        monkeypatch.setattr(verify, "gaussian_instance_bound", with_bad_total)
+        plan = TrialPlan(target="gaussian", n=60, r=0.05, trials=300, root_seed=3, k=3, model=poly2_model, mesh=64)
+        screened, full, dropped = self._with_and_without_screen(monkeypatch, [plan])
+        assert screened == full and dropped == 0
+
+    def test_equal_counts_on_a_scaled_dense_model(self, monkeypatch):
+        # totals and weights scale by 2^(e/2) exactly, so every scale counts alike
+        _scale_thresholds(monkeypatch, 0.35)
+        outcomes = set()
+        for e in (-30, 0, 30):
+            plan = TrialPlan(target="gaussian", n=200, r=0.05, trials=1000, root_seed=2, k=10,
+                             model=_dense50_model(e), mesh=200)
+            screened, full, dropped = self._with_and_without_screen(monkeypatch, [plan])
+            assert screened == full and full[0] > 0 and dropped > 0
+            outcomes.add((full[0], dropped))
+        assert len(outcomes) == 1
 
 
 class TestChunks:

@@ -48,6 +48,13 @@ def _atoms512() -> dict:
     return {"support": support.tolist(), "probabilities": probs.tolist(), "functions": {"f": (f - probs @ f).tolist()}}
 
 
+def _tie() -> dict:
+    """Two atoms whose first cdf level (2^52 + 2) 2^-53 is the uniform of two
+    keys, 2^52 + 1 and 2^52 + 2 (fl(m + 0.5) ties to even), and a centered f."""
+    p = (2**52 + 2) * 2.0**-53
+    return {"support": [[-1.0], [1.0]], "probabilities": [p, 1.0 - p], "functions": {"f": [-(1.0 - p), p]}}
+
+
 def _family64() -> dict:
     """A 24-member synthetic family on 64 equally likely atoms (bench/workloads.py)."""
     import workloads
@@ -87,7 +94,8 @@ SCALE_EDGE = {"{family12x2^-45}": lambda: _family12_times(-45), "{family12x2^100
 GAUSSIAN_SCALES = {"{gaussian50}": 0, "{gaussian50x2^30}": 30, "{gaussian50x2^-60}": -60}
 GENERATED = {  # placeholder -> inputs written for the run
     "{poly-1000}": lambda: {"spectrum": "poly", "d": 3, "exponent": -1000},  # eigenvalue 3^1000 overflows
-    "{atoms512}": _atoms512, "{family64}": _family64, "{family64perm}": _family64_permuted, **SCALE_EDGE,
+    "{atoms512}": _atoms512, "{tie}": _tie, "{family64}": _family64, "{family64perm}": _family64_permuted,
+    **SCALE_EDGE,
     **{key: (lambda e=e: _gaussian50_times(e)) for key, e in GAUSSIAN_SCALES.items()},
 }
 BENNETT = ['{"kind": "bennett", "L": %s}' % L for L in (0.1, 1, 10)]
@@ -170,6 +178,17 @@ FIXTURE_COMMANDS = [
      "--trials", "1000", "--seed", "7"],
     ["verify", "--target", "gaussian", "--model", "{gaussian}", "--n", "5", "--r", "0.0001", "--mesh", "4000",
      "--trials", "2000", "--seed", "8"],
+    # The gaussian rank-k screen: a dense model and its 2^30 multiple at k = 3,
+    # at an r where trials violate and at one where the screen drops most
+    # trials, and at k = d, where the screen is skipped.
+    *(["verify", "--target", "gaussian", "--model", model, "--k", "3", "--n", "200", "--r", r, "--mesh", "256",
+       "--trials", "2000", "--seed", "9"]
+      for model in ("{gaussian50}", "{gaussian50x2^30}") for r in ("0.0001", "0.01")),
+    ["verify", "--target", "gaussian", "--model", "{gaussian50}", "--k", "50", "--n", "200", "--r", "0.0001",
+     "--mesh", "256", "--trials", "2000", "--seed", "9"],
+    # Integer keys against a cdf level that two keys' uniforms equal.
+    ["verify", "--target", "chernoff", "--dist", "{tie}", "--f", "f", "--n", "50", "--r", "0.05",
+     "--trials", "20000", "--seed", "10"],
     # The scale edge: family12 times 2^-45 and 2^1000, under the CGF norm and
     # an Orlicz norm.
     *([*cmd, *norm]
