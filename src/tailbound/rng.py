@@ -10,16 +10,16 @@ reserved for setup (e.g. mesh directions); trial i uses stream i + 1.
 
 Uniforms map the top 53 bits, the key m = x >> 11, to fl(m + 0.5) * 2^-53
 in (0, 1] (m = 2^53 - 1 rounds to 1.0, ties to even). The map is
-nondecreasing, so discrete draws compare keys with key_levels and never
-form u. Normals use one Box-Muller cosine per pair of uniforms (u = 1 gives
-0). Draws are made in tiles of at most TILE uniforms of the flattened
-(substream, counter) space, in place in two tile buffers owned by the call:
-memory is the output plus a few tiles, and the tiling changes no bit.
+nondecreasing, so a discrete draw never forms u: u <= c exactly when m <=
+key_levels(c), and, for a level M >= 0, m <= M exactly when x <= M 2^11 +
+2047. Normals use one Box-Muller cosine per pair of uniforms (u = 1 gives
+0); sketch_normals replaces that cosine by a float32 one. Values are made
+in tiles of at most TILE of the flattened (substream, counter) space, in
+place in two tile buffers owned by the call (tiles): memory is the output
+plus a few tiles, and the tiling changes no bit.
 """
 
 from __future__ import annotations
-
-import itertools
 
 import numpy as np
 
@@ -27,7 +27,8 @@ GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _U53 = 2.0**-53
-TILE = 1 << 14  # uniforms per tile: two 128 KiB uint64 buffers
+TILE = 1 << 15  # values per tile: two 256 KiB uint64 buffers
+COS_ERROR = 2.0**-11  # assumed bound on |sketch cosine - np.cos|; about 2000 times the largest seen
 
 
 def finalize(z, tmp=None):
@@ -51,42 +52,54 @@ def substream_seed(root_seed: int, index):
         return finalize(root + (idx + np.uint64(1)) * GOLDEN)
 
 
-def _draw(seeds, count: int, form: str) -> np.ndarray:
-    """Values 0..count-1 of each substream as form "keys" (int64), "uniforms"
-    or "normals" (of uniforms 2j, 2j+1). A tile is whole substreams while
-    count <= TILE, else TILE counters of one, so no pair straddles two tiles."""
-    pairs = form == "normals"
-    per = 2 if pairs else 1
-    shape = np.shape(seeds) + (count // per,)
+def tiles(seeds, count: int, order: str = "C"):
+    """Values 0..count-1 of each substream base in seeds, one tile at a time:
+    yields (rows, c0, z, tmp), where z (uint64, one row per substream of
+    seeds.ravel()[rows]) holds the finalized values c0, c0 + 1, ... and tmp is
+    scratch of z's shape, both in memory order `order` ("F" puts a tile's
+    substreams next to each other, for reductions over counters). A tile is
+    whole substreams while count <= TILE, else TILE counters of one
+    substream; both buffers are reused by the next tile."""
     seeds = np.asarray(seeds, dtype=np.uint64).reshape(-1, 1)
-    out = np.empty((seeds.shape[0], count // per), dtype=np.int64 if form == "keys" else float)
     width = max(1, min(count, TILE))
     step = TILE // width
     counters = (np.arange(width, dtype=np.uint64) + np.uint64(1)) * GOLDEN
     bits, tmp = np.empty(step * width, np.uint64), np.empty(step * width, np.uint64)
-    with np.errstate(over="ignore"):
-        for r0, c0 in itertools.product(range(0, seeds.shape[0], step), range(0, count, width)):
-            seg = out[r0 : r0 + step, c0 // per : (c0 + width) // per]
-            z = bits[: seg.size * per].reshape(seg.shape[0], -1)
-            np.add(seeds[r0 : r0 + step] + np.uint64(c0) * GOLDEN, counters[: z.shape[1]], out=z)
-            finalize(z, tmp[: z.size].reshape(z.shape))
-            np.right_shift(z, np.uint64(11), out=seg.view(np.uint64) if form == "keys" else z)
-            if form == "keys":
-                continue
-            u = tmp[: z.size].view(np.float64).reshape(z.shape) if pairs else seg
-            np.add(z, 0.5, out=u)
-            np.multiply(u, _U53, out=u)
-            if pairs:  # sqrt(-2 log u_2j) cos(2 pi u_2j+1), the operations of the untiled formula
-                angle = bits[: seg.size].view(np.float64).reshape(seg.shape)
-                np.cos(np.multiply(u[:, 1::2], 2.0 * np.pi, out=angle), out=angle)
-                np.sqrt(np.multiply(np.log(u[:, 0::2], out=seg), -2.0, out=seg), out=seg)
-                np.multiply(seg, angle, out=seg)
-    return out.reshape(shape)
+    for r0 in range(0, seeds.shape[0], step):
+        rows = seeds[r0 : r0 + step]
+        for c0 in range(0, count, width):
+            shape = (rows.shape[0], min(width, count - c0))
+            z, t = (buf[: shape[0] * shape[1]].reshape(shape, order=order) for buf in (bits, tmp))
+            start = np.uint64(c0 * int(GOLDEN) & 0xFFFFFFFFFFFFFFFF)
+            finalize(np.add(rows + start, counters[: shape[1]], out=z), t)
+            yield slice(r0, r0 + shape[0]), c0, z, t
 
 
-def keys(seeds, count: int) -> np.ndarray:
-    """The int64 keys m in [0, 2^53) behind uniforms(seeds, count)."""
-    return _draw(seeds, count, "keys")
+def _draw(seeds, count: int, form: str):
+    """Values 0..count-1 of each substream as form "uniforms", or, of uniforms
+    (2j, 2j+1), as "normals" or as the "sketch" of sketch_normals. TILE and
+    count are even for pairs, so no pair straddles two tiles."""
+    per = 1 if form == "uniforms" else 2
+    shape = np.shape(seeds) + (count // per,)
+    out = np.empty((np.size(seeds), count // per))
+    cosines = np.empty(out.shape, np.float32) if form == "sketch" else None
+    for rows, c0, z, tmp in tiles(seeds, count):
+        cols = slice(c0 // per, (c0 + z.shape[1]) // per)
+        seg = out[rows, cols]
+        u = tmp.view(np.float64) if per == 2 else seg
+        np.add(np.right_shift(z, np.uint64(11), out=z), 0.5, out=u)
+        np.multiply(u, _U53, out=u)
+        if per == 2:  # sqrt(-2 log u_2j) cos(2 pi u_2j+1), the operations of the untiled formula
+            angle = z.reshape(-1)[: seg.size].view(np.float64).reshape(seg.shape)
+            np.multiply(u[:, 1::2], 2.0 * np.pi, out=angle)
+            np.sqrt(np.multiply(np.log(u[:, 0::2], out=seg), -2.0, out=seg), out=seg)
+            if cosines is None:
+                np.multiply(seg, np.cos(angle, out=angle), out=seg)
+            else:
+                np.cos(angle, out=cosines[rows, cols], dtype=np.float32, casting="same_kind")
+    if cosines is None:
+        return out.reshape(shape)
+    return out.reshape(shape), cosines.reshape(shape)
 
 
 def key_levels(levels: np.ndarray) -> np.ndarray:
@@ -106,3 +119,13 @@ def normals(seeds, count: int) -> np.ndarray:
     """Standard normal draws, shape seeds.shape + (count,), stateless. Normal j
     consumes uniforms (2j, 2j+1), so extending count preserves earlier values."""
     return _draw(seeds, 2 * count, "normals")
+
+
+def sketch_normals(seeds, count: int):
+    """(radii, cosines), each of shape seeds.shape + (count,), whose product is
+    within radii (COS_ERROR + 2^-52) of normals(seeds, count), elementwise:
+    radii are the Box-Muller radii of normals bit for bit, and cosines are the
+    float32 np.cos of each float64 angle rounded to float32, assumed to lie
+    within COS_ERROR of its float64 np.cos (2^-52 covers both products'
+    rounding). A cosine costs about 1 ns, against about 20 ns in float64."""
+    return _draw(seeds, 2 * count, "sketch")

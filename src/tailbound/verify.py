@@ -13,19 +13,25 @@ values and the float thresholds and tracked values:
 Float products decide every comparison whose margin clears an a-priori
 bound on their rounding error; fractions.Fraction settles the rest, so no
 decision depends on summation order or BLAS threads. Two shortcuts keep
-every decision exact: discrete draws stay 53-bit keys, compared with the
-integer key level of each cdf level (u <= c exactly when key <= level), and
-a gaussian trial skips the full product when a rank-K screen (K the largest
-k of its group) proves that it has no violation in real arithmetic.
+every decision exact. A discrete draw is never made a float: u <= c
+exactly when its raw 64-bit value is at most an integer level derived from
+c, and each tile of raw values (rng.tiles) is counted while in cache, so
+memory does not grow with n. A gaussian trial first draws a sketch of its
+normals, with float32 cosines (rng.sketch_normals), and skips the full
+product when a rank-K screen (K the largest k of its group) proves, from
+the sketch and a bound on its distance to the normals, that it has no
+violation in real arithmetic; only the trials it keeps draw their exact
+normals.
 
 Trials draw from disjoint counter-based substreams of the root seed, so
 reports are bit-identical across runs: violation counting is a commutative
 fold over trial indices, and does not depend on how trials are chunked.
 Trials are drawn in chunks whose arrays hold at most numerics.BLOCK_ELEMENTS
-elements (one trial at least). run_trials and sweep share one runner: plans
-that draw the same values (the discrete targets at one n, the gaussian
-target at every grid point) draw and count each trial once. BLAS is the
-only parallelism.
+elements (one trial at least); a value depends only on its seed and
+counter, so a kept trial's redraw gives the values an unscreened draw
+would. run_trials and sweep share one runner: plans that draw the same
+values (the discrete targets at one n, the gaussian target at every grid
+point) draw and count each trial once. BLAS is the only parallelism.
 
 Targets (each report's guarantee is the ceiling CEILING_FACTOR[target] e^{-nr}):
   chernoff      one function f, threshold T_r(f), factor 1
@@ -57,13 +63,13 @@ from .chaining import (
 )
 from .gaussian import GaussianModel, gaussian_instance_bound
 from .numerics import check_int, row_blocks
-from .rng import key_levels, keys, normals, substream_seed
+from .rng import COS_ERROR, TILE, key_levels, normals, sketch_normals, substream_seed, tiles
 
 CEILING_FACTOR = {"chernoff": 1.0, "corollary": 1.0, "gaussian": 2.0, "theorem-main": 2.0}
 TARGETS = tuple(CEILING_FACTOR)
 _UNIT_ROUNDOFF = 2.0**-53
 _TINY = float(np.finfo(float).tiny)  # covers rounding below the normal range
-LEVEL_PASSES_MAX = 80  # largest support whose atoms _atom_counts counts by level passes
+LEVEL_PASSES_MAX = 80  # largest support whose atoms _atom_counts counts by level compares
 
 
 @dataclass(frozen=True)
@@ -157,31 +163,45 @@ def _discrete_setup(plan: TrialPlan):
     return tracked, thresholds, cdf
 
 
-def _atom_counts(u: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+def _atom_counts(u: np.ndarray, levels: np.ndarray) -> np.ndarray:
     """Integer (rows, s) matrix counting, per row of draws u, the draws of
-    each atom searchsorted(cdf, u, side="left"), for a nondecreasing cdf of s
-    levels whose last level is at least max u. The draws are uniforms and cdf
-    levels, or their integer keys and rng.key_levels, which count alike.
+    each atom searchsorted(levels, u, side="left"), for s nondecreasing
+    levels whose last is at least max u. The draws are uniforms and cdf
+    levels, or anything that compares alike: their keys and rng.key_levels,
+    or raw tile values and the raw levels of _draw_counts.
 
-    Up to LEVEL_PASSES_MAX atoms, pass j < s - 1 counts the draws u <= cdf[j]
-    (atoms 0..j) as bytes summed in the narrowest integer type that holds n,
-    and differences give each atom's count. Above it, where s passes of
-    integer keys cost more than log s comparisons per draw (from about 40,
-    85 and 105 atoms at n = 50, 200 and 1000), searchsorted and one bincount
-    of atom + s * row count them.
+    Up to LEVEL_PASSES_MAX atoms, one compare counts, for every j < s - 1,
+    the draws u <= levels[j] (atoms 0..j) as bytes summed in the narrowest
+    integer type that holds a row's length, and differences give each atom's
+    count. Above it, where s - 1 compares per draw cost more than log s,
+    searchsorted and one bincount of atom * rows + row count them.
     """
-    rows, s = u.shape[0], cdf.shape[0]
+    rows, s = u.shape[0], levels.shape[0]
     if s > LEVEL_PASSES_MAX:
-        atoms = np.searchsorted(cdf, u, side="left") + s * np.arange(rows)[:, None]
-        return np.bincount(atoms.ravel(), minlength=rows * s).reshape(rows, s)
-    at_most = np.empty((rows, s + 1), dtype=np.int64)  # column j + 1: draws of atoms <= j
-    at_most[:, 0] = 0
-    below, counter = np.empty(u.shape, dtype=bool), np.min_scalar_type(u.shape[1])
-    for j in range(s - 1):
-        np.less_equal(u, cdf[j], out=below)
-        at_most[:, j + 1] = np.add.reduce(below.view(np.uint8), axis=1, dtype=counter)
-    at_most[:, s] = u.shape[1]
-    return np.diff(at_most, axis=1)
+        atoms = np.searchsorted(levels, u, side="left") * rows + np.arange(rows)[:, None]
+        return np.bincount(atoms.ravel(order="K"), minlength=s * rows).reshape(s, rows).T
+    at_most = np.empty((s + 1, rows), dtype=np.int64)  # row j + 1: draws of atoms <= j
+    at_most[0], at_most[s] = 0, u.shape[1]
+    below = np.less_equal(u, levels[:-1, None, None])  # (s - 1, rows, draws), each level laid out as u
+    at_most[1:s] = np.add.reduce(below.view(np.uint8), axis=2, dtype=np.min_scalar_type(u.shape[1]))
+    return (at_most[1:] - at_most[:-1]).T
+
+
+def _draw_counts(seeds, n: int, levels: np.ndarray) -> np.ndarray:
+    """Float (rows, s) atom counts of n draws from each substream in seeds,
+    for the key levels M (rng.key_levels) of a cdf of s levels. An atom of
+    level -1 lies below every uniform and is never drawn; for M >= 0, key z
+    >> 11 <= M exactly when z <= M 2^11 + 2047, so each tile's raw values are
+    counted against those raw levels while the tile is in cache, and memory
+    does not grow with n. Where _atom_counts sums compares, a tile is laid
+    out along its longer side, the one they sum along."""
+    never = int(np.count_nonzero(levels < 0))  # a prefix: levels are nondecreasing
+    raw = (levels[never:].astype(np.uint64) << np.uint64(11)) | np.uint64(2047)
+    counts = np.zeros((levels.size, np.size(seeds)), dtype=np.int64)  # atom-major, as _atom_counts counts
+    order = "F" if n * n < TILE and levels.size <= LEVEL_PASSES_MAX else "C"
+    for rows, _, z, _ in tiles(seeds, n, order=order):
+        counts[never:, rows] += _atom_counts(z, raw).T
+    return counts.T.astype(float)
 
 
 def _gaussian_mesh(plan: TrialPlan):
@@ -197,9 +217,9 @@ def _gaussian_mesh(plan: TrialPlan):
     return dirs, model.sqrt_matrix() @ dirs.T
 
 
-def _gamma(k: int) -> float:
-    """gamma_k = k u / (1 - k u), u the unit roundoff of float64."""
-    return k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF)
+def _gamma(k: int, u: float = _UNIT_ROUNDOFF) -> float:
+    """gamma_k = k u / (1 - k u), u the unit roundoff (of float64 by default)."""
+    return k * u / (1.0 - k * u)
 
 
 def _norm_up(a: np.ndarray, axis) -> np.ndarray:
@@ -249,7 +269,9 @@ class _Group:
     and exactly with fractions.Fraction otherwise; the factor 2 also covers
     the rounding of the bound and of the comparison. A column of zero
     weights at level 0 gets band 0: its products and its level are exact
-    zeros, so y > level decides it.
+    zeros, so y > level decides it. A threshold of +inf, whose level is
+    exactly +inf, gets slack 0, so every y but NaN decides it in floats as
+    never exceeded; one of -inf is exceeded by every trial.
     """
 
     def __init__(self, draw, per_trial: int, norms, parts, screen=None):
@@ -267,7 +289,7 @@ class _Group:
                 blocks.append(weights)
             with np.errstate(over="ignore"):  # +inf where sqrt(square) t overflows; decided exactly
                 level = math.sqrt(square) * t
-            exact = (level == 0.0) & ~np.any(weights, axis=0)
+            exact = ((level == 0.0) & ~np.any(weights, axis=0)) | (t == math.inf)
             slack = np.where(exact, 0.0, 2.0 * _gamma(2) * np.abs(level) + _TINY)
             self.checks.append(_Check(index[key], t, square, level, slack))
         self.weights = np.hstack(blocks)
@@ -277,42 +299,76 @@ class _Group:
         self.screen = None if screen is None else self._screen(*screen)
 
     def _screen(self, L, R):
-        """(L, [R; -lev], a, c): for any floats L (w, K) and R (K, c), a trial
-        x with finite h = max_j (fl(x L) . R_j - lev_j) <= -(||x|| a + c) has
-        no violation. lev_j, the least level_j - slack_j over the plans, is at
-        most every plan's level in real arithmetic. There x . w_j = (x L) .
-        R_j + x . E_j, E = weights - L R, with ||E_j|| <= (1 + u) ||fl(weights
-        - fl(L R))_j|| + gamma_K ||L||_F ||R_j|| + sqrt(w) tiny; a and c add
-        the roundings of x L (gamma_w ||x|| ||L||_F ||R_j||), of h
-        (gamma_{K+1} (||x L|| ||R_j|| + |lev_j|)) and of lev (Higham 3.1 and
-        4.2, tiny per product for underflow), and the factor 1 + 2
-        gamma_{2w+8} covers the rounding of the norms, a, c and the test.
+        """(L, R, lev, a, e, c), or None where a bound is not finite, for
+        floats L (w, K) and R (K, c): a trial whose normals x lie within
+        e_x = ||rho|| (COS_ERROR + 2u) of its sketch s (rng.sketch_normals,
+        radii rho) and whose h = max_j (fl(s L) . R_j - lev_j), evaluated as
+        _kept does, is finite and at most -(||s|| a + ||rho|| e + c + the
+        underflow term of _kept) has no violation. lev_j, the least level_j -
+        slack_j over the plans, is at most every plan's level in real
+        arithmetic. There x . w_j = (s L) . R_j + ((x - s) L) . R_j + x . E_j,
+        E = weights - L R, with |((x - s) L) . R_j| <= e_x ||L||_F ||R_j||,
+        ||x|| <= ||s|| + e_x and ||E_j|| <= (1 + u) ||fl(weights - fl(L R))_j||
+        + gamma_K ||L||_F ||R_j|| + sqrt(w) tiny. a and c add the roundings of
+        s L (gamma_w ||s|| ||L||_F ||R_j||), of lev, and of h, a float32
+        product of float32 casts (gamma_{K+3} at u = 2^-24, times ||s L||
+        ||R_j|| + |lev_j|; Higham 3.1 and 4.2, tiny per product for float64
+        underflow), and the factor 1 + 2 gamma_{2w+8} covers the rounding of
+        the norms, a, e, c and the test.
         """
         w, k = L.shape
         lev = np.full(self.weights.shape[1], math.inf)
-        with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN makes a or c so, and every trial survives
+        with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN bound turns the screen off
             for check in self.checks:
                 lev[check.cols] = np.minimum(lev[check.cols], check.level - check.slack)
             rnorm, lnorm, up = _norm_up(R, 0).max(), _norm_up(L, None), 1.0 + 2.0 * _gamma(2 * w + 8)
-            a = _norm_up(self.weights - L @ R, 0).max() + 4.0 * _gamma(w) * lnorm * rnorm + math.sqrt(w) * _TINY
-            c = 2.0 * _gamma(w) * np.abs(lev).max() + 2.0 * _TINY * (1.0 + math.sqrt(k) * rnorm)
-        return L, np.vstack([R, -lev]), a * up, c * up
+            g32 = _gamma(k + 3, 2.0**-24)
+            a = (_norm_up(self.weights - L @ R, 0).max() + (4.0 * _gamma(w) + 2.0 * g32) * lnorm * rnorm
+                 + math.sqrt(w) * _TINY)
+            e = (a + lnorm * rnorm) * (COS_ERROR + 2.0 * _UNIT_ROUNDOFF)
+            c = 2.0 * (_gamma(w) + g32) * np.abs(lev).max() + 2.0 * _TINY * (1.0 + math.sqrt(k) * rnorm)
+        if not math.isfinite(a + e + c):
+            return None
+        return L, R, lev, a * up, e * up, c * up
 
-    def _screened(self, x) -> np.ndarray:
-        """Rows of x the screen, if any, cannot prove free of violations (a NaN or inf keeps a row)."""
-        if self.screen is None:
-            return x
-        L, head, a, c = self.screen
-        with np.errstate(over="ignore", invalid="ignore"):  # h from one product [x L, 1] @ [R; -lev], none at K = 0
-            h = (np.hstack([x @ L, np.ones((len(x), 1))]) @ head).max(axis=1) if L.shape[1] else head[-1].max()
-            tau = _norm_up(x, 1) * a + c
-            return x[~((-math.inf < h) & (h <= -tau))]
+    def _kept(self, seeds) -> np.ndarray:
+        """The seeds whose trials the screen cannot prove free of violations
+        (an inf or NaN keeps them).
+
+        h comes from one float32 product [fl(s L) 2^-p, 1] @ [R 2^(p-q);
+        -lev 2^-q], then times 2^q: 2^p bounds |fl(s L)| and 2^q the sizes
+        of h's terms, so no float32 value exceeds about 2 and the scalings
+        are exact. A value below float32's normal range, or its product or
+        sum, is off by at most 2^-126 in these units; (K + 1) 2^(q-120)
+        bounds all of them. At K = 0, h = max_j -lev_j.
+        """
+        L, R, lev, a, e, c = self.screen
+        k = L.shape[1]
+        rho, cosines = sketch_normals(seeds, L.shape[0])
+        s = rho * cosines
+        with np.errstate(over="ignore", invalid="ignore"):
+            tau, h = _norm_up(s, 1) * a + _norm_up(rho, 1) * e + c, -lev.min()
+            if k:
+                sl = s @ L
+                top = np.abs(sl).max()
+                size = top * math.sqrt(k) * np.abs(R).max() + np.abs(lev).max()
+                if not math.isfinite(size):
+                    return seeds
+                p, q = np.frexp(top)[1], np.frexp(size)[1]
+                left = np.ones((len(s), k + 1), dtype=np.float32)
+                left[:, :k] = np.ldexp(sl, -p)
+                right = np.vstack([np.ldexp(R, p - q), np.ldexp(-lev, -q)]).astype(np.float32)
+                h = np.ldexp((left @ right).max(axis=1).astype(float), q)
+                tau += math.ldexp(k + 1, int(q) - 119)  # twice (K + 1) 2^(q-120), for tau's rounding
+            return seeds[~((-math.inf < h) & (h <= -tau))]
 
     def count(self, root_seed: int, trials: int) -> np.ndarray:
-        """Violating trials among trials 0..trials - 1, per plan."""
+        """Violating trials among trials 0..trials - 1, per plan. Under a
+        screen, only the trials it keeps draw their values."""
         out = np.zeros(len(self.checks), dtype=np.int64)
         for block in row_blocks(trials, self.width):
-            x = self._screened(self.draw(substream_seed(root_seed, np.arange(block.start, block.stop) + 1)))
+            seeds = substream_seed(root_seed, np.arange(block.start, block.stop) + 1)
+            x = self.draw(seeds if self.screen is None else self._kept(seeds))
             if not x.shape[0]:
                 continue
             xnorm = float(np.linalg.norm(x, ord=self.p, axis=1).max())
@@ -325,6 +381,8 @@ class _Group:
 
     def _violated(self, x, y, check: _Check, xnorm: float) -> np.ndarray:
         """Per trial: does some column exceed its level in real arithmetic."""
+        if np.any(check.t == -math.inf):
+            return np.ones(y.shape[0], dtype=bool)
         band = self.gamma_w * xnorm * self.wnorm[check.cols] + check.slack
         maybe = y <= check.level - band
         np.logical_not(maybe, out=maybe)  # not surely at or below; a NaN test goes to the exact path
@@ -344,8 +402,7 @@ def _discrete_group(plans) -> _Group:
     setups = [_discrete_setup(plan) for plan in plans]
     n, levels = plans[0].n, key_levels(setups[0][2])
     parts = [(tracked.T, thresholds, n * n) for tracked, thresholds, _ in setups]
-    draw = lambda seeds: _atom_counts(keys(seeds, n), levels).astype(float)
-    return _Group(draw, n, (1, math.inf), parts)
+    return _Group(lambda seeds: _draw_counts(seeds, n, levels), n, (1, math.inf), parts)
 
 
 def _gaussian_group(plans) -> _Group:

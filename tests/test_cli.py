@@ -722,27 +722,42 @@ def test_float_range_edges_exit_cleanly(fixtures_dir, tmp_path, case):
     assert err.count("\n") <= 1, err
 
 
-# Each size asks, at its first large allocation, for far more than the 4 GB
+def _verify_under_address_limit(fixtures_dir, limit, argv):
+    """`tailbound verify argv` in a process of its own whose address space is
+    at most `limit` bytes (the hard limit if lower)."""
+    resource = pytest.importorskip("resource")
+    _soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    limit = limit if hard == resource.RLIM_INFINITY else min(limit, hard)
+    argv = [str(fixtures_dir / a) if str(a).endswith(".json") else str(a) for a in argv]
+    path = [str(fixtures_dir.parent / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path), OPENBLAS_NUM_THREADS="1")
+    return subprocess.run(
+        [sys.executable, "-m", "tailbound.cli", "verify", *argv, "--r", "0.05", "--seed", "1"],
+        capture_output=True, text=True, env=env, timeout=300,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+
+
+# The mesh asks, at its first large allocation, for far more than the 4 GB
 # address-space limit (74.5 GiB of uint64 counters), so the test touches no
 # memory near the limit.
 OUT_OF_MEMORY = {
-    "chernoff": ["--target", "chernoff", "--dist", "rademacher.json", "--f", "f", "--n", 10**10],
-    "gaussian": ["--target", "gaussian", "--model", "gaussian-poly2.json", "--n", 100, "--mesh", 10**8],
+    "gaussian": ["--target", "gaussian", "--model", "gaussian-poly2.json", "--n", 100, "--mesh", 10**8,
+                 "--trials", 10],
 }
 
 
 @pytest.mark.parametrize("target", sorted(OUT_OF_MEMORY))
 def test_memory_exhaustion_exits_1_with_one_line(fixtures_dir, target):
-    resource = pytest.importorskip("resource")
-    _soft, hard = resource.getrlimit(resource.RLIMIT_AS)
-    limit = 4 * 1024**3 if hard == resource.RLIM_INFINITY else min(4 * 1024**3, hard)
-    argv = [str(fixtures_dir / a) if str(a).endswith(".json") else str(a) for a in OUT_OF_MEMORY[target]]
-    path = [str(fixtures_dir.parent / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path), OPENBLAS_NUM_THREADS="1")
-    proc = subprocess.run(
-        [sys.executable, "-m", "tailbound.cli", "verify", *argv, "--r", "0.05", "--trials", "10", "--seed", "1"],
-        capture_output=True, text=True, env=env, timeout=300,
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
-    )
+    proc = _verify_under_address_limit(fixtures_dir, 4 * 1024**3, OUT_OF_MEMORY[target])
     assert proc.returncode == 1 and proc.stdout == ""
     assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("out of memory: "), proc.stderr
+
+
+def test_chernoff_memory_does_not_grow_with_n(fixtures_dir):
+    # discrete draws are counted tile by tile, so 2 trials of 2e8 draws run
+    # in 1 GiB, where one trial's 2e8 int64 keys alone would take 1.5 GiB
+    argv = ["--target", "chernoff", "--dist", "rademacher.json", "--f", "f", "--n", 2 * 10**8, "--trials", 2]
+    proc = _verify_under_address_limit(fixtures_dir, 1024**3, argv)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["trials"] == 2

@@ -22,7 +22,7 @@ import pytest
 from tailbound.cgf import DiscreteDistribution, rate_bound_T
 from tailbound.chaining import FunctionFamily, extremal_difference
 from tailbound.gaussian import GaussianModel
-from tailbound.rng import finalize, key_levels, keys, normals, substream_seed, uniforms
+from tailbound.rng import GOLDEN, finalize, key_levels, normals, substream_seed, uniforms
 from tailbound import numerics, rng, verify
 from tailbound.verify import CEILING_FACTOR, LEVEL_PASSES_MAX, TARGETS, TrialPlan, VerificationReport, run_trials, sweep
 
@@ -37,6 +37,19 @@ def _finalize_py(z: int) -> int:
     return (z ^ (z >> 31)) & _MASK
 
 
+def _unfinalize_py(x: int) -> int:
+    # the z whose _finalize_py(z) is x: each step of the avalanche inverted
+    def unshift(v, s):
+        out = v
+        for _ in range(64 // s + 1):
+            out = v ^ (out >> s)
+        return out
+
+    x = (unshift(x, 31) * pow(0x94D049BB133111EB, -1, 1 << 64)) & _MASK
+    x = (unshift(x, 27) * pow(0xBF58476D1CE4E5B9, -1, 1 << 64)) & _MASK
+    return unshift(x, 30)
+
+
 def _substream_py(root: int, index: int) -> int:
     return _finalize_py((root + (index + 1) * _PY_GOLDEN) & _MASK)
 
@@ -44,6 +57,13 @@ def _substream_py(root: int, index: int) -> int:
 def _uniform_py(base: int, counter: int) -> float:
     bits = _finalize_py((base + (counter + 1) * _PY_GOLDEN) & _MASK)
     return ((bits >> 11) + 0.5) * 2.0**-53
+
+
+def keys(seeds, count):
+    """The int64 keys m = x >> 11 of values 0..count-1 of each substream base
+    in seeds, from finalize directly: uniforms(seeds, count) maps them."""
+    x = finalize(np.asarray(seeds, dtype=np.uint64)[..., None] + (np.arange(count, dtype=np.uint64) + 1) * GOLDEN)
+    return (x >> np.uint64(11)).astype(np.int64)
 
 
 def _rademacher_plan(**overrides):
@@ -104,17 +124,27 @@ def _target_plan(target, family12, poly2_model, **overrides):
     return TrialPlan(**kwargs)
 
 
-def _record_uniforms(monkeypatch):
-    """Record (seed array ndim, seed count, uniforms per seed) of every draw,
-    by rng.keys, rng.uniforms and rng.normals (two uniforms per normal)."""
-    calls = []
-    real = rng._draw
+def _record_draws(monkeypatch):
+    """Record (seed array ndim, seed count, uniforms per seed, form) of every
+    tile loop: form is rng._draw's ("uniforms", "normals" or "sketch"), or
+    "counts" for the discrete counter (verify._draw_counts)."""
+    calls, forms = [], []
+    real_tiles, real_draw = rng.tiles, rng._draw
 
-    def recording(seeds, count, form):
-        calls.append((np.ndim(seeds), np.size(seeds), count))
-        return real(seeds, count, form)
+    def recording(seeds, count, **kwargs):
+        calls.append((np.ndim(seeds), np.size(seeds), count, forms[-1] if forms else "counts"))
+        return real_tiles(seeds, count, **kwargs)
 
-    monkeypatch.setattr(rng, "_draw", recording)
+    def drawing(seeds, count, form):
+        forms.append(form)
+        try:
+            return real_draw(seeds, count, form)
+        finally:
+            forms.pop()
+
+    monkeypatch.setattr(rng, "tiles", recording)
+    monkeypatch.setattr(verify, "tiles", recording)
+    monkeypatch.setattr(rng, "_draw", drawing)
     return calls
 
 
@@ -162,6 +192,20 @@ class TestRng:
         for m in range(max(level - 2, 0), min(level + 3, 2**53)):
             assert ((float(m) + 0.5) * 2.0**-53 <= c) == (m <= level)
         assert level == -1 or (float(level) + 0.5) * 2.0**-53 <= c
+
+    def test_sketch_is_within_cos_error_of_normals(self):
+        # 2^20 seeded angles, and the angles of keys m = j 2^51 + i (|i| <= 300),
+        # next to 0, pi/2, pi, 3 pi/2 and 2 pi: substream bases chosen so that
+        # value 1, normal 0's angle uniform, finalizes to m 2^11 + 0x5A5
+        near = [m for j in range(5) for m in range(j * 2**51 - 300, j * 2**51 + 301) if 0 <= m < 2**53]
+        assert _unfinalize_py(_finalize_py(0x123456789ABCDEF0)) == 0x123456789ABCDEF0
+        bases = np.array([(_unfinalize_py((m << 11) | 0x5A5) - 2 * _PY_GOLDEN) & _MASK for m in near], np.uint64)
+        assert np.array_equal(uniforms(bases, 2)[:, 1], (np.array(near) + 0.5) * 2.0**-53)
+        for seeds, count in ((substream_seed(41, np.arange(1, 1025)), 1024), (bases, 1)):
+            rho, cosines = rng.sketch_normals(seeds, count)
+            assert rho.shape == cosines.shape == seeds.shape + (count,) and cosines.dtype == np.float32
+            assert np.array_equal(rho, np.sqrt(-2.0 * np.log(uniforms(seeds, 2 * count)[..., 0::2])))
+            assert np.all(np.abs(normals(seeds, count) - rho * cosines) <= rho * rng.COS_ERROR / 1000)
 
     def test_substreams_distinct(self):
         seeds = substream_seed(0, np.arange(4096))
@@ -487,6 +531,23 @@ class TestAtomCounts:
         assert np.array_equal(verify._atom_counts(m, levels), verify._atom_counts(u, cdf))
         assert np.array_equal(verify._atom_counts(m, levels), self._reference(u, cdf))
 
+    @pytest.mark.parametrize("s", [2, 6, 97])
+    def test_draw_counts_are_the_uniforms_counted(self, monkeypatch, s):
+        # atoms below the least uniform first (key level -1), then atoms of
+        # zero probability, counted from raw values across tile edges
+        monkeypatch.setattr(rng, "TILE", 64)
+        probs = np.random.default_rng(s).dirichlet(np.ones(s))
+        probs[1::3] = 0.0
+        probs[:2] = 0.0, 2.0**-60
+        cdf = np.cumsum(probs / probs.sum())
+        cdf[-1] = 1.0
+        levels = key_levels(cdf)
+        assert levels[0] == -1 and (s == 2 or levels[1] == -1)
+        seeds = substream_seed(s, np.arange(1, 41))
+        for n in (1, 7, 64, 65, 200):
+            counts = verify._draw_counts(seeds, n, levels)
+            assert counts.shape == (40, s) and np.array_equal(counts, self._reference(uniforms(seeds, n), cdf))
+
     def test_level_hits_and_zero_probability_atoms(self):
         cdf = np.cumsum([0.25, 0.0, 0.0, 0.5, 0.0, 0.25])
         u = np.array([[0.25, 0.25, 0.75, 0.1, 0.9, 0.5]])
@@ -591,6 +652,21 @@ class TestExactDecisions:
             warnings.simplefilter("error", RuntimeWarning)
             assert run_trials(plan).violations == 0
 
+    def test_infinite_thresholds_are_decided_without_exact_dots(self, monkeypatch):
+        # the family of test_infinite_threshold_is_never_exceeded: every cell
+        # of every trial was an exact dot product, 2000 in 500 trials
+        calls = []
+        exact_dot = verify._exact_dot
+        monkeypatch.setattr(verify, "_exact_dot", lambda x, w: calls.append(1) or exact_dot(x, w))
+        s = 4e307
+        dist = DiscreteDistribution(support=np.arange(3.0)[:, None], probabilities=np.array([0.25, 0.5, 0.25]))
+        fam = FunctionFamily(dist, {"z": np.zeros(3), "a": np.array([-s, 0.0, s]), "b": np.array([s, -s, s]),
+                                    "c": np.array([s / 2, 0.0, -s / 2])})
+        plan = TrialPlan(target="theorem-main", n=5, r=1.0, k=0, trials=500, root_seed=1, family=fam)
+        assert run_trials(plan).violations == 0 and calls == []
+        _override_thresholds(monkeypatch, -math.inf)  # exceeded by every trial
+        assert run_trials(_rademacher_plan(trials=500)).violations == 500 and calls == []
+
     def test_zero_row_at_zero_threshold_never_enters_exact_path(self, monkeypatch):
         calls = []
         exact_dot = verify._exact_dot
@@ -621,14 +697,14 @@ class TestGaussianScreen:
         """(counts or exception with the screen, the same without it, trials
         the screen dropped)."""
         dropped = []
-        screened = verify._Group._screened
+        kept_by_screen = verify._Group._kept
 
-        def counting(group, x):
-            kept = screened(group, x)
-            dropped.append(len(x) - len(kept))
+        def counting(group, seeds):
+            kept = kept_by_screen(group, seeds)
+            dropped.append(len(seeds) - len(kept))
             return kept
 
-        monkeypatch.setattr(verify._Group, "_screened", counting)
+        monkeypatch.setattr(verify._Group, "_kept", counting)
         group = verify._gaussian_group(plans)
         outcomes = []
         for screen in (group.screen, None):
@@ -691,6 +767,21 @@ class TestGaussianScreen:
         assert len(outcomes) == 1
 
 
+    @pytest.mark.parametrize("e", [-240, -120, 120, 240])
+    def test_equal_counts_on_a_dense_model_at_the_float32_range_edges(self, monkeypatch, e):
+        # Sigma 2^e puts L and lev near 2^(e/2), past float32's range at
+        # |e| = 240; counts and drops match the unscaled model's
+        _scale_thresholds(monkeypatch, 0.35)
+        outcomes = []
+        for scale in (0, e):
+            plan = TrialPlan(target="gaussian", n=200, r=0.05, trials=1000, root_seed=2, k=10,
+                             model=_dense50_model(scale), mesh=200)
+            screened, full, dropped = self._with_and_without_screen(monkeypatch, [plan])
+            assert screened == full and full[0] > 0 and dropped > 0
+            outcomes.append((full[0], dropped))
+        assert outcomes[0] == outcomes[1]
+
+
 class TestChunks:
     @pytest.mark.parametrize("target", ["chernoff", "theorem-main", "gaussian"])
     def test_reports_identical_with_tiny_blocks(self, monkeypatch, family12, poly2_model, target):
@@ -702,7 +793,10 @@ class TestChunks:
         assert before["violations"] > 0
 
     def test_no_draw_exceeds_block_elements(self, monkeypatch, family12, poly2_model):
-        calls = _record_uniforms(monkeypatch)
+        # chunk draws: discrete counts and gaussian sketches; the gaussian
+        # trials the screen keeps then draw their normals again
+        _scale_thresholds(monkeypatch, 0.7)  # the screen keeps some trials, not all
+        calls = _record_draws(monkeypatch)
         plans = [
             _target_plan("chernoff", family12, poly2_model, trials=20_000),
             _target_plan("theorem-main", family12, poly2_model, trials=6_000),
@@ -710,10 +804,13 @@ class TestChunks:
         ]
         for plan in plans:
             run_trials(plan)
-        assert max(size * count for _, size, count in calls) <= numerics.BLOCK_ELEMENTS
-        trial_draws = sum(size * count for ndim, size, count in calls if ndim == 1)
+        assert max(size * count for _, size, count, _ in calls) <= numerics.BLOCK_ELEMENTS
+        trial_draws = sum(size * count for ndim, size, count, form in calls if ndim == 1 and form != "normals")
         assert trial_draws == 20_000 * 50 + 6_000 * 60 + 6_000 * 2 * poly2_model.dim
         assert trial_draws > 3 * numerics.BLOCK_ELEMENTS
+        redraws = [(size, count) for ndim, size, count, form in calls if ndim == 1 and form == "normals"]
+        assert {count for _, count in redraws} == {2 * poly2_model.dim}
+        assert 0 < sum(size for size, _ in redraws) < 6_000
 
 
 class TestSweepSharing:
@@ -732,25 +829,29 @@ class TestSweepSharing:
 
     @pytest.mark.parametrize("target", ["chernoff", "theorem-main"])
     def test_one_draw_pass_per_n(self, monkeypatch, family12, poly2_model, target):
-        calls = _record_uniforms(monkeypatch)
+        calls = _record_draws(monkeypatch)
         plan = _target_plan(target, family12, poly2_model, trials=500)
         sweep(plan, **self.GRID)
         drawn = collections.Counter()
-        for _, size, count in calls:
+        for _, size, count, form in calls:
+            assert form == "counts"
             drawn[count] += size
         assert drawn == {30: 500, 60: 500}
 
     def test_one_draw_pass_for_a_gaussian_sweep(self, monkeypatch, family12, poly2_model):
-        calls = _record_uniforms(monkeypatch)
+        # one sketch per trial; the trials the screen keeps draw their normals once more
+        _scale_thresholds(monkeypatch, 0.7)  # the screen keeps some trials, not all
+        calls = _record_draws(monkeypatch)
         plan = _target_plan("gaussian", family12, poly2_model, trials=500)
         sweep(plan, **self.GRID)
         d = poly2_model.dim
-        assert [c for c in calls if c[0] == 0] == [(0, 1, 2 * plan.mesh * d)]  # the mesh, once
+        assert [c for c in calls if c[0] == 0] == [(0, 1, 2 * plan.mesh * d, "normals")]  # the mesh, once
         drawn = collections.Counter()
-        for ndim, size, count in calls:
+        for ndim, size, count, form in calls:
             if ndim == 1:
-                drawn[count] += size
-        assert drawn == {2 * d: 500}
+                drawn[form, count] += size
+        assert drawn.keys() == {("sketch", 2 * d), ("normals", 2 * d)}
+        assert drawn["sketch", 2 * d] == 500 and 0 < drawn["normals", 2 * d] < 500
 
 def test_chernoff_threshold_is_rate_bound(rademacher, monkeypatch):
     # the harness thresholds chernoff runs at T_r of the tracked function

@@ -61,6 +61,13 @@ def _family64() -> dict:
     return workloads.synthetic_family(np.random.default_rng(64), 24, 64, (0.25, 1.0, 4.0), 0.15, 0.02)
 
 
+def _family97() -> dict:
+    """A 12-member synthetic family on 97 equally likely atoms: more atoms
+    than verify counts by level compares."""
+    import workloads
+    return workloads.synthetic_family(np.random.default_rng(97), 12, 97, (0.25, 1.0, 4.0), 0.15, 0.02)
+
+
 def _family64_permuted() -> dict:
     """_family64 with its members listed in default_rng(64).permutation(24)
     order, so that the zero member is not first: every bound must match
@@ -92,11 +99,13 @@ def _family12_times(e: int) -> dict:
 
 SCALE_EDGE = {"{family12x2^-45}": lambda: _family12_times(-45), "{family12x2^1000}": lambda: _family12_times(1000)}
 GAUSSIAN_SCALES = {"{gaussian50}": 0, "{gaussian50x2^30}": 30, "{gaussian50x2^-60}": -60}
+FLOAT32_EDGE = {"{gaussian50x2^120}": 120, "{gaussian50x2^-120}": -120}
 GENERATED = {  # placeholder -> inputs written for the run
     "{poly-1000}": lambda: {"spectrum": "poly", "d": 3, "exponent": -1000},  # eigenvalue 3^1000 overflows
     "{atoms512}": _atoms512, "{tie}": _tie, "{family64}": _family64, "{family64perm}": _family64_permuted,
+    "{family97}": _family97,
     **SCALE_EDGE,
-    **{key: (lambda e=e: _gaussian50_times(e)) for key, e in GAUSSIAN_SCALES.items()},
+    **{key: (lambda e=e: _gaussian50_times(e)) for key, e in {**GAUSSIAN_SCALES, **FLOAT32_EDGE}.items()},
 }
 BENNETT = ['{"kind": "bennett", "L": %s}' % L for L in (0.1, 1, 10)]
 # The benchmark's six generators; then Bennett at other L, a custom table,
@@ -186,9 +195,19 @@ FIXTURE_COMMANDS = [
       for model in ("{gaussian50}", "{gaussian50x2^30}") for r in ("0.0001", "0.01")),
     ["verify", "--target", "gaussian", "--model", "{gaussian50}", "--k", "50", "--n", "200", "--r", "0.0001",
      "--mesh", "256", "--trials", "2000", "--seed", "9"],
+    # The screen's float32 product at a dense model times 2^120 and 2^-120.
+    *(["verify", "--target", "gaussian", "--model", model, "--k", "3", "--n", "200", "--r", r, "--mesh", "256",
+       "--trials", "2000", "--seed", "9"]
+      for model in FLOAT32_EDGE for r in ("0.0001", "0.01")),
     # Integer keys against a cdf level that two keys' uniforms equal.
     ["verify", "--target", "chernoff", "--dist", "{tie}", "--f", "f", "--n", "50", "--r", "0.05",
      "--trials", "20000", "--seed", "10"],
+    # Trials of 3 * 2^15 + 7 draws, which cross counter-tile edges, and a
+    # 97-atom family, counted by searchsorted.
+    ["verify", "--target", "chernoff", "--dist", "{rademacher}", "--f", "f", "--n", str(3 * 2**15 + 7),
+     "--r", "0.00003", "--trials", "1000", "--seed", "11"],
+    ["verify", "--target", "theorem-main", "--family", "{family97}", "--k", "2", "--n", "200", "--r", "0.05",
+     "--trials", "2000", "--seed", "12"],
     # The scale edge: family12 times 2^-45 and 2^1000, under the CGF norm and
     # an Orlicz norm.
     *([*cmd, *norm]
