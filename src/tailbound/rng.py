@@ -13,10 +13,11 @@ in (0, 1] (m = 2^53 - 1 rounds to 1.0, ties to even). The map is
 nondecreasing, so a discrete draw never forms u: u <= c exactly when m <=
 key_levels(c), and, for a level M >= 0, m <= M exactly when x <= M 2^11 +
 2047. Normals use one Box-Muller cosine per pair of uniforms (u = 1 gives
-0); sketch_normals replaces that cosine by a float32 one. Values are made
-in tiles of at most TILE of the flattened (substream, counter) space, in
-place in two tile buffers owned by the call (tiles): memory is the output
-plus a few tiles, and the tiling changes no bit.
+0); sketch_normals keeps each radius and angle and takes a float32 cosine
+in place of the float64 one. Values are made in tiles of at most TILE of
+the flattened (substream, counter) space, in place in two tile buffers
+owned by the call (tiles): memory is the output plus a few tiles, and the
+tiling changes no bit.
 """
 
 from __future__ import annotations
@@ -82,7 +83,8 @@ def _draw(seeds, count: int, form: str):
     per = 1 if form == "uniforms" else 2
     shape = np.shape(seeds) + (count // per,)
     out = np.empty((np.size(seeds), count // per))
-    cosines = np.empty(out.shape, np.float32) if form == "sketch" else None
+    if form == "sketch":
+        angles, cosines = np.empty(out.shape), np.empty(out.shape, np.float32)
     for rows, c0, z, tmp in tiles(seeds, count):
         cols = slice(c0 // per, (c0 + z.shape[1]) // per)
         seg = out[rows, cols]
@@ -90,16 +92,19 @@ def _draw(seeds, count: int, form: str):
         np.add(np.right_shift(z, np.uint64(11), out=z), 0.5, out=u)
         np.multiply(u, _U53, out=u)
         if per == 2:  # sqrt(-2 log u_2j) cos(2 pi u_2j+1), the operations of the untiled formula
-            angle = z.reshape(-1)[: seg.size].view(np.float64).reshape(seg.shape)
+            if form == "sketch":
+                angle = angles[rows, cols]
+            else:
+                angle = z.reshape(-1)[: seg.size].view(np.float64).reshape(seg.shape)
             np.multiply(u[:, 1::2], 2.0 * np.pi, out=angle)
             np.sqrt(np.multiply(np.log(u[:, 0::2], out=seg), -2.0, out=seg), out=seg)
-            if cosines is None:
+            if form == "normals":
                 np.multiply(seg, np.cos(angle, out=angle), out=seg)
             else:
                 np.cos(angle, out=cosines[rows, cols], dtype=np.float32, casting="same_kind")
-    if cosines is None:
+    if form != "sketch":
         return out.reshape(shape)
-    return out.reshape(shape), cosines.reshape(shape)
+    return out.reshape(shape), angles.reshape(shape), cosines.reshape(shape)
 
 
 def key_levels(levels: np.ndarray) -> np.ndarray:
@@ -122,10 +127,12 @@ def normals(seeds, count: int) -> np.ndarray:
 
 
 def sketch_normals(seeds, count: int):
-    """(radii, cosines), each of shape seeds.shape + (count,), whose product is
-    within radii (COS_ERROR + 2^-52) of normals(seeds, count), elementwise:
-    radii are the Box-Muller radii of normals bit for bit, and cosines are the
-    float32 np.cos of each float64 angle rounded to float32, assumed to lie
-    within COS_ERROR of its float64 np.cos (2^-52 covers both products'
-    rounding). A cosine costs about 1 ns, against about 20 ns in float64."""
+    """(radii, angles, cosines), each of shape seeds.shape + (count,): the
+    Box-Muller radii and angles of normals(seeds, count), which is radii *
+    np.cos(angles) bit for bit, elementwise (of any rows of them too), and
+    the float32 np.cos of each angle rounded to float32, assumed to lie
+    within COS_ERROR of np.cos(angles). So radii * cosines is within radii
+    (COS_ERROR + 2^-52) of the normals (2^-52 covers both products'
+    rounding). A float32 cosine costs about 1 ns, against about 20 ns in
+    float64."""
     return _draw(seeds, 2 * count, "sketch")

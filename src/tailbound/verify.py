@@ -20,18 +20,19 @@ memory does not grow with n. A gaussian trial first draws a sketch of its
 normals, with float32 cosines (rng.sketch_normals), and skips the full
 product when a rank-K screen (K the largest k of its group) proves, from
 the sketch and a bound on its distance to the normals, that it has no
-violation in real arithmetic; only the trials it keeps draw their exact
-normals.
+violation in real arithmetic; only the trials it keeps take the float64
+cosines that turn the sketch's radii and angles into their exact normals.
 
 Trials draw from disjoint counter-based substreams of the root seed, so
 reports are bit-identical across runs: violation counting is a commutative
 fold over trial indices, and does not depend on how trials are chunked.
 Trials are drawn in chunks whose arrays hold at most numerics.BLOCK_ELEMENTS
 elements (one trial at least); a value depends only on its seed and
-counter, so a kept trial's redraw gives the values an unscreened draw
-would. run_trials and sweep share one runner: plans that draw the same
-values (the discrete targets at one n, the gaussian target at every grid
-point) draw and count each trial once. BLAS is the only parallelism.
+counter, and a kept trial's normals are the values an unscreened draw
+gives, bit for bit. run_trials and sweep share one runner: plans that draw
+the same values (the discrete targets at one n, the gaussian target at
+every grid point) draw and count each trial once. BLAS is the only
+parallelism.
 
 Targets (each report's guarantee is the ceiling CEILING_FACTOR[target] e^{-nr}):
   chernoff      one function f, threshold T_r(f), factor 1
@@ -198,7 +199,7 @@ def _draw_counts(seeds, n: int, levels: np.ndarray) -> np.ndarray:
     never = int(np.count_nonzero(levels < 0))  # a prefix: levels are nondecreasing
     raw = (levels[never:].astype(np.uint64) << np.uint64(11)) | np.uint64(2047)
     counts = np.zeros((levels.size, np.size(seeds)), dtype=np.int64)  # atom-major, as _atom_counts counts
-    order = "F" if n * n < TILE and levels.size <= LEVEL_PASSES_MAX else "C"
+    order = "F" if n * n < TILE and raw.size <= LEVEL_PASSES_MAX else "C"
     for rows, _, z, _ in tiles(seeds, n, order=order):
         counts[never:, rows] += _atom_counts(z, raw).T
     return counts.T.astype(float)
@@ -303,11 +304,11 @@ class _Group:
         floats L (w, K) and R (K, c): a trial whose normals x lie within
         e_x = ||rho|| (COS_ERROR + 2u) of its sketch s (rng.sketch_normals,
         radii rho) and whose h = max_j (fl(s L) . R_j - lev_j), evaluated as
-        _kept does, is finite and at most -(||s|| a + ||rho|| e + c + the
-        underflow term of _kept) has no violation. lev_j, the least level_j -
-        slack_j over the plans, is at most every plan's level in real
-        arithmetic. There x . w_j = (s L) . R_j + ((x - s) L) . R_j + x . E_j,
-        E = weights - L R, with |((x - s) L) . R_j| <= e_x ||L||_F ||R_j||,
+        _kept_normals does, is finite and at most -(||s|| a + ||rho|| e + c +
+        the underflow term of _kept_normals) has no violation. lev_j, the
+        least level_j - slack_j over the plans, is at most every plan's level
+        in real arithmetic. There x . w_j = (s L) . R_j + ((x - s) L) . R_j +
+        x . E_j, E = weights - L R, with |((x - s) L) . R_j| <= e_x ||L||_F ||R_j||,
         ||x|| <= ||s|| + e_x and ||E_j|| <= (1 + u) ||fl(weights - fl(L R))_j||
         + gamma_K ||L||_F ||R_j|| + sqrt(w) tiny. a and c add the roundings of
         s L (gamma_w ||s|| ||L||_F ||R_j||), of lev, and of h, a float32
@@ -331,9 +332,10 @@ class _Group:
             return None
         return L, R, lev, a * up, e * up, c * up
 
-    def _kept(self, seeds) -> np.ndarray:
-        """The seeds whose trials the screen cannot prove free of violations
-        (an inf or NaN keeps them).
+    def _kept_normals(self, seeds) -> np.ndarray:
+        """The normals (rng.normals) of the trials the screen cannot prove
+        free of violations (an inf or NaN keeps them), from their sketch's
+        radii and angles.
 
         h comes from one float32 product [fl(s L) 2^-p, 1] @ [R 2^(p-q);
         -lev 2^-q], then times 2^q: 2^p bounds |fl(s L)| and 2^q the sizes
@@ -344,7 +346,7 @@ class _Group:
         """
         L, R, lev, a, e, c = self.screen
         k = L.shape[1]
-        rho, cosines = sketch_normals(seeds, L.shape[0])
+        rho, angles, cosines = sketch_normals(seeds, L.shape[0])
         s = rho * cosines
         with np.errstate(over="ignore", invalid="ignore"):
             tau, h = _norm_up(s, 1) * a + _norm_up(rho, 1) * e + c, -lev.min()
@@ -353,22 +355,24 @@ class _Group:
                 top = np.abs(sl).max()
                 size = top * math.sqrt(k) * np.abs(R).max() + np.abs(lev).max()
                 if not math.isfinite(size):
-                    return seeds
+                    return rho * np.cos(angles)
                 p, q = np.frexp(top)[1], np.frexp(size)[1]
                 left = np.ones((len(s), k + 1), dtype=np.float32)
                 left[:, :k] = np.ldexp(sl, -p)
                 right = np.vstack([np.ldexp(R, p - q), np.ldexp(-lev, -q)]).astype(np.float32)
                 h = np.ldexp((left @ right).max(axis=1).astype(float), q)
                 tau += math.ldexp(k + 1, int(q) - 119)  # twice (K + 1) 2^(q-120), for tau's rounding
-            return seeds[~((-math.inf < h) & (h <= -tau))]
+            kept = ~((-math.inf < h) & (h <= -tau))
+        return rho[kept] * np.cos(angles[kept])
 
     def count(self, root_seed: int, trials: int) -> np.ndarray:
         """Violating trials among trials 0..trials - 1, per plan. Under a
-        screen, only the trials it keeps draw their values."""
+        screen, each chunk draws sketches, and only the trials it keeps pay
+        for their exact normals' cosines."""
         out = np.zeros(len(self.checks), dtype=np.int64)
         for block in row_blocks(trials, self.width):
             seeds = substream_seed(root_seed, np.arange(block.start, block.stop) + 1)
-            x = self.draw(seeds if self.screen is None else self._kept(seeds))
+            x = self.draw(seeds) if self.screen is None else self._kept_normals(seeds)
             if not x.shape[0]:
                 continue
             xnorm = float(np.linalg.norm(x, ord=self.p, axis=1).max())

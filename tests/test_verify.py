@@ -148,6 +148,19 @@ def _record_draws(monkeypatch):
     return calls
 
 
+def _record_kept(monkeypatch):
+    """Record the number of trials the gaussian screen keeps in each chunk."""
+    kept, kept_normals = [], verify._Group._kept_normals
+
+    def recording(group, seeds):
+        x = kept_normals(group, seeds)
+        kept.append(len(x))
+        return x
+
+    monkeypatch.setattr(verify._Group, "_kept_normals", recording)
+    return kept
+
+
 class TestRng:
     def test_finalize_matches_pure_python(self):
         for z in (0, 1, 2**63, 0xDEADBEEF, _MASK, 0x123456789ABCDEF0):
@@ -202,10 +215,15 @@ class TestRng:
         bases = np.array([(_unfinalize_py((m << 11) | 0x5A5) - 2 * _PY_GOLDEN) & _MASK for m in near], np.uint64)
         assert np.array_equal(uniforms(bases, 2)[:, 1], (np.array(near) + 0.5) * 2.0**-53)
         for seeds, count in ((substream_seed(41, np.arange(1, 1025)), 1024), (bases, 1)):
-            rho, cosines = rng.sketch_normals(seeds, count)
-            assert rho.shape == cosines.shape == seeds.shape + (count,) and cosines.dtype == np.float32
+            rho, angles, cosines = rng.sketch_normals(seeds, count)
+            assert rho.shape == angles.shape == cosines.shape == seeds.shape + (count,)
+            assert cosines.dtype == np.float32
             assert np.array_equal(rho, np.sqrt(-2.0 * np.log(uniforms(seeds, 2 * count)[..., 0::2])))
-            assert np.all(np.abs(normals(seeds, count) - rho * cosines) <= rho * rng.COS_ERROR / 1000)
+            x = normals(seeds, count)
+            rows = np.random.default_rng(count).random(len(seeds)) < 0.3  # the trials a screen keeps
+            assert np.array_equal(rho * np.cos(angles), x)
+            assert np.array_equal(rho[rows] * np.cos(angles[rows]), x[rows])
+            assert np.all(np.abs(x - rho * cosines) <= rho * rng.COS_ERROR / 1000)
 
     def test_substreams_distinct(self):
         seeds = substream_seed(0, np.arange(4096))
@@ -697,14 +715,14 @@ class TestGaussianScreen:
         """(counts or exception with the screen, the same without it, trials
         the screen dropped)."""
         dropped = []
-        kept_by_screen = verify._Group._kept
+        kept_by_screen = verify._Group._kept_normals
 
         def counting(group, seeds):
             kept = kept_by_screen(group, seeds)
             dropped.append(len(seeds) - len(kept))
             return kept
 
-        monkeypatch.setattr(verify._Group, "_kept", counting)
+        monkeypatch.setattr(verify._Group, "_kept_normals", counting)
         group = verify._gaussian_group(plans)
         outcomes = []
         for screen in (group.screen, None):
@@ -781,6 +799,42 @@ class TestGaussianScreen:
             outcomes.append((full[0], dropped))
         assert outcomes[0] == outcomes[1]
 
+    def test_kept_trials_get_their_exact_normals(self, monkeypatch, poly2_model):
+        _scale_thresholds(monkeypatch, 0.7)  # the screen keeps some trials, not all
+        plan = TrialPlan(target="gaussian", n=60, r=0.05, trials=500, root_seed=5, k=3, model=poly2_model, mesh=64)
+        seeds = substream_seed(plan.root_seed, np.arange(1, plan.trials + 1))
+        row = {x.tobytes(): i for i, x in enumerate(normals(seeds, poly2_model.dim))}
+        kept = [row.get(x.tobytes()) for x in verify._gaussian_group([plan])._kept_normals(seeds)]
+        assert 0 < len(kept) < plan.trials and None not in kept and kept == sorted(kept)
+
+    def test_equal_counts_with_every_sketch_cosine_moved_half_its_error_bound(self, monkeypatch):
+        # Sigma has rank K = 2, so tau's tail and rounding terms are about
+        # 1e-6 of a level, and one mesh direction with a total just below the
+        # top-th largest trial puts that trial's violation margin at 1e-6 of
+        # its level. Each sketch cosine moves COS_ERROR / 2 the way that
+        # lowers h, about 1e-4 of a level: only tau's sketch term keeps them.
+        d, n, trials, seed = 6, 60, 2000, 4
+        model = GaussianModel(np.diag([4.0, 1.0, 0.0, 0.0, 0.0, 0.0]))
+        direction = np.full((1, d), d**-0.5)
+        projector = model.sqrt_matrix() @ direction.T
+        y = np.sort((normals(substream_seed(seed, np.arange(1, trials + 1)), d) @ projector)[:, 0])
+        sketch = verify.sketch_normals
+        lower = np.float32(rng.COS_ERROR / 2) * np.sign(projector[:, 0]).astype(np.float32)
+
+        def moved(seeds, count):
+            rho, angles, cosines = sketch(seeds, count)
+            return rho, angles, cosines - lower
+
+        monkeypatch.setattr(verify, "sketch_normals", moved)
+        monkeypatch.setattr(verify, "_gaussian_mesh", lambda plan: (direction, projector))
+        for top in (1, 2, 3):
+            total = y[-top] * (1.0 - 1e-6) / math.sqrt(n)
+            monkeypatch.setattr(verify, "gaussian_instance_bound",
+                                lambda *args, t=total: SimpleNamespace(total=np.array([t])))
+            plan = TrialPlan(target="gaussian", n=n, r=0.05, trials=trials, root_seed=seed, k=2, model=model, mesh=1)
+            screened, full, dropped = self._with_and_without_screen(monkeypatch, [plan])
+            assert screened == full == [top] and dropped > 0
+
 
 class TestChunks:
     @pytest.mark.parametrize("target", ["chernoff", "theorem-main", "gaussian"])
@@ -794,9 +848,9 @@ class TestChunks:
 
     def test_no_draw_exceeds_block_elements(self, monkeypatch, family12, poly2_model):
         # chunk draws: discrete counts and gaussian sketches; the gaussian
-        # trials the screen keeps then draw their normals again
+        # trials the screen keeps take their normals from their sketch
         _scale_thresholds(monkeypatch, 0.7)  # the screen keeps some trials, not all
-        calls = _record_draws(monkeypatch)
+        calls, kept = _record_draws(monkeypatch), _record_kept(monkeypatch)
         plans = [
             _target_plan("chernoff", family12, poly2_model, trials=20_000),
             _target_plan("theorem-main", family12, poly2_model, trials=6_000),
@@ -805,12 +859,12 @@ class TestChunks:
         for plan in plans:
             run_trials(plan)
         assert max(size * count for _, size, count, _ in calls) <= numerics.BLOCK_ELEMENTS
-        trial_draws = sum(size * count for ndim, size, count, form in calls if ndim == 1 and form != "normals")
+        trials = [(size, count, form) for ndim, size, count, form in calls if ndim == 1]
+        assert {form for _, _, form in trials} == {"counts", "sketch"}  # no trial is drawn twice
+        trial_draws = sum(size * count for size, count, _ in trials)
         assert trial_draws == 20_000 * 50 + 6_000 * 60 + 6_000 * 2 * poly2_model.dim
         assert trial_draws > 3 * numerics.BLOCK_ELEMENTS
-        redraws = [(size, count) for ndim, size, count, form in calls if ndim == 1 and form == "normals"]
-        assert {count for _, count in redraws} == {2 * poly2_model.dim}
-        assert 0 < sum(size for size, _ in redraws) < 6_000
+        assert len(kept) > 1 and 0 < sum(kept) < 6_000
 
 
 class TestSweepSharing:
@@ -839,9 +893,9 @@ class TestSweepSharing:
         assert drawn == {30: 500, 60: 500}
 
     def test_one_draw_pass_for_a_gaussian_sweep(self, monkeypatch, family12, poly2_model):
-        # one sketch per trial; the trials the screen keeps draw their normals once more
+        # one sketch per trial; the trials the screen keeps take their normals from it
         _scale_thresholds(monkeypatch, 0.7)  # the screen keeps some trials, not all
-        calls = _record_draws(monkeypatch)
+        calls, kept = _record_draws(monkeypatch), _record_kept(monkeypatch)
         plan = _target_plan("gaussian", family12, poly2_model, trials=500)
         sweep(plan, **self.GRID)
         d = poly2_model.dim
@@ -850,8 +904,7 @@ class TestSweepSharing:
         for ndim, size, count, form in calls:
             if ndim == 1:
                 drawn[form, count] += size
-        assert drawn.keys() == {("sketch", 2 * d), ("normals", 2 * d)}
-        assert drawn["sketch", 2 * d] == 500 and 0 < drawn["normals", 2 * d] < 500
+        assert drawn == {("sketch", 2 * d): 500} and 0 < sum(kept) < 500
 
 def test_chernoff_threshold_is_rate_bound(rademacher, monkeypatch):
     # the harness thresholds chernoff runs at T_r of the tracked function
