@@ -18,10 +18,10 @@ exactly when its raw 64-bit value is at most an integer level derived from
 c, and each tile of raw values (rng.tiles) is counted while in cache, so
 memory does not grow with n. A gaussian trial first draws a sketch of its
 normals, with float32 cosines (rng.sketch_normals), and skips the full
-product when a rank-K screen (K the largest k of its group) proves, from
-the sketch and a bound on its distance to the normals, that it has no
-violation in real arithmetic; only the trials it keeps take the float64
-cosines that turn the sketch's radii and angles into their exact normals.
+product when a rank-K screen (K the largest k of its group, up to d)
+proves, from the sketch and a bound on its distance to the normals, that
+it has no violation in real arithmetic; the trials it keeps (all, at a
+non-finite total) take float64 cosines, for their exact normals.
 
 Trials draw from disjoint counter-based substreams of the root seed, so
 reports are bit-identical across runs: violation counting is a commutative
@@ -276,10 +276,10 @@ class _Group:
     """
 
     def __init__(self, draw, per_trial: int, norms, parts, screen=None):
-        """draw maps trial seeds to the trials' values (trials, w) in floats;
-        per_trial is the number of uniforms one trial draws; norms is the
-        Hoelder pair (p, q); parts holds one (weights (w, c), t, square) per
-        plan; screen is None or the (L, R) of a rank-K screen (see _screen)."""
+        """draw maps the group and trial seeds to the trials' values (trials,
+        w) in floats; per_trial is the number of uniforms one trial draws;
+        norms is the Hoelder pair (p, q); parts holds one (weights (w, c), t,
+        square) per plan; screen is a gaussian group's (L, R) (see _screen)."""
         self.draw, self.p = draw, norms[0]
         index, blocks, self.checks = {}, [], []
         for weights, t, square in parts:
@@ -297,29 +297,29 @@ class _Group:
         self.wnorm = np.linalg.norm(self.weights, ord=norms[1], axis=0)
         self.width = max(per_trial, *self.weights.shape)
         self.gamma_w = 2.0 * _gamma(self.weights.shape[0])
-        self.screen = None if screen is None else self._screen(*screen)
+        if screen is not None:
+            self.screen = self._screen(*screen)
 
     def _screen(self, L, R):
-        """(L, R, lev, a, e, c), or None where a bound is not finite, for
-        floats L (w, K) and R (K, c): a trial whose normals x lie within
-        e_x = ||rho|| (COS_ERROR + 2u) of its sketch s (rng.sketch_normals,
-        radii rho) and whose h = max_j (fl(s L) . R_j - lev_j), evaluated as
-        _kept_normals does, is finite and at most -(||s|| a + ||rho|| e + c +
-        the underflow term of _kept_normals) has no violation. lev_j, the
-        least level_j - slack_j over the plans, is at most every plan's level
-        in real arithmetic. There x . w_j = (s L) . R_j + ((x - s) L) . R_j +
-        x . E_j, E = weights - L R, with |((x - s) L) . R_j| <= e_x ||L||_F ||R_j||,
-        ||x|| <= ||s|| + e_x and ||E_j|| <= (1 + u) ||fl(weights - fl(L R))_j||
-        + gamma_K ||L||_F ||R_j|| + sqrt(w) tiny. a and c add the roundings of
-        s L (gamma_w ||s|| ||L||_F ||R_j||), of lev, and of h, a float32
-        product of float32 casts (gamma_{K+3} at u = 2^-24, times ||s L||
-        ||R_j|| + |lev_j|; Higham 3.1 and 4.2, tiny per product for float64
-        underflow), and the factor 1 + 2 gamma_{2w+8} covers the rounding of
-        the norms, a, e, c and the test.
+        """(L, R, lev, a, e, c) for floats L (w, K) and R (K, c): a trial
+        whose normals x lie within e_x = ||rho|| (COS_ERROR + 2u) of its
+        sketch s (rng.sketch_normals, radii rho) and whose h = max_j (fl(s L)
+        . R_j - lev_j), evaluated as _kept_normals does, is finite and at
+        most -(||s|| a + ||rho|| e + c + the underflow term of _kept_normals)
+        has no violation. lev_j, the least level_j - slack_j over the plans,
+        is at most every plan's level in real arithmetic. There x . w_j =
+        (s L) . R_j + ((x - s) L) . R_j + x . E_j, E = weights - L R, with
+        |((x - s) L) . R_j| <= e_x ||L||_F ||R_j||, ||x|| <= ||s|| + e_x and
+        ||E_j|| <= (1 + u) ||fl(weights - fl(L R))_j|| + gamma_K ||L||_F
+        ||R_j|| + sqrt(w) tiny. a and c add the roundings of s L (gamma_w ||s||
+        ||L||_F ||R_j||), of lev, and of h, a float32 product of float32 casts
+        (gamma_{K+3} at u = 2^-24, times ||s L|| ||R_j|| + |lev_j|; Higham 3.1
+        and 4.2, tiny per product for float64 underflow), and the factor 1 + 2
+        gamma_{2w+8} covers the rounding of the norms, a, e, c and the test.
         """
         w, k = L.shape
         lev = np.full(self.weights.shape[1], math.inf)
-        with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN bound turns the screen off
+        with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN bound keeps every trial
             for check in self.checks:
                 lev[check.cols] = np.minimum(lev[check.cols], check.level - check.slack)
             rnorm, lnorm, up = _norm_up(R, 0).max(), _norm_up(L, None), 1.0 + 2.0 * _gamma(2 * w + 8)
@@ -328,8 +328,6 @@ class _Group:
                  + math.sqrt(w) * _TINY)
             e = (a + lnorm * rnorm) * (COS_ERROR + 2.0 * _UNIT_ROUNDOFF)
             c = 2.0 * (_gamma(w) + g32) * np.abs(lev).max() + 2.0 * _TINY * (1.0 + math.sqrt(k) * rnorm)
-        if not math.isfinite(a + e + c):
-            return None
         return L, R, lev, a * up, e * up, c * up
 
     def _kept_normals(self, seeds) -> np.ndarray:
@@ -366,13 +364,13 @@ class _Group:
         return rho[kept] * np.cos(angles[kept])
 
     def count(self, root_seed: int, trials: int) -> np.ndarray:
-        """Violating trials among trials 0..trials - 1, per plan. Under a
-        screen, each chunk draws sketches, and only the trials it keeps pay
-        for their exact normals' cosines."""
+        """Violating trials among trials 0..trials - 1, per plan. A gaussian
+        chunk draws sketches, and only the trials its screen keeps pay for
+        their exact normals' cosines."""
         out = np.zeros(len(self.checks), dtype=np.int64)
         for block in row_blocks(trials, self.width):
             seeds = substream_seed(root_seed, np.arange(block.start, block.stop) + 1)
-            x = self.draw(seeds) if self.screen is None else self._kept_normals(seeds)
+            x = self.draw(self, seeds)
             if not x.shape[0]:
                 continue
             xnorm = float(np.linalg.norm(x, ord=self.p, axis=1).max())
@@ -406,17 +404,18 @@ def _discrete_group(plans) -> _Group:
     setups = [_discrete_setup(plan) for plan in plans]
     n, levels = plans[0].n, key_levels(setups[0][2])
     parts = [(tracked.T, thresholds, n * n) for tracked, thresholds, _ in setups]
-    return _Group(lambda seeds: _draw_counts(seeds, n, levels), n, (1, math.inf), parts)
+    return _Group(lambda _, seeds: _draw_counts(seeds, n, levels), n, (1, math.inf), parts)
 
 
 def _gaussian_group(plans) -> _Group:
     dirs, projector = _gaussian_mesh(plans[0])
     d = projector.shape[0]
     parts = [(projector, gaussian_instance_bound(p.model, dirs, p.k, p.n, p.r).total, p.n) for p in plans]
-    k, model = max(p.k for p in plans), plans[0].model  # the screen's rank: where the bound splits Sigma
-    vecs = model.eigenvectors[:, :k]  # above d/2 - 1 the screen's product costs as much as the full one
-    screen = (vecs * np.sqrt(model.eigenvalues[:k]), vecs.T @ dirs.T) if k + 1 <= d / 2 else None
-    return _Group(lambda seeds: normals(seeds, d), 2 * d, (2, 2), parts, screen)
+    k, model = max(p.k for p in plans), plans[0].model  # the screen's rank, any k: where the bound splits Sigma
+    vecs = model.eigenvectors[:, :k]
+    screen = (vecs * np.sqrt(model.eigenvalues[:k]), vecs.T @ dirs.T)
+    # not a bound method: its cycle with the group would hold the group's arrays until a full collection
+    return _Group(_Group._kept_normals, 2 * d, (2, 2), parts, screen)
 
 
 def _run(plans) -> list:

@@ -324,6 +324,17 @@ class TestOutputHandling:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == run_json(argv)
 
+    def test_cli_imports_only_the_standard_library_and_numpy(self, fixtures_dir):
+        # importing the CLI is the start-up cost of every command
+        code = ("import json, sys; before = {m.split('.')[0] for m in sys.modules}; import tailbound.cli; "
+                "added = {m.split('.')[0] for m in sys.modules} - before; "
+                "print(json.dumps(sorted(added - set(sys.stdlib_module_names))))")
+        path = [str(fixtures_dir.parent / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert set(json.loads(proc.stdout)) <= {"numpy", "tailbound"}
+
 
 class TestExitCodes:
     def test_missing_file_exits_2(self):

@@ -712,8 +712,8 @@ class TestGaussianScreen:
 
     @staticmethod
     def _with_and_without_screen(monkeypatch, plans):
-        """(counts or exception with the screen, the same without it, trials
-        the screen dropped)."""
+        """(counts or exception with the screen, the same from every trial's
+        normals (rng.normals), trials the screen dropped)."""
         dropped = []
         kept_by_screen = verify._Group._kept_normals
 
@@ -725,8 +725,8 @@ class TestGaussianScreen:
         monkeypatch.setattr(verify._Group, "_kept_normals", counting)
         group = verify._gaussian_group(plans)
         outcomes = []
-        for screen in (group.screen, None):
-            group.screen = screen
+        for draw in (group.draw, lambda _, seeds: normals(seeds, plans[0].model.dim)):
+            group.draw = draw
             try:
                 outcomes.append(group.count(plans[0].root_seed, plans[0].trials).tolist())
             except ValueError as exc:  # a NaN total reaches Fraction
@@ -744,8 +744,8 @@ class TestGaussianScreen:
             screened, full, dropped = self._with_and_without_screen(monkeypatch, [plan])
             assert screened == full
             runs.append((full[0], dropped))
-        assert (verify._gaussian_group([plan]).screen is None) == (k == poly2_model.dim)  # K + 1 > d / 2
-        assert max(runs)[0] > 0 and (max(d for _, d in runs) > 0) == (k < poly2_model.dim)
+        assert verify._gaussian_group([plan]).draw is verify._Group._kept_normals  # a screen at every k, k = d too
+        assert max(runs)[0] > 0 and max(d for _, d in runs) > 0
         if k in (10, 20):  # some scale both drops trials and counts violations among the rest
             assert any(v > 0 and d > 0 for v, d in runs)
 
@@ -758,8 +758,11 @@ class TestGaussianScreen:
         screened, full, dropped = self._with_and_without_screen(monkeypatch, plans)
         assert screened == full and sum(full) > 0 and dropped > 0
 
+    @pytest.mark.parametrize("k", [0, 3, 50])  # 50 = d
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
-    def test_equal_outcome_with_a_non_finite_total(self, monkeypatch, poly2_model, bad):
+    def test_equal_outcome_with_a_non_finite_total(self, monkeypatch, poly2_model, bad, k):
+        # the bound is not finite, so the screen keeps every trial: by tau at
+        # K = 0, by the non-finite size of h's product at K >= 1
         bound = verify.gaussian_instance_bound
 
         def with_bad_total(*args):
@@ -768,7 +771,7 @@ class TestGaussianScreen:
                                                               0.3 * report.total))
 
         monkeypatch.setattr(verify, "gaussian_instance_bound", with_bad_total)
-        plan = TrialPlan(target="gaussian", n=60, r=0.05, trials=300, root_seed=3, k=3, model=poly2_model, mesh=64)
+        plan = TrialPlan(target="gaussian", n=60, r=0.05, trials=300, root_seed=3, k=k, model=poly2_model, mesh=64)
         screened, full, dropped = self._with_and_without_screen(monkeypatch, [plan])
         assert screened == full and dropped == 0
 

@@ -189,12 +189,17 @@ FIXTURE_COMMANDS = [
      "--trials", "2000", "--seed", "8"],
     # The gaussian rank-k screen: a dense model and its 2^30 multiple at k = 3,
     # at an r where trials violate and at one where the screen drops most
-    # trials, and at k = d, where the screen is skipped.
+    # trials; the screen at k = d (both r) and at k = d/2; and a sweep whose
+    # k grid passes d/2, its points sharing one rank-30 screen.
     *(["verify", "--target", "gaussian", "--model", model, "--k", "3", "--n", "200", "--r", r, "--mesh", "256",
        "--trials", "2000", "--seed", "9"]
       for model in ("{gaussian50}", "{gaussian50x2^30}") for r in ("0.0001", "0.01")),
     ["verify", "--target", "gaussian", "--model", "{gaussian50}", "--k", "50", "--n", "200", "--r", "0.0001",
      "--mesh", "256", "--trials", "2000", "--seed", "9"],
+    *(["verify", "--target", "gaussian", "--model", "{gaussian50}", "--k", k, "--n", "200", "--r", "0.01",
+       "--mesh", "256", "--trials", "2000", "--seed", "9"] for k in ("25", "50")),
+    ["sweep", "--target", "gaussian", "--model", "{gaussian50}", "--n", "200", "--r", "0.01", "--mesh", "256",
+     "--trials", "2000", "--seed", "9", "--r-grid", "0.0001,0.01", "--k-grid", "0,3,30"],
     # The screen's float32 product at a dense model times 2^120 and 2^-120.
     *(["verify", "--target", "gaussian", "--model", model, "--k", "3", "--n", "200", "--r", r, "--mesh", "256",
        "--trials", "2000", "--seed", "9"]
