@@ -44,10 +44,15 @@ def readonly(a) -> np.ndarray:
     return a
 
 
+def block_rows(per_row: int) -> int:
+    """Rows of a full block of row_blocks(rows, per_row)."""
+    return max(1, BLOCK_ELEMENTS // max(per_row, 1))
+
+
 def row_blocks(rows: int, per_row: int):
     """Slices cutting `rows` rows into blocks whose tensors, of `per_row`
     elements per row, hold at most BLOCK_ELEMENTS elements (one row at least)."""
-    step = max(1, BLOCK_ELEMENTS // max(per_row, 1))
+    step = block_rows(per_row)
     return [slice(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
 
 

@@ -53,12 +53,13 @@ def substream_seed(root_seed: int, index):
         return finalize(root + (idx + np.uint64(1)) * GOLDEN)
 
 
-def tiles(seeds, count: int, order: str = "C"):
-    """Values 0..count-1 of each substream base in seeds, one tile at a time:
-    yields (rows, c0, z, tmp), where z (uint64, one row per substream of
-    seeds.ravel()[rows]) holds the finalized values c0, c0 + 1, ... and tmp is
-    scratch of z's shape, both in memory order `order` ("F" puts a tile's
-    substreams next to each other, for reductions over counters). A tile is
+def tiles(seeds, count: int, order: str = "C", start: int = 0):
+    """Values start..start+count-1 of each substream base in seeds, one tile
+    at a time: yields (rows, c0, z, tmp), where z (uint64, one row per
+    substream of seeds.ravel()[rows]) holds the finalized values start + c0,
+    start + c0 + 1, ... and tmp is scratch of z's shape, both in memory order
+    `order` ("F" puts a tile's substreams next to each other, for reductions
+    over counters). A tile is
     whole substreams while count <= TILE, else TILE counters of one
     substream; both buffers are reused by the next tile."""
     seeds = np.asarray(seeds, dtype=np.uint64).reshape(-1, 1)
@@ -71,21 +72,22 @@ def tiles(seeds, count: int, order: str = "C"):
         for c0 in range(0, count, width):
             shape = (rows.shape[0], min(width, count - c0))
             z, t = (buf[: shape[0] * shape[1]].reshape(shape, order=order) for buf in (bits, tmp))
-            start = np.uint64(c0 * int(GOLDEN) & 0xFFFFFFFFFFFFFFFF)
-            finalize(np.add(rows + start, counters[: shape[1]], out=z), t)
+            first = np.uint64((start + c0) * int(GOLDEN) & 0xFFFFFFFFFFFFFFFF)
+            finalize(np.add(rows + first, counters[: shape[1]], out=z), t)
             yield slice(r0, r0 + shape[0]), c0, z, t
 
 
-def _draw(seeds, count: int, form: str):
-    """Values 0..count-1 of each substream as form "uniforms", or, of uniforms
-    (2j, 2j+1), as "normals" or as the "sketch" of sketch_normals. TILE and
-    count are even for pairs, so no pair straddles two tiles."""
+def _draw(seeds, count: int, form: str, start: int = 0):
+    """Values start..start+count-1 of each substream as form "uniforms", or,
+    of uniforms (2j, 2j+1), as "normals" or as the "sketch" of
+    sketch_normals. TILE, count and start are even for pairs, so no pair
+    straddles two tiles."""
     per = 1 if form == "uniforms" else 2
     shape = np.shape(seeds) + (count // per,)
     out = np.empty((np.size(seeds), count // per))
     if form == "sketch":
         angles, cosines = np.empty(out.shape), np.empty(out.shape, np.float32)
-    for rows, c0, z, tmp in tiles(seeds, count):
+    for rows, c0, z, tmp in tiles(seeds, count, start=start):
         cols = slice(c0 // per, (c0 + z.shape[1]) // per)
         seg = out[rows, cols]
         u = tmp.view(np.float64) if per == 2 else seg
@@ -120,10 +122,12 @@ def uniforms(seeds, count: int) -> np.ndarray:
     return _draw(seeds, count, "uniforms")
 
 
-def normals(seeds, count: int) -> np.ndarray:
-    """Standard normal draws, shape seeds.shape + (count,), stateless. Normal j
-    consumes uniforms (2j, 2j+1), so extending count preserves earlier values."""
-    return _draw(seeds, 2 * count, "normals")
+def normals(seeds, count: int, start: int = 0) -> np.ndarray:
+    """Standard normal draws start..start+count-1, shape seeds.shape +
+    (count,), stateless. Normal j consumes uniforms (2j, 2j+1), so extending
+    count preserves earlier values, and a draw from start is those columns of
+    a draw from 0, bit for bit."""
+    return _draw(seeds, 2 * count, "normals", 2 * start)
 
 
 def sketch_normals(seeds, count: int):

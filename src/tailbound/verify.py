@@ -21,7 +21,7 @@ normals, with float32 cosines (rng.sketch_normals), and skips the full
 product when a rank-K screen (K the largest k of its group, up to d)
 proves, from the sketch and a bound on its distance to the normals, that
 it has no violation in real arithmetic; the trials it keeps (all, at a
-non-finite total) take float64 cosines, for their exact normals.
+NaN total) take float64 cosines, for their exact normals.
 
 Trials draw from disjoint counter-based substreams of the root seed, so
 reports are bit-identical across runs: violation counting is a commutative
@@ -29,10 +29,12 @@ fold over trial indices, and does not depend on how trials are chunked.
 Trials are drawn in chunks whose arrays hold at most numerics.BLOCK_ELEMENTS
 elements (one trial at least); a value depends only on its seed and
 counter, and a kept trial's normals are the values an unscreened draw
-gives, bit for bit. run_trials and sweep share one runner: plans that draw
-the same values (the discrete targets at one n, the gaussian target at
-every grid point) draw and count each trial once. BLAS is the only
-parallelism.
+gives, bit for bit. The gaussian mesh is drawn, bounded and projected in
+row blocks of that size, so the projector P (d, mesh) is the one
+mesh-sized array a gaussian run keeps. run_trials and sweep share one
+runner: plans that draw the same values (the discrete targets at one n,
+the gaussian target at every grid point) draw and count each trial once.
+BLAS is the only parallelism.
 
 Targets (each report's guarantee is the ceiling CEILING_FACTOR[target] e^{-nr}):
   chernoff      one function f, threshold T_r(f), factor 1
@@ -63,7 +65,7 @@ from .chaining import (
     theorem_main_bound,
 )
 from .gaussian import GaussianModel, gaussian_instance_bound
-from .numerics import check_int, row_blocks
+from .numerics import block_rows, check_int, row_blocks
 from .rng import COS_ERROR, TILE, key_levels, normals, sketch_normals, substream_seed, tiles
 
 CEILING_FACTOR = {"chernoff": 1.0, "corollary": 1.0, "gaussian": 2.0, "theorem-main": 2.0}
@@ -205,17 +207,17 @@ def _draw_counts(seeds, n: int, levels: np.ndarray) -> np.ndarray:
     return counts.T.astype(float)
 
 
-def _gaussian_mesh(plan: TrialPlan):
-    """Unit mesh directions (mesh, d) from stream 0, and the projector
-    Sigma^{1/2} dirs' (d, mesh) that maps a standard normal to the mesh."""
-    model = plan.model
-    d = model.dim
-    dirs = normals(substream_seed(plan.root_seed, 0), plan.mesh * d).reshape(plan.mesh, d)
+def _gaussian_mesh(plan: TrialPlan, rows: slice) -> np.ndarray:
+    """Unit mesh directions rows.start..rows.stop - 1 (rows, d): those rows
+    of one draw of mesh x d normals from stream 0, bit for bit."""
+    d = plan.model.dim
+    seed = substream_seed(plan.root_seed, 0)
+    dirs = normals(seed, (rows.stop - rows.start) * d, start=rows.start * d).reshape(-1, d)
     norms = np.linalg.norm(dirs, axis=1)
     if np.any(norms == 0.0):
         raise ValueError("degenerate mesh direction")
     dirs /= norms[:, None]
-    return dirs, model.sqrt_matrix() @ dirs.T
+    return dirs
 
 
 def _gamma(k: int, u: float = _UNIT_ROUNDOFF) -> float:
@@ -281,33 +283,40 @@ class _Group:
         norms is the Hoelder pair (p, q); parts holds one (weights (w, c), t,
         square) per plan; screen is a gaussian group's (L, R) (see _screen)."""
         self.draw, self.p = draw, norms[0]
-        index, blocks, self.checks = {}, [], []
-        for weights, t, square in parts:
-            key = (weights.shape, weights.tobytes())
-            if key not in index:
-                start = sum(b.shape[1] for b in blocks)
-                index[key] = slice(start, start + weights.shape[1])
+        blocks, self.checks = [], []
+        for weights, t, square in parts:  # equal weights share columns: the same object, or else equal values
+            j = next((j for j, b in enumerate(blocks) if b is weights or np.array_equal(b, weights)), len(blocks))
+            if j == len(blocks):
                 blocks.append(weights)
+            start = sum(b.shape[1] for b in blocks[:j])
             with np.errstate(over="ignore"):  # +inf where sqrt(square) t overflows; decided exactly
                 level = math.sqrt(square) * t
             exact = ((level == 0.0) & ~np.any(weights, axis=0)) | (t == math.inf)
             slack = np.where(exact, 0.0, 2.0 * _gamma(2) * np.abs(level) + _TINY)
-            self.checks.append(_Check(index[key], t, square, level, slack))
-        self.weights = np.hstack(blocks)
-        self.wnorm = np.linalg.norm(self.weights, ord=norms[1], axis=0)
-        self.width = max(per_trial, *self.weights.shape)
-        self.gamma_w = 2.0 * _gamma(self.weights.shape[0])
+            self.checks.append(_Check(slice(start, start + weights.shape[1]), t, square, level, slack))
+        self.weights = blocks[0] if len(blocks) == 1 else np.hstack(blocks)
+        w, c = self.weights.shape
+        self.wnorm = np.concatenate([np.linalg.norm(self.weights[:, cols], ord=norms[1], axis=0)
+                                     for cols in row_blocks(c, w)])
+        self.width = max(per_trial, w, c)
+        self.gamma_w = 2.0 * _gamma(w)
         if screen is not None:
             self.screen = self._screen(*screen)
+            # h's float32 product, reused by every chunk: a fresh one each chunk (up to 1 MiB) can
+            # leave the heap top past malloc's trim threshold, to be returned and faulted in again
+            self.h_out = np.empty((block_rows(self.width), c), np.float32)
 
     def _screen(self, L, R):
-        """(L, R, lev, a, e, c) for floats L (w, K) and R (K, c): a trial
-        whose normals x lie within e_x = ||rho|| (COS_ERROR + 2u) of its
-        sketch s (rng.sketch_normals, radii rho) and whose h = max_j (fl(s L)
-        . R_j - lev_j), evaluated as _kept_normals does, is finite and at
-        most -(||s|| a + ||rho|| e + c + the underflow term of _kept_normals)
-        has no violation. lev_j, the least level_j - slack_j over the plans,
-        is at most every plan's level in real arithmetic. There x . w_j =
+        """(L, R, lev, lev_top, rtop, a, e, c) for floats L (w, K) and R (K,
+        c): a trial whose normals x lie within e_x = ||rho|| (COS_ERROR + 2u)
+        of its sketch s (rng.sketch_normals, radii rho) and whose h = max_j
+        (fl(s L) . R_j - lev_j), evaluated as _kept_normals does, is finite
+        and at most -(||s|| a + ||rho|| e + c + the underflow term of
+        _kept_normals) has no violation. lev_j, the least level_j - slack_j
+        over the plans, is at most every plan's level in real arithmetic;
+        lev_top is the largest finite |lev_j| (0 if none) and rtop = max |R|.
+        A column at lev_j = +inf is never exceeded and never sets h; one at
+        -inf or NaN makes h +inf or NaN, which keeps the trial. There x . w_j =
         (s L) . R_j + ((x - s) L) . R_j + x . E_j, E = weights - L R, with
         |((x - s) L) . R_j| <= e_x ||L||_F ||R_j||, ||x|| <= ||s|| + e_x and
         ||E_j|| <= (1 + u) ||fl(weights - fl(L R))_j|| + gamma_K ||L||_F
@@ -316,24 +325,33 @@ class _Group:
         (gamma_{K+3} at u = 2^-24, times ||s L|| ||R_j|| + |lev_j|; Higham 3.1
         and 4.2, tiny per product for float64 underflow), and the factor 1 + 2
         gamma_{2w+8} covers the rounding of the norms, a, e, c and the test.
+        The norms of E and R are taken in column blocks of at most
+        BLOCK_ELEMENTS, with E's in one buffer that every block reuses.
         """
         w, k = L.shape
+        blocks = row_blocks(self.weights.shape[1], w)
         lev = np.full(self.weights.shape[1], math.inf)
+        buf, norms = np.empty(w * (blocks[0].stop - blocks[0].start)), []
         with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN bound keeps every trial
             for check in self.checks:
                 lev[check.cols] = np.minimum(lev[check.cols], check.level - check.slack)
-            rnorm, lnorm, up = _norm_up(R, 0).max(), _norm_up(L, None), 1.0 + 2.0 * _gamma(2 * w + 8)
+            lev_top = np.abs(lev[np.isfinite(lev)]).max(initial=0.0)
+            for cols in blocks:
+                res = np.matmul(L, R[:, cols], out=buf[: w * (cols.stop - cols.start)].reshape(w, -1))
+                norms.append((_norm_up(np.subtract(self.weights[:, cols], res, out=res), 0).max(),
+                              _norm_up(R[:, cols], 0).max(), np.abs(R[:, cols]).max(initial=0.0)))
+            enorm, rnorm, rtop = np.max(norms, axis=0)  # NaN, if any, carries through
+            lnorm, up = _norm_up(L, None), 1.0 + 2.0 * _gamma(2 * w + 8)
             g32 = _gamma(k + 3, 2.0**-24)
-            a = (_norm_up(self.weights - L @ R, 0).max() + (4.0 * _gamma(w) + 2.0 * g32) * lnorm * rnorm
-                 + math.sqrt(w) * _TINY)
+            a = enorm + (4.0 * _gamma(w) + 2.0 * g32) * lnorm * rnorm + math.sqrt(w) * _TINY
             e = (a + lnorm * rnorm) * (COS_ERROR + 2.0 * _UNIT_ROUNDOFF)
-            c = 2.0 * (_gamma(w) + g32) * np.abs(lev).max() + 2.0 * _TINY * (1.0 + math.sqrt(k) * rnorm)
-        return L, R, lev, a * up, e * up, c * up
+            c = 2.0 * (_gamma(w) + g32) * lev_top + 2.0 * _TINY * (1.0 + math.sqrt(k) * rnorm)
+        return L, R, lev, lev_top, rtop, a * up, e * up, c * up
 
     def _kept_normals(self, seeds) -> np.ndarray:
         """The normals (rng.normals) of the trials the screen cannot prove
         free of violations (an inf or NaN keeps them), from their sketch's
-        radii and angles.
+        radii and angles, for the seeds of at most one chunk of count.
 
         h comes from one float32 product [fl(s L) 2^-p, 1] @ [R 2^(p-q);
         -lev 2^-q], then times 2^q: 2^p bounds |fl(s L)| and 2^q the sizes
@@ -342,7 +360,7 @@ class _Group:
         sum, is off by at most 2^-126 in these units; (K + 1) 2^(q-120)
         bounds all of them. At K = 0, h = max_j -lev_j.
         """
-        L, R, lev, a, e, c = self.screen
+        L, R, lev, lev_top, rtop, a, e, c = self.screen
         k = L.shape[1]
         rho, angles, cosines = sketch_normals(seeds, L.shape[0])
         s = rho * cosines
@@ -351,14 +369,14 @@ class _Group:
             if k:
                 sl = s @ L
                 top = np.abs(sl).max()
-                size = top * math.sqrt(k) * np.abs(R).max() + np.abs(lev).max()
+                size = top * math.sqrt(k) * rtop + lev_top
                 if not math.isfinite(size):
                     return rho * np.cos(angles)
                 p, q = np.frexp(top)[1], np.frexp(size)[1]
                 left = np.ones((len(s), k + 1), dtype=np.float32)
                 left[:, :k] = np.ldexp(sl, -p)
                 right = np.vstack([np.ldexp(R, p - q), np.ldexp(-lev, -q)]).astype(np.float32)
-                h = np.ldexp((left @ right).max(axis=1).astype(float), q)
+                h = np.ldexp(np.matmul(left, right, out=self.h_out[: len(s)]).max(axis=1).astype(float), q)
                 tau += math.ldexp(k + 1, int(q) - 119)  # twice (K + 1) 2^(q-120), for tau's rounding
             kept = ~((-math.inf < h) & (h <= -tau))
         return rho[kept] * np.cos(angles[kept])
@@ -408,12 +426,27 @@ def _discrete_group(plans) -> _Group:
 
 
 def _gaussian_group(plans) -> _Group:
-    dirs, projector = _gaussian_mesh(plans[0])
-    d = projector.shape[0]
-    parts = [(projector, gaussian_instance_bound(p.model, dirs, p.k, p.n, p.r).total, p.n) for p in plans]
-    k, model = max(p.k for p in plans), plans[0].model  # the screen's rank, any k: where the bound splits Sigma
-    vecs = model.eigenvectors[:, :k]
-    screen = (vecs * np.sqrt(model.eigenvalues[:k]), vecs.T @ dirs.T)
+    """The gaussian group, whose weights are the projector P = Sigma^{1/2}
+    dirs' (d, mesh) that maps a standard normal to the mesh. P is its one
+    mesh-sized matrix: the mesh is drawn, bounded and projected one row
+    block at a time. A block's directions and totals are those rows of a
+    whole-mesh run, bit for bit (the bound reads each row alone); its
+    columns of P are one BLAS product, whose edge columns may round apart
+    from a whole-mesh product's, and every decision is exact on the P kept.
+    With one block (mesh <= BLOCK_ELEMENTS // d) every array is a
+    whole-mesh run's."""
+    model, mesh = plans[0].model, plans[0].mesh
+    d, k = model.dim, max(p.k for p in plans)  # the screen's rank, any k: where the bound splits Sigma
+    vecs, root = model.eigenvectors[:, :k], model.sqrt_matrix()
+    projector, right, totals = np.empty((d, mesh)), np.empty((k, mesh)), np.empty((len(plans), mesh))
+    for rows in row_blocks(mesh, d):
+        dirs = _gaussian_mesh(plans[0], rows)
+        for total, p in zip(totals, plans):
+            total[rows] = gaussian_instance_bound(p.model, dirs, p.k, p.n, p.r).total
+        right[:, rows] = vecs.T @ dirs.T
+        np.matmul(root, dirs.T, out=projector[:, rows])  # P's first write, after the bound's temporaries are gone
+    parts = [(projector, total, p.n) for total, p in zip(totals, plans)]
+    screen = (vecs * np.sqrt(model.eigenvalues[:k]), right)
     # not a bound method: its cycle with the group would hold the group's arrays until a full collection
     return _Group(_Group._kept_normals, 2 * d, (2, 2), parts, screen)
 

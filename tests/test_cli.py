@@ -749,9 +749,9 @@ def _verify_under_address_limit(fixtures_dir, limit, argv):
     )
 
 
-# The mesh asks, at its first large allocation, for far more than the 4 GB
-# address-space limit (74.5 GiB of uint64 counters), so the test touches no
-# memory near the limit.
+# The mesh's first large allocation is its projector, 8 d mesh bytes (37.3
+# GiB at d = 50), far more than the 4 GB address-space limit, so the test
+# touches no memory near the limit.
 OUT_OF_MEMORY = {
     "gaussian": ["--target", "gaussian", "--model", "gaussian-poly2.json", "--n", 100, "--mesh", 10**8,
                  "--trials", 10],

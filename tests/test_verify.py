@@ -135,10 +135,10 @@ def _record_draws(monkeypatch):
         calls.append((np.ndim(seeds), np.size(seeds), count, forms[-1] if forms else "counts"))
         return real_tiles(seeds, count, **kwargs)
 
-    def drawing(seeds, count, form):
+    def drawing(seeds, count, form, *args):
         forms.append(form)
         try:
-            return real_draw(seeds, count, form)
+            return real_draw(seeds, count, form, *args)
         finally:
             forms.pop()
 
@@ -244,6 +244,19 @@ class TestRng:
             assert u.shape == shape + (count,)
             expected = [[_uniform_py(int(base), j) for j in range(count)] for base in np.ravel(seeds)]
             assert np.array_equal(u.reshape(np.size(seeds), count), np.array(expected).reshape(np.size(seeds), count))
+
+    @pytest.mark.parametrize("shape", [(), (3,)])
+    def test_normals_from_an_offset_are_that_slice_of_one_draw(self, shape):
+        # a tile holds TILE / 2 normals: offsets even and odd, inside the first
+        # tile and past its edges, and counts up to and above a tile's worth
+        half = rng.TILE // 2
+        seeds = substream_seed(7, np.arange(1, 1 + math.prod(shape)).reshape(shape))
+        whole = normals(seeds, 4 * half)
+        for start in (0, 1, 2, 7, half - 1, half, half + 1, 2 * half + 3):
+            for count in (1, 6, half - start % half, half + 1, half + 3):
+                got = normals(seeds, count, start=start)
+                assert got.shape == shape + (count,)
+                assert np.array_equal(got, whole[..., start : start + count])
 
     @pytest.mark.parametrize("shape", [(), (3, 2)])
     def test_normals_are_box_muller_across_tile_edges(self, monkeypatch, shape):
@@ -636,10 +649,11 @@ class TestExactDecisions:
 
         total = separating_total()
         assert total is not None
-        monkeypatch.setattr(verify, "_gaussian_mesh", lambda plan: (np.ones((1, 1)), np.array([[p]])))
+        model = GaussianModel(np.array([[p * p]]))  # Sigma^{1/2} = p, so the projector of direction 1 is p
+        assert model.sqrt_matrix().tolist() == [[p]]
+        monkeypatch.setattr(verify, "_gaussian_mesh", lambda *args: np.ones((1, 1)))
         monkeypatch.setattr(verify, "gaussian_instance_bound", lambda *args: SimpleNamespace(total=np.array([total])))
-        plan = TrialPlan(target="gaussian", n=n, r=0.05, trials=trials, root_seed=seed,
-                         model=GaussianModel(np.eye(1)), mesh=1)
+        plan = TrialPlan(target="gaussian", n=n, r=0.05, trials=trials, root_seed=seed, model=model, mesh=1)
         rep = run_trials(plan)
         assert rep.violations == sum(above(x, total) for x in real)
         assert rep.violations != sum(xf > math.sqrt(n) * total for xf in floated)
@@ -758,22 +772,38 @@ class TestGaussianScreen:
         screened, full, dropped = self._with_and_without_screen(monkeypatch, plans)
         assert screened == full and sum(full) > 0 and dropped > 0
 
-    @pytest.mark.parametrize("k", [0, 3, 50])  # 50 = d
-    @pytest.mark.parametrize("bad", [math.inf, math.nan])
-    def test_equal_outcome_with_a_non_finite_total(self, monkeypatch, poly2_model, bad, k):
-        # the bound is not finite, so the screen keeps every trial: by tau at
-        # K = 0, by the non-finite size of h's product at K >= 1
+    @staticmethod
+    def _with_total_7(monkeypatch, bad, factor):
+        """Make run_trials' gaussian totals `factor` times the bound's, with
+        total 7 of each mesh block set to `bad`."""
         bound = verify.gaussian_instance_bound
 
         def with_bad_total(*args):
             report = bound(*args)
             return dataclasses.replace(report, total=np.where(np.arange(report.total.size) == 7, bad,
-                                                              0.3 * report.total))
+                                                              factor * report.total))
 
         monkeypatch.setattr(verify, "gaussian_instance_bound", with_bad_total)
+
+    @pytest.mark.parametrize("k", [0, 3, 50])  # 50 = d
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_equal_outcome_with_a_non_finite_total(self, monkeypatch, poly2_model, bad, k):
+        # a NaN level makes h NaN, which keeps every trial; a +inf level is
+        # never exceeded and leaves the screen on for the other directions
+        self._with_total_7(monkeypatch, bad, 0.3)
         plan = TrialPlan(target="gaussian", n=60, r=0.05, trials=300, root_seed=3, k=k, model=poly2_model, mesh=64)
         screened, full, dropped = self._with_and_without_screen(monkeypatch, [plan])
-        assert screened == full and dropped == 0
+        assert screened == full
+        if math.isnan(bad):
+            assert dropped == 0
+
+    def test_an_infinite_total_keeps_the_screen_on(self, monkeypatch, poly2_model):
+        # at the bound's own totals the screen drops trials; one +inf total
+        # must not make it keep every trial
+        self._with_total_7(monkeypatch, math.inf, 1.0)
+        plan = TrialPlan(target="gaussian", n=60, r=0.05, trials=300, root_seed=3, k=3, model=poly2_model, mesh=64)
+        screened, full, dropped = self._with_and_without_screen(monkeypatch, [plan])
+        assert screened == full and dropped > 0
 
     def test_equal_counts_on_a_scaled_dense_model(self, monkeypatch):
         # totals and weights scale by 2^(e/2) exactly, so every scale counts alike
@@ -829,7 +859,7 @@ class TestGaussianScreen:
             return rho, angles, cosines - lower
 
         monkeypatch.setattr(verify, "sketch_normals", moved)
-        monkeypatch.setattr(verify, "_gaussian_mesh", lambda plan: (direction, projector))
+        monkeypatch.setattr(verify, "_gaussian_mesh", lambda *args: direction)
         for top in (1, 2, 3):
             total = y[-top] * (1.0 - 1e-6) / math.sqrt(n)
             monkeypatch.setattr(verify, "gaussian_instance_bound",
@@ -868,6 +898,21 @@ class TestChunks:
         assert trial_draws == 20_000 * 50 + 6_000 * 60 + 6_000 * 2 * poly2_model.dim
         assert trial_draws > 3 * numerics.BLOCK_ELEMENTS
         assert len(kept) > 1 and 0 < sum(kept) < 6_000
+
+
+    def test_gaussian_memory_is_the_projector_and_a_few_blocks(self, poly2_model):
+        # mesh 16 000 at d = 50 is four row blocks of directions; the only
+        # mesh-sized matrix the group keeps is the projector (8 d mesh bytes)
+        plan = TrialPlan(target="gaussian", n=60, r=0.05, trials=200, root_seed=5, k=3, model=poly2_model,
+                         mesh=16_000)
+        assert len(numerics.row_blocks(plan.mesh, poly2_model.dim)) == 4
+        tracemalloc.start()
+        try:
+            run_trials(plan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 8 * poly2_model.dim * plan.mesh + 3 * 8 * numerics.BLOCK_ELEMENTS
 
 
 class TestSweepSharing:

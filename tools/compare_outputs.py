@@ -187,6 +187,14 @@ FIXTURE_COMMANDS = [
      "--trials", "1000", "--seed", "7"],
     ["verify", "--target", "gaussian", "--model", "{gaussian}", "--n", "5", "--r", "0.0001", "--mesh", "4000",
      "--trials", "2000", "--seed", "8"],
+    # A mesh of 16 000 directions, drawn, bounded and projected in several row
+    # blocks: on the diagonal fixture, on the dense model (where a block's
+    # edge columns of the projector take other BLAS kernels than the whole
+    # mesh's), and a sweep whose points share one blocked mesh.
+    *(["verify", "--target", "gaussian", "--model", model, "--k", "3", "--n", n, "--r", "0.0001", "--mesh", "16000",
+       "--trials", "2000", "--seed", "13"] for model, n in (("{gaussian}", "5"), ("{gaussian50}", "200"))),
+    ["sweep", "--target", "gaussian", "--model", "{gaussian}", "--n", "5", "--r", "0.0001", "--mesh", "16000",
+     "--trials", "2000", "--seed", "14", "--k-grid", "0,3,10"],
     # The gaussian rank-k screen: a dense model and its 2^30 multiple at k = 3,
     # at an r where trials violate and at one where the screen drops most
     # trials; the screen at k = d (both r) and at k = d/2; and a sweep whose
